@@ -9,11 +9,13 @@
 //! * a **sequential edge hash set** tuned for the single-threaded chains,
 //!   including the split hash-then-operate API used for software prefetching
 //!   ([`seq_set::SeqEdgeSet`]),
-//! * the **dependency table** of `ParallelSuperstep` (Algorithm 1) mapping
-//!   packed target/source edges to erase/insert records with three-state
-//!   (undecided / legal / illegal) entries ([`dep_table::DependencyTable`]),
-//! * the **`insert_if_min` hash map** used by `ParES` (Algorithm 2) to find
-//!   the longest source-dependency-free prefix ([`min_map::MinIndexMap`]),
+//! * the **dependency table** of `ParallelSuperstep` (Algorithm 1): a
+//!   reusable, lock-free map from each packed edge to the one switch erasing
+//!   it and the list of switches inserting it, plus one three-state
+//!   (undecided / legal / illegal) cell per switch
+//!   ([`dep_table::DependencyTable`]).  The parallel pass that registers a
+//!   superstep's switches publishes the inserter lists when it joins; the
+//!   decision rounds read them only after that join,
 //! * an **atomic edge array** so that switches owning disjoint indices can
 //!   rewire `E[i]`/`E[j]` from different threads without locks
 //!   ([`atomic_edge_list::AtomicEdgeList`]),
@@ -28,14 +30,12 @@
 pub mod atomic_edge_list;
 pub mod dep_table;
 pub mod edge_set;
-pub mod min_map;
 pub mod prefetch;
 pub mod seq_set;
 
 pub use atomic_edge_list::AtomicEdgeList;
-pub use dep_table::{DependencyTable, EraseLookup, InsertConstraint, SwitchState};
+pub use dep_table::{DependencyTable, SwitchState};
 pub use edge_set::{ConcurrentEdgeSet, LockOutcome};
-pub use min_map::MinIndexMap;
 pub use seq_set::SeqEdgeSet;
 
 /// Scramble a packed edge identifier into a well-distributed hash.

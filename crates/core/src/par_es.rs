@@ -2,10 +2,19 @@
 //!
 //! The requested number of uniformly random switches is sampled up front into
 //! an array `R`.  The algorithm then repeatedly extracts the longest prefix of
-//! the remaining switches that contains **no source dependencies** — found by
-//! inserting every switch's two edge indices into a concurrent
-//! `insert_if_min` hash map and tracking the earliest collision — and executes
-//! that prefix with [`parallel_superstep`](crate::superstep::parallel_superstep).
+//! the remaining switches that contains **no source dependencies**, i.e. in
+//! which no edge index occurs twice, and executes that prefix with
+//! [`parallel_superstep`](crate::superstep::parallel_superstep), through the
+//! one [`DependencyTable`] the chain reuses for every superstep.
+//!
+//! The prefix is found by one sequential scan over `R` against a dense array
+//! of `u32` *epoch stamps*, one per edge slot, that the chain owns.  Each
+//! prefix gets a fresh epoch; a switch whose two slots do not carry the
+//! current epoch stamps them with it and joins the prefix, and the first
+//! switch that finds a stamped slot ends the prefix and starts the next one
+//! under a new epoch.  That costs two loads and two stores per switch, and
+//! no clearing: stamps of older epochs simply never match.  Only when the
+//! epoch counter wraps are the stamps reset.
 //!
 //! Because each superstep boundary is placed *before* the first switch that
 //! shares an edge index with an earlier unprocessed switch, executing the
@@ -18,19 +27,24 @@ use crate::chain::{EdgeSwitching, SwitchingConfig};
 use crate::snapshot::{ChainSnapshot, SnapshotError};
 use crate::stats::SuperstepStats;
 use crate::switch::SwitchRequest;
-use gesmc_concurrent::{AtomicEdgeList, ConcurrentEdgeSet, MinIndexMap};
+use gesmc_concurrent::{AtomicEdgeList, ConcurrentEdgeSet, DependencyTable};
 use gesmc_graph::EdgeListGraph;
 use gesmc_randx::bounded::UniformIndex;
 use gesmc_randx::{rng_from_seed, Rng, RngState};
 use rand::Rng as _;
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Exact parallel ES-MC chain.
 pub struct ParES {
     edges: AtomicEdgeList,
     edge_set: ConcurrentEdgeSet,
+    table: DependencyTable,
+    /// Per edge slot, the epoch of the prefix that last used it (sized on
+    /// first use).
+    stamps: Vec<u32>,
+    /// Epoch of the prefix being scanned; 0 is never used, so fresh stamps
+    /// match no epoch.
+    epoch: u32,
     rng: Rng,
     supersteps_done: u64,
     config: SwitchingConfig,
@@ -41,7 +55,16 @@ impl ParES {
     pub fn new(graph: EdgeListGraph, config: SwitchingConfig) -> Self {
         let edge_set = ConcurrentEdgeSet::from_edges(graph.edges().iter(), graph.num_edges() * 2);
         let edges = AtomicEdgeList::from_graph(&graph);
-        Self { edges, edge_set, rng: rng_from_seed(config.seed), supersteps_done: 0, config }
+        Self {
+            edges,
+            edge_set,
+            table: DependencyTable::default(),
+            stamps: Vec::new(),
+            epoch: 0,
+            rng: rng_from_seed(config.seed),
+            supersteps_done: 0,
+            config,
+        }
     }
 
     /// Sample `count` uniformly random switch requests (the array `R` of
@@ -66,46 +89,44 @@ impl ParES {
     /// dependency-free supersteps.  Returns one [`SuperstepStats`] per
     /// superstep.
     pub fn run_requests(&mut self, requests: &[SwitchRequest]) -> Vec<SuperstepStats> {
+        // Slots added here carry stamp 0, which matches no epoch.
+        self.stamps.resize(self.edges.len(), 0);
         let mut all_stats = Vec::new();
-        let mut s = 0usize;
-        // Window of switches examined per boundary search; the expected
-        // dependency-free prefix is Θ(√m), so a few multiples of that keeps
-        // the wasted work low while still allowing large supersteps on sparse
-        // collision patterns.
-        let window_len = ((self.edges.len() as f64).sqrt() as usize * 4 + 64).max(64);
-
-        while s < requests.len() {
-            let window_end = (s + window_len).min(requests.len());
-            let window = &requests[s..window_end];
-
-            // Find the first index t (absolute) at which a source collision
-            // with an earlier switch of the window occurs.
-            let map = MinIndexMap::with_capacity(window.len() * 2);
-            let t_bound = AtomicU64::new(requests.len() as u64 + 1);
-            window.par_iter().enumerate().for_each(|(offset, request)| {
-                let k = (s + offset) as u64;
-                for idx in [request.i as u64, request.j as u64] {
-                    if let Some(previous) = map.insert_if_min(idx + 1, k) {
-                        // Two switches share this edge index; the collision
-                        // becomes effective at the larger of the two.
-                        let collision_at = previous.max(k);
-                        t_bound.fetch_min(collision_at, Ordering::Relaxed);
-                    }
-                }
-            });
-            let t = (t_bound.load(Ordering::Relaxed) as usize).min(window_end);
-            debug_assert!(t > s, "a superstep must contain at least one switch");
-
-            let superstep = &requests[s..t];
-            let stats =
-                crate::superstep::parallel_superstep(&self.edges, &self.edge_set, superstep);
+        let mut rest = requests;
+        while !rest.is_empty() {
+            let (superstep, after) = rest.split_at(self.dependency_free_prefix(rest));
+            let stats = crate::superstep::parallel_superstep(
+                &mut self.table,
+                &self.edges,
+                &self.edge_set,
+                superstep,
+            );
             all_stats.push(stats);
             if self.edge_set.needs_rebuild() {
                 self.edge_set.rebuild();
             }
-            s = t;
+            rest = after;
         }
         all_stats
+    }
+
+    /// Length of the longest prefix of `requests` in which no edge index
+    /// occurs twice (at least 1 for a non-empty list).
+    fn dependency_free_prefix(&mut self, requests: &[SwitchRequest]) -> usize {
+        if self.epoch == u32::MAX {
+            self.stamps.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        let epoch = self.epoch;
+        for (k, request) in requests.iter().enumerate() {
+            if self.stamps[request.i] == epoch || self.stamps[request.j] == epoch {
+                return k;
+            }
+            self.stamps[request.i] = epoch;
+            self.stamps[request.j] = epoch;
+        }
+        requests.len()
     }
 
     /// Perform `count` uniformly random switches exactly; returns the
@@ -225,25 +246,79 @@ mod tests {
         assert!(result.validate().is_ok());
     }
 
+    /// Requests whose longest dependency-free prefixes are 3, 3, 3 and 1
+    /// switches long: the first two boundaries fall on a repeated first
+    /// index, the last on a repeated second index.
+    fn hand_made_requests() -> Vec<SwitchRequest> {
+        [(0, 1), (2, 3), (4, 5), (1, 6), (0, 2), (7, 8), (8, 9), (6, 3), (5, 4), (7, 3)]
+            .into_iter()
+            .enumerate()
+            .map(|(k, (i, j))| SwitchRequest::new(i, j, k % 2 == 0))
+            .collect()
+    }
+
+    /// Superstep sizes that cut `requests` into longest prefixes without a
+    /// repeated edge index (the paper's definition, computed naively).
+    fn longest_prefix_sizes(requests: &[SwitchRequest]) -> Vec<usize> {
+        let mut sizes = Vec::new();
+        let mut used = std::collections::HashSet::new();
+        for r in requests {
+            if used.contains(&r.i) || used.contains(&r.j) || sizes.is_empty() {
+                sizes.push(0);
+                used.clear();
+            }
+            used.extend([r.i, r.j]);
+            *sizes.last_mut().unwrap() += 1;
+        }
+        sizes
+    }
+
+    /// Prefix lengths the chain's scan reports while consuming `requests`.
+    fn scanned_prefix_sizes(par: &mut ParES, mut requests: &[SwitchRequest]) -> Vec<usize> {
+        let mut sizes = Vec::new();
+        while !requests.is_empty() {
+            let len = par.dependency_free_prefix(requests);
+            assert!(len > 0, "empty prefix after {sizes:?}");
+            sizes.push(len);
+            requests = &requests[len..];
+        }
+        sizes
+    }
+
     #[test]
-    fn superstep_boundaries_have_no_source_dependencies() {
-        // Construct a request list with a deliberate early collision and make
-        // sure the outcome still matches the sequential oracle.
+    fn supersteps_are_the_longest_dependency_free_prefixes() {
         let graph = gnp_graph(15, 40, 0.2);
-        let requests = vec![
-            SwitchRequest::new(0, 1, false),
-            SwitchRequest::new(2, 3, true),
-            SwitchRequest::new(1, 4, false), // collides with request 0 (index 1)
-            SwitchRequest::new(5, 6, true),
-            SwitchRequest::new(2, 7, false), // collides with request 1 (index 2)
-        ];
+        let requests = hand_made_requests();
+        assert_eq!(longest_prefix_sizes(&requests), [3, 3, 3, 1]);
         let mut par = ParES::new(graph.clone(), SwitchingConfig::with_seed(16));
         let stats = par.run_requests(&requests);
-        assert!(stats.len() >= 2, "collisions must split the batch into supersteps");
+        assert_eq!(stats.iter().map(|s| s.requested).collect::<Vec<_>>(), [3, 3, 3, 1]);
         assert_eq!(
-            par.graph().canonical_edges(),
-            sequential_oracle(&graph, &requests).canonical_edges()
+            par.graph().edges(),
+            sequential_oracle(&graph, &requests).edges(),
+            "supersteps must replay the requests in order"
         );
+
+        // Random request lists on a small graph collide often.
+        for seed in 0..5 {
+            let requests = par.sample_requests(200);
+            let expected = longest_prefix_sizes(&requests);
+            assert!(expected.len() > 5, "seed {seed}: too few boundaries to test");
+            let stats = par.run_requests(&requests);
+            assert_eq!(stats.iter().map(|s| s.requested).collect::<Vec<_>>(), expected);
+        }
+    }
+
+    #[test]
+    fn epoch_wrap_resets_the_stamps() {
+        let requests = hand_made_requests();
+        let mut par = ParES::new(gnp_graph(15, 40, 0.2), SwitchingConfig::with_seed(16));
+        // One epoch before the wrap, with every slot last used in epoch 1,
+        // long ago: the epochs after the wrap must not see those stamps.
+        par.epoch = u32::MAX - 1;
+        par.stamps = vec![1; par.edges.len()];
+        assert_eq!(scanned_prefix_sizes(&mut par, &requests), [3, 3, 3, 1]);
+        assert_eq!(par.epoch, 3, "epochs u32::MAX, then 1, 2, 3 after the wrap");
     }
 
     #[test]

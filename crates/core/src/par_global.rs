@@ -3,7 +3,8 @@
 //! Because a global switch contains no source dependencies by construction —
 //! every edge index occurs at most once in the permutation prefix — the whole
 //! algorithm is a loop that draws a random global switch and hands it to
-//! [`parallel_superstep`](crate::superstep::parallel_superstep).  The chain is
+//! [`parallel_superstep`](crate::superstep::parallel_superstep), together with
+//! the one [`DependencyTable`] the chain reuses for every superstep.  The chain is
 //! *exact*: given the same permutation and trial count, the resulting graph is
 //! identical to executing the switches sequentially (this is asserted by the
 //! integration tests against [`crate::SeqGlobalES`]).
@@ -12,7 +13,7 @@ use crate::chain::{EdgeSwitching, SwitchingConfig};
 use crate::seq_global::SeqGlobalES;
 use crate::snapshot::{ChainSnapshot, SnapshotError};
 use crate::stats::SuperstepStats;
-use gesmc_concurrent::{AtomicEdgeList, ConcurrentEdgeSet};
+use gesmc_concurrent::{AtomicEdgeList, ConcurrentEdgeSet, DependencyTable};
 use gesmc_graph::EdgeListGraph;
 use gesmc_randx::permutation::parallel_permutation;
 use gesmc_randx::{rng_from_seed, sample_binomial, Rng, RngState, SeedSequence};
@@ -21,6 +22,7 @@ use gesmc_randx::{rng_from_seed, sample_binomial, Rng, RngState, SeedSequence};
 pub struct ParGlobalES {
     edges: AtomicEdgeList,
     edge_set: ConcurrentEdgeSet,
+    table: DependencyTable,
     rng: Rng,
     seeds: SeedSequence,
     supersteps_done: u64,
@@ -39,6 +41,7 @@ impl ParGlobalES {
         Self {
             edges,
             edge_set,
+            table: DependencyTable::default(),
             rng: rng_from_seed(config.seed),
             seeds: SeedSequence::new(config.seed ^ 0x9E37_79B9_7F4A_7C15),
             supersteps_done: 0,
@@ -61,7 +64,12 @@ impl ParGlobalES {
             as usize;
         let switches = SeqGlobalES::switches_from_permutation(&perm, ell);
 
-        let stats = crate::superstep::parallel_superstep(&self.edges, &self.edge_set, &switches);
+        let stats = crate::superstep::parallel_superstep(
+            &mut self.table,
+            &self.edges,
+            &self.edge_set,
+            &switches,
+        );
 
         if self.edge_set.needs_rebuild() {
             self.edge_set.rebuild();

@@ -1,9 +1,12 @@
 //! `ParallelSuperstep` (Algorithm 1): execute a batch of source-dependency
 //! free edge switches in parallel while preserving the sequential outcome.
 //!
-//! The batch is processed in two phases.  **Registration** records, for every
-//! switch, an *erase* record per source edge and an *insert* record per target
-//! edge in the concurrent [`DependencyTable`].  **Decision rounds** then
+//! The batch is processed in three phases.  **Registration** enters every
+//! switch into the caller's [`DependencyTable`], as the eraser of its two
+//! source edges and an inserter of its two target edges, and keeps the four
+//! bucket indices the table returns, so that no later phase hashes an edge
+//! again.  The join that ends this parallel pass publishes the table's
+//! inserter lists to the decision rounds.  **Decision rounds** then
 //! repeatedly try to decide every still-undecided switch in parallel:
 //!
 //! * a switch is **illegal** if a target edge is a self-loop, is one of its
@@ -16,18 +19,28 @@
 //! * otherwise it is **legal**: its slots in the shared edge array are rewired
 //!   immediately.
 //!
+//! Other threads decide switches while a switch is being decided, so
+//! `decide` answers both of its questions (is the switch illegal? must it
+//! wait?) from **one reading** of each dependency's state: it returns
+//! `Illegal` on the first definitive reason and otherwise remembers whether
+//! any reading was still undecided.  Reading a state once to rule out
+//! illegality and again to decide whether to wait could see two different
+//! values and combine them into a wrong `Legal`.  A decided state never
+//! changes, so a reading can only be out of date by still saying undecided,
+//! which merely delays the switch.
+//!
 //! Dependencies always point towards smaller switch indices, so every round
 //! decides at least the smallest undecided switch and the loop terminates.
-//! The edge *set* is only updated after all switches are decided (first all
-//! erases, then all inserts, both in parallel); during the rounds it serves as
-//! the immutable snapshot of the graph at the start of the superstep, which is
-//! exactly the semantics the decision rules above require.
+//! **Apply:** the edge *set* is only updated after all switches are decided
+//! (first all erases, then all inserts, both in parallel); during the rounds
+//! it serves as the immutable snapshot of the graph at the start of the
+//! superstep, which is exactly the semantics the decision rules above
+//! require.  The insert pass also releases every switch from the table, so
+//! the table is empty again for the next superstep.
 
 use crate::stats::SuperstepStats;
 use crate::switch::{switch_targets, SwitchRequest};
-use gesmc_concurrent::{
-    AtomicEdgeList, ConcurrentEdgeSet, DependencyTable, EraseLookup, InsertConstraint, SwitchState,
-};
+use gesmc_concurrent::{AtomicEdgeList, ConcurrentEdgeSet, DependencyTable, SwitchState};
 use gesmc_graph::Edge;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,19 +54,25 @@ struct SwitchWork {
     e2: Edge,
     e3: Edge,
     e4: Edge,
+    /// Table buckets of `[e1, e2, e3, e4]`.
+    buckets: [usize; 4],
 }
 
 /// Execute a superstep of switches without source dependencies.
 ///
-/// `edges` is the shared indexed edge array, `edge_set` the authoritative set
-/// of edges of the current graph (updated in place), and `switches` the batch
-/// to execute, ordered by their position in the original (sequential) switch
-/// sequence.
+/// `table` is the caller's (empty) dependency table, reused from superstep to
+/// superstep and left empty again; `edges` is the shared indexed edge array,
+/// `edge_set` the authoritative set of edges of the current graph (updated in
+/// place), and `switches` the batch to execute, ordered by their position in
+/// the original (sequential) switch sequence.
 ///
 /// # Panics
-/// Debug builds assert that the batch really is free of source dependencies;
-/// violating that precondition is a caller bug.
+/// If the edge set does not hold as many edges after the superstep as before
+/// it, which would mean a legal switch erased a missing edge or inserted an
+/// existing one.  Debug builds also assert that the batch really is free of
+/// source dependencies; violating that precondition is a caller bug.
 pub fn parallel_superstep(
+    table: &mut DependencyTable,
     edges: &AtomicEdgeList,
     edge_set: &ConcurrentEdgeSet,
     switches: &[SwitchRequest],
@@ -61,18 +80,13 @@ pub fn parallel_superstep(
     let start = Instant::now();
     let requested = switches.len();
     if requested == 0 {
-        return SuperstepStats {
-            requested: 0,
-            legal: 0,
-            illegal: 0,
-            rounds: 0,
-            round_durations: Vec::new(),
-            duration: start.elapsed(),
-        };
+        return SuperstepStats { duration: start.elapsed(), ..SuperstepStats::default() };
     }
+    let edges_before = edge_set.len();
 
-    // Phase 1: resolve sources/targets and register all dependency records.
-    let table = DependencyTable::for_switches(requested);
+    // Phase 1: resolve sources/targets and register every switch.
+    table.prepare(requested);
+    let table = &*table;
     let work: Vec<SwitchWork> = switches
         .par_iter()
         .enumerate()
@@ -80,12 +94,8 @@ pub fn parallel_superstep(
             let e1 = edges.get(request.i);
             let e2 = edges.get(request.j);
             let (e3, e4) = switch_targets(e1, e2, request.g);
-            let k = k as u32;
-            table.register_erase(e1.pack(), k);
-            table.register_erase(e2.pack(), k);
-            table.register_insert(e3.pack(), k);
-            table.register_insert(e4.pack(), k);
-            SwitchWork { request, e1, e2, e3, e4 }
+            let buckets = table.register(k as u32, [e1.pack(), e2.pack()], [e3.pack(), e4.pack()]);
+            SwitchWork { request, e1, e2, e3, e4, buckets }
         })
         .collect();
 
@@ -93,31 +103,24 @@ pub fn parallel_superstep(
     let legal_count = AtomicUsize::new(0);
     let mut undecided: Vec<u32> = (0..requested as u32).collect();
     let mut round_durations = Vec::new();
-    let mut rounds = 0usize;
 
     while !undecided.is_empty() {
         let round_start = Instant::now();
-        rounds += 1;
         let delayed: Vec<u32> = undecided
             .par_iter()
             .copied()
             .filter_map(|k| {
                 let w = &work[k as usize];
-                match decide(&table, edge_set, w, k) {
-                    Decision::Delay => Some(k),
-                    Decision::Decide(state) => {
-                        if state == SwitchState::Legal {
-                            edges.set(w.request.i, w.e3);
-                            edges.set(w.request.j, w.e4);
-                            legal_count.fetch_add(1, Ordering::Relaxed);
-                        }
-                        table.decide_erase(w.e1.pack(), k, state);
-                        table.decide_erase(w.e2.pack(), k, state);
-                        table.decide_insert(w.e3.pack(), k, state);
-                        table.decide_insert(w.e4.pack(), k, state);
-                        None
-                    }
+                let Some(state) = decide(table, edge_set, w, k) else {
+                    return Some(k);
+                };
+                if state == SwitchState::Legal {
+                    edges.set(w.request.i, w.e3);
+                    edges.set(w.request.j, w.e4);
+                    legal_count.fetch_add(1, Ordering::Relaxed);
                 }
+                table.set_state(k, state);
+                None
             })
             .collect();
         debug_assert!(
@@ -131,103 +134,91 @@ pub fn parallel_superstep(
     // Phase 3: apply the decided switches to the edge set.  All erases first
     // (each edge is erased at most once per superstep), then all inserts (each
     // edge is inserted by at most one legal switch), so the two parallel
-    // passes cannot conflict.
+    // passes cannot conflict.  No pass looks anything up in the table's
+    // buckets any more, so the insert pass can release them.
     work.par_iter().enumerate().for_each(|(k, w)| {
-        if is_legal(&table, w, k as u32) {
+        if table.state(k as u32) == SwitchState::Legal {
             let erased1 = edge_set.erase(w.e1);
             let erased2 = edge_set.erase(w.e2);
             debug_assert!(erased1 && erased2, "legal switch must erase existing edges");
         }
     });
     work.par_iter().enumerate().for_each(|(k, w)| {
-        if is_legal(&table, w, k as u32) {
+        if table.state(k as u32) == SwitchState::Legal {
             let inserted1 = edge_set.insert(w.e3);
             let inserted2 = edge_set.insert(w.e4);
             debug_assert!(inserted1 && inserted2, "legal switch must insert fresh edges");
         }
+        table.release(k as u32, w.buckets);
     });
+    assert_eq!(
+        edge_set.len(),
+        edges_before,
+        "a superstep must keep the number of edges: a legal switch erased a missing edge \
+         or inserted an existing one"
+    );
 
     let legal = legal_count.load(Ordering::Relaxed);
     SuperstepStats {
         requested,
         legal,
         illegal: requested - legal,
-        rounds,
+        rounds: round_durations.len(),
         round_durations,
         duration: start.elapsed(),
     }
 }
 
-/// Whether switch `k` was decided legal (read back from its erase record).
-fn is_legal(table: &DependencyTable, w: &SwitchWork, k: u32) -> bool {
-    match table.erase_lookup(w.e1.pack()) {
-        EraseLookup::By { index, state } if index == k => state == SwitchState::Legal,
-        _ => false,
-    }
-}
-
-enum Decision {
-    Decide(SwitchState),
-    Delay,
-}
-
-/// Apply the decision rules of Algorithm 1 to switch `k`.
+/// Apply the decision rules of Algorithm 1 to switch `k`; `None` delays it
+/// to the next round.
+///
+/// Reads the state of every dependency once (see the module docs).
 fn decide(
     table: &DependencyTable,
     edge_set: &ConcurrentEdgeSet,
     w: &SwitchWork,
     k: u32,
-) -> Decision {
-    let targets = [w.e3, w.e4];
-
-    // Definitive illegality checks first: they hold regardless of how the
-    // still-undecided switches turn out.
-    for &target in &targets {
+) -> Option<SwitchState> {
+    let mut wait = false;
+    for (target, bucket) in [(w.e3, w.buckets[2]), (w.e4, w.buckets[3])] {
         if target.is_loop() {
-            return Decision::Decide(SwitchState::Illegal);
+            return Some(SwitchState::Illegal);
         }
-        match table.erase_lookup(target.pack()) {
-            EraseLookup::None => {
-                // Nobody in this superstep erases the target; it is illegal to
-                // insert it iff it already exists in the graph.
+        match table.eraser(bucket) {
+            // Nobody in this superstep erases the target; it is illegal to
+            // insert it iff it already exists in the graph.
+            None => {
                 if edge_set.contains(target) {
-                    return Decision::Decide(SwitchState::Illegal);
+                    return Some(SwitchState::Illegal);
                 }
             }
-            EraseLookup::By { index: p, state: sp } => {
-                // `p == k` means the target equals one of this switch's own
-                // source edges; Def. 1 tests existence *before* removing the
-                // sources, so such a switch is rejected.  (Algorithm 1 as
-                // printed would label it legal and rewire the two slots to the
-                // same pair of edges — the graph is identical either way, but
-                // rejecting keeps the edge array bitwise equal to a sequential
-                // Def. 1 execution, which is what our exactness tests demand.)
-                if k < p || p == k || sp == SwitchState::Illegal {
-                    return Decision::Decide(SwitchState::Illegal);
-                }
+            // `p == k` means the target equals one of this switch's own source
+            // edges; Def. 1 tests existence *before* removing the sources, so
+            // such a switch is rejected.  (Algorithm 1 as printed would label
+            // it legal and rewire the two slots to the same pair of edges —
+            // the graph is identical either way, but rejecting keeps the edge
+            // array bitwise equal to a sequential Def. 1 execution, which is
+            // what our exactness tests demand.)  A later eraser leaves the
+            // target in the graph at the time of switch `k`.
+            Some(p) if p >= k => return Some(SwitchState::Illegal),
+            Some(p) => match table.state(p) {
+                SwitchState::Illegal => return Some(SwitchState::Illegal),
+                SwitchState::Undecided => wait = true,
+                SwitchState::Legal => {}
+            },
+        }
+        // An earlier legal insert of the same edge makes `k` illegal; an
+        // earlier undecided one makes it wait; earlier illegal ones impose
+        // nothing.
+        for q in table.inserters(bucket).filter(|&q| q < k) {
+            match table.state(q) {
+                SwitchState::Legal => return Some(SwitchState::Illegal),
+                SwitchState::Undecided => wait = true,
+                SwitchState::Illegal => {}
             }
         }
-        if table.insert_constraint(target.pack(), k) == InsertConstraint::EarlierLegal {
-            return Decision::Decide(SwitchState::Illegal);
-        }
     }
-
-    // No definitive reason to reject; check whether we must wait for an
-    // earlier, still-undecided switch.
-    for &target in &targets {
-        if let EraseLookup::By { index: p, state: SwitchState::Undecided } =
-            table.erase_lookup(target.pack())
-        {
-            if k > p {
-                return Decision::Delay;
-            }
-        }
-        if table.insert_constraint(target.pack(), k) == InsertConstraint::EarlierUndecided {
-            return Decision::Delay;
-        }
-    }
-
-    Decision::Decide(SwitchState::Legal)
+    (!wait).then_some(SwitchState::Legal)
 }
 
 /// Convenience wrapper: run a superstep on a plain graph and return the new
@@ -238,7 +229,7 @@ pub fn run_superstep_on_graph(
 ) -> (gesmc_graph::EdgeListGraph, SuperstepStats) {
     let edges = AtomicEdgeList::from_graph(graph);
     let edge_set = ConcurrentEdgeSet::from_edges(graph.edges().iter(), graph.num_edges() * 2);
-    let stats = parallel_superstep(&edges, &edge_set, switches);
+    let stats = parallel_superstep(&mut DependencyTable::default(), &edges, &edge_set, switches);
     (edges.to_graph(), stats)
 }
 

@@ -38,27 +38,31 @@ pub fn random_permutation<R: RngCore + ?Sized>(rng: &mut R, n: usize) -> Vec<u64
     perm
 }
 
-/// Number of scatter buckets used by [`parallel_permutation`] for `n` elements
-/// on `threads` worker threads.
-fn bucket_count(n: usize, threads: usize) -> usize {
-    if n < 1 << 14 || threads <= 1 {
+/// Number of scatter buckets used by [`parallel_permutation`] for `n`
+/// elements.
+///
+/// The count depends on `n` alone, never on the number of threads, because
+/// the permutation depends on it: one bucket below 2^14 elements, otherwise
+/// about one per 2^13 elements (a power of two, at most 1024).  Buckets that
+/// small shuffle in cache, and there are enough of them to balance work over
+/// many threads.
+fn bucket_count(n: usize) -> usize {
+    if n < 1 << 14 {
         1
     } else {
-        // A few buckets per thread keeps the multinomial imbalance low while
-        // giving the scheduler room to balance work.
-        (4 * threads).next_power_of_two().min(n / 1024).max(1)
+        (n >> 13).next_power_of_two().min(1024)
     }
 }
 
 /// Generate a uniformly random permutation of `[0, n)` in parallel.
 ///
-/// The permutation is a deterministic function of `seed` (and `n`): bucket
-/// assignment uses a per-element hash stream and each bucket is shuffled with
-/// a seed derived from its index, so results do not depend on the number of
-/// threads or the scheduling order.
+/// The permutation is a deterministic function of `seed` (and `n`): the
+/// bucket count depends on `n` only, bucket assignment uses one random stream
+/// per fixed-size chunk of elements, and each bucket is shuffled with a seed
+/// derived from its index, so results do not depend on the number of threads
+/// or the scheduling order.
 pub fn parallel_permutation(seed: u64, n: usize) -> Vec<u64> {
-    let threads = rayon::current_num_threads();
-    let buckets = bucket_count(n, threads);
+    let buckets = bucket_count(n);
     let seq = SeedSequence::new(seed);
 
     if buckets == 1 {
@@ -155,6 +159,28 @@ mod tests {
             assert_eq!(p.len(), n);
             assert!(is_permutation(&p), "not a permutation for n = {n}");
         }
+    }
+
+    #[test]
+    fn parallel_permutation_is_independent_of_the_thread_count() {
+        let n = (1 << 16) + 123;
+        let with_threads = |threads| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            pool.install(|| parallel_permutation(9, n))
+        };
+        let one = with_threads(1);
+        assert!(is_permutation(&one));
+        for threads in [2, 8] {
+            assert!(with_threads(threads) == one, "{threads} threads permute differently");
+        }
+    }
+
+    #[test]
+    fn bucket_count_depends_on_the_size_only() {
+        assert_eq!(bucket_count(0), 1);
+        assert_eq!(bucket_count((1 << 14) - 1), 1);
+        assert_eq!(bucket_count(1 << 14), 2);
+        assert_eq!(bucket_count(1 << 30), 1024);
     }
 
     #[test]

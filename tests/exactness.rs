@@ -4,8 +4,9 @@
 //! sequential G-ES-MC implementation replaying the identical global switch.
 
 use gesmc::chains::seq_global::SeqGlobalES;
-use gesmc::chains::superstep::run_superstep_on_graph;
+use gesmc::chains::superstep::{parallel_superstep, run_superstep_on_graph};
 use gesmc::chains::SwitchRequest;
+use gesmc::concurrent::{AtomicEdgeList, ConcurrentEdgeSet, DependencyTable};
 use gesmc::prelude::*;
 use gesmc::randx::permutation::random_permutation;
 use gesmc::randx::{rng_from_seed, sample_binomial};
@@ -40,6 +41,39 @@ fn parallel_global_switch_equals_sequential_execution() {
         // The indexed edge arrays must agree as well (bitwise exactness).
         assert_eq!(par_graph.edges(), seq.graph().edges(), "trial {trial}: edge arrays differ");
     }
+}
+
+/// One dependency table serves a chain's whole life: replay consecutive
+/// global switches of growing and shrinking length `ℓ` through the same
+/// table, across rebuilds of the edge set, and compare the edge array with a
+/// sequential replay after every superstep.
+#[test]
+fn one_dependency_table_replays_consecutive_global_switches() {
+    let graph = gesmc::datasets::syn_pld_graph(3, 400, 2.2);
+    let m = graph.num_edges();
+    let edges = AtomicEdgeList::from_graph(&graph);
+    let mut edge_set = ConcurrentEdgeSet::from_edges(graph.edges().iter(), 2 * m);
+    let mut table = DependencyTable::default();
+    let mut seq = SeqGlobalES::new(graph, SwitchingConfig::with_seed(0));
+    let mut rng = rng_from_seed(2);
+    let mut rebuilds = 0;
+    for (step, percent) in [10usize, 100, 3, 60, 100, 1, 35, 100, 20, 80].into_iter().enumerate() {
+        let perm = random_permutation(&mut rng, m);
+        let switches = SeqGlobalES::switches_from_permutation(&perm, m / 2 * percent / 100);
+        let stats = parallel_superstep(&mut table, &edges, &edge_set, &switches);
+        let legal_seq: usize = switches.iter().map(|&s| seq.apply(s) as usize).sum();
+        assert_eq!(stats.legal, legal_seq, "superstep {step}: legality counts diverged");
+        assert_eq!(
+            edges.snapshot_edges(),
+            seq.graph().edges(),
+            "superstep {step}: edge arrays differ"
+        );
+        if edge_set.needs_rebuild() {
+            edge_set.rebuild();
+            rebuilds += 1;
+        }
+    }
+    assert!(rebuilds >= 1, "the replay must span a rebuild of the edge set");
 }
 
 /// ParES run on an explicit request list equals SeqES applying the same list.
