@@ -69,7 +69,9 @@ fn main() {
     )
     .supersteps(8);
     let mut sink = gesmc_engine::NullSink::default();
-    gesmc_engine::run_job(&spec, &mut sink, None).expect("sidecar job");
+    let control = gesmc_engine::JobControl::new();
+    gesmc_engine::run_job(gesmc_engine::default_registry(), &spec, &mut sink, None, &control, None)
+        .expect("sidecar job");
     // Latency-histogram sidecar (`<report stem>.hist.json`) for trajectory
     // entries that pair throughput with per-phase distributions.
     gesmc_bench::dump_obs_histograms();

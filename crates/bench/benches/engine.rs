@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gesmc_bench::Scale;
 use gesmc_datasets::syn_pld_graph;
-use gesmc_engine::{ChainSpec, GraphSource, JobQueue, JobSpec, NullSink, QueuedJob, WorkerPool};
+use gesmc_engine::{ChainSpec, GraphSource, JobSpec, JobState, NullSink, QueuedJob, ServicePool};
 use gesmc_graph::EdgeListGraph;
 
 fn scale_from_args() -> Scale {
@@ -19,21 +19,36 @@ fn scale_from_args() -> Scale {
         .unwrap_or(Scale::Smoke)
 }
 
-fn build_queue(graph: &EdgeListGraph, jobs: usize, supersteps: u64, thinning: u64) -> JobQueue {
-    let mut queue = JobQueue::new();
-    for i in 0..jobs {
-        let spec = JobSpec::new(
-            format!("bench{i}"),
-            GraphSource::InMemory(graph.clone()),
-            ChainSpec::new("par-global-es"),
-        )
-        .supersteps(supersteps)
-        .thinning(thinning)
-        .seed(i as u64)
-        .threads(2);
-        queue.push(QueuedJob::new(spec, Box::new(NullSink::default())));
+fn build_jobs(
+    graph: &EdgeListGraph,
+    jobs: usize,
+    supersteps: u64,
+    thinning: u64,
+) -> Vec<QueuedJob> {
+    (0..jobs)
+        .map(|i| {
+            let spec = JobSpec::new(
+                format!("bench{i}"),
+                GraphSource::InMemory(graph.clone()),
+                ChainSpec::new("par-global-es"),
+            )
+            .supersteps(supersteps)
+            .thinning(thinning)
+            .seed(i as u64)
+            .threads(2);
+            QueuedJob::new(spec, Box::new(NullSink::default()))
+        })
+        .collect()
+}
+
+/// Submit every job to a fresh pool of `workers` threads and wait on the
+/// handles in submission order.
+fn run_all(workers: usize, jobs: Vec<QueuedJob>) {
+    let pool = ServicePool::start(workers, 0);
+    let handles: Vec<_> = jobs.into_iter().map(|job| pool.submit(job).unwrap()).collect();
+    for handle in handles {
+        assert!(matches!(handle.wait(), JobState::Done(_)), "bench job failed");
     }
-    queue
 }
 
 fn bench_engine(c: &mut Criterion) {
@@ -52,8 +67,8 @@ fn bench_engine(c: &mut Criterion) {
             &workers,
             |b, &workers| {
                 b.iter_batched(
-                    || build_queue(&graph, jobs, supersteps, 0),
-                    |queue| WorkerPool::new(workers).run(queue),
+                    || build_jobs(&graph, jobs, supersteps, 0),
+                    |jobs| run_all(workers, jobs),
                     criterion::BatchSize::LargeInput,
                 );
             },
@@ -68,8 +83,8 @@ fn bench_engine(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_with_input(BenchmarkId::new("samples_per_sec", jobs), &jobs, |b, &jobs| {
         b.iter_batched(
-            || build_queue(&graph, jobs, supersteps, 1),
-            |queue| WorkerPool::new(0).run(queue),
+            || build_jobs(&graph, jobs, supersteps, 1),
+            |jobs| run_all(0, jobs),
             criterion::BatchSize::LargeInput,
         );
     });

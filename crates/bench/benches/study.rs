@@ -1,6 +1,6 @@
 //! Criterion benchmark: throughput of the study pipeline.
 //!
-//! Measures cells/sec of a full `run_study` sweep (spec → worker pool →
+//! Measures cells/sec of a full `run_study` sweep (spec → job pool →
 //! streaming metrics sink → report files) and supersteps/sec of the
 //! [`MetricsSink`] alone, isolating the per-superstep analysis cost
 //! (presence tracking + transition-count accumulation) from the chains.
@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gesmc_bench::Scale;
 use gesmc_datasets::syn_pld_graph;
-use gesmc_engine::{run_job, ChainSpec, GraphSource, JobSpec};
+use gesmc_engine::{default_registry, run_job, ChainSpec, GraphSource, JobControl, JobSpec};
 use gesmc_study::{run_study, MetricsSink, StudyOptions, StudySpec};
 
 fn scale_from_args() -> Scale {
@@ -79,7 +79,8 @@ fn bench_study(c: &mut Criterion) {
                 .supersteps(supersteps)
                 .thinning(1)
                 .seed(2);
-                run_job(&job, &mut sink, None).expect("job must succeed")
+                run_job(default_registry(), &job, &mut sink, None, &JobControl::new(), None)
+                    .expect("job must succeed")
             });
         },
     );

@@ -50,9 +50,9 @@ use gesmc_datasets::{
     netrep_like::family_graph, syn_gnp_graph, syn_pld_graph, write_syn_gnp_binary, GraphFamily,
 };
 use gesmc_engine::{
-    default_registry, resume_external_job, run_batch, run_external_job, Checkpoint,
-    CheckpointReader, EdgeListFileSink, ExternalJob, ExternalOutput, GraphSource, JobSpec,
-    Manifest,
+    default_registry, resume_external_job, run_batch, run_external_job, run_job, Checkpoint,
+    CheckpointReader, EdgeListFileSink, ExternalJob, ExternalOutput, GraphSource, JobControl,
+    JobSpec, JobState, Manifest,
 };
 use gesmc_graph::io::{
     is_binary_edge_list_file, read_edge_list_binary_file, read_edge_list_file,
@@ -646,7 +646,7 @@ fn cmd_algorithms(positional: &[String], flags: &HashMap<String, String>) -> Res
 }
 
 /// `gesmc batch manifest.json`: run every job of the manifest over the
-/// engine's worker pool, streaming thinned samples to per-job files.
+/// engine's job pool, streaming thinned samples to per-job files.
 fn cmd_batch(positional: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
     let manifest_path = match positional {
         [path] => path,
@@ -670,23 +670,24 @@ fn cmd_batch(positional: &[String], flags: &HashMap<String, String>) -> Result<(
         manifest.output_dir.display()
     );
 
-    let outcomes = run_batch(&manifest).map_err(|e| format!("{e}"))?;
+    let handles = run_batch(&manifest).map_err(|e| format!("{e}"))?;
     let mut failures = 0usize;
-    for outcome in &outcomes {
-        match &outcome.result {
-            Ok(report) => {
-                gesmc_obs::info!(target: "gesmc::batch", id: outcome.job, "{}", report.summary());
+    for handle in &handles {
+        let why = match handle.state() {
+            JobState::Done(report) => {
+                gesmc_obs::info!(target: "gesmc::batch", id: handle.name(), "{}", report.summary());
+                continue;
             }
-            Err(e) => {
-                failures += 1;
-                gesmc_obs::error!(target: "gesmc::batch", id: outcome.job, "FAILED: {e}");
-            }
-        }
+            JobState::Failed(e) => e,
+            other => other.label().to_string(),
+        };
+        failures += 1;
+        gesmc_obs::error!(target: "gesmc::batch", id: handle.name(), "FAILED: {why}");
     }
     if failures > 0 {
-        return Err(format!("{failures} of {} jobs failed", outcomes.len()));
+        return Err(format!("{failures} of {} jobs failed", handles.len()));
     }
-    gesmc_obs::info!(target: "gesmc::batch", "all {} jobs finished", outcomes.len());
+    gesmc_obs::info!(target: "gesmc::batch", "all {} jobs finished", handles.len());
     Ok(())
 }
 
@@ -845,7 +846,8 @@ fn cmd_resume(positional: &[String], flags: &HashMap<String, String>) -> Result<
     let mut sink =
         EdgeListFileSink::new(samples_dir, &checkpoint.job_name).map_err(|e| format!("{e}"))?;
     let report =
-        gesmc_engine::run_job(&spec, &mut sink, Some(&checkpoint)).map_err(|e| format!("{e}"))?;
+        run_job(default_registry(), &spec, &mut sink, Some(&checkpoint), &JobControl::new(), None)
+            .map_err(|e| format!("{e}"))?;
     gesmc_obs::info!(target: "gesmc::resume", id: checkpoint.job_name, "{}", report.summary());
     for path in sink.written() {
         gesmc_obs::info!(target: "gesmc::resume", "wrote {}", path.display());

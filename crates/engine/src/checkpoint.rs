@@ -6,6 +6,13 @@
 //! thinning interval, and how many samples were already emitted — so that
 //! `resume` re-creates both the chain and the job bookkeeping exactly.
 //!
+//! One codec reads and writes the format: [`CheckpointWriter`] and
+//! [`CheckpointReader`] stream it over any [`Write`] / [`Read`] in bounded
+//! memory.  [`Checkpoint::to_bytes`] / [`Checkpoint::from_bytes`] are that
+//! pair over a `Vec` and a slice, [`Checkpoint::write_to_file`] /
+//! [`Checkpoint::read_from_file`] the same over a file, and out-of-core runs
+//! stream their edge stores through it directly.
+//!
 //! ## Layout (version 1, all integers little-endian)
 //!
 //! ```text
@@ -37,6 +44,8 @@ use crate::error::EngineError;
 use gesmc_core::{ChainSnapshot, ChainSpec, EdgeSwitching, SnapshotError};
 use gesmc_graph::Edge;
 use gesmc_randx::RngState;
+use std::fs::File;
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"GESMCKP1";
@@ -47,7 +56,7 @@ const FLAG_PREFETCH: u32 = 1;
 /// superstep boundaries.
 ///
 /// [`JobSpec::checkpoint_every`](crate::JobSpec::checkpoint_every) sets the
-/// cadence; the driver ([`run_job_hooked`](crate::run_job_hooked)) calls
+/// cadence; the driver ([`run_job`](crate::run_job)) calls
 /// `store` with each capture in addition to (or instead of) writing a
 /// `checkpoint_dir` file, so services can route checkpoints through their own
 /// storage — a journaled data directory, an object store, a test double.
@@ -79,61 +88,16 @@ pub struct Checkpoint {
     pub samples_emitted: u64,
 }
 
-/// FNV-1a 64-bit hash, the format's integrity checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = FNV_OFFSET;
-    fnv1a_update(&mut hash, bytes);
-    hash
-}
-
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Fold `bytes` into a running FNV-1a state — the incremental form used by
-/// the streaming writer/reader, byte-for-byte equivalent to [`fnv1a`] over
-/// the concatenation.
+/// Fold `bytes` into a running FNV-1a 64-bit state (which starts at
+/// [`FNV_OFFSET`]): the format's integrity checksum, computed as the bytes
+/// stream past.
 fn fnv1a_update(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
         *hash ^= b as u64;
         *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
-/// Byte-buffer reader with bounds-checked primitives.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], EngineError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(EngineError::Checkpoint(format!(
-                "truncated checkpoint: wanted {n} bytes at offset {}, only {} available",
-                self.pos,
-                self.bytes.len() - self.pos
-            )));
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32, EngineError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("length checked")))
-    }
-
-    fn u64(&mut self) -> Result<u64, EngineError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("length checked")))
-    }
-
-    fn string(&mut self) -> Result<String, EngineError> {
-        let len = self.u64()? as usize;
-        if len > self.bytes.len() {
-            return Err(EngineError::Checkpoint(format!("implausible string length {len}")));
-        }
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| EngineError::Checkpoint("non-UTF-8 string field".to_string()))
     }
 }
 
@@ -180,9 +144,7 @@ impl Checkpoint {
     }
 
     /// Everything before the edge payload, with `num_edges` as the declared
-    /// edge count.  Shared by [`to_bytes`](Self::to_bytes) and the streaming
-    /// [`CheckpointWriter`] so the two paths are byte-identical by
-    /// construction.
+    /// edge count.
     fn encode_prefix(&self, num_edges: u64) -> Vec<u8> {
         let snap = &self.snapshot;
         let mut out = Vec::with_capacity(128);
@@ -209,205 +171,99 @@ impl Checkpoint {
         out
     }
 
-    /// The optional trailing chain-spec field (empty when absent, so legacy
-    /// round-trips stay byte-identical).  Shared with [`CheckpointWriter`].
-    fn encode_spec_tail(&self) -> Vec<u8> {
-        match &self.algorithm_spec {
-            None => Vec::new(),
-            Some(spec) => {
-                let text = spec.to_string();
-                let mut out = Vec::with_capacity(8 + text.len());
-                out.extend_from_slice(&(text.len() as u64).to_le_bytes());
-                out.extend_from_slice(text.as_bytes());
-                out
-            }
+    /// Encode the whole checkpoint into `out` through a [`CheckpointWriter`].
+    fn encode<W: Write>(&self, out: W) -> Result<W, EngineError> {
+        let mut writer = CheckpointWriter::new(out, self, self.snapshot.edges.len() as u64)?;
+        for &edge in &self.snapshot.edges {
+            writer.push_edge(edge)?;
         }
+        writer.finish()
     }
 
     /// Serialise to the binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let snap = &self.snapshot;
-        let mut out = self.encode_prefix(snap.edges.len() as u64);
-        out.reserve(snap.edges.len() * 8 + 24);
-        for edge in &snap.edges {
-            out.extend_from_slice(&edge.u().to_le_bytes());
-            out.extend_from_slice(&edge.v().to_le_bytes());
-        }
-        out.extend_from_slice(&self.encode_spec_tail());
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        let out = Vec::with_capacity(self.snapshot.edges.len() * 8 + 256);
+        self.encode(out).expect("encoding into a Vec cannot fail")
     }
 
     /// Parse the binary format, verifying magic, version and checksum.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, EngineError> {
-        if bytes.len() < MAGIC.len() + 8 {
-            return Err(EngineError::Checkpoint("file too short to be a checkpoint".to_string()));
-        }
-        let (payload, checksum_bytes) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(checksum_bytes.try_into().expect("length checked"));
-        let computed = fnv1a(payload);
-        if stored != computed {
-            return Err(EngineError::Checkpoint(format!(
-                "checksum mismatch (stored {stored:#018x}, computed {computed:#018x}): \
-                 the file is corrupt or truncated"
-            )));
-        }
-
-        let mut cursor = Cursor { bytes: payload, pos: 0 };
-        if cursor.take(MAGIC.len())? != MAGIC {
-            return Err(EngineError::Checkpoint("bad magic: not a gesmc checkpoint".to_string()));
-        }
-        let version = cursor.u32()?;
-        if version != VERSION {
-            return Err(EngineError::Checkpoint(format!(
-                "unsupported checkpoint version {version} (this build reads version {VERSION})"
-            )));
-        }
-        let flags = cursor.u32()?;
-        let job_name = cursor.string()?;
-        // The chain name is resolved against a registry at *build* time, not
-        // here: a checkpoint of a chain this build does not know still parses
-        // (and resuming it reports the unknown name with the known list).
-        let algorithm = cursor.string()?;
-        let seed = cursor.u64()?;
-        let loop_probability = f64::from_bits(cursor.u64()?);
-        if !(0.0..1.0).contains(&loop_probability) {
-            return Err(EngineError::Checkpoint(format!(
-                "loop probability {loop_probability} outside [0, 1)"
-            )));
-        }
-        let supersteps_done = cursor.u64()?;
-        let total_supersteps = cursor.u64()?;
-        let thinning = cursor.u64()?;
-        let samples_emitted = cursor.u64()?;
-        let mut words = [0u64; 4];
-        for word in &mut words {
-            *word = cursor.u64()?;
-        }
-        let aux_seed_state = cursor.u64()?;
-        let num_nodes = cursor.u64()? as usize;
-        let num_edges = cursor.u64()? as usize;
-        // The length field is untrusted (FNV-1a is not tamper-proof); cap the
-        // allocation by what the payload can actually hold so an implausible
-        // count fails via the bounds-checked reads instead of an OOM/abort.
-        let remaining = payload.len().saturating_sub(cursor.pos);
-        let mut edges = Vec::with_capacity(num_edges.min(remaining / 8));
-        for _ in 0..num_edges {
-            let u = u32::from_le_bytes(cursor.take(4)?.try_into().expect("length checked"));
-            let v = u32::from_le_bytes(cursor.take(4)?.try_into().expect("length checked"));
-            edges.push(Edge::new(u, v));
-        }
-        // Files from before the registry redesign end right after the edge
-        // list; newer files append the canonical chain spec.
-        let algorithm_spec = if cursor.pos == payload.len() {
-            None
-        } else {
-            let text = cursor.string()?;
-            Some(ChainSpec::parse(&text).map_err(|e| {
-                EngineError::Checkpoint(format!("malformed chain spec {text:?}: {e}"))
-            })?)
-        };
-        if cursor.pos != payload.len() {
-            return Err(EngineError::Checkpoint(format!(
-                "{} trailing bytes after edge list",
-                payload.len() - cursor.pos
-            )));
-        }
-
-        let snapshot = ChainSnapshot {
-            algorithm,
-            num_nodes,
-            edges,
-            rng: RngState::from_words(words),
-            aux_seed_state,
-            supersteps_done,
-            seed,
-            loop_probability,
-            prefetch: flags & FLAG_PREFETCH != 0,
-        };
-        snapshot.validate()?;
-        Ok(Self { job_name, snapshot, algorithm_spec, total_supersteps, thinning, samples_emitted })
+        CheckpointReader::new(bytes, bytes.len() as u64)?.read_all()
     }
 
-    /// Write the checkpoint to a file (atomically via a sibling temp file, so
-    /// an interruption mid-write never clobbers the previous checkpoint).
-    ///
-    /// The temp file is fsynced before the rename and the parent directory
-    /// after it (best-effort), so a checkpoint that this call acknowledged
-    /// survives a power cut, not just a process kill.
+    /// Write the checkpoint to a file, atomically and durably: through a
+    /// sibling temp file that is fsynced and renamed into place, so an
+    /// interruption mid-write never clobbers the previous checkpoint and an
+    /// acknowledged one survives a power cut.
     pub fn write_to_file(&self, path: impl AsRef<Path>) -> Result<(), EngineError> {
-        let path = path.as_ref();
-        let tmp = path.with_extension("ckpt.tmp");
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            std::io::Write::write_all(&mut file, &self.to_bytes())?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Ok(dir) = std::fs::File::open(parent) {
-                let _ = dir.sync_all();
-            }
-        }
-        Ok(())
+        publish(path.as_ref(), |out| self.encode(out).map(drop))
     }
 
     /// Read and parse a checkpoint file.
     pub fn read_from_file(path: impl AsRef<Path>) -> Result<Self, EngineError> {
-        let path = path.as_ref();
-        let bytes = std::fs::read(path)
-            .map_err(|e| EngineError::Checkpoint(format!("cannot read {}: {e}", path.display())))?;
-        Self::from_bytes(&bytes)
+        CheckpointReader::open(path)?.read_all()
     }
 }
 
-/// Streams a checkpoint to disk in bounded memory, producing exactly the
-/// bytes [`Checkpoint::to_bytes`] would — without ever materialising the
-/// edge array.  This is how out-of-core runs checkpoint graphs larger than
-/// their memory budget.
-///
-/// Usage: [`create`](Self::create) with the metadata (`snapshot.edges` is
-/// ignored; pass the true count as `num_edges`), [`push_edge`](Self::push_edge)
-/// each edge in slot order, then [`finish`](Self::finish).  The file is
-/// written to a sibling temp path and renamed into place only after an fsync,
-/// matching [`Checkpoint::write_to_file`]'s crash-safety; dropping the writer
-/// without finishing removes the temp file.
-#[derive(Debug)]
-pub struct CheckpointWriter {
-    writer: std::io::BufWriter<std::fs::File>,
-    hash: u64,
-    tmp: std::path::PathBuf,
-    path: std::path::PathBuf,
-    spec_tail: Vec<u8>,
-    declared_edges: u64,
-    written_edges: u64,
-    finished: bool,
+/// Publish a checkpoint file at `path`: `write` fills a sibling temp file,
+/// which is fsynced and renamed into place, and then the parent directory
+/// is fsynced (best-effort).  A failed write removes the temp file and
+/// leaves any previous checkpoint untouched; a checkpoint this call
+/// acknowledged survives a power cut, not just a process kill.
+pub(crate) fn publish(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), EngineError>,
+) -> Result<(), EngineError> {
+    let tmp = path.with_extension("ckpt.tmp");
+    let written = (|| -> Result<(), EngineError> {
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        write(&mut out)?;
+        out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+        Ok(std::fs::rename(&tmp, path)?)
+    })();
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+        return written;
+    }
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        if let Ok(dir) = File::open(parent) {
+            let _ = dir.sync_all();
+        }
+    }
+    Ok(())
 }
 
-impl CheckpointWriter {
+/// The `GESMCKP1` encoder: streams a checkpoint into any [`Write`] in
+/// bounded memory, without ever materialising the edge array.
+///
+/// [`Checkpoint::to_bytes`] is this writer over a `Vec<u8>`;
+/// [`Checkpoint::write_to_file`] the same over a file; out-of-core runs
+/// stream the edges of graphs larger than their memory budget through it.
+///
+/// Usage: [`new`](Self::new) with the metadata (`snapshot.edges` is ignored;
+/// pass the true count as `num_edges`), [`push_edge`](Self::push_edge) each
+/// edge in slot order, then [`finish`](Self::finish).
+#[derive(Debug)]
+pub struct CheckpointWriter<W> {
+    out: W,
+    hash: u64,
+    spec: Option<String>,
+    declared_edges: u64,
+    written_edges: u64,
+}
+
+impl<W: Write> CheckpointWriter<W> {
     /// Start writing a checkpoint for `meta` declaring `num_edges` edges.
-    pub fn create(
-        path: impl AsRef<Path>,
-        meta: &Checkpoint,
-        num_edges: u64,
-    ) -> Result<Self, EngineError> {
-        let path = path.as_ref().to_path_buf();
-        let tmp = path.with_extension("ckpt.tmp");
-        let prefix = meta.encode_prefix(num_edges);
-        let file = std::fs::File::create(&tmp)?;
-        let mut writer = std::io::BufWriter::new(file);
-        std::io::Write::write_all(&mut writer, &prefix)?;
-        Ok(Self {
-            writer,
-            hash: fnv1a(&prefix),
-            tmp,
-            path,
-            spec_tail: meta.encode_spec_tail(),
+    pub fn new(out: W, meta: &Checkpoint, num_edges: u64) -> Result<Self, EngineError> {
+        let mut writer = Self {
+            out,
+            hash: FNV_OFFSET,
+            spec: meta.algorithm_spec.as_ref().map(ChainSpec::to_string),
             declared_edges: num_edges,
             written_edges: 0,
-            finished: false,
-        })
+        };
+        writer.put(&meta.encode_prefix(num_edges))?;
+        Ok(writer)
     }
 
     /// Append the next edge (slot order).
@@ -421,57 +277,52 @@ impl CheckpointWriter {
         let mut buf = [0u8; 8];
         buf[..4].copy_from_slice(&edge.u().to_le_bytes());
         buf[4..].copy_from_slice(&edge.v().to_le_bytes());
-        fnv1a_update(&mut self.hash, &buf);
-        std::io::Write::write_all(&mut self.writer, &buf)?;
+        self.put(&buf)?;
         self.written_edges += 1;
         Ok(())
     }
 
-    /// Write the spec tail and checksum, fsync, and rename into place.
-    pub fn finish(mut self) -> Result<(), EngineError> {
+    /// Write the optional chain-spec tail and the checksum, flush, and hand
+    /// back the output.
+    pub fn finish(mut self) -> Result<W, EngineError> {
         if self.written_edges != self.declared_edges {
             return Err(EngineError::Checkpoint(format!(
                 "checkpoint writer finished after {} of {} declared edges",
                 self.written_edges, self.declared_edges
             )));
         }
-        let tail = std::mem::take(&mut self.spec_tail);
-        fnv1a_update(&mut self.hash, &tail);
-        std::io::Write::write_all(&mut self.writer, &tail)?;
-        std::io::Write::write_all(&mut self.writer, &self.hash.to_le_bytes())?;
-        std::io::Write::flush(&mut self.writer)?;
-        self.writer.get_ref().sync_all()?;
-        std::fs::rename(&self.tmp, &self.path)?;
-        self.finished = true;
-        if let Some(parent) = self.path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Ok(dir) = std::fs::File::open(parent) {
-                let _ = dir.sync_all();
-            }
+        // Absent for legacy round-trips, which thus stay byte-identical.
+        if let Some(text) = self.spec.take() {
+            self.put(&(text.len() as u64).to_le_bytes())?;
+            self.put(text.as_bytes())?;
         }
-        Ok(())
+        self.out.write_all(&self.hash.to_le_bytes())?;
+        self.out.flush()?;
+        Ok(self.out)
+    }
+
+    /// Write `bytes`, folding them into the running checksum.
+    fn put(&mut self, bytes: &[u8]) -> Result<(), EngineError> {
+        fnv1a_update(&mut self.hash, bytes);
+        Ok(self.out.write_all(bytes)?)
     }
 }
 
-impl Drop for CheckpointWriter {
-    fn drop(&mut self) {
-        if !self.finished {
-            let _ = std::fs::remove_file(&self.tmp);
-        }
-    }
-}
-
-/// Streams a checkpoint *from* disk in bounded memory: metadata first, then
-/// one edge at a time, then the integrity verdict.
+/// The `GESMCKP1` decoder: streams a checkpoint from any [`Read`] in bounded
+/// memory — metadata first, then one edge at a time, then the integrity
+/// verdict.
 ///
-/// Unlike [`Checkpoint::from_bytes`] — which verifies the FNV-1a checksum
-/// before parsing anything — a streaming reader necessarily hands out edges
-/// *before* the checksum at the end of the file can be checked.  Callers must
-/// treat everything streamed as tentative until [`finish`](Self::finish)
-/// returns `Ok`, and discard any scratch state built from the edges if it
-/// does not (the out-of-core resume path deletes its scratch store).
+/// [`Checkpoint::from_bytes`] is this reader over a slice and
+/// [`Checkpoint::read_from_file`] the same over a file; both collect the
+/// edges and return only a verified checkpoint.  A caller streaming the edges
+/// itself necessarily sees them *before* the FNV-1a checksum at the end of
+/// the input can be checked, so it must treat everything streamed as
+/// tentative until [`finish`](Self::finish) returns `Ok`, and discard any
+/// scratch state built from the edges if it does not (the out-of-core resume
+/// path deletes its scratch store).
 #[derive(Debug)]
-pub struct CheckpointReader {
-    reader: std::io::BufReader<std::fs::File>,
+pub struct CheckpointReader<R> {
+    input: R,
     hash: u64,
     payload_len: u64,
     pos: u64,
@@ -480,25 +331,35 @@ pub struct CheckpointReader {
     edges_read: u64,
 }
 
-impl CheckpointReader {
-    /// Open a checkpoint file and parse its header fields.
+impl CheckpointReader<BufReader<File>> {
+    /// Open a checkpoint file and parse its header fields (see
+    /// [`new`](Self::new)).
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, EngineError> {
+        let path = path.as_ref();
+        let cannot_read = |e: std::io::Error| {
+            EngineError::Checkpoint(format!("cannot read {}: {e}", path.display()))
+        };
+        let file = File::open(path).map_err(cannot_read)?;
+        let len = file.metadata().map_err(cannot_read)?.len();
+        Self::new(BufReader::new(file), len)
+    }
+}
+
+impl<R: Read> CheckpointReader<R> {
+    /// Parse the header fields of the `len`-byte checkpoint `input` holds.
     ///
     /// The returned reader's [`meta`](Self::meta) has an **empty**
     /// `snapshot.edges` and no `algorithm_spec` yet; stream the edges with
     /// [`next_edge`](Self::next_edge) and obtain the completed metadata from
     /// [`finish`](Self::finish).
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, EngineError> {
-        let path = path.as_ref();
-        let file = std::fs::File::open(path)
-            .map_err(|e| EngineError::Checkpoint(format!("cannot read {}: {e}", path.display())))?;
-        let file_len = file.metadata()?.len();
-        if file_len < (MAGIC.len() + 8) as u64 {
+    pub fn new(input: R, len: u64) -> Result<Self, EngineError> {
+        if len < (MAGIC.len() + 8) as u64 {
             return Err(EngineError::Checkpoint("file too short to be a checkpoint".to_string()));
         }
         let mut this = Self {
-            reader: std::io::BufReader::new(file),
+            input,
             hash: FNV_OFFSET,
-            payload_len: file_len - 8,
+            payload_len: len - 8,
             pos: 0,
             meta: Checkpoint {
                 job_name: String::new(),
@@ -536,6 +397,9 @@ impl CheckpointReader {
         let flags = this.u32()?;
         this.meta.snapshot.prefetch = flags & FLAG_PREFETCH != 0;
         this.meta.job_name = this.string()?;
+        // The chain name is resolved against a registry at *build* time, not
+        // here: a checkpoint of a chain this build does not know still parses
+        // (and resuming it reports the unknown name with the known list).
         this.meta.snapshot.algorithm = this.string()?;
         this.meta.snapshot.seed = this.u64()?;
         let loop_probability = f64::from_bits(this.u64()?);
@@ -556,6 +420,8 @@ impl CheckpointReader {
         this.meta.snapshot.rng = RngState::from_words(words);
         this.meta.snapshot.aux_seed_state = this.u64()?;
         this.meta.snapshot.num_nodes = this.u64()? as usize;
+        // The count is untrusted (FNV-1a is not tamper-proof): it must fit in
+        // the input, which also bounds what `read_all` allocates for it.
         this.num_edges = this.u64()?;
         let fits = this
             .num_edges
@@ -622,7 +488,8 @@ impl CheckpointReader {
             )));
         }
         let mut checksum = [0u8; 8];
-        std::io::Read::read_exact(&mut self.reader, &mut checksum)
+        self.input
+            .read_exact(&mut checksum)
             .map_err(|e| EngineError::Checkpoint(format!("cannot read checksum: {e}")))?;
         let stored = u64::from_le_bytes(checksum);
         if stored != self.hash {
@@ -635,18 +502,30 @@ impl CheckpointReader {
         Ok(self.meta)
     }
 
+    /// Read every remaining edge and finish: the whole, verified checkpoint.
+    fn read_all(mut self) -> Result<Checkpoint, EngineError> {
+        let mut edges = Vec::with_capacity((self.num_edges - self.edges_read) as usize);
+        while self.edges_read < self.num_edges {
+            edges.push(self.next_edge()?);
+        }
+        let mut checkpoint = self.finish()?;
+        checkpoint.snapshot.edges = edges;
+        checkpoint.snapshot.validate()?;
+        Ok(checkpoint)
+    }
+
     /// Read exactly `buf.len()` payload bytes, folding them into the
     /// running checksum.
     fn take_into(&mut self, buf: &mut [u8]) -> Result<(), EngineError> {
         let n = buf.len() as u64;
-        if self.pos + n > self.payload_len {
+        if n > self.payload_len - self.pos {
             return Err(EngineError::Checkpoint(format!(
                 "truncated checkpoint: wanted {n} bytes at offset {}, only {} available",
                 self.pos,
                 self.payload_len - self.pos
             )));
         }
-        std::io::Read::read_exact(&mut self.reader, buf).map_err(|e| {
+        self.input.read_exact(buf).map_err(|e| {
             EngineError::Checkpoint(format!("read failed at offset {}: {e}", self.pos))
         })?;
         fnv1a_update(&mut self.hash, buf);
@@ -668,7 +547,7 @@ impl CheckpointReader {
 
     fn string(&mut self) -> Result<String, EngineError> {
         let len = self.u64()?;
-        if len > self.payload_len {
+        if len > self.payload_len - self.pos {
             return Err(EngineError::Checkpoint(format!("implausible string length {len}")));
         }
         let mut buf = vec![0u8; len as usize];
@@ -719,6 +598,16 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// `bytes` with its trailing checksum recomputed, isolating the decoder
+    /// check a forged field must trip from the checksum.
+    fn resealed(mut bytes: Vec<u8>) -> Vec<u8> {
+        let len = bytes.len();
+        let mut sum = FNV_OFFSET;
+        fnv1a_update(&mut sum, &bytes[..len - 8]);
+        bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn corruption_is_detected() {
         let ckpt = captured_checkpoint("seq-es");
@@ -733,16 +622,43 @@ mod tests {
         assert!(Checkpoint::from_bytes(&bytes[..bytes.len() - 3]).is_err());
         assert!(Checkpoint::from_bytes(&[]).is_err());
 
-        // Wrong magic (checksum recomputed to isolate the magic check).
+        // Wrong magic.
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
-        let len = wrong_magic.len();
-        let sum = fnv1a(&wrong_magic[..len - 8]);
-        wrong_magic[len - 8..].copy_from_slice(&sum.to_le_bytes());
-        match Checkpoint::from_bytes(&wrong_magic) {
+        match Checkpoint::from_bytes(&resealed(wrong_magic)) {
             Err(EngineError::Checkpoint(msg)) => assert!(msg.contains("magic")),
             other => panic!("expected bad-magic error, got {other:?}"),
         }
+
+        // Forged fields behind a valid checksum: an edge count and a string
+        // length of u64::MAX must fail before anything is allocated for
+        // them, and bytes past the chain-spec tail must not be ignored.
+        let job_len_at = 16;
+        let num_edges_at = 16 + 8 + ckpt.job_name.len() + 8 + ckpt.chain_name().len() + 12 * 8;
+        let spec_end = bytes.len() - 8;
+        let mut huge_edges = bytes.clone();
+        huge_edges[num_edges_at..num_edges_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut huge_string = bytes.clone();
+        huge_string[job_len_at..job_len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut trailing = bytes[..spec_end].to_vec();
+        trailing.extend_from_slice(&[0u8; 8]);
+        trailing.extend_from_slice(&bytes[spec_end..]);
+        let path = std::env::temp_dir().join("gesmc-ckpt-forged.ckpt");
+        for (forged, expected) in [
+            (huge_edges, "header claims 18446744073709551615 edges"),
+            (huge_string, "implausible string length 18446744073709551615"),
+            (trailing, "8 trailing bytes"),
+        ] {
+            let forged = resealed(forged);
+            std::fs::write(&path, &forged).unwrap();
+            for result in [Checkpoint::from_bytes(&forged), Checkpoint::read_from_file(&path)] {
+                match result {
+                    Err(EngineError::Checkpoint(msg)) => assert!(msg.contains(expected), "{msg}"),
+                    other => panic!("expected {expected:?}, got {other:?}"),
+                }
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -808,31 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_writer_matches_to_bytes_byte_for_byte() {
-        let dir = std::env::temp_dir().join("gesmc-ckpt-stream-writer");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        for name in ["seq-es", "seq-es-ext", "par-global-es"] {
-            let ckpt = captured_checkpoint(name);
-            let path = dir.join(format!("{name}.ckpt"));
-
-            // Stream from a metadata-only copy (edges empty) plus the edge
-            // iterator — the shape the out-of-core runner uses.
-            let mut meta = ckpt.clone();
-            meta.snapshot.edges = Vec::new();
-            let mut writer =
-                CheckpointWriter::create(&path, &meta, ckpt.snapshot.edges.len() as u64).unwrap();
-            for &edge in &ckpt.snapshot.edges {
-                writer.push_edge(edge).unwrap();
-            }
-            writer.finish().unwrap();
-
-            assert_eq!(std::fs::read(&path).unwrap(), ckpt.to_bytes(), "{name}");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn streamed_writer_enforces_the_declared_edge_count() {
         let dir = std::env::temp_dir().join("gesmc-ckpt-stream-count");
         let _ = std::fs::remove_dir_all(&dir);
@@ -840,14 +731,24 @@ mod tests {
         let ckpt = captured_checkpoint("seq-es");
         let edge = ckpt.snapshot.edges[0];
 
-        let path = dir.join("short.ckpt");
-        let writer = CheckpointWriter::create(&path, &ckpt, 2).unwrap();
+        let writer = CheckpointWriter::new(Vec::new(), &ckpt, 2).unwrap();
         assert!(writer.finish().is_err(), "finish before all edges must fail");
-        assert!(!path.exists(), "unfinished writer must not publish a file");
 
-        let mut writer = CheckpointWriter::create(&path, &ckpt, 1).unwrap();
+        let mut writer = CheckpointWriter::new(Vec::new(), &ckpt, 1).unwrap();
         writer.push_edge(edge).unwrap();
         assert!(writer.push_edge(edge).is_err(), "overflowing the declared count must fail");
+
+        // Through a file, the failed write publishes nothing, removes its
+        // temp file, and keeps an earlier checkpoint intact.
+        let path = dir.join("short.ckpt");
+        let short =
+            |out: &mut BufWriter<File>| CheckpointWriter::new(out, &ckpt, 2)?.finish().map(drop);
+        assert!(publish(&path, short).is_err());
+        assert!(!path.exists(), "unfinished writer must not publish a file");
+        assert!(!path.with_extension("ckpt.tmp").exists(), "nor leave its temp file behind");
+        ckpt.write_to_file(&path).unwrap();
+        assert!(publish(&path, short).is_err());
+        assert_eq!(Checkpoint::read_from_file(&path).unwrap(), ckpt);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,7 +1,7 @@
 //! Cooperative job control: cancellation flags and progress hooks.
 //!
 //! A [`JobControl`] is shared (via `Arc`) between whoever *drives* a job —
-//! [`run_job_controlled`](crate::run_job_controlled), or a
+//! [`run_job`](crate::run_job), whether called directly or by a
 //! [`ServicePool`](crate::ServicePool) worker — and whoever *observes* it: a
 //! status endpoint polling [`JobControl::progress`], or a client requesting
 //! [`JobControl::request_cancel`].  The chains themselves are untouched;

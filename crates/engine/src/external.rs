@@ -15,7 +15,7 @@
 //! twins at the same seed (the `gesmc-exmem` invariant), an out-of-core run
 //! emits byte-for-byte the samples an unconstrained run would.
 
-use crate::checkpoint::{Checkpoint, CheckpointReader, CheckpointWriter};
+use crate::checkpoint::{publish, Checkpoint, CheckpointReader, CheckpointWriter};
 use crate::error::EngineError;
 use crate::pool::JobReport;
 use gesmc_core::{ChainRegistry, ChainSpec, StoreSwitching};
@@ -305,19 +305,18 @@ fn drive(
                         thinning: job.thinning,
                         samples_emitted,
                     };
-                    let path = dir.join(format!("{}.ckpt", job.name));
-                    let mut writer =
-                        CheckpointWriter::create(&path, &meta, chain.num_edges() as u64)?;
-                    let mut push_err = None;
-                    chain.stream_edges(&mut |edge| {
-                        if push_err.is_none() {
-                            push_err = writer.push_edge(edge).err();
-                        }
-                    });
-                    if let Some(e) = push_err {
-                        return Err(e);
-                    }
-                    writer.finish()?;
+                    publish(&dir.join(format!("{}.ckpt", job.name)), |out| {
+                        let mut writer =
+                            CheckpointWriter::new(out, &meta, chain.num_edges() as u64)?;
+                        let mut pushed = Ok(());
+                        chain.stream_edges(&mut |edge| {
+                            if pushed.is_ok() {
+                                pushed = writer.push_edge(edge);
+                            }
+                        });
+                        pushed?;
+                        writer.finish().map(drop)
+                    })?;
                     drop(capture_timer);
                     checkpoints += 1;
                 }
@@ -419,9 +418,8 @@ fn emit_sample(
 mod tests {
     use super::*;
     use crate::job::GraphSource;
-    use crate::pool::run_job_with;
     use crate::sink::MemorySink;
-    use crate::{default_registry, JobSpec};
+    use crate::{default_registry, run_job, JobControl, JobSpec};
     use gesmc_graph::gen::gnp;
     use gesmc_graph::io::{read_edge_list_binary_file, write_edge_list_binary_file};
     use gesmc_graph::EdgeListGraph;
@@ -451,7 +449,7 @@ mod tests {
         .thinning(thinning)
         .seed(7);
         let mut sink = MemorySink::new();
-        run_job_with(default_registry(), &spec, &mut sink, None).unwrap();
+        run_job(default_registry(), &spec, &mut sink, None, &JobControl::new(), None).unwrap();
         let store = sink.store();
         let samples = store.lock().unwrap();
         samples.iter().map(|(_, g)| g.clone()).collect()

@@ -5,9 +5,9 @@
 //! the paper evaluates them for — null-model analysis over thinned chain
 //! samples (Sec. 6.1) — needs more machinery around them:
 //!
-//! * **many jobs at once**: a [`JobQueue`] of [`JobSpec`]s multiplexed over a
-//!   [`WorkerPool`], each job confined to a bounded rayon pool so concurrent
-//!   parallel chains do not oversubscribe the machine;
+//! * **one run path**: [`run_job`] drives every job — batch, study, service
+//!   and library calls alike — inside the job's bounded rayon pool, so
+//!   concurrent parallel chains do not oversubscribe the machine;
 //! * **streaming samples**: every `k`-th superstep the current graph is
 //!   handed to a [`SampleSink`] as an independent thinned sample — to an
 //!   edge-list file, an in-memory store, or a user callback — instead of
@@ -16,24 +16,26 @@
 //!   the exact PRNG stream state and the superstep counter, so interrupted
 //!   chains resume *bit-identically* to an uninterrupted run instead of
 //!   losing hours of switching;
-//! * **service mode**: a long-running [`ServicePool`] accepts jobs one at a
-//!   time behind a bounded admission queue, returns non-blocking
-//!   [`JobHandle`]s with progress/cancellation ([`JobControl`]), and shuts
-//!   down gracefully (drain in-flight, reject new) — the execution layer of
-//!   the `gesmc-serve` HTTP service.
+//! * **one job pool**: a [`ServicePool`] multiplexes [`JobSpec`]s over a
+//!   fixed set of workers behind a bounded admission queue, returns
+//!   non-blocking [`JobHandle`]s with progress/cancellation ([`JobControl`]),
+//!   turns a failing or panicking job into a failed handle, and shuts down
+//!   gracefully (drain in-flight, reject new) — the execution layer of
+//!   [`run_batch`], the study driver and the `gesmc-serve` HTTP service.
 //!
 //! Algorithms are selected by open, registry-resolved [`ChainSpec`]s — the
 //! engine has no closed algorithm enum.  [`default_registry`] knows the five
 //! `gesmc-core` chains *and* the `gesmc-baselines` chains (Global Curveball,
 //! the adjacency-list ES baselines); library users with their own chains pass
-//! a custom [`ChainRegistry`] to [`run_job_with`] / [`WorkerPool::run_with`].
+//! a custom [`ChainRegistry`] to [`run_job`] / [`ServicePool::start_with`].
 //!
 //! The high-level entry point is [`run_batch`] over a JSON [`Manifest`]
 //! (`gesmc batch manifest.json` on the command line); the pieces compose
 //! individually for library use:
 //!
 //! ```
-//! use gesmc_engine::{ChainSpec, GraphSource, JobSpec, MemorySink, run_job};
+//! use gesmc_engine::{default_registry, run_job, ChainSpec, GraphSource, JobControl, JobSpec};
+//! use gesmc_engine::MemorySink;
 //! use gesmc_graph::gen::gnp;
 //! use gesmc_randx::rng_from_seed;
 //!
@@ -44,7 +46,8 @@
 //!     .thinning(2)
 //!     .seed(7);
 //! let mut sink = MemorySink::new();
-//! let report = run_job(&spec, &mut sink, None).unwrap();
+//! let report = run_job(default_registry(), &spec, &mut sink, None, &JobControl::new(), None)
+//!     .unwrap();
 //! assert_eq!(report.samples, 5);
 //! assert_eq!(sink.store().lock().unwrap().len(), 5);
 //! ```
@@ -59,7 +62,6 @@ pub mod external;
 pub mod job;
 pub mod manifest;
 pub mod pool;
-pub mod queue;
 pub mod service;
 pub mod sink;
 
@@ -70,11 +72,8 @@ pub use external::{resume_external_job, run_external_job, ExternalJob, ExternalO
 pub use gesmc_core::{ChainError, ChainInfo, ChainRegistry, ChainSpec, ParamValue};
 pub use job::{GraphSource, JobSpec, GRAPH_FAMILIES};
 pub use manifest::Manifest;
-pub use pool::{
-    run_job, run_job_controlled, run_job_hooked, run_job_with, JobOutcome, JobReport, WorkerPool,
-};
-pub use queue::{JobQueue, QueuedJob};
-pub use service::{JobHandle, JobState, ServicePool, SubmitError};
+pub use pool::{run_job, JobReport};
+pub use service::{JobHandle, JobState, QueuedJob, ServicePool, SubmitError};
 pub use sink::{CallbackSink, EdgeListFileSink, MemorySink, NullSink, SampleContext, SampleSink};
 
 use std::sync::OnceLock;
@@ -86,9 +85,9 @@ use std::sync::OnceLock;
 /// through the same registry).
 ///
 /// Everything that resolves a chain by name without an explicit registry —
-/// [`run_job`], [`WorkerPool::run`], [`Manifest::parse`] — uses this set.
-/// To run chains of your own, build a [`ChainRegistry`], register them, and
-/// use [`run_job_with`] / [`WorkerPool::run_with`].
+/// [`run_batch`], [`ServicePool::start`], [`Manifest::parse`] — uses this
+/// set.  To run chains of your own, build a [`ChainRegistry`], register
+/// them, and pass it to [`run_job`] / [`ServicePool::start_with`].
 pub fn default_registry() -> &'static ChainRegistry {
     static REGISTRY: OnceLock<ChainRegistry> = OnceLock::new();
     REGISTRY.get_or_init(|| {
@@ -99,23 +98,30 @@ pub fn default_registry() -> &'static ChainRegistry {
     })
 }
 
-/// Run every job of `manifest` over its worker pool, streaming thinned
-/// samples into per-job edge-list files under `manifest.output_dir`.
+/// Run every job of `manifest` on a [`ServicePool`] of `manifest.workers`
+/// threads, streaming thinned samples into per-job edge-list files under
+/// `manifest.output_dir`.
 ///
-/// Jobs that fail individually (unreadable input, violated invariants) do not
-/// abort the batch; their error is recorded in the corresponding
-/// [`JobOutcome`].  Outcomes are returned in manifest order.
-pub fn run_batch(manifest: &Manifest) -> Result<Vec<JobOutcome>, EngineError> {
+/// Jobs that fail individually (unreadable input, violated invariants, a
+/// panic) do not abort the batch: the returned handles — one per job, in
+/// manifest order, every one finished — carry each job's
+/// [`JobState::Done`] report or [`JobState::Failed`] error text.
+pub fn run_batch(manifest: &Manifest) -> Result<Vec<JobHandle>, EngineError> {
     std::fs::create_dir_all(&manifest.output_dir)?;
     if let Some(dir) = &manifest.checkpoint_dir {
         std::fs::create_dir_all(dir)?;
     }
-    let mut queue = JobQueue::new();
+    let pool = ServicePool::start(manifest.workers, 0);
+    let mut handles = Vec::with_capacity(manifest.jobs.len());
     for spec in &manifest.jobs {
         let sink = EdgeListFileSink::new(&manifest.output_dir, &spec.name)?;
-        queue.push(QueuedJob::new(spec.clone(), Box::new(sink)));
+        let job = QueuedJob::new(spec.clone(), Box::new(sink));
+        handles.push(pool.submit(job).expect("an unbounded running pool accepts every job"));
     }
-    Ok(WorkerPool::new(manifest.workers).run(queue))
+    for handle in &handles {
+        handle.wait();
+    }
+    Ok(handles)
 }
 
 #[cfg(test)]
@@ -165,11 +171,13 @@ mod tests {
                 })
                 .collect(),
         };
-        let outcomes = run_batch(&manifest).unwrap();
-        assert_eq!(outcomes.len(), 3);
-        for outcome in &outcomes {
-            let report = outcome.result.as_ref().expect("job must succeed");
-            assert_eq!(report.samples, 2);
+        let handles = run_batch(&manifest).unwrap();
+        assert_eq!(handles.len(), 3);
+        for handle in &handles {
+            match handle.state() {
+                JobState::Done(report) => assert_eq!(report.samples, 2),
+                other => panic!("{}: expected Done, got {}", handle.name(), other.label()),
+            }
         }
         let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert_eq!(files.len(), 6, "3 jobs x 2 thinned samples");

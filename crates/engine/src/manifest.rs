@@ -50,7 +50,9 @@ use std::path::{Path, PathBuf};
 /// A parsed batch manifest.
 #[derive(Debug, Clone)]
 pub struct Manifest {
-    /// Worker threads of the job pool (`0` = hardware parallelism).
+    /// Worker threads of the [`ServicePool`](crate::ServicePool) that
+    /// [`run_batch`](crate::run_batch) runs the jobs on (`0` = hardware
+    /// parallelism).
     pub workers: usize,
     /// Directory sample files are written to.
     pub output_dir: PathBuf,
@@ -218,9 +220,9 @@ impl Manifest {
     }
 
     /// Like [`Manifest::parse`], validating chains against `registry` — the
-    /// manifest counterpart of [`run_job_with`](crate::run_job_with) /
-    /// [`WorkerPool::run_with`](crate::WorkerPool::run_with) for users who
-    /// registered chains of their own.
+    /// manifest counterpart of [`run_job`](crate::run_job) /
+    /// [`ServicePool::start_with`](crate::ServicePool::start_with) for users
+    /// who registered chains of their own.
     pub fn parse_with(registry: &ChainRegistry, text: &str) -> Result<Self, EngineError> {
         let root = serde_json::from_str(text)
             .map_err(|e| EngineError::Manifest(format!("invalid JSON: {e}")))?;

@@ -1,14 +1,11 @@
-//! Job execution: the single-job driver and the multi-job worker pool.
+//! Job execution: the one driver every engine job runs through.
 
 use crate::checkpoint::{Checkpoint, CheckpointSink};
 use crate::control::JobControl;
-use crate::default_registry;
 use crate::error::EngineError;
 use crate::job::JobSpec;
-use crate::queue::{JobQueue, QueuedJob};
 use crate::sink::{SampleContext, SampleSink};
 use gesmc_core::ChainRegistry;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// What a finished job reports back.
@@ -56,29 +53,7 @@ impl JobReport {
     }
 }
 
-/// The result of one batch entry, in submission order.
-#[derive(Debug)]
-pub struct JobOutcome {
-    /// Job name.
-    pub job: String,
-    /// The report, or the error that stopped the job.
-    pub result: Result<JobReport, EngineError>,
-}
-
-/// Run one job to completion on the current thread, resolving its chain
-/// against the [`default_registry`].
-///
-/// See [`run_job_with`] for the registry-parameterised variant.
-pub fn run_job(
-    spec: &JobSpec,
-    sink: &mut dyn SampleSink,
-    resume: Option<&Checkpoint>,
-) -> Result<JobReport, EngineError> {
-    run_job_with(default_registry(), spec, sink, resume)
-}
-
-/// Run one job to completion on the current thread, resolving its chain
-/// against `registry`.
+/// Run one job to completion, resolving its chain against `registry`.
 ///
 /// Drives the chain superstep by superstep, streaming every `thinning`-th
 /// graph into `sink` (or only the final graph when `thinning` is 0),
@@ -87,40 +62,49 @@ pub fn run_job(
 /// `resume`, the chain named by the checkpoint header is rebuilt, its state
 /// restored, and the run continues at its superstep counter — bit-identically
 /// to a run that was never interrupted.
-pub fn run_job_with(
-    registry: &ChainRegistry,
-    spec: &JobSpec,
-    sink: &mut dyn SampleSink,
-    resume: Option<&Checkpoint>,
-) -> Result<JobReport, EngineError> {
-    run_job_controlled(registry, spec, sink, resume, &JobControl::new())
-}
-
-/// Like [`run_job_with`], under cooperative control: `control` is consulted
-/// once per superstep, so observers can poll progress
+///
+/// A [`JobSpec::threads`] budget runs the job inside its own bounded rayon
+/// pool, carrying the calling thread's trace context into it, so several
+/// parallel chains can share the machine without oversubscribing it.
+///
+/// `control` is consulted once per superstep, so observers can poll progress
 /// ([`JobControl::progress`]) and request cancellation
 /// ([`JobControl::request_cancel`]) while the job runs.  A cancel surfaces as
 /// [`EngineError::Cancelled`] naming the last completed superstep; the sink
 /// keeps every sample emitted before the cancel, and a job that checkpoints
 /// periodically can be resumed past a cancel like past any interruption.
-pub fn run_job_controlled(
+///
+/// Periodic checkpoints follow [`JobSpec::checkpoint_every`]: each capture is
+/// written to [`JobSpec::checkpoint_dir`] when set, then offered to
+/// `checkpoints` when given (with a sink, checkpoints are captured even
+/// without a directory — the sink owns storage).
+pub fn run_job(
     registry: &ChainRegistry,
     spec: &JobSpec,
     sink: &mut dyn SampleSink,
     resume: Option<&Checkpoint>,
     control: &JobControl,
+    checkpoints: Option<&mut (dyn CheckpointSink + '_)>,
 ) -> Result<JobReport, EngineError> {
-    run_job_hooked(registry, spec, sink, resume, control, None)
+    let Some(threads) = spec.threads else {
+        return drive(registry, spec, sink, resume, control, checkpoints);
+    };
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .map_err(|e| EngineError::Graph(format!("cannot build rayon pool: {e}")))?;
+    // install() may move to a pool thread: the trace context must be
+    // installed there, not only on the calling thread.
+    let trace = gesmc_obs::trace::current_context();
+    pool.install(|| {
+        gesmc_obs::trace::with_context_opt(trace, || {
+            drive(registry, spec, sink, resume, control, checkpoints)
+        })
+    })
 }
 
-/// Like [`run_job_controlled`], additionally handing each periodic
-/// checkpoint to `checkpoint_sink`.
-///
-/// The cadence is [`JobSpec::checkpoint_every`]; with a sink present,
-/// checkpoints are captured even when [`JobSpec::checkpoint_dir`] is unset
-/// (the sink owns storage).  When both are set, each capture is first written
-/// to the directory, then offered to the sink.
-pub fn run_job_hooked(
+/// The superstep loop of [`run_job`], on the current thread and rayon pool.
+fn drive(
     registry: &ChainRegistry,
     spec: &JobSpec,
     sink: &mut dyn SampleSink,
@@ -283,129 +267,18 @@ pub fn run_job_hooked(
     Ok(report)
 }
 
-/// A pool of worker threads multiplexing a [`JobQueue`].
-///
-/// Each worker claims jobs off the queue and runs them to completion; a job
-/// with a `threads` budget executes inside its own bounded rayon pool, so
-/// several parallel chains can share the machine without oversubscribing it
-/// (`workers × threads` ≈ hardware parallelism is a sensible manifest).
-#[derive(Debug, Clone, Copy)]
-pub struct WorkerPool {
-    workers: usize,
-}
-
-impl WorkerPool {
-    /// A pool with `workers` threads (`0` = hardware parallelism).
-    pub fn new(workers: usize) -> Self {
-        let workers = if workers == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            workers
-        };
-        Self { workers }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Drain `queue` with the [`default_registry`], returning one
-    /// [`JobOutcome`] per job in submission order.  Individual job failures
-    /// are captured, not propagated.
-    pub fn run(&self, queue: JobQueue) -> Vec<JobOutcome> {
-        self.run_with(default_registry(), queue)
-    }
-
-    /// Like [`WorkerPool::run`], resolving every job's chain against
-    /// `registry` (use this to batch chains of your own).
-    pub fn run_with(&self, registry: &ChainRegistry, queue: JobQueue) -> Vec<JobOutcome> {
-        let total = queue.len();
-        let mut slots: Vec<Option<JobOutcome>> = Vec::with_capacity(total);
-        slots.resize_with(total, || None);
-        let results = Mutex::new(slots);
-        let workers = self.workers.min(total).max(1);
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    while let Some((index, job)) = queue.pop() {
-                        let outcome = JobOutcome {
-                            job: job.spec.name.clone(),
-                            result: Self::run_one(registry, job),
-                        };
-                        results.lock().expect("results mutex poisoned")[index] = Some(outcome);
-                    }
-                });
-            }
-        });
-
-        results
-            .into_inner()
-            .expect("results mutex poisoned")
-            .into_iter()
-            .map(|slot| slot.expect("every queued job must produce an outcome"))
-            .collect()
-    }
-
-    /// Run one claimed job, honouring its thread budget.
-    fn run_one(registry: &ChainRegistry, mut job: QueuedJob) -> Result<JobReport, EngineError> {
-        run_claimed(registry, &mut job, &JobControl::new())
-    }
-}
-
-/// Run a claimed job under `control`, honouring its per-job thread budget
-/// (shared by [`WorkerPool`] and [`ServicePool`](crate::ServicePool)).
-pub(crate) fn run_claimed(
-    registry: &ChainRegistry,
-    job: &mut QueuedJob,
-    control: &JobControl,
-) -> Result<JobReport, EngineError> {
-    let QueuedJob { spec, sink, resume, checkpoints, trace } = job;
-    let trace = *trace;
-    match spec.threads {
-        Some(threads) => {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .map_err(|e| EngineError::Graph(format!("cannot build rayon pool: {e}")))?;
-            // install() moves to a pool thread: the trace context must be
-            // installed there, not on the claiming worker.
-            pool.install(|| {
-                gesmc_obs::trace::with_context_opt(trace, || {
-                    run_job_hooked(
-                        registry,
-                        spec,
-                        sink.as_mut(),
-                        resume.as_ref(),
-                        control,
-                        checkpoints.as_deref_mut(),
-                    )
-                })
-            })
-        }
-        None => gesmc_obs::trace::with_context_opt(trace, || {
-            run_job_hooked(
-                registry,
-                spec,
-                sink.as_mut(),
-                resume.as_ref(),
-                control,
-                checkpoints.as_deref_mut(),
-            )
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::default_registry;
     use crate::job::GraphSource;
-    use crate::sink::{MemorySink, NullSink};
+    use crate::service::{JobState, QueuedJob, ServicePool};
+    use crate::sink::{CallbackSink, MemorySink, NullSink};
     use gesmc_core::ChainSpec;
     use gesmc_graph::gen::gnp;
     use gesmc_graph::EdgeListGraph;
     use gesmc_randx::rng_from_seed;
+    use std::sync::{Arc, Mutex};
 
     fn test_graph(seed: u64) -> EdgeListGraph {
         gnp(&mut rng_from_seed(seed), 70, 0.1)
@@ -425,7 +298,8 @@ mod tests {
         let spec = spec_for("thin", "seq-global-es", graph);
         let mut sink = MemorySink::new();
         let store = sink.store();
-        let report = run_job(&spec, &mut sink, None).unwrap();
+        let report =
+            run_job(default_registry(), &spec, &mut sink, None, &JobControl::new(), None).unwrap();
         assert_eq!(report.samples, 4);
         assert_eq!(report.resumed_from, 0);
         assert!(report.legal > 0);
@@ -446,7 +320,8 @@ mod tests {
         let spec = spec_for("final", "seq-es", test_graph(2)).thinning(0);
         let mut sink = MemorySink::new();
         let store = sink.store();
-        let report = run_job(&spec, &mut sink, None).unwrap();
+        let report =
+            run_job(default_registry(), &spec, &mut sink, None, &JobControl::new(), None).unwrap();
         assert_eq!(report.samples, 1);
         assert_eq!(store.lock().unwrap()[0].0, 8);
     }
@@ -460,7 +335,15 @@ mod tests {
         let graph = test_graph(3);
         let spec =
             spec_for("ck", "par-global-es", graph.clone()).supersteps(10).checkpoint(4, &dir);
-        let report = run_job(&spec, &mut NullSink::default(), None).unwrap();
+        let report = run_job(
+            default_registry(),
+            &spec,
+            &mut NullSink::default(),
+            None,
+            &JobControl::new(),
+            None,
+        )
+        .unwrap();
         // Steps 4 and 8 checkpoint; step 10 is final and does not.
         assert_eq!(report.checkpoints, 2);
 
@@ -471,13 +354,29 @@ mod tests {
         // uninterrupted run's final graph.
         let mut resumed_sink = MemorySink::new();
         let store = resumed_sink.store();
-        let resumed = run_job(&spec, &mut resumed_sink, Some(&checkpoint)).unwrap();
+        let resumed = run_job(
+            default_registry(),
+            &spec,
+            &mut resumed_sink,
+            Some(&checkpoint),
+            &JobControl::new(),
+            None,
+        )
+        .unwrap();
         assert_eq!(resumed.resumed_from, 8);
         assert_eq!(resumed.samples, checkpoint.samples_emitted + 1);
 
         let mut uninterrupted_sink = MemorySink::new();
         let full_store = uninterrupted_sink.store();
-        run_job(&spec.clone().checkpoint(0, &dir), &mut uninterrupted_sink, None).unwrap();
+        run_job(
+            default_registry(),
+            &spec.clone().checkpoint(0, &dir),
+            &mut uninterrupted_sink,
+            None,
+            &JobControl::new(),
+            None,
+        )
+        .unwrap();
 
         let resumed_final = store.lock().unwrap().last().unwrap().1.clone();
         let full_final = full_store.lock().unwrap().last().unwrap().1.clone();
@@ -486,63 +385,29 @@ mod tests {
     }
 
     #[test]
-    fn pool_runs_more_jobs_than_workers_in_submission_order() {
-        let mut queue = JobQueue::new();
-        let sinks: Vec<_> = (0..5)
-            .map(|i| {
-                let sink = MemorySink::new();
-                let store = sink.store();
-                let spec = spec_for(&format!("job{i}"), "seq-es", test_graph(i)).seed(i);
-                queue.push(QueuedJob::new(spec, Box::new(sink)));
-                store
-            })
-            .collect();
-
-        let outcomes = WorkerPool::new(2).run(queue);
-        assert_eq!(outcomes.len(), 5);
-        for (i, outcome) in outcomes.iter().enumerate() {
-            assert_eq!(outcome.job, format!("job{i}"), "submission order must be preserved");
-            let report = outcome.result.as_ref().unwrap();
-            assert_eq!(report.samples, 4);
-            assert_eq!(sinks[i].lock().unwrap().len(), 4);
-        }
-    }
-
-    #[test]
-    fn job_failures_do_not_poison_the_batch() {
-        let mut queue = JobQueue::new();
-        let bad_spec = JobSpec::new(
-            "bad",
-            GraphSource::File("/nonexistent/missing.txt".into()),
-            ChainSpec::new("seq-es"),
-        );
-        queue.push(QueuedJob::new(bad_spec, Box::new(NullSink::default())));
-        queue.push(QueuedJob::new(
-            spec_for("good", "seq-es", test_graph(9)),
-            Box::new(NullSink::default()),
-        ));
-        let outcomes = WorkerPool::new(2).run(queue);
-        assert!(outcomes[0].result.is_err());
-        assert!(outcomes[1].result.is_ok());
-    }
-
-    #[test]
     fn per_job_thread_budget_is_applied() {
         // The sink's emit runs inside the job's rayon scope, so it observes
-        // the bounded pool the WorkerPool installed for the job.
-        let observed = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let observed_in_sink = std::sync::Arc::clone(&observed);
-        let sink =
-            crate::sink::CallbackSink::new(move |_ctx: &SampleContext<'_>, _g: &EdgeListGraph| {
-                observed_in_sink.lock().unwrap().push(rayon::current_num_threads());
+        // the bounded pool run_job installed for the job, whether a service
+        // worker or the caller itself runs it.
+        let observed = Arc::new(Mutex::new(Vec::new()));
+        let sink = || {
+            let observed = Arc::clone(&observed);
+            CallbackSink::new(move |_ctx: &SampleContext<'_>, _g: &EdgeListGraph| {
+                observed.lock().unwrap().push(rayon::current_num_threads());
                 Ok(())
-            });
-        let spec = spec_for("budget", "par-global-es", test_graph(4)).threads(2).thinning(0);
-        let mut queue = JobQueue::new();
-        queue.push(QueuedJob::new(spec, Box::new(sink)));
-        let outcomes = WorkerPool::new(1).run(queue);
-        assert!(outcomes[0].result.is_ok());
-        assert_eq!(*observed.lock().unwrap(), vec![2]);
+            })
+        };
+        let spec = spec_for("budget", "par-global-es", test_graph(4)).thinning(0);
+        let pool = ServicePool::start(1, 0);
+        let handle =
+            pool.submit(QueuedJob::new(spec.clone().threads(2), Box::new(sink()))).unwrap();
+        assert!(matches!(handle.wait(), JobState::Done(_)));
+        for threads in [1, 3] {
+            let budgeted = spec.clone().threads(threads);
+            run_job(default_registry(), &budgeted, &mut sink(), None, &JobControl::new(), None)
+                .unwrap();
+        }
+        assert_eq!(*observed.lock().unwrap(), vec![2, 1, 3]);
     }
 
     #[test]
@@ -594,36 +459,41 @@ mod tests {
         )
         .supersteps(6)
         .checkpoint(3, &dir);
-        run_job_with(&registry, &spec, &mut NullSink::default(), None).unwrap();
+        run_job(&registry, &spec, &mut NullSink::default(), None, &JobControl::new(), None)
+            .unwrap();
 
         let checkpoint = Checkpoint::read_from_file(dir.join("picky.ckpt")).unwrap();
         assert_eq!(checkpoint.chain_spec().to_string(), "picky-es?depth=2");
-        let report =
-            run_job_with(&registry, &spec, &mut NullSink::default(), Some(&checkpoint)).unwrap();
+        let report = run_job(
+            &registry,
+            &spec,
+            &mut NullSink::default(),
+            Some(&checkpoint),
+            &JobControl::new(),
+            None,
+        )
+        .unwrap();
         assert_eq!(report.resumed_from, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn cancelled_jobs_stop_between_supersteps_and_keep_prior_samples() {
-        use std::sync::Arc;
         let control = Arc::new(JobControl::new());
         // Cancel from inside the sink after the second sample: the driver
         // observes the flag before the next superstep.
         let control_in_sink = Arc::clone(&control);
         let seen = Arc::new(Mutex::new(0u64));
         let seen_in_sink = Arc::clone(&seen);
-        let mut sink =
-            crate::sink::CallbackSink::new(move |ctx: &SampleContext<'_>, _g: &EdgeListGraph| {
-                *seen_in_sink.lock().unwrap() += 1;
-                if ctx.sample_index == 1 {
-                    control_in_sink.request_cancel();
-                }
-                Ok(())
-            });
+        let mut sink = CallbackSink::new(move |ctx: &SampleContext<'_>, _g: &EdgeListGraph| {
+            *seen_in_sink.lock().unwrap() += 1;
+            if ctx.sample_index == 1 {
+                control_in_sink.request_cancel();
+            }
+            Ok(())
+        });
         let spec = spec_for("cancel", "seq-es", test_graph(7)).supersteps(100).thinning(2);
-        let err =
-            run_job_controlled(default_registry(), &spec, &mut sink, None, &control).unwrap_err();
+        let err = run_job(default_registry(), &spec, &mut sink, None, &control, None).unwrap_err();
         match err {
             EngineError::Cancelled { job, superstep } => {
                 assert_eq!(job, "cancel");
@@ -642,7 +512,15 @@ mod tests {
     #[test]
     fn report_summary_is_informative() {
         let spec = spec_for("sum", "seq-global-es", test_graph(5));
-        let report = run_job(&spec, &mut NullSink::default(), None).unwrap();
+        let report = run_job(
+            default_registry(),
+            &spec,
+            &mut NullSink::default(),
+            None,
+            &JobControl::new(),
+            None,
+        )
+        .unwrap();
         let line = report.summary();
         assert!(line.contains("sum"));
         assert!(line.contains("SeqGlobalES"));

@@ -1,17 +1,17 @@
-//! The long-running service pool: non-blocking submission, job handles,
-//! bounded admission, graceful shutdown.
+//! The job pool: non-blocking submission, job handles, bounded admission,
+//! graceful shutdown.
 //!
-//! [`WorkerPool`](crate::WorkerPool) is a *batch* API: it consumes a closed
-//! [`JobQueue`](crate::JobQueue) and blocks until every job finished.  A
-//! network service needs the opposite shape — jobs arrive one at a time,
-//! callers must not block the submitter, load must be shed before it piles
-//! up, and ctrl-C must drain cleanly.  [`ServicePool`] provides that shape on
-//! the same execution path ([`run_job_controlled`](crate::run_job_controlled)
-//! with per-job thread budgets):
+//! Every multi-job caller runs on a [`ServicePool`]: the HTTP service submits
+//! jobs one at a time as requests arrive, while [`run_batch`](crate::run_batch)
+//! and the study driver submit a whole sweep and wait on the handles in
+//! submission order.  Each worker runs its claimed job through
+//! [`run_job`] (with the job's thread budget and trace context):
 //!
 //! * [`ServicePool::submit`] enqueues a job and returns a [`JobHandle`]
 //!   immediately; the handle polls status/progress, waits for completion, or
 //!   cancels;
+//! * a job that fails or panics costs one [`JobState::Failed`] carrying its
+//!   error text, never the worker or the other jobs;
 //! * admission is **bounded**: once `max_pending` jobs wait in the queue,
 //!   further submissions fail fast with [`SubmitError::Saturated`] (the
 //!   server layer turns this into `429 Retry-After`) instead of growing an
@@ -22,15 +22,60 @@
 //!   [`ServicePool::shutdown_now`] additionally cancels queued and running
 //!   jobs (they stop on their next superstep boundary).
 
+use crate::checkpoint::{Checkpoint, CheckpointSink};
 use crate::control::{JobControl, JobProgress};
 use crate::error::EngineError;
-use crate::pool::{run_claimed, JobReport};
-use crate::queue::QueuedJob;
+use crate::job::JobSpec;
+use crate::pool::{run_job, JobReport};
+use crate::sink::SampleSink;
 use crate::{default_registry, ChainRegistry};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+
+/// One unit of work for a [`ServicePool`]: a spec, its sink, and an optional
+/// checkpoint to resume from.
+pub struct QueuedJob {
+    /// What to run.
+    pub spec: JobSpec,
+    /// Where its samples go.
+    pub sink: Box<dyn SampleSink>,
+    /// Resume point (`None` = start from superstep 0).
+    pub resume: Option<Checkpoint>,
+    /// Where periodic checkpoints go, in addition to (or instead of) the
+    /// spec's `checkpoint_dir` (`None` = directory files only).
+    pub checkpoints: Option<Box<dyn CheckpointSink>>,
+    /// Trace context of the submitting request, if it was traced: the worker
+    /// installs it so engine-side spans join the submitter's trace.
+    pub trace: Option<gesmc_obs::SpanContext>,
+}
+
+impl QueuedJob {
+    /// A job starting from scratch.
+    pub fn new(spec: JobSpec, sink: Box<dyn SampleSink>) -> Self {
+        Self { spec, sink, resume: None, checkpoints: None, trace: None }
+    }
+
+    /// A job continuing from `checkpoint`.
+    pub fn resuming(spec: JobSpec, sink: Box<dyn SampleSink>, checkpoint: Checkpoint) -> Self {
+        Self { spec, sink, resume: Some(checkpoint), checkpoints: None, trace: None }
+    }
+
+    /// Builder-style attachment of a [`CheckpointSink`] receiving this job's
+    /// periodic checkpoints.
+    pub fn with_checkpoint_sink(mut self, sink: Box<dyn CheckpointSink>) -> Self {
+        self.checkpoints = Some(sink);
+        self
+    }
+
+    /// Builder-style attachment of the submitter's
+    /// [`gesmc_obs::SpanContext`] so engine spans join its trace.
+    pub fn with_trace(mut self, trace: Option<gesmc_obs::SpanContext>) -> Self {
+        self.trace = trace;
+        self
+    }
+}
 
 /// Why a submission was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -262,13 +307,13 @@ impl ServicePool {
                     queue = inner.work_available.wait(queue).expect("service queue mutex poisoned");
                 }
             };
-            let Some(mut service_job) = next else {
+            let Some(ServiceJob { mut job, control, slot }) = next else {
                 // Shutdown with an empty queue: wake siblings and exit.
                 inner.work_available.notify_all();
                 return;
             };
 
-            Self::publish(&service_job.slot, JobState::Running);
+            Self::publish(&slot, JobState::Running);
             inner.running.fetch_add(1, Ordering::Release);
             // A panicking job (a generator assert, a poisoned sink) must
             // cost one Failed state, not this worker thread: without the
@@ -276,7 +321,16 @@ impl ServicePool {
             // forever) and the pool would lose a worker for the process
             // lifetime.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_claimed(inner.registry, &mut service_job.job, &service_job.control)
+                gesmc_obs::trace::with_context_opt(job.trace, || {
+                    run_job(
+                        inner.registry,
+                        &job.spec,
+                        job.sink.as_mut(),
+                        job.resume.as_ref(),
+                        &control,
+                        job.checkpoints.as_deref_mut(),
+                    )
+                })
             }));
             inner.running.fetch_sub(1, Ordering::Release);
 
@@ -303,7 +357,7 @@ impl ServicePool {
                     JobState::Failed(format!("job panicked: {message}"))
                 }
             };
-            Self::publish(&service_job.slot, state);
+            Self::publish(&slot, state);
         }
     }
 

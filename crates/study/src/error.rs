@@ -7,8 +7,11 @@ use gesmc_engine::EngineError;
 pub enum StudyError {
     /// The study spec (JSON) is malformed or inconsistent.
     Spec(String),
-    /// A sweep cell's randomization job failed inside the engine.
+    /// An engine call failed while preparing a cell (generating its graph).
     Engine(EngineError),
+    /// A sweep cell's randomization job failed or panicked on the engine's
+    /// job pool: the cell's job name and the engine's error text.
+    Job(String),
     /// Reading or writing report files failed.
     Io(std::io::Error),
     /// A report file could not be parsed back (resume, CI assertions).
@@ -20,6 +23,7 @@ impl std::fmt::Display for StudyError {
         match self {
             StudyError::Spec(msg) => write!(f, "invalid study spec: {msg}"),
             StudyError::Engine(e) => write!(f, "job failed: {e}"),
+            StudyError::Job(msg) => write!(f, "job failed: {msg}"),
             StudyError::Io(e) => write!(f, "I/O error: {e}"),
             StudyError::Report(msg) => write!(f, "invalid report: {msg}"),
         }

@@ -9,7 +9,7 @@
 //! * a [`StudySpec`] (JSON) describes a sweep {chain} × {graph family/size}
 //!   with a shared thinning set and seed;
 //! * [`run_study`] fans the sweep cells out over the engine's
-//!   [`WorkerPool`](gesmc_engine::WorkerPool), one job per cell;
+//!   [`ServicePool`](gesmc_engine::ServicePool), one job per cell;
 //! * every cell streams each superstep's graph into a [`MetricsSink`] — a
 //!   [`SampleSink`](gesmc_engine::SampleSink) that folds the sample into the
 //!   [`ThinnedAutocorrelation`](gesmc_analysis::ThinnedAutocorrelation)

@@ -1,4 +1,4 @@
-//! The study driver: fan the sweep out over the engine's worker pool.
+//! The study driver: fan the sweep out over the engine's job pool.
 //!
 //! [`run_study`] enumerates the sweep cells of a [`StudySpec`], skips cells
 //! already completed by an earlier run (cell-level resume), submits the rest
@@ -31,7 +31,7 @@ use crate::report::{CellReport, StudyReport};
 use crate::sink::{CellOutcome, MetricsSink};
 use crate::spec::{CellSpec, StudyScale, StudySpec};
 use gesmc_core::spec::PARAM_LOOP_PROBABILITY;
-use gesmc_engine::{default_registry, GraphSource, JobQueue, JobSpec, QueuedJob, WorkerPool};
+use gesmc_engine::{default_registry, GraphSource, JobSpec, JobState, QueuedJob, ServicePool};
 use gesmc_graph::EdgeListGraph;
 use serde_json::{Map, Value};
 use std::path::{Path, PathBuf};
@@ -233,7 +233,7 @@ pub fn run_study(spec: &StudySpec, opts: &StudyOptions) -> Result<StudyRun, Stud
     }
 
     let threads = opts.threads_per_job.or(spec.threads_per_job);
-    let mut queue = JobQueue::new();
+    let mut jobs = Vec::new();
     let mut pending: Vec<(usize, CellOutcome, usize, usize)> = Vec::new();
     // Cells sweeping the same graph index share the identical input
     // (same family + graph_seed), so generate each distinct graph once and
@@ -249,21 +249,23 @@ pub fn run_study(spec: &StudySpec, opts: &StudyOptions) -> Result<StudyRun, Stud
         }
         let graph = graph_cache[graph_index].clone().expect("cache entry just filled");
         let (job, outcome, nodes, edges) = build_cell_job(spec, cell, threads, graph);
-        queue.push(job);
+        jobs.push(job);
         pending.push((cell.index, outcome, nodes, edges));
     }
     drop(graph_cache);
 
-    let workers = opts.workers.unwrap_or(spec.workers);
-    let outcomes =
-        if pending.is_empty() { Vec::new() } else { WorkerPool::new(workers).run(queue) };
+    let pool = ServicePool::start(opts.workers.unwrap_or(spec.workers), 0);
+    let handles: Vec<_> = jobs
+        .into_iter()
+        .map(|job| pool.submit(job).expect("an unbounded running pool accepts every job"))
+        .collect();
 
     let mut first_error = None;
-    for (outcome, (cell_index, handle, nodes, edges)) in outcomes.into_iter().zip(pending) {
+    for (handle, (cell_index, outcome, nodes, edges)) in handles.iter().zip(pending) {
         let cell = &cells[cell_index];
-        match outcome.result {
-            Ok(_) => {
-                let metrics = handle
+        let why = match handle.wait() {
+            JobState::Done(_) => {
+                let metrics = outcome
                     .lock()
                     .map_err(|_| StudyError::Report("cell outcome mutex poisoned".into()))?
                     .take()
@@ -293,11 +295,12 @@ pub fn run_study(spec: &StudySpec, opts: &StudyOptions) -> Result<StudyRun, Stud
                 };
                 write_cell_file(&cells_dir, spec, scale, cell, &report)?;
                 completed[cell_index] = Some(report);
+                continue;
             }
-            Err(e) => {
-                first_error.get_or_insert(StudyError::Engine(e));
-            }
-        }
+            JobState::Failed(e) => e,
+            other => other.label().to_string(),
+        };
+        first_error.get_or_insert(StudyError::Job(format!("{}: {why}", cell.job_name)));
     }
     if let Some(e) = first_error {
         return Err(e);

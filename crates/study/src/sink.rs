@@ -111,7 +111,7 @@ impl SampleSink for MetricsSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gesmc_engine::{run_job, ChainSpec, GraphSource, JobSpec};
+    use gesmc_engine::{default_registry, run_job, ChainSpec, GraphSource, JobControl, JobSpec};
     use gesmc_graph::gen::gnp;
     use gesmc_randx::rng_from_seed;
 
@@ -128,7 +128,8 @@ mod tests {
         .supersteps(12)
         .thinning(1)
         .seed(3);
-        let report = run_job(&spec, &mut sink, None).unwrap();
+        let report =
+            run_job(default_registry(), &spec, &mut sink, None, &JobControl::new(), None).unwrap();
         assert_eq!(report.samples, 12);
 
         let metrics = outcome.lock().unwrap().clone().expect("finish must publish metrics");
@@ -152,7 +153,7 @@ mod tests {
                 .supersteps(4)
                 .thinning(1)
                 .seed(1);
-        run_job(&spec, &mut sink, None).unwrap();
+        run_job(default_registry(), &spec, &mut sink, None, &JobControl::new(), None).unwrap();
         let metrics = outcome.lock().unwrap().clone().unwrap();
         assert!(metrics.proxies.is_empty());
         assert!(metrics.proxy_supersteps.is_empty());

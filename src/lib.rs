@@ -19,9 +19,10 @@
 //!   `ExternalEdgeStore`, and the `seq-es-ext` chain (bit-identical to
 //!   `seq-es`; `gesmc randomize --mmap` on the command line);
 //! * [`randx`] — randomness utilities (bounded sampling, permutations);
-//! * [`engine`] — the batched randomization job engine: job queue + worker
-//!   pool, streaming thinned-sample sinks, binary checkpoint/resume, and the
-//!   long-running service pool with cancellation and graceful shutdown;
+//! * [`engine`] — the batched randomization job engine: one job driver
+//!   (`run_job`), streaming thinned-sample sinks, binary checkpoint/resume,
+//!   and one job pool (`ServicePool`) with cancellation and graceful
+//!   shutdown that runs batches, studies and the HTTP service;
 //! * [`serve`] — the HTTP sampling service (`gesmc serve`): hand-rolled
 //!   `std::net` server, warm LRU sample cache, bounded admission with load
 //!   shedding, Prometheus metrics;
@@ -86,9 +87,8 @@ pub mod prelude {
         ParES, ParGlobalES, ParamValue, SeqES, SeqGlobalES, SwitchingConfig,
     };
     pub use gesmc_engine::{
-        default_registry, run_batch, run_job, run_job_hooked, run_job_with, Checkpoint,
-        CheckpointSink, GraphSource, JobControl, JobHandle, JobSpec, JobState, Manifest,
-        MemorySink, SampleSink, ServicePool, WorkerPool,
+        default_registry, run_batch, run_job, Checkpoint, CheckpointSink, GraphSource, JobControl,
+        JobHandle, JobSpec, JobState, Manifest, MemorySink, QueuedJob, SampleSink, ServicePool,
     };
     pub use gesmc_exmem::{ExternalEdgeStore, MappedEdgeList, SeqESExt};
     pub use gesmc_graph::{DegreeSequence, Edge, EdgeListGraph, EdgeStore};

@@ -107,7 +107,7 @@ fn per_job_prefetch_is_plumbed_to_the_chain() {
         let sink = MemorySink::new();
         let store = sink.store();
         let mut sink = sink;
-        run_job(&spec, &mut sink, None).unwrap();
+        run_job(default_registry(), &spec, &mut sink, None, &JobControl::new(), None).unwrap();
         let last = store.lock().unwrap().last().unwrap().1.clone();
         last.canonical_edges()
     };

@@ -3,7 +3,7 @@
 //! and job multiplexing respects submission order and per-job isolation.
 
 use gesmc::prelude::*;
-use gesmc_engine::{EdgeListFileSink, JobQueue, NullSink, QueuedJob};
+use gesmc_engine::{EdgeListFileSink, JobReport};
 use gesmc_graph::gen::gnp;
 use gesmc_graph::io::read_edge_list_file;
 use gesmc_randx::rng_from_seed;
@@ -13,6 +13,14 @@ fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gesmc-it-{name}"));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The report of a finished job; panics with the job's state if it failed.
+fn report_of(handle: &JobHandle) -> JobReport {
+    match handle.wait() {
+        JobState::Done(report) => report,
+        other => panic!("{}: {other:?}", handle.name()),
+    }
 }
 
 #[test]
@@ -34,21 +42,21 @@ fn manifest_batch_produces_thinned_degree_preserving_samples() {
         dir.display()
     );
     let manifest = Manifest::parse(&manifest_text).unwrap();
-    let outcomes = run_batch(&manifest).unwrap();
-    assert_eq!(outcomes.len(), 3);
+    let handles = run_batch(&manifest).unwrap();
+    assert_eq!(handles.len(), 3);
 
     let expected = [("pld-par", 3usize), ("gnp-seq", 2), ("mesh-es", 3)];
-    for (outcome, (name, samples)) in outcomes.iter().zip(expected) {
-        assert_eq!(outcome.job, name, "submission order must be preserved");
-        let report = outcome.result.as_ref().unwrap_or_else(|e| panic!("{name}: {e}"));
+    for (handle, (name, samples)) in handles.iter().zip(expected) {
+        assert_eq!(handle.name(), name, "submission order must be preserved");
+        let report = report_of(handle);
         assert_eq!(report.samples, samples as u64, "{name}");
         assert!(report.legal > 0, "{name} must actually switch edges");
     }
 
     // Every emitted sample file parses back as a valid simple graph with the
     // degree sequence of its job's input.
-    for (outcome, (name, samples)) in outcomes.iter().zip(expected) {
-        let spec = manifest.jobs.iter().find(|j| j.name == outcome.job).unwrap();
+    for (handle, (name, samples)) in handles.iter().zip(expected) {
+        let spec = manifest.jobs.iter().find(|j| j.name == handle.name()).unwrap();
         let input_degrees = spec.source.load().unwrap().degrees().sorted_desc();
         let mut found = 0usize;
         for entry in std::fs::read_dir(&dir).unwrap() {
@@ -83,7 +91,8 @@ fn thinned_samples_mix_between_emissions() {
     let sink = MemorySink::new();
     let store = sink.store();
     let mut sink = sink;
-    let report = run_job(&spec, &mut sink, None).unwrap();
+    let report =
+        run_job(default_registry(), &spec, &mut sink, None, &JobControl::new(), None).unwrap();
     assert_eq!(report.samples, 3);
     let samples = store.lock().unwrap();
     for window in samples.windows(2) {
@@ -117,16 +126,16 @@ fn batch_mixes_core_chains_with_baseline_chains() {
         dir.display()
     );
     let manifest = Manifest::parse(&manifest_text).unwrap();
-    let outcomes = run_batch(&manifest).unwrap();
-    assert_eq!(outcomes.len(), 3);
+    let handles = run_batch(&manifest).unwrap();
+    assert_eq!(handles.len(), 3);
     let expected_chains = [
         ("core", "ParGlobalES"),
         ("curveball", "GlobalCurveball"),
         ("adjacency", "AdjacencyListES"),
     ];
-    for (outcome, (name, chain)) in outcomes.iter().zip(expected_chains) {
-        let report = outcome.result.as_ref().unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(outcome.job, name);
+    for (handle, (name, chain)) in handles.iter().zip(expected_chains) {
+        let report = report_of(handle);
+        assert_eq!(handle.name(), name);
         assert_eq!(report.algorithm, chain, "{name}");
         assert_eq!(report.samples, 2, "{name}");
     }
@@ -141,7 +150,8 @@ fn batch_mixes_core_chains_with_baseline_chains() {
 fn worker_pool_multiplexes_many_jobs_over_few_workers() {
     let dir = temp_dir("many-jobs");
     let graph = gnp(&mut rng_from_seed(8), 60, 0.1);
-    let mut queue = JobQueue::new();
+    let pool = ServicePool::start(2, 0);
+    let mut handles = Vec::new();
     for i in 0..8u64 {
         let spec = JobSpec::new(
             format!("j{i}"),
@@ -152,13 +162,11 @@ fn worker_pool_multiplexes_many_jobs_over_few_workers() {
         .thinning(5)
         .seed(i);
         let sink = EdgeListFileSink::new(&dir, &spec.name).unwrap();
-        queue.push(QueuedJob::new(spec, Box::new(sink)));
+        handles.push(pool.submit(QueuedJob::new(spec, Box::new(sink))).unwrap());
     }
-    let outcomes = WorkerPool::new(2).run(queue);
-    assert_eq!(outcomes.len(), 8);
-    for (i, outcome) in outcomes.iter().enumerate() {
-        assert_eq!(outcome.job, format!("j{i}"));
-        assert!(outcome.result.is_ok());
+    for (i, handle) in handles.iter().enumerate() {
+        assert_eq!(handle.name(), format!("j{i}"));
+        report_of(handle);
     }
     // Different seeds must give different samples (jobs are independent).
     let j0 = read_edge_list_file(dir.join("j0-s000005.txt")).unwrap();
@@ -183,14 +191,17 @@ fn engine_checkpoint_files_resume_through_run_job() {
     let full_sink = MemorySink::new();
     let full_store = full_sink.store();
     let mut full_sink = full_sink;
-    run_job(&spec, &mut full_sink, None).unwrap();
+    run_job(default_registry(), &spec, &mut full_sink, None, &JobControl::new(), None).unwrap();
 
     let checkpoint = Checkpoint::read_from_file(ckpt_dir.join("e2e.ckpt")).unwrap();
     assert_eq!(checkpoint.snapshot.supersteps_done, 5);
     let resumed_sink = MemorySink::new();
     let resumed_store = resumed_sink.store();
     let mut resumed_sink = resumed_sink;
-    let report = run_job(&spec, &mut resumed_sink, Some(&checkpoint)).unwrap();
+    let control = JobControl::new();
+    let report =
+        run_job(default_registry(), &spec, &mut resumed_sink, Some(&checkpoint), &control, None)
+            .unwrap();
     assert_eq!(report.resumed_from, 5);
 
     let full = full_store.lock().unwrap().last().unwrap().1.canonical_edges();
@@ -201,25 +212,40 @@ fn engine_checkpoint_files_resume_through_run_job() {
 
 #[test]
 fn failed_jobs_are_isolated_in_batch_outcomes() {
+    // An unreadable input fails its job with an error; a pld generator with
+    // gamma <= 1 panics inside its job.  Neither may cost the batch: the
+    // jobs around them still finish, and each failure reports its text.
     let dir = temp_dir("failures");
-    let mut queue = JobQueue::new();
-    queue.push(QueuedJob::new(
-        JobSpec::new(
-            "missing-input",
-            GraphSource::File("/nonexistent/input.txt".into()),
-            ChainSpec::new("seq-es"),
-        ),
-        Box::new(NullSink::default()),
-    ));
-    let good_graph = gnp(&mut rng_from_seed(2), 50, 0.1);
-    queue.push(QueuedJob::new(
-        JobSpec::new("fine", GraphSource::InMemory(good_graph), ChainSpec::new("seq-es"))
-            .supersteps(3),
-        Box::new(NullSink::default()),
-    ));
-    let outcomes = WorkerPool::new(2).run(queue);
-    assert!(outcomes[0].result.is_err());
-    let report = outcomes[1].result.as_ref().unwrap();
-    assert_eq!(report.samples, 1);
+    let graph = gnp(&mut rng_from_seed(2), 50, 0.1);
+    let good = |name: &str| {
+        let source = GraphSource::InMemory(graph.clone());
+        JobSpec::new(name, source, ChainSpec::new("seq-es")).supersteps(3)
+    };
+    let panicking =
+        GraphSource::Generated { family: "pld".into(), nodes: 0, edges: 100, gamma: 0.5, seed: 1 };
+    let manifest = Manifest {
+        workers: 2,
+        output_dir: dir.clone(),
+        checkpoint_dir: None,
+        jobs: vec![
+            JobSpec::new(
+                "missing-input",
+                GraphSource::File("/nonexistent/input.txt".into()),
+                ChainSpec::new("seq-es"),
+            ),
+            good("before"),
+            JobSpec::new("boom", panicking, ChainSpec::new("seq-es")),
+            good("after"),
+        ],
+    };
+    let handles = run_batch(&manifest).unwrap();
+    let failure = |handle: &JobHandle| match handle.wait() {
+        JobState::Failed(message) => message,
+        other => panic!("{}: expected a failure, got {other:?}", handle.name()),
+    };
+    assert!(failure(&handles[0]).contains("input.txt"));
+    assert_eq!(report_of(&handles[1]).samples, 1);
+    assert!(failure(&handles[2]).contains("panicked"));
+    assert_eq!(report_of(&handles[3]).samples, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -108,15 +108,8 @@ fn checkpoints_are_byte_equal_across_backends_and_resume_crosses_them() {
     job.checkpoint_every = Some(4);
     let mut sink = MemorySink::new();
     let mut captured = ByteSink(Vec::new());
-    run_job_hooked(
-        default_registry(),
-        &job,
-        &mut sink,
-        None,
-        &JobControl::new(),
-        Some(&mut captured),
-    )
-    .unwrap();
+    run_job(default_registry(), &job, &mut sink, None, &JobControl::new(), Some(&mut captured))
+        .unwrap();
     assert_eq!(captured.0.len(), 1, "exactly the step-4 checkpoint");
 
     // External run of the same job: the streamed checkpoint must be
