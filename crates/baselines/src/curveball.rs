@@ -121,6 +121,20 @@ impl GlobalCurveball {
     fn edge_count(&self) -> usize {
         self.neighbors.iter().map(|s| s.len()).sum::<usize>() / 2
     }
+
+    /// The edge set in canonical order (by `u`, then `v`): a function of the
+    /// adjacency sets alone, never of the instance-specific hash-set
+    /// iteration order.
+    fn sorted_edges(&self) -> Vec<Edge> {
+        let mut edges = Vec::with_capacity(self.edge_count());
+        for (u, nbrs) in self.neighbors.iter().enumerate() {
+            let u = u as Node;
+            let mut out: Vec<Node> = nbrs.iter().copied().filter(|&v| u < v).collect();
+            out.sort_unstable();
+            edges.extend(out.into_iter().map(|v| Edge::new(u, v)));
+        }
+        edges
+    }
 }
 
 impl EdgeSwitching for GlobalCurveball {
@@ -133,16 +147,7 @@ impl EdgeSwitching for GlobalCurveball {
     }
 
     fn graph(&self) -> EdgeListGraph {
-        let mut edges = Vec::with_capacity(self.edge_count());
-        for (u, nbrs) in self.neighbors.iter().enumerate() {
-            let u = u as Node;
-            for &v in nbrs {
-                if u < v {
-                    edges.push(Edge::new(u, v));
-                }
-            }
-        }
-        EdgeListGraph::from_edges_unchecked(self.num_nodes, edges)
+        EdgeListGraph::from_edges_unchecked(self.num_nodes, self.sorted_edges())
     }
 
     fn superstep(&mut self) -> SuperstepStats {
@@ -165,17 +170,10 @@ impl EdgeSwitching for GlobalCurveball {
     /// before shuffling), so the snapshot stores the canonical edge set — the
     /// instance-specific hash-set iteration order need not be captured.
     fn snapshot(&self) -> Option<ChainSnapshot> {
-        let mut edges = Vec::with_capacity(self.edge_count());
-        for (u, nbrs) in self.neighbors.iter().enumerate() {
-            let u = u as Node;
-            let mut out: Vec<Node> = nbrs.iter().copied().filter(|&v| u < v).collect();
-            out.sort_unstable();
-            edges.extend(out.into_iter().map(|v| Edge::new(u, v)));
-        }
         Some(ChainSnapshot {
             algorithm: self.name().to_string(),
             num_nodes: self.num_nodes,
-            edges,
+            edges: self.sorted_edges(),
             rng: RngState::capture(&self.rng),
             aux_seed_state: 0,
             supersteps_done: self.supersteps_done,
@@ -268,6 +266,18 @@ mod tests {
         resumed.restore(&snap).unwrap();
         resumed.run_supersteps(4);
         assert_eq!(resumed.graph().canonical_edges(), uninterrupted.graph().canonical_edges());
+    }
+
+    #[test]
+    fn equal_seeds_give_identical_edge_lists() {
+        // Each chain has its own randomly keyed hash sets, so only an
+        // ordering independent of them makes the sample bytes repeat.
+        let run = || {
+            let mut chain = GlobalCurveball::new(test_graph(4), SwitchingConfig::with_seed(4));
+            chain.run_supersteps(5);
+            chain.graph().edges().to_vec()
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Out-of-core edge storage for graphs that do not fit in RAM.
 //!
-//! The rest of the workspace forbids `unsafe`; this crate is the one place
-//! it is allowed, confined to the [`mmap`] module's three syscall wrappers
-//! (see the safety argument there).  Building blocks:
+//! Here `unsafe` is confined to the [`mmap`] module's three syscall wrappers
+//! (see the safety argument there); elsewhere in the workspace only
+//! `gesmc-serve`'s `poll(2)` wrapper and `gesmc-concurrent`'s prefetch
+//! intrinsic use it.  Building blocks:
 //!
 //! * [`Mmap`] — a dependency-free read-only memory-map wrapper (no `libc`
 //!   crate; direct `extern "C"` declarations), with a pure-`std` positioned

@@ -9,7 +9,7 @@
 //! status, never a panic or an unbounded allocation.
 
 use serde_json::Value;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, IoSlice, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -408,17 +408,46 @@ impl Response {
 
     /// Serialise the response (status line, headers, `Content-Length`,
     /// `Connection: close`, body) onto `writer`.
+    ///
+    /// The head is formatted into one buffer and sent together with the body
+    /// in a single vectored write (`writev` on a socket); the body itself is
+    /// never copied.
     pub fn write_to<W: Write>(&self, writer: &mut W) -> std::io::Result<()> {
-        write!(writer, "HTTP/1.1 {} {}\r\n", self.status, reason(self.status))?;
-        for (name, value) in &self.headers {
-            write!(writer, "{name}: {value}\r\n")?;
-        }
         let body = self.body.as_slice();
-        write!(writer, "Content-Length: {}\r\n", body.len())?;
-        write!(writer, "Connection: close\r\n\r\n")?;
-        writer.write_all(body)?;
+        let mut head = format!("HTTP/1.1 {} {}\r\n", self.status, reason(self.status));
+        for (name, value) in &self.headers {
+            head.push_str(name);
+            head.push_str(": ");
+            head.push_str(value);
+            head.push_str("\r\n");
+        }
+        head.push_str(&format!("Content-Length: {}\r\nConnection: close\r\n\r\n", body.len()));
+        write_head_and_body(writer, head.as_bytes(), body)?;
         writer.flush()
     }
+}
+
+/// Write `head` then `body` with one `write_vectored` call and finish
+/// whatever a short write left with `write_all`.
+fn write_head_and_body<W: Write>(writer: &mut W, head: &[u8], body: &[u8]) -> std::io::Result<()> {
+    let mut written = loop {
+        match writer.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "failed to write whole buffer",
+                ))
+            }
+            Ok(n) => break n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    };
+    if written < head.len() {
+        writer.write_all(&head[written..])?;
+        written = head.len();
+    }
+    writer.write_all(&body[written - head.len()..])
 }
 
 #[cfg(test)]
@@ -488,17 +517,68 @@ mod tests {
         assert_eq!(percent_decode("%zz"), "%zz");
     }
 
+    /// A `Write` that counts its calls and takes at most `cap` bytes per
+    /// call, spanning slices in `write_vectored` as `writev` does.
+    struct CappedWriter {
+        out: Vec<u8>,
+        calls: usize,
+        cap: usize,
+    }
+
+    impl Write for CappedWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let start = self.out.len();
+            for buf in bufs {
+                let room = self.cap - (self.out.len() - start);
+                self.out.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.out.len() - start)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn response_wire_format() {
-        let mut out = Vec::new();
-        Response::text(200, "ok\n").with_header("X-Cache", "hit").write_to(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("Content-Type: text/plain; charset=utf-8\r\n"));
-        assert!(text.contains("X-Cache: hit\r\n"));
-        assert!(text.contains("Content-Length: 3\r\n"));
-        assert!(text.contains("Connection: close\r\n"));
-        assert!(text.ends_with("\r\n\r\nok\n"));
+        // Shaped like a cache hit: the content type plus four headers.
+        let response =
+            Response::shared(200, "text/plain; charset=utf-8", Arc::new(b"0 1\n".to_vec()))
+                .with_header("X-Gesmc-Cache", "hit")
+                .with_header("X-Gesmc-Seed", "42")
+                .with_header("X-Gesmc-Request-Id", "r-7")
+                .with_header("X-Gesmc-Trace-Id", "0123456789abcdef0123456789abcdef");
+        let golden: &[u8] = b"HTTP/1.1 200 OK\r\n\
+            Content-Type: text/plain; charset=utf-8\r\n\
+            X-Gesmc-Cache: hit\r\n\
+            X-Gesmc-Seed: 42\r\n\
+            X-Gesmc-Request-Id: r-7\r\n\
+            X-Gesmc-Trace-Id: 0123456789abcdef0123456789abcdef\r\n\
+            Content-Length: 4\r\n\
+            Connection: close\r\n\
+            \r\n\
+            0 1\n";
+        // Unlimited: the whole response in one call.  At most 7 bytes per
+        // call: the short write ends inside the head.  One byte short: it
+        // ends inside the body.  Every writer must see the same bytes.
+        for cap in [usize::MAX, 7, golden.len() - 1] {
+            let mut writer = CappedWriter { out: Vec::new(), calls: 0, cap };
+            response.write_to(&mut writer).unwrap();
+            assert_eq!(
+                String::from_utf8_lossy(&writer.out),
+                String::from_utf8_lossy(golden),
+                "cap {cap}"
+            );
+            if cap == usize::MAX {
+                assert_eq!(writer.calls, 1, "one write per response");
+            }
+        }
     }
 
     #[test]

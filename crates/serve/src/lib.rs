@@ -41,6 +41,10 @@
 //! (concurrent misses for one key are coalesced into a single job), and
 //! `…&warm=true` pre-warms a key in the background without waiting.
 //!
+//! The acceptor waits for connections in `poll(2)`, so a request never
+//! waits for a polling interval, and each response leaves in one vectored
+//! write.
+//!
 //! With [`ServeConfig::cluster`] set, nodes shard that cache over a
 //! consistent-hash ring ([`cluster`]): a node receiving a `/v1/sample`
 //! request for a key another node owns forwards it peer-to-peer (one hop at
@@ -56,8 +60,17 @@
 //! println!("listening on http://{}", server.local_addr());
 //! server.shutdown(); // graceful: drains in-flight work, joins all threads
 //! ```
+//!
+//! ## Unsafe code
+//!
+//! The crate denies `unsafe` with exactly one exception: the private Linux
+//! wrapper around `poll(2)` that the acceptor waits in.  `std` offers no
+//! readiness wait on a listener and the workspace links no `libc` crate, so
+//! the call is declared directly, as `gesmc-exmem` declares `mmap`; its
+//! `// SAFETY:` comment states why the call is sound.  Off Linux the acceptor
+//! sleeps between non-blocking accepts instead.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

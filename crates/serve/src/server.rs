@@ -12,6 +12,12 @@
 //!                                       (bounded admission, 429 beyond)
 //! ```
 //!
+//! The acceptor waits for connections in `poll(2)` on the listener, so a
+//! new connection wakes it at once; the wait times out every 5 ms to
+//! re-check the stop flag (off Linux the acceptor sleeps those 5 ms
+//! instead).  Each response leaves in one vectored write
+//! ([`Response::write_to`]).
+//!
 //! Shutdown (via [`Server::shutdown`] or `POST /v1/shutdown`) runs in
 //! strict order: stop accepting connections, drain the connection queue and
 //! join the HTTP workers (in-flight requests finish and their responses are
@@ -42,6 +48,9 @@ use std::time::{Duration, Instant};
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(10);
 /// Bound of the parsed-connection queue, per HTTP worker.
 const CONN_QUEUE_PER_WORKER: usize = 32;
+/// Longest the idle acceptor waits for a connection before it re-checks the
+/// stop flag: the bound on how long shutdown waits for the acceptor.
+const ACCEPT_WAIT: Duration = Duration::from_millis(5);
 
 /// Why a cold `/v1/sample` computation did not produce a sample.  Shared
 /// with coalesced waiters, hence `Clone`.
@@ -249,9 +258,10 @@ impl Server {
     /// [`Server::local_addr`] for the resolved address (ephemeral ports).
     pub fn bind(config: ServeConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
-        // Non-blocking accept: the acceptor polls the stop flag between
-        // attempts, so shutdown never depends on being able to connect to
-        // our own address to unblock a blocking accept().
+        // Non-blocking accept and a bounded readiness wait: the acceptor
+        // re-checks the stop flag between attempts, so shutdown never
+        // depends on being able to connect to our own address to unblock a
+        // blocking accept().
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
@@ -357,8 +367,8 @@ impl Server {
             return;
         }
         self.state.stopping.store(true, Ordering::Release);
-        // The acceptor polls a non-blocking listener, so it observes the
-        // flag within one poll interval — no self-connect needed.
+        // The acceptor's readiness wait times out every ACCEPT_WAIT, so it
+        // observes the flag within one interval — no self-connect needed.
         if let Some(acceptor) = self.acceptor.lock().expect("acceptor mutex poisoned").take() {
             let _ = acceptor.join();
         }
@@ -394,6 +404,56 @@ impl Drop for Server {
     }
 }
 
+/// Wait for a pending connection on `listener` for at most `timeout`;
+/// `true` when one is ready to accept.
+///
+/// On Linux this is `poll(2)` on the listener fd, so a new connection wakes
+/// the caller at once.  It is the crate's one `unsafe` item (see the crate
+/// docs for why).
+#[cfg(target_os = "linux")]
+#[allow(unsafe_code)]
+fn wait_for_connection(listener: &TcpListener, timeout: Duration) -> bool {
+    use std::ffi::{c_int, c_short, c_ulong};
+    use std::os::fd::AsRawFd;
+
+    /// `struct pollfd` from `<poll.h>`.
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+    const POLLIN: c_short = 0x1;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    }
+
+    let mut pollfd = PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 };
+    let millis = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+    // SAFETY: `pollfd` is one live, `#[repr(C)]` `struct pollfd` owned by
+    // this frame and `nfds` is 1, so poll reads and writes only that struct,
+    // and only until it returns.  The fd belongs to `listener`, which the
+    // borrow keeps open for the whole call.
+    match unsafe { poll(&mut pollfd, 1, millis) } {
+        ready if ready > 0 => true,
+        0 => false,
+        _ => {
+            // poll failed (EINTR, ENOMEM): wait out the interval so the
+            // caller never spins.
+            std::thread::sleep(timeout);
+            false
+        }
+    }
+}
+
+/// Off Linux there is no readiness wait: sleep `timeout` and let the caller
+/// retry its non-blocking accept.
+#[cfg(not(target_os = "linux"))]
+fn wait_for_connection(_listener: &TcpListener, timeout: Duration) -> bool {
+    std::thread::sleep(timeout);
+    false
+}
+
 fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
     let conn_bound = state.config.http_workers.max(1) * CONN_QUEUE_PER_WORKER;
     loop {
@@ -410,8 +470,9 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
                 stream
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                // Idle: poll the stop flag at a coarse interval.
-                std::thread::sleep(Duration::from_millis(5));
+                // Idle: wait for the next connection, but return to the
+                // stop-flag check at least every ACCEPT_WAIT.
+                wait_for_connection(listener, ACCEPT_WAIT);
                 continue;
             }
             Err(_) => {
@@ -586,11 +647,43 @@ mod tests {
         let (status, body) = get(addr, "/healthz");
         assert_eq!(status, 200);
         assert_eq!(body, "ok\n");
-        server.shutdown();
+        // An idle acceptor must still notice the stop flag: its connection
+        // wait has to time out.
+        std::thread::sleep(Duration::from_millis(50));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(1)).is_ok(),
+            "shutdown of an idle server must return within 1 s"
+        );
+        stopper.join().unwrap();
         assert!(
             TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err(),
             "socket must be closed after shutdown"
         );
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn connection_wait_wakes_on_a_pending_connection_and_times_out_when_idle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let timeout = Duration::from_millis(20);
+        let idle_start = Instant::now();
+        assert!(!wait_for_connection(&listener, timeout), "nothing is pending yet");
+        assert!(idle_start.elapsed() >= timeout, "the idle wait returned early");
+
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let start = Instant::now();
+        assert!(wait_for_connection(&listener, Duration::from_secs(10)));
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "a pending connection must wake the wait"
+        );
+        assert!(listener.accept().is_ok());
     }
 
     #[test]
