@@ -45,24 +45,24 @@
 //! never panics on bad input.
 
 use gesmc_analysis::mixing_profile;
-use gesmc_core::{ChainSpec, EdgeSwitching};
+use gesmc_core::ChainSpec;
 use gesmc_datasets::{
     netrep_like::family_graph, syn_gnp_graph, syn_pld_graph, write_syn_gnp_binary, GraphFamily,
 };
 use gesmc_engine::{
-    default_registry, resume_external_job, run_batch, run_external_job, run_job, Checkpoint,
-    CheckpointReader, EdgeListFileSink, ExternalJob, ExternalOutput, GraphSource, JobControl,
-    JobSpec, JobState, Manifest,
+    default_registry, run_batch, run_job, Checkpoint, CheckpointReader, EdgeListFileSink,
+    EngineError, GraphSource, JobControl, JobSpec, JobState, Manifest, SampleContext, SampleSink,
+    SampleView,
 };
+use gesmc_graph::gen::check_gamma;
 use gesmc_graph::io::{
-    is_binary_edge_list_file, read_edge_list_binary_file, read_edge_list_file,
-    write_edge_list_binary_file, write_edge_list_file,
+    is_binary_edge_list_file, read_edge_list_file, write_edge_list_binary_file,
+    write_edge_list_file,
 };
-use gesmc_graph::EdgeListGraph;
 use gesmc_serve::{ServeConfig, Server};
 use gesmc_study::{run_study, StudyOptions, StudyScale, StudySpec};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -129,7 +129,7 @@ fn command_help(command: &str) -> Option<&'static str> {
             "gesmc randomize --input FILE --output FILE [options]\n\
              Randomize an edge-list file with a switching chain and write the result.\n\
              Inputs may be plain text or binary GESMCEL1; the output matches the\n\
-             input's format.\n\
+             input's format.  Runs as one engine job and logs its summary line.\n\
              \n\
              Required:\n\
                --input FILE       edge list to randomize (text or binary GESMCEL1)\n\
@@ -141,8 +141,9 @@ fn command_help(command: &str) -> Option<&'static str> {
                --threads P        rayon thread budget (default: all cores)\n\
                --mmap             run out-of-core: the graph lives in a disk-backed\n\
                                   store, never on the heap (needs a binary input and a\n\
-                                  store-capable chain such as seq-es-ext); output bytes\n\
-                                  are identical to an in-memory run at the same seed\n\
+                                  store-capable chain such as seq-es-ext; the scratch\n\
+                                  copy next to the input goes when the run ends); output\n\
+                                  bytes are identical to an in-memory run at the same seed\n\
                --memory-budget B  chunk-cache budget in bytes for --mmap (default 64 MiB)"
         }
         "generate" => {
@@ -157,7 +158,7 @@ fn command_help(command: &str) -> Option<&'static str> {
                --output FILE      where the edge list goes (.el selects binary GESMCEL1)\n\
              Options:\n\
                --nodes N          node count (default: family-specific from M)\n\
-               --gamma G          power-law exponent, pld only (default 2.5)\n\
+               --gamma G          power-law exponent > 1, pld only (default 2.5)\n\
                --seed S           generator seed (default 1)"
         }
         "analyze" => {
@@ -179,17 +180,21 @@ fn command_help(command: &str) -> Option<&'static str> {
                --names            print only the chain names, one per line"
         }
         "batch" => {
-            "gesmc batch MANIFEST.json [--workers N]\n\
+            "gesmc batch MANIFEST.json [--workers N] [--mmap [--memory-budget B]]\n\
              Run every job of a JSON manifest over the engine worker pool,\n\
-             streaming thinned samples to per-job files.\n\
+             streaming thinned samples to per-job files.  Input files may be\n\
+             plain text or binary GESMCEL1.\n\
              \n\
              Options:\n\
                --workers N        worker threads (default: manifest value, 0 = all cores)\n\
-               --mmap             run the jobs out-of-core, one at a time; each job\n\
+               --mmap             run the jobs out-of-core, N at a time on the same\n\
+                                  pool (--workers 1 runs one at a time); each job\n\
                                   needs a binary GESMCEL1 file source and a\n\
-                                  store-capable chain; samples are written as binary\n\
-                                  {job}-s{superstep}.el files\n\
-               --memory-budget B  chunk-cache budget in bytes for --mmap (default 64 MiB)"
+                                  store-capable chain, keeps its scratch copy in the\n\
+                                  output directory until it ends, and writes binary\n\
+                                  {job}-s{superstep}.el samples\n\
+               --memory-budget B  chunk-cache budget in bytes of each --mmap job\n\
+                                  (default 64 MiB; N jobs at once hold up to N budgets)"
         }
         "resume" => {
             "gesmc resume JOB.ckpt [options]\n\
@@ -202,8 +207,9 @@ fn command_help(command: &str) -> Option<&'static str> {
                --checkpoint-every K   keep checkpointing every K supersteps\n\
                --checkpoint-dir DIR   checkpoint directory (default: alongside JOB.ckpt)\n\
                --mmap                 resume out-of-core: the checkpointed edges stream\n\
-                                      into a disk-backed store without ever loading the\n\
-                                      graph; samples are written as binary .el files\n\
+                                      into a disk-backed store (a scratch copy next to\n\
+                                      JOB.ckpt) without ever loading the graph; samples\n\
+                                      are written as binary .el files\n\
                --memory-budget B      chunk-cache budget in bytes for --mmap (default 64 MiB)"
         }
         "study" => {
@@ -393,16 +399,6 @@ fn reject_unknown_flags(
     ))
 }
 
-/// Parse an `--algo` value and build the chain through the default registry.
-fn build_chain(
-    spec_text: &str,
-    graph: EdgeListGraph,
-    seed: u64,
-) -> Result<Box<dyn EdgeSwitching + Send>, String> {
-    let spec = ChainSpec::parse(spec_text).map_err(|e| format!("{e}"))?;
-    default_registry().build(&spec, graph, seed).map_err(|e| format!("{e}"))
-}
-
 /// Default chunk-cache budget for `--mmap` runs: 64 MiB.
 const DEFAULT_MEMORY_BUDGET: usize = 64 << 20;
 
@@ -419,17 +415,21 @@ fn parse_mmap_flags(flags: &HashMap<String, String>) -> Result<Option<usize>, St
     }
 }
 
-fn require_binary_input(input: &str) -> Result<(), String> {
-    match is_binary_edge_list_file(input) {
-        Ok(true) => Ok(()),
-        Ok(false) => Err(format!(
-            "--mmap needs a binary GESMCEL1 input, but {input} is a plain-text edge list \
-             (generate one with `gesmc generate --output {input}.el`)"
-        )),
-        Err(e) => Err(format!("{input}: {e}")),
+/// The sink of `gesmc randomize`: writes the job's one (final) sample to
+/// `--output` in the input's format, streaming a binary sample.
+struct OutputSink {
+    path: PathBuf,
+    binary: bool,
+}
+
+impl SampleSink for OutputSink {
+    fn emit(&mut self, _ctx: &SampleContext<'_>, view: &SampleView<'_>) -> Result<(), EngineError> {
+        view.write_edge_list(&self.path, self.binary)
     }
 }
 
+/// `gesmc randomize`: one engine job over the input file, in memory or (with
+/// `--mmap`) over a disk-backed store; both write the same bytes.
 fn cmd_randomize(positional: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
     no_positionals("randomize", positional)?;
     reject_unknown_flags(
@@ -440,78 +440,34 @@ fn cmd_randomize(positional: &[String], flags: &HashMap<String, String>) -> Resu
     let input = require(flags, "input")?;
     let output = require(flags, "output")?;
     let algo = flags.get("algo").map(String::as_str).unwrap_or("par-global-es");
-    let supersteps: usize = parse_flag_or(flags, "supersteps", 20)?;
-    let seed: u64 = parse_flag_or(flags, "seed", 1)?;
-    if let Some(threads) = parse_flag::<usize>(flags, "threads")? {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build_global()
-            .map_err(|e| format!("cannot configure thread pool: {e}"))?;
-    }
-
-    if let Some(budget) = parse_mmap_flags(flags)? {
-        // Out-of-core path: the graph never touches the heap.  The chain
-        // runs over a disk-backed store (bounded chunk cache) and streams
-        // the final state to `output` — byte-identical to the in-memory
-        // path at the same seed, only the memory footprint differs.
-        require_binary_input(input)?;
-        let spec = ChainSpec::parse(algo).map_err(|e| format!("{e}"))?;
-        gesmc_obs::info!(
-            target: "gesmc::randomize",
-            "out-of-core: {input} under a {budget} B chunk budget ({algo}, {supersteps} supersteps)"
-        );
-        let job = ExternalJob::new("randomize", input, spec, budget)
-            .supersteps(supersteps as u64)
-            .seed(seed)
-            .output(ExternalOutput::FinalFile(PathBuf::from(output)));
-        let report = run_external_job(default_registry(), &job).map_err(|e| format!("{e}"))?;
-        gesmc_obs::info!(target: "gesmc::randomize", "{}", report.summary());
-        gesmc_obs::info!(target: "gesmc::randomize", "wrote {output}");
-        return Ok(());
-    }
-
-    // In-memory path; binary inputs round-trip to binary outputs so the two
-    // paths stay `cmp`-comparable.
+    let algorithm = ChainSpec::parse(algo).map_err(|e| format!("{e}"))?;
+    // The output keeps the input's format, so the in-memory and the --mmap
+    // path stay `cmp`-comparable.
     let binary = is_binary_edge_list_file(input).map_err(|e| format!("{input}: {e}"))?;
-    let graph = if binary {
-        read_edge_list_binary_file(input).map_err(|e| format!("{e}"))?
-    } else {
-        read_edge_list_file(input).map_err(|e| format!("{e}"))?
+    let source = match parse_mmap_flags(flags)? {
+        Some(_) if !binary => {
+            return Err(format!(
+                "--mmap needs a binary GESMCEL1 input, but {input} is not one \
+                 (generate one with `gesmc generate --output {input}.el`)"
+            ))
+        }
+        // The chain randomizes a scratch copy next to the input.
+        Some(memory_budget) => GraphSource::OutOfCore {
+            path: PathBuf::from(input),
+            scratch: Path::new(input).with_extension("scratch.el"),
+            memory_budget,
+        },
+        None => GraphSource::File(PathBuf::from(input)),
     };
-    let degrees = graph.degrees();
-    gesmc_obs::info!(
-        target: "gesmc::randomize",
-        "loaded {}: n = {}, m = {}, max degree = {}",
-        input,
-        graph.num_nodes(),
-        graph.num_edges(),
-        degrees.max_degree()
-    );
+    let mut spec = JobSpec::new("randomize", source, algorithm)
+        .supersteps(parse_flag_or(flags, "supersteps", 20)?)
+        .seed(parse_flag_or(flags, "seed", 1)?);
+    spec.threads = parse_flag(flags, "threads")?;
 
-    let mut chain = build_chain(algo, graph, seed)?;
-    let stats = chain.run_supersteps(supersteps);
-    let result = chain.graph();
-    if result.degrees() != degrees {
-        return Err(format!(
-            "internal error: {} did not preserve the degree sequence",
-            chain.name()
-        ));
-    }
-
-    if binary {
-        write_edge_list_binary_file(output, &result).map_err(|e| format!("{e}"))?;
-    } else {
-        write_edge_list_file(output, &result).map_err(|e| format!("{e}"))?;
-    }
-    gesmc_obs::info!(
-        target: "gesmc::randomize",
-        "{}: {} supersteps, {:.1}% of {} switches legal, {:.3} s total",
-        chain.name(),
-        stats.num_supersteps(),
-        100.0 * stats.acceptance_rate(),
-        stats.total_requested(),
-        stats.total_duration().as_secs_f64()
-    );
+    let mut sink = OutputSink { path: PathBuf::from(output), binary };
+    let report = run_job(default_registry(), &spec, &mut sink, None, &JobControl::new(), None)
+        .map_err(|e| format!("{e}"))?;
+    gesmc_obs::info!(target: "gesmc::randomize", "{}", report.summary());
     gesmc_obs::info!(target: "gesmc::randomize", "wrote {output}");
     Ok(())
 }
@@ -529,6 +485,7 @@ fn cmd_generate(positional: &[String], flags: &HashMap<String, String>) -> Resul
         parse_flag(flags, "edges")?.ok_or("missing required flag --edges".to_string())?;
     let seed: u64 = parse_flag_or(flags, "seed", 1)?;
     let gamma: f64 = parse_flag_or(flags, "gamma", 2.5)?;
+    check_gamma(gamma)?;
     let nodes: Option<usize> = parse_flag(flags, "nodes")?;
 
     // A `.el` output selects the binary GESMCEL1 format.  For `gnp` the
@@ -584,7 +541,9 @@ fn cmd_analyze(positional: &[String], flags: &HashMap<String, String>) -> Result
         (0..).map(|i| 1usize << i).take_while(|&k| k <= supersteps.max(1)).collect();
 
     // Any registered chain analyses: the harness only needs `EdgeSwitching`.
-    let mut chain = build_chain(algo, graph.clone(), seed)?;
+    let spec = ChainSpec::parse(algo).map_err(|e| format!("{e}"))?;
+    let mut chain =
+        default_registry().build(&spec, graph.clone(), seed).map_err(|e| format!("{e}"))?;
     let profile = mixing_profile(chain.as_mut(), &graph, supersteps, &thinnings);
 
     println!("algorithm,thinning,non_independent_fraction");
@@ -646,7 +605,9 @@ fn cmd_algorithms(positional: &[String], flags: &HashMap<String, String>) -> Res
 }
 
 /// `gesmc batch manifest.json`: run every job of the manifest over the
-/// engine's job pool, streaming thinned samples to per-job files.
+/// engine's job pool, streaming thinned samples to per-job files.  With
+/// `--mmap` every file source runs out of core (binary samples, a scratch
+/// per job in the output directory); any other source fails alone.
 fn cmd_batch(positional: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
     let manifest_path = match positional {
         [path] => path,
@@ -658,20 +619,34 @@ fn cmd_batch(positional: &[String], flags: &HashMap<String, String>) -> Result<(
     if let Some(workers) = parse_flag::<usize>(flags, "workers")? {
         manifest.workers = workers;
     }
-    if let Some(budget) = parse_mmap_flags(flags)? {
-        return batch_external(manifest_path, &manifest, budget);
+    let total = manifest.jobs.len();
+    let mut failures = 0usize;
+    let budget = parse_mmap_flags(flags)?;
+    if let Some(memory_budget) = budget {
+        let output_dir = manifest.output_dir.clone();
+        manifest.jobs.retain_mut(|spec| {
+            let GraphSource::File(path) = &spec.source else {
+                failures += 1;
+                let why = "--mmap requires a file graph source";
+                gesmc_obs::error!(target: "gesmc::batch", id: spec.name, "FAILED: {why}");
+                return false;
+            };
+            let scratch = output_dir.join(format!("{}.scratch.el", spec.name));
+            spec.source = GraphSource::OutOfCore { path: path.clone(), scratch, memory_budget };
+            true
+        });
     }
     gesmc_obs::info!(
         target: "gesmc::batch",
-        "batch {}: {} jobs over {} workers -> {}",
+        "batch {}: {} jobs over {} workers{} -> {}",
         manifest_path,
         manifest.jobs.len(),
         if manifest.workers == 0 { "hardware".to_string() } else { manifest.workers.to_string() },
+        budget.map(|b| format!(", out of core ({b} B budget per job)")).unwrap_or_default(),
         manifest.output_dir.display()
     );
 
     let handles = run_batch(&manifest).map_err(|e| format!("{e}"))?;
-    let mut failures = 0usize;
     for handle in &handles {
         let why = match handle.state() {
             JobState::Done(report) => {
@@ -685,75 +660,15 @@ fn cmd_batch(positional: &[String], flags: &HashMap<String, String>) -> Result<(
         gesmc_obs::error!(target: "gesmc::batch", id: handle.name(), "FAILED: {why}");
     }
     if failures > 0 {
-        return Err(format!("{failures} of {} jobs failed", handles.len()));
+        return Err(format!("{failures} of {total} jobs failed"));
     }
-    gesmc_obs::info!(target: "gesmc::batch", "all {} jobs finished", handles.len());
+    gesmc_obs::info!(target: "gesmc::batch", "all {total} jobs finished");
     Ok(())
-}
-
-/// `gesmc batch --mmap`: run every manifest job out-of-core, one at a time
-/// (each job owns the chunk budget), streaming binary samples into the
-/// manifest's output directory.  Jobs need a binary `GESMCEL1` file source
-/// and a store-capable chain; anything else fails that job, not the batch.
-fn batch_external(manifest_path: &str, manifest: &Manifest, budget: usize) -> Result<(), String> {
-    std::fs::create_dir_all(&manifest.output_dir).map_err(|e| format!("{e}"))?;
-    if let Some(dir) = &manifest.checkpoint_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("{e}"))?;
-    }
-    gesmc_obs::info!(
-        target: "gesmc::batch",
-        "batch {manifest_path}: {} jobs out-of-core ({budget} B budget each) -> {}",
-        manifest.jobs.len(),
-        manifest.output_dir.display()
-    );
-    let mut failures = 0usize;
-    for spec in &manifest.jobs {
-        let result = external_job_from_spec(spec, manifest, budget)
-            .and_then(|job| run_external_job(default_registry(), &job).map_err(|e| format!("{e}")));
-        match result {
-            Ok(report) => {
-                gesmc_obs::info!(target: "gesmc::batch", id: spec.name, "{}", report.summary());
-            }
-            Err(e) => {
-                failures += 1;
-                gesmc_obs::error!(target: "gesmc::batch", id: spec.name, "FAILED: {e}");
-            }
-        }
-    }
-    if failures > 0 {
-        return Err(format!("{failures} of {} jobs failed", manifest.jobs.len()));
-    }
-    gesmc_obs::info!(target: "gesmc::batch", "all {} jobs finished", manifest.jobs.len());
-    Ok(())
-}
-
-/// Map one manifest [`JobSpec`] onto an [`ExternalJob`].
-fn external_job_from_spec(
-    spec: &JobSpec,
-    manifest: &Manifest,
-    budget: usize,
-) -> Result<ExternalJob, String> {
-    let GraphSource::File(path) = &spec.source else {
-        return Err("--mmap requires a file graph source".to_string());
-    };
-    let input = path.to_string_lossy();
-    require_binary_input(&input)?;
-    let mut job = ExternalJob::new(spec.name.clone(), path, spec.algorithm.clone(), budget)
-        .supersteps(spec.supersteps)
-        .thinning(spec.thinning)
-        .seed(spec.seed)
-        .scratch(manifest.output_dir.join(format!("{}.scratch.el", spec.name)))
-        .output(ExternalOutput::Directory(manifest.output_dir.clone()));
-    if let Some(every) = spec.checkpoint_every {
-        if let Some(dir) = spec.checkpoint_dir.clone().or_else(|| manifest.checkpoint_dir.clone()) {
-            job = job.checkpoint(every, dir);
-        }
-    }
-    Ok(job)
 }
 
 /// `gesmc resume job.ckpt`: continue an interrupted job from its checkpoint,
-/// bit-identically to a run that was never interrupted.
+/// bit-identically to a run that was never interrupted — in memory, or with
+/// `--mmap` streaming the checkpointed edges into a disk-backed store.
 fn cmd_resume(positional: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
     let checkpoint_path = match positional {
         [path] => path,
@@ -773,37 +688,39 @@ fn cmd_resume(positional: &[String], flags: &HashMap<String, String>) -> Result<
             "memory-budget",
         ],
     )?;
-    if let Some(budget) = parse_mmap_flags(flags)? {
-        return resume_external(checkpoint_path, flags, budget);
-    }
-    let checkpoint = Checkpoint::read_from_file(checkpoint_path).map_err(|e| format!("{e}"))?;
-    // Resolve the checkpoint header through the registry (it accepts the
-    // recorded chain name); unknown chains fail here with the known list.
-    let info = default_registry().resolve(checkpoint.chain_name()).map_err(|e| format!("{e}"))?;
-    let graph = checkpoint.snapshot.graph().map_err(|e| format!("{e}"))?;
-
-    let mut spec = JobSpec::new(
-        checkpoint.job_name.clone(),
-        GraphSource::InMemory(graph),
-        ChainSpec::new(info.name),
-    )
-    .supersteps(checkpoint.total_supersteps)
-    .thinning(checkpoint.thinning)
-    .seed(checkpoint.snapshot.seed)
-    .loop_probability(checkpoint.snapshot.loop_probability)
-    .prefetch(checkpoint.snapshot.prefetch);
+    let budget = parse_mmap_flags(flags)?;
+    // Both modes build the job from the checkpoint header; the chain, its
+    // parameters and its state come from the checkpoint itself.
+    let header =
+        CheckpointReader::open(checkpoint_path).map_err(|e| format!("{e}"))?.meta().clone();
+    // Resolve the header's chain name through the registry; unknown chains
+    // fail here with the known list.
+    let info = default_registry().resolve(header.chain_name()).map_err(|e| format!("{e}"))?;
+    let (source, checkpoint) = match budget {
+        Some(memory_budget) => {
+            let path = PathBuf::from(checkpoint_path);
+            let scratch = path.with_extension("scratch.el");
+            (GraphSource::OutOfCore { path, scratch, memory_budget }, None)
+        }
+        // Never loaded: run_job rebuilds the graph from the checkpoint.
+        None => (
+            GraphSource::File(PathBuf::from(checkpoint_path)),
+            Some(Checkpoint::read_from_file(checkpoint_path).map_err(|e| format!("{e}"))?),
+        ),
+    };
+    let mut spec = JobSpec::new(header.job_name.clone(), source, ChainSpec::new(info.name))
+        .supersteps(header.total_supersteps)
+        .thinning(header.thinning);
     if let Some(supersteps) = parse_flag::<u64>(flags, "supersteps")? {
-        if supersteps <= checkpoint.snapshot.supersteps_done {
+        if supersteps <= header.snapshot.supersteps_done {
             return Err(format!(
                 "--supersteps {supersteps} is not beyond the checkpoint's superstep {}",
-                checkpoint.snapshot.supersteps_done
+                header.snapshot.supersteps_done
             ));
         }
         spec.supersteps = supersteps;
     }
-    if let Some(threads) = parse_flag::<usize>(flags, "threads")? {
-        spec.threads = Some(threads);
-    }
+    spec.threads = parse_flag(flags, "threads")?;
     // Inexact parallel chains (naive-par-es) interleave switches racily
     // across threads, so their resumed trajectory is only a function of the
     // checkpoint state under a single-threaded pool (see
@@ -823,10 +740,10 @@ fn cmd_resume(positional: &[String], flags: &HashMap<String, String>) -> Result<
     // in the checkpoint file; `--checkpoint-every` re-enables it, writing to
     // the resumed checkpoint's own directory unless overridden.
     if let Some(every) = parse_flag::<u64>(flags, "checkpoint-every")? {
-        let default_dir = std::path::Path::new(checkpoint_path)
+        let default_dir = Path::new(checkpoint_path)
             .parent()
             .filter(|dir| !dir.as_os_str().is_empty())
-            .unwrap_or_else(|| std::path::Path::new("."))
+            .unwrap_or_else(|| Path::new("."))
             .to_path_buf();
         spec.checkpoint_every = Some(every);
         spec.checkpoint_dir =
@@ -838,81 +755,24 @@ fn cmd_resume(positional: &[String], flags: &HashMap<String, String>) -> Result<
     let samples_dir = flags.get("samples-dir").map(String::as_str).unwrap_or("samples");
     gesmc_obs::info!(
         target: "gesmc::resume",
-        id: checkpoint.job_name,
-        "resuming ({}) at superstep {} of {}, samples -> {samples_dir}",
-        info.name, checkpoint.snapshot.supersteps_done, spec.supersteps
+        id: header.job_name,
+        "resuming ({}{}) at superstep {} of {}, samples -> {samples_dir}",
+        info.name,
+        budget.map(|b| format!(", out of core, {b} B budget")).unwrap_or_default(),
+        header.snapshot.supersteps_done,
+        spec.supersteps
     );
 
-    let mut sink =
-        EdgeListFileSink::new(samples_dir, &checkpoint.job_name).map_err(|e| format!("{e}"))?;
-    let report =
-        run_job(default_registry(), &spec, &mut sink, Some(&checkpoint), &JobControl::new(), None)
-            .map_err(|e| format!("{e}"))?;
-    gesmc_obs::info!(target: "gesmc::resume", id: checkpoint.job_name, "{}", report.summary());
+    let mut sink = EdgeListFileSink::new(samples_dir, &header.job_name)
+        .map_err(|e| format!("{e}"))?
+        .binary(budget.is_some());
+    let resume = checkpoint.as_ref();
+    let report = run_job(default_registry(), &spec, &mut sink, resume, &JobControl::new(), None)
+        .map_err(|e| format!("{e}"))?;
+    gesmc_obs::info!(target: "gesmc::resume", id: header.job_name, "{}", report.summary());
     for path in sink.written() {
         gesmc_obs::info!(target: "gesmc::resume", "wrote {}", path.display());
     }
-    Ok(())
-}
-
-/// `gesmc resume --mmap`: continue an interrupted job out-of-core.  Only the
-/// checkpoint header is read up front; the edge payload streams straight
-/// into a fresh scratch store, so resuming never needs the graph in memory.
-fn resume_external(
-    checkpoint_path: &str,
-    flags: &HashMap<String, String>,
-    budget: usize,
-) -> Result<(), String> {
-    let reader = CheckpointReader::open(checkpoint_path).map_err(|e| format!("{e}"))?;
-    let meta = reader.meta().clone();
-    drop(reader);
-    let mut supersteps = meta.total_supersteps;
-    if let Some(t) = parse_flag::<u64>(flags, "supersteps")? {
-        if t <= meta.snapshot.supersteps_done {
-            return Err(format!(
-                "--supersteps {t} is not beyond the checkpoint's superstep {}",
-                meta.snapshot.supersteps_done
-            ));
-        }
-        supersteps = t;
-    }
-    let samples_dir = flags.get("samples-dir").map(String::as_str).unwrap_or("samples");
-    std::fs::create_dir_all(samples_dir).map_err(|e| format!("{e}"))?;
-    // The chain and its parameters come from the checkpoint itself (the
-    // spec placed here is ignored by the resume path).
-    let mut job = ExternalJob::new(
-        meta.job_name.clone(),
-        checkpoint_path,
-        ChainSpec::new(meta.snapshot.algorithm.clone()),
-        budget,
-    )
-    .supersteps(supersteps)
-    .thinning(meta.thinning)
-    .scratch(std::path::Path::new(checkpoint_path).with_extension("scratch.el"))
-    .output(ExternalOutput::Directory(PathBuf::from(samples_dir)));
-    if let Some(every) = parse_flag::<u64>(flags, "checkpoint-every")? {
-        let default_dir = std::path::Path::new(checkpoint_path)
-            .parent()
-            .filter(|dir| !dir.as_os_str().is_empty())
-            .unwrap_or_else(|| std::path::Path::new("."))
-            .to_path_buf();
-        job.checkpoint_every = Some(every);
-        job.checkpoint_dir =
-            Some(flags.get("checkpoint-dir").map(PathBuf::from).unwrap_or(default_dir));
-    } else if flags.contains_key("checkpoint-dir") {
-        return Err("--checkpoint-dir needs --checkpoint-every".to_string());
-    }
-    gesmc_obs::info!(
-        target: "gesmc::resume",
-        id: meta.job_name,
-        "resuming out-of-core ({}) at superstep {} of {supersteps}, \
-         budget {budget} B, samples -> {samples_dir}",
-        meta.snapshot.algorithm,
-        meta.snapshot.supersteps_done
-    );
-    let report = resume_external_job(default_registry(), &job, checkpoint_path)
-        .map_err(|e| format!("{e}"))?;
-    gesmc_obs::info!(target: "gesmc::resume", id: meta.job_name, "{}", report.summary());
     Ok(())
 }
 

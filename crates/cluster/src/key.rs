@@ -85,6 +85,16 @@ impl GraphParams {
     }
 }
 
+/// The service's limit on a power-law exponent: above 1 (the pld generator
+/// needs it) and at most 10.  Callers prefix the error with the field name.
+pub fn check_service_gamma(gamma: f64) -> Result<(), String> {
+    if gamma > 1.0 && gamma <= 10.0 {
+        Ok(())
+    } else {
+        Err(format!("must lie in (1, 10], got {gamma}"))
+    }
+}
+
 /// Parse the compact generator grammar `family[:key=value,…]` with keys
 /// `n` (nodes), `m` (edges), `gamma`, `seed` — e.g. `pld:m=2000,gamma=2.5`.
 /// Family names are not validated here (the server checks membership against
@@ -111,10 +121,7 @@ pub fn canonical_graph_spec(raw: &str) -> Result<GraphParams, String> {
             "m" => edges = value.parse().map_err(|_| bad("edge count"))?,
             "gamma" => {
                 gamma = value.parse().map_err(|_| bad("exponent"))?;
-                // The pld generator requires gamma strictly above 1.
-                if !(gamma > 1.0 && gamma <= 10.0) {
-                    return Err(format!("gamma must lie in (1, 10], got {gamma}"));
-                }
+                check_service_gamma(gamma).map_err(|e| format!("gamma {e}"))?;
             }
             "seed" => seed = value.parse().map_err(|_| bad("seed"))?,
             other => {

@@ -42,6 +42,6 @@ pub mod ring;
 pub mod wire;
 
 pub use health::{HealthPolicy, HealthTracker, PeerStatus};
-pub use key::{canonical_graph_spec, GraphParams, SampleKey};
+pub use key::{canonical_graph_spec, check_service_gamma, GraphParams, SampleKey};
 pub use ring::{HashRing, RingError, DEFAULT_VNODES};
 pub use wire::{request, request_with_timeouts, WireError, WireResponse};

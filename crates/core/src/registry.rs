@@ -52,8 +52,9 @@ pub type ChainFactory = fn(
 /// `--mmap` out-of-core execution.
 ///
 /// Registered *in addition to* a chain's ordinary [`ChainFactory`] via
-/// [`ChainRegistry::register_store_factory`], so the external runner resolves
-/// it through the registry like everything else — no engine special-casing.
+/// [`ChainRegistry::register_store_factory`], so the engine's out-of-core jobs
+/// resolve it through the registry like everything else — no chain-specific
+/// engine code.
 pub type StoreChainFactory = fn(
     Box<dyn EdgeStore + Send>,
     SwitchingConfig,

@@ -3,9 +3,10 @@
 //! A chain built over an [`EdgeStore`](gesmc_graph::EdgeStore) can run on
 //! graphs that never fit in RAM, so the in-memory convenience methods of
 //! [`EdgeSwitching`] (`graph()`, `snapshot()` with a full edge vector) are the
-//! wrong interface for it: the engine's external runner instead streams edges
-//! straight from the store ([`StoreSwitching::stream_edges`]) and checkpoints
-//! metadata and edge payload separately ([`StoreSwitching::snapshot_meta`] /
+//! wrong interface for it.  The engine's one job loop (`run_job`, for an
+//! out-of-core job) instead streams samples straight from the store
+//! ([`StoreSwitching::stream_edges`]) and checkpoints metadata and edge
+//! payload separately ([`StoreSwitching::snapshot_meta`] /
 //! [`StoreSwitching::restore_meta`]).
 //!
 //! The invariant tying the two interfaces together: **the storage backend

@@ -48,7 +48,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"GESMCKP1";
+pub(crate) const MAGIC: &[u8; 8] = b"GESMCKP1";
 const VERSION: u32 = 1;
 const FLAG_PREFETCH: u32 = 1;
 

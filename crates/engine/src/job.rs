@@ -14,9 +14,11 @@ use gesmc_core::{
     ChainSpec, ParamValue, SwitchingConfig,
 };
 use gesmc_datasets::{netrep_like::family_graph, syn_gnp_graph, syn_pld_graph, GraphFamily};
-use gesmc_graph::io::read_edge_list_file;
+use gesmc_graph::io::{
+    is_binary_edge_list_file, read_edge_list_binary_file, read_edge_list_file, IoError,
+};
 use gesmc_graph::EdgeListGraph;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The synthetic graph families [`GraphSource::Generated`] dispatches on —
 /// the single source of truth for everything that validates a family name
@@ -26,7 +28,8 @@ pub const GRAPH_FAMILIES: &[&str] = &["gnp", "pld", "road", "mesh", "dense"];
 /// Where a job's input graph comes from.
 #[derive(Debug, Clone)]
 pub enum GraphSource {
-    /// A plain-text edge-list file (`u v` per line).
+    /// An edge-list file: binary `GESMCEL1` (told apart by its magic) or
+    /// plain text (`u v` per line).
     File(PathBuf),
     /// An already-loaded graph (library use, tests, resume).
     InMemory(EdgeListGraph),
@@ -43,13 +46,28 @@ pub enum GraphSource {
         /// Generator seed.
         seed: u64,
     },
+    /// A graph kept out of core: a store-capable chain (`seq-es-ext`)
+    /// randomizes a disk-backed copy under a bounded chunk cache, and the
+    /// job streams its samples and checkpoints from there.
+    OutOfCore {
+        /// A binary `GESMCEL1` edge list to start from, or a `GESMCKP1`
+        /// checkpoint to resume from (its chain, state and samples so far);
+        /// the 8-byte magic tells which.
+        path: PathBuf,
+        /// The working copy the chain randomizes; removed when the job ends.
+        scratch: PathBuf,
+        /// Byte budget of the store's chunk cache.
+        memory_budget: usize,
+    },
 }
 
 impl GraphSource {
     /// Materialise the input graph.
     pub fn load(&self) -> Result<EdgeListGraph, EngineError> {
         match self {
-            GraphSource::File(path) => read_edge_list_file(path)
+            // An out-of-core edge list loads like a file (its checkpoint
+            // form does not); `run_job` streams it instead.
+            GraphSource::File(path) | GraphSource::OutOfCore { path, .. } => read_graph_file(path)
                 .map_err(|e| EngineError::Graph(format!("{}: {e}", path.display()))),
             GraphSource::InMemory(graph) => Ok(graph.clone()),
             GraphSource::Generated { family, nodes, edges, gamma, seed } => {
@@ -81,6 +99,7 @@ impl GraphSource {
     pub fn describe(&self) -> String {
         match self {
             GraphSource::File(path) => path.display().to_string(),
+            GraphSource::OutOfCore { path, .. } => format!("{} (out of core)", path.display()),
             GraphSource::InMemory(graph) => {
                 format!("in-memory (n = {}, m = {})", graph.num_nodes(), graph.num_edges())
             }
@@ -88,6 +107,16 @@ impl GraphSource {
                 format!("generated {family} (m ≈ {edges})")
             }
         }
+    }
+}
+
+/// Read an edge-list file in either format: binary `GESMCEL1` when it starts
+/// with that magic, plain text otherwise.
+fn read_graph_file(path: &Path) -> Result<EdgeListGraph, IoError> {
+    if is_binary_edge_list_file(path)? {
+        read_edge_list_binary_file(path)
+    } else {
+        read_edge_list_file(path)
     }
 }
 
@@ -230,6 +259,21 @@ mod tests {
             Err(EngineError::Graph(msg)) => assert!(msg.contains("gesmc-test.txt")),
             other => panic!("expected Graph error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn file_sources_read_text_and_binary_edge_lists_alike() {
+        let dir = std::env::temp_dir().join("gesmc-job-file-formats-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let graph = gesmc_graph::gen::gnp(&mut gesmc_randx::rng_from_seed(4), 40, 0.1);
+        gesmc_graph::io::write_edge_list_file(dir.join("g.txt"), &graph).unwrap();
+        gesmc_graph::io::write_edge_list_binary_file(dir.join("g.el"), &graph).unwrap();
+        for name in ["g.txt", "g.el"] {
+            let loaded = GraphSource::File(dir.join(name)).load().unwrap();
+            assert_eq!(loaded.edges(), graph.edges(), "{name}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

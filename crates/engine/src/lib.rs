@@ -6,12 +6,14 @@
 //! samples (Sec. 6.1) — needs more machinery around them:
 //!
 //! * **one run path**: [`run_job`] drives every job — batch, study, service
-//!   and library calls alike — inside the job's bounded rayon pool, so
-//!   concurrent parallel chains do not oversubscribe the machine;
-//! * **streaming samples**: every `k`-th superstep the current graph is
+//!   and library calls alike, on the heap or out of core over a disk-backed
+//!   store ([`GraphSource::OutOfCore`]) — inside the job's bounded rayon
+//!   pool, so concurrent parallel chains do not oversubscribe the machine;
+//! * **streaming samples**: every `k`-th superstep the current state is
 //!   handed to a [`SampleSink`] as an independent thinned sample — to an
 //!   edge-list file, an in-memory store, or a user callback — instead of
-//!   keeping only the final state;
+//!   keeping only the final state; a [`SampleView`] streams an out-of-core
+//!   sample from its store;
 //! * **checkpoint/resume**: a binary [`Checkpoint`] captures the edge array,
 //!   the exact PRNG stream state and the superstep counter, so interrupted
 //!   chains resume *bit-identically* to an uninterrupted run instead of
@@ -58,7 +60,6 @@
 pub mod checkpoint;
 pub mod control;
 pub mod error;
-pub mod external;
 pub mod job;
 pub mod manifest;
 pub mod pool;
@@ -68,13 +69,14 @@ pub mod sink;
 pub use checkpoint::{Checkpoint, CheckpointReader, CheckpointSink, CheckpointWriter};
 pub use control::{JobControl, JobProgress};
 pub use error::EngineError;
-pub use external::{resume_external_job, run_external_job, ExternalJob, ExternalOutput};
 pub use gesmc_core::{ChainError, ChainInfo, ChainRegistry, ChainSpec, ParamValue};
 pub use job::{GraphSource, JobSpec, GRAPH_FAMILIES};
 pub use manifest::Manifest;
 pub use pool::{run_job, JobReport};
 pub use service::{JobHandle, JobState, QueuedJob, ServicePool, SubmitError};
-pub use sink::{CallbackSink, EdgeListFileSink, MemorySink, NullSink, SampleContext, SampleSink};
+pub use sink::{
+    CallbackSink, EdgeListFileSink, MemorySink, NullSink, SampleContext, SampleSink, SampleView,
+};
 
 use std::sync::OnceLock;
 
@@ -100,7 +102,8 @@ pub fn default_registry() -> &'static ChainRegistry {
 
 /// Run every job of `manifest` on a [`ServicePool`] of `manifest.workers`
 /// threads, streaming thinned samples into per-job edge-list files under
-/// `manifest.output_dir`.
+/// `manifest.output_dir`: binary `GESMCEL1` for [`GraphSource::OutOfCore`]
+/// jobs, plain text for the rest.
 ///
 /// Jobs that fail individually (unreadable input, violated invariants, a
 /// panic) do not abort the batch: the returned handles — one per job, in
@@ -114,7 +117,8 @@ pub fn run_batch(manifest: &Manifest) -> Result<Vec<JobHandle>, EngineError> {
     let pool = ServicePool::start(manifest.workers, 0);
     let mut handles = Vec::with_capacity(manifest.jobs.len());
     for spec in &manifest.jobs {
-        let sink = EdgeListFileSink::new(&manifest.output_dir, &spec.name)?;
+        let out_of_core = matches!(spec.source, GraphSource::OutOfCore { .. });
+        let sink = EdgeListFileSink::new(&manifest.output_dir, &spec.name)?.binary(out_of_core);
         let job = QueuedJob::new(spec.clone(), Box::new(sink));
         handles.push(pool.submit(job).expect("an unbounded running pool accepts every job"));
     }

@@ -44,6 +44,7 @@ use crate::error::EngineError;
 use crate::job::{GraphSource, JobSpec};
 use gesmc_core::spec::{ChainSpec, PARAM_LOOP_PROBABILITY, PARAM_PREFETCH};
 use gesmc_core::ChainRegistry;
+use gesmc_graph::gen::check_gamma;
 use serde_json::Value;
 use std::path::{Path, PathBuf};
 
@@ -129,13 +130,15 @@ fn parse_job(
                     EngineError::Manifest(format!("{context}: \"generate\" needs a \"family\""))
                 })?
                 .to_string();
+            let gamma = field_f64(generate, "gamma", &context)?.unwrap_or(2.5);
+            check_gamma(gamma).map_err(|e| EngineError::Manifest(format!("{context}: {e}")))?;
             GraphSource::Generated {
                 family,
                 nodes: field_u64(generate, "nodes", &context)?.unwrap_or(0) as usize,
                 edges: field_u64(generate, "edges", &context)?.ok_or_else(|| {
                     EngineError::Manifest(format!("{context}: \"generate\" needs \"edges\""))
                 })? as usize,
-                gamma: field_f64(generate, "gamma", &context)?.unwrap_or(2.5),
+                gamma,
                 seed: field_u64(generate, "seed", &context)?.unwrap_or(1),
             }
         }
@@ -390,6 +393,10 @@ mod tests {
         );
         expect_manifest_error(r#"{"jobs": [{"input": "a", "loop_probability": 1.5}]}"#, "[0, 1)");
         expect_manifest_error(r#"{"jobs": [{"generate": {"family": "pld"}}]}"#, "edges");
+        expect_manifest_error(
+            r#"{"jobs": [{"generate": {"family": "pld", "edges": 9, "gamma": 0.5}}]}"#,
+            "gamma must exceed 1",
+        );
         expect_manifest_error(
             r#"{"jobs": [{"input": "a", "algo": "x", "algorithm": "y"}]}"#,
             "only one",

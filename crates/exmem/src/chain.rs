@@ -289,7 +289,7 @@ impl EdgeSwitching for SeqESExt {
         snapshot.check_algorithm(self.name())?;
         // The generic restore path replaces whatever store the chain had
         // with an in-memory one holding the snapshot's edges; resuming onto
-        // an *external* store goes through `restore_meta` after the runner
+        // an *external* store goes through `restore_meta` after the engine
         // has loaded the edge payload into the store.
         let graph = snapshot.graph()?;
         self.num_nodes = graph.num_nodes();

@@ -27,7 +27,9 @@
 //! [`register`] plugs the `seq-es-ext` chain (plus its store-aware factory)
 //! into any [`ChainRegistry`], which is how `gesmc_engine::default_registry`
 //! makes it selectable from manifests, studies, checkpoints, the CLI, and
-//! the HTTP API without special-casing.
+//! the HTTP API without special-casing.  Out of core, `gesmc_engine::run_job`
+//! builds it over an [`ExternalEdgeStore`] for a `GraphSource::OutOfCore`
+//! job — the same job loop every in-memory job runs on.
 
 #![warn(missing_docs)]
 

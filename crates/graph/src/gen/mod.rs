@@ -16,4 +16,4 @@ pub use chung_lu::chung_lu;
 pub use configuration::{configuration_model_erased, configuration_model_multigraph};
 pub use gnp::{gnp, gnp_stream, gnp_with_expected_edges};
 pub use havel_hakimi::{havel_hakimi, HavelHakimiError};
-pub use pld::{powerlaw_degree_sequence, PowerlawConfig};
+pub use pld::{check_gamma, powerlaw_degree_sequence, PowerlawConfig};

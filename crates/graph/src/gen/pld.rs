@@ -34,11 +34,21 @@ impl PowerlawConfig {
     }
 
     /// The analytic maximum-degree bound `Δ = n^{1/(γ−1)}` (at least 1, at
-    /// most `n − 1`).
+    /// most `n − 1`).  Panics if `gamma ≤ 1` (parsers call [`check_gamma`]).
     pub fn natural_cutoff(n: usize, gamma: f64) -> u32 {
         assert!(gamma > 1.0, "gamma must exceed 1");
         let cutoff = (n as f64).powf(1.0 / (gamma - 1.0));
         (cutoff.floor() as u32).clamp(1, n.saturating_sub(1).max(1) as u32)
+    }
+}
+
+/// Check a power-law exponent before generating: the sampler needs `γ > 1`,
+/// and parsers report a bad value as an error instead of a panic.
+pub fn check_gamma(gamma: f64) -> Result<(), String> {
+    if gamma > 1.0 {
+        Ok(())
+    } else {
+        Err(format!("gamma must exceed 1, got {gamma}"))
     }
 }
 

@@ -550,13 +550,9 @@ fn parse_job_graph(state: &ServerState, body: &Value) -> Result<GraphSource, Res
                 ));
             }
             let gamma = generate.get("gamma").and_then(|v| v.as_f64()).unwrap_or(2.5);
-            // The pld generator requires gamma strictly above 1; reject at
-            // parse time rather than panicking an engine worker.
-            if !(gamma > 1.0 && gamma <= 10.0) {
-                return Err(Response::error(
-                    400,
-                    &format!("\"gamma\" must lie in (1, 10], got {gamma}"),
-                ));
+            // Reject at parse time rather than panicking an engine worker.
+            if let Err(e) = gesmc_cluster::check_service_gamma(gamma) {
+                return Err(Response::error(400, &format!("\"gamma\" {e}")));
             }
             let seed = generate.get("seed").and_then(|v| v.as_u64()).unwrap_or(1);
             // Validate the family eagerly for a parse-time error.
@@ -687,7 +683,8 @@ fn submit_job(state: &Arc<ServerState>, request: &Request, request_id: &str) -> 
     let edge_estimate = match &source {
         GraphSource::InMemory(graph) => graph.num_edges() as u64,
         GraphSource::Generated { edges, .. } => *edges as u64,
-        GraphSource::File(_) => 0, // not constructible through this API
+        // Not constructible through this API.
+        GraphSource::File(_) | GraphSource::OutOfCore { .. } => 0,
     };
     const RETAINED_BYTES_PER_EDGE: u64 = 24;
     let retained_estimate =
@@ -735,7 +732,8 @@ fn submit_job(state: &Arc<ServerState>, request: &Request, request_id: &str) -> 
                 }
                 PersistedGraph::File
             }
-            GraphSource::File(_) => PersistedGraph::File, // not constructible through this API
+            // Not constructible through this API.
+            GraphSource::File(_) | GraphSource::OutOfCore { .. } => PersistedGraph::File,
         };
         let meta = JobMeta {
             id,

@@ -15,7 +15,7 @@
 //! last superstep completed.
 
 use gesmc_analysis::{EdgeTracker, ProxyTrace, ThinnedAutocorrelation};
-use gesmc_engine::{EngineError, JobReport, SampleContext, SampleSink};
+use gesmc_engine::{EngineError, JobReport, SampleContext, SampleSink, SampleView};
 use gesmc_graph::EdgeListGraph;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -80,12 +80,13 @@ impl MetricsSink {
 }
 
 impl SampleSink for MetricsSink {
-    fn emit(&mut self, ctx: &SampleContext<'_>, sample: &EdgeListGraph) -> Result<(), EngineError> {
-        let bits = self.tracker.presence(sample);
+    fn emit(&mut self, ctx: &SampleContext<'_>, view: &SampleView<'_>) -> Result<(), EngineError> {
+        let sample = view.graph();
+        let bits = self.tracker.presence(&sample);
         self.acc.observe(&bits);
         if self.proxy_stride > 0 && ctx.superstep % self.proxy_stride == 0 {
             self.proxy_supersteps.push(ctx.superstep);
-            self.proxies.record(sample);
+            self.proxies.record(&sample);
         }
         Ok(())
     }

@@ -39,6 +39,7 @@
 
 use crate::error::StudyError;
 use gesmc_engine::{default_registry, ChainSpec};
+use gesmc_graph::gen::check_gamma;
 use serde_json::Value;
 use std::path::PathBuf;
 
@@ -252,11 +253,13 @@ fn parse_graph(value: &Value, index: usize) -> Result<GraphSpec, StudyError> {
              (it keys file names and CSV rows)"
         )));
     }
+    let gamma = field_f64(value, "gamma", &context)?.unwrap_or(2.5);
+    check_gamma(gamma).map_err(|e| StudyError::Spec(format!("{context}: {e}")))?;
     Ok(GraphSpec {
         family,
         nodes: field_u64(value, "nodes", &context)?.unwrap_or(0) as usize,
         edges,
-        gamma: field_f64(value, "gamma", &context)?.unwrap_or(2.5),
+        gamma,
         label,
     })
 }
@@ -630,6 +633,11 @@ mod tests {
         expect_spec_error(
             r#"{"name": "x", "chains": ["seq-es"], "graphs": [{"family": "gnp"}]}"#,
             "edges",
+        );
+        expect_spec_error(
+            r#"{"name": "x", "chains": ["seq-es"],
+                "graphs": [{"family": "pld", "edges": 9, "gamma": 0.5}], "thinnings": [1]}"#,
+            "gamma must exceed 1",
         );
         expect_spec_error(
             r#"{"name": "x", "chains": ["seq-es"],

@@ -20,7 +20,8 @@
 //!   `seq-es`; `gesmc randomize --mmap` on the command line);
 //! * [`randx`] — randomness utilities (bounded sampling, permutations);
 //! * [`engine`] — the batched randomization job engine: one job driver
-//!   (`run_job`), streaming thinned-sample sinks, binary checkpoint/resume,
+//!   (`run_job`) for in-memory and out-of-core jobs, streaming
+//!   thinned-sample sinks, binary checkpoint/resume,
 //!   and one job pool (`ServicePool`) with cancellation and graceful
 //!   shutdown that runs batches, studies and the HTTP service;
 //! * [`serve`] — the HTTP sampling service (`gesmc serve`): hand-rolled
@@ -88,7 +89,8 @@ pub mod prelude {
     };
     pub use gesmc_engine::{
         default_registry, run_batch, run_job, Checkpoint, CheckpointSink, GraphSource, JobControl,
-        JobHandle, JobSpec, JobState, Manifest, MemorySink, QueuedJob, SampleSink, ServicePool,
+        JobHandle, JobSpec, JobState, Manifest, MemorySink, QueuedJob, SampleSink, SampleView,
+        ServicePool,
     };
     pub use gesmc_exmem::{ExternalEdgeStore, MappedEdgeList, SeqESExt};
     pub use gesmc_graph::{DegreeSequence, Edge, EdgeListGraph, EdgeStore};

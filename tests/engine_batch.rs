@@ -213,10 +213,19 @@ fn engine_checkpoint_files_resume_through_run_job() {
 #[test]
 fn failed_jobs_are_isolated_in_batch_outcomes() {
     // An unreadable input fails its job with an error; a pld generator with
-    // gamma <= 1 panics inside its job.  Neither may cost the batch: the
+    // gamma <= 1 panics inside its job; an out-of-core job with a chain that
+    // cannot run over a store fails to build.  None may cost the batch: the
     // jobs around them still finish, and each failure reports its text.
     let dir = temp_dir("failures");
     let graph = gnp(&mut rng_from_seed(2), 50, 0.1);
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("input.el");
+    gesmc_graph::io::write_edge_list_binary_file(&input, &graph).unwrap();
+    let out_of_core = |name: &str, algorithm: &str| {
+        let scratch = dir.join(format!("{name}.scratch.el"));
+        let source = GraphSource::OutOfCore { path: input.clone(), scratch, memory_budget: 1 };
+        JobSpec::new(name, source, ChainSpec::new(algorithm)).supersteps(3)
+    };
     let good = |name: &str| {
         let source = GraphSource::InMemory(graph.clone());
         JobSpec::new(name, source, ChainSpec::new("seq-es")).supersteps(3)
@@ -236,6 +245,8 @@ fn failed_jobs_are_isolated_in_batch_outcomes() {
             good("before"),
             JobSpec::new("boom", panicking, ChainSpec::new("seq-es")),
             good("after"),
+            out_of_core("ooc-good", "seq-es-ext"),
+            out_of_core("ooc-heap-chain", "seq-es"),
         ],
     };
     let handles = run_batch(&manifest).unwrap();
@@ -247,5 +258,14 @@ fn failed_jobs_are_isolated_in_batch_outcomes() {
     assert_eq!(report_of(&handles[1]).samples, 1);
     assert!(failure(&handles[2]).contains("panicked"));
     assert_eq!(report_of(&handles[3]).samples, 1);
+    assert_eq!(report_of(&handles[4]).samples, 1);
+    assert!(dir.join("ooc-good-s000003.el").exists(), "out-of-core samples are binary");
+    assert!(failure(&handles[5]).contains("seq-es-ext"), "the failure names the capable chains");
+    let scratches: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".scratch.el"))
+        .collect();
+    assert!(scratches.is_empty(), "left behind: {scratches:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

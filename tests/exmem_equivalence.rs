@@ -4,16 +4,14 @@
 //! `seq-es-ext` over a heap store, over an [`ExternalEdgeStore`] at a
 //! 1-byte chunk budget, and plain `seq-es` must all visit the identical
 //! edge arrays at equal seeds, whatever the batch cap.  Checkpoints taken
-//! by the in-memory engine and by the external runner must be byte-equal,
-//! and a checkpoint written by one backend must resume bit-identically
-//! through the other.  The `GESMC_EXMEM_NO_MMAP` fallback and corrupt
+//! by an in-memory and an out-of-core engine job must be byte-equal, and a
+//! checkpoint written by one backend must resume bit-identically through
+//! the other.  The `GESMC_EXMEM_NO_MMAP` fallback and corrupt
 //! mapped files round out the matrix.
 
 use gesmc::datasets::syn_gnp_graph;
 use gesmc::prelude::*;
-use gesmc_engine::{
-    resume_external_job, run_external_job, EngineError, ExternalJob, ExternalOutput,
-};
+use gesmc_engine::{EdgeListFileSink, EngineError};
 use gesmc_graph::io::{write_edge_list_binary, write_edge_list_binary_file};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -112,34 +110,40 @@ fn checkpoints_are_byte_equal_across_backends_and_resume_crosses_them() {
         .unwrap();
     assert_eq!(captured.0.len(), 1, "exactly the step-4 checkpoint");
 
-    // External run of the same job: the streamed checkpoint must be
+    // Out-of-core run of the same job: the streamed checkpoint must be
     // byte-identical to the in-memory capture.
-    let ext = ExternalJob::new("xjob", &input, spec, 4096)
-        .supersteps(8)
-        .thinning(2)
-        .seed(7)
-        .scratch(dir.join("run.scratch.el"))
-        .output(ExternalOutput::FinalFile(dir.join("external-final.el")))
-        .checkpoint(4, &dir);
-    run_external_job(default_registry(), &ext).unwrap();
+    let out_of_core = |path: PathBuf, scratch: &str| GraphSource::OutOfCore {
+        path,
+        scratch: dir.join(scratch),
+        memory_budget: 4096,
+    };
+    let ext =
+        JobSpec { source: out_of_core(input, "run.scratch.el"), ..job.clone() }.checkpoint(4, &dir);
+    let mut external_final =
+        EdgeListFileSink::new(dir.join("external"), "xjob").unwrap().binary(true);
+    run_job(default_registry(), &ext, &mut external_final, None, &JobControl::new(), None).unwrap();
     let external_ckpt = std::fs::read(dir.join("xjob.ckpt")).unwrap();
     assert_eq!(
         external_ckpt, captured.0[0],
         "in-memory and external checkpoints of the same job must be byte-equal"
     );
 
-    // Resume the *in-memory* checkpoint through the *external* (mmap-path)
-    // runner: the final sample must match the uninterrupted in-memory run
-    // bit for bit.
+    // Resume the *in-memory* checkpoint through an *out-of-core* (mmap-path)
+    // job: the final sample must match the uninterrupted in-memory run bit
+    // for bit.
     let handoff = dir.join("handoff.ckpt");
     std::fs::write(&handoff, &captured.0[0]).unwrap();
-    let resume = ExternalJob::new("xjob", &input, ChainSpec::new("seq-es-ext"), 4096)
-        .supersteps(8)
-        .thinning(2)
-        .seed(7)
-        .scratch(dir.join("resume.scratch.el"))
-        .output(ExternalOutput::FinalFile(dir.join("resumed-final.el")));
-    let report = resume_external_job(default_registry(), &resume, &handoff).unwrap();
+    let resume = JobSpec {
+        source: out_of_core(handoff, "resume.scratch.el"),
+        algorithm: ChainSpec::new("seq-es-ext"),
+        checkpoint_every: None,
+        ..job
+    };
+    let mut resumed_final =
+        EdgeListFileSink::new(dir.join("resumed"), "xjob").unwrap().binary(true);
+    let report =
+        run_job(default_registry(), &resume, &mut resumed_final, None, &JobControl::new(), None)
+            .unwrap();
     assert_eq!(report.resumed_from, 4);
 
     let store = sink.store();
@@ -149,12 +153,12 @@ fn checkpoints_are_byte_equal_across_backends_and_resume_crosses_them() {
     let mut expected = Vec::new();
     write_edge_list_binary(&mut expected, final_graph).unwrap();
     assert_eq!(
-        std::fs::read(dir.join("resumed-final.el")).unwrap(),
+        std::fs::read(dir.join("resumed/xjob-s000008.el")).unwrap(),
         expected,
         "cross-backend resume must reproduce the uninterrupted sample bytes"
     );
     assert_eq!(
-        std::fs::read(dir.join("external-final.el")).unwrap(),
+        std::fs::read(dir.join("external/xjob-s000008.el")).unwrap(),
         expected,
         "the uninterrupted external run must also match"
     );
