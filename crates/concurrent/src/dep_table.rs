@@ -158,8 +158,8 @@ impl DependencyTable {
     /// Returns the buckets of `[sources[0], sources[1], targets[0],
     /// targets[1]]`, which every later call about this switch takes.  By
     /// Observation 2 a superstep without source dependencies erases every
-    /// edge at most once; a second eraser indicates a bug in the caller and
-    /// panics in debug builds.
+    /// edge at most once; a second eraser indicates a bug in the caller, and
+    /// registration panics when it sees one.
     pub fn register(
         &self,
         k: u32,
@@ -171,7 +171,7 @@ impl DependencyTable {
         for (slot, key) in sources.into_iter().enumerate() {
             let b = self.claim(key);
             let eraser = &self.buckets[b].eraser;
-            debug_assert_eq!(
+            assert_eq!(
                 eraser.load(Ordering::Relaxed),
                 NONE,
                 "edge {key:#x} erased twice in one superstep (source dependency?)"

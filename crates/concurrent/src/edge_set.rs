@@ -10,17 +10,25 @@
 //! The set serves two distinct clients:
 //!
 //! * the **exact parallel chains** use it as the authoritative edge-existence
-//!   set: concurrent `contains` during a superstep, then batched parallel
-//!   `erase`/`insert` of the decided switches (no locks needed because
-//!   Observation 2 guarantees each edge is erased at most once and inserted by
-//!   at most one legal switch per superstep);
+//!   set.  With two or more threads a superstep runs concurrent `contains`,
+//!   then batched parallel `erase`/`insert` of the decided switches (no locks
+//!   needed because Observation 2 guarantees each edge is erased at most once
+//!   and inserted by at most one legal switch per superstep).  With one
+//!   thread the superstep runs its switches in order and writes through
+//!   [`ConcurrentEdgeSet::insert_mut`] / [`ConcurrentEdgeSet::erase_mut`]:
+//!   the `&mut` borrow proves that no other thread can probe the set, so a
+//!   plain store replaces the compare-and-swap and the atomic counter
+//!   updates;
 //! * **`NaiveParES`** uses the ticket semantics — lock an existing edge or
 //!   insert-and-lock a new one — to prevent concurrent updates of the same
 //!   edge while deliberately ignoring switch dependencies.
 //!
-//! Deleted entries become tombstones; the owner rebuilds the table between
-//! supersteps once tombstones start to degrade probe lengths
-//! ([`ConcurrentEdgeSet::needs_rebuild`] / [`ConcurrentEdgeSet::rebuild`]).
+//! Every insert, atomic or exclusive, takes the first empty bucket on its
+//! probe path, so both kinds of write leave the same layout and may follow
+//! each other on one set.  Deleted entries become tombstones; the owner
+//! rebuilds the table between supersteps once tombstones start to degrade
+//! probe lengths ([`ConcurrentEdgeSet::needs_rebuild`] /
+//! [`ConcurrentEdgeSet::rebuild`]).
 
 use crate::hash_edge;
 use crate::prefetch::prefetch_read_pair;
@@ -67,9 +75,9 @@ impl ConcurrentEdgeSet {
 
     /// Build a set containing the edges of `edges`.
     pub fn from_edges<'a>(edges: impl IntoIterator<Item = &'a Edge>, capacity_hint: usize) -> Self {
-        let set = Self::with_capacity(capacity_hint);
+        let mut set = Self::with_capacity(capacity_hint);
         for e in edges {
-            set.insert(*e);
+            set.insert_mut(*e);
         }
         set
     }
@@ -110,20 +118,65 @@ impl ConcurrentEdgeSet {
         prefetch_read_pair(&self.buckets, self.home_bucket(Self::key_of(edge)));
     }
 
-    /// Whether `edge` is in the set (locked or not).
-    pub fn contains(&self, edge: Edge) -> bool {
-        let key = Self::key_of(edge);
+    /// Probe for `key`: `Ok` with its bucket if present (locked or not),
+    /// else `Err` with the first empty bucket on its probe path.
+    #[inline]
+    fn find(&self, key: u64) -> Result<usize, usize> {
         let mut idx = self.home_bucket(key);
         loop {
             let slot = self.buckets[idx].load(Ordering::Acquire);
             if slot == EMPTY {
-                return false;
+                return Err(idx);
             }
             if slot != TOMBSTONE && (slot & EDGE_MASK) == key {
-                return true;
+                return Ok(idx);
             }
             idx = (idx + 1) & self.mask;
         }
+    }
+
+    /// Panic unless one more bucket can be filled with an empty one to spare,
+    /// which every probe loop needs to terminate.
+    fn assert_not_overfull(&self) {
+        assert!(
+            self.live.load(Ordering::Relaxed) + self.tombstones.load(Ordering::Relaxed)
+                < self.buckets.len() - 1,
+            "ConcurrentEdgeSet is overfull: size it for the graph's edge count and rebuild \
+             between supersteps to reclaim tombstones"
+        );
+    }
+
+    /// Whether `edge` is in the set (locked or not).
+    pub fn contains(&self, edge: Edge) -> bool {
+        self.find(Self::key_of(edge)).is_ok()
+    }
+
+    /// Insert `edge` unlocked through exclusive access; returns `false` if it
+    /// was already present.
+    ///
+    /// Leaves the same bucket layout as [`insert`](Self::insert) without its
+    /// compare-and-swap and atomic counter update.
+    pub fn insert_mut(&mut self, edge: Edge) -> bool {
+        self.assert_not_overfull();
+        let key = Self::key_of(edge);
+        let Err(idx) = self.find(key) else {
+            return false;
+        };
+        *self.buckets[idx].get_mut() = Self::entry(key, 0);
+        *self.live.get_mut() += 1;
+        true
+    }
+
+    /// Erase `edge` (regardless of its lock state) through exclusive access;
+    /// returns whether it was present.
+    pub fn erase_mut(&mut self, edge: Edge) -> bool {
+        let Ok(idx) = self.find(Self::key_of(edge)) else {
+            return false;
+        };
+        *self.buckets[idx].get_mut() = TOMBSTONE;
+        *self.live.get_mut() -= 1;
+        *self.tombstones.get_mut() += 1;
+        true
     }
 
     /// Insert `edge` unlocked; returns `false` if it was already present.
@@ -131,34 +184,32 @@ impl ConcurrentEdgeSet {
     /// Concurrent inserts of the *same* edge are resolved so that exactly one
     /// caller observes `true`.
     pub fn insert(&self, edge: Edge) -> bool {
-        assert!(
-            self.live.load(Ordering::Relaxed) + self.tombstones.load(Ordering::Relaxed)
-                < self.buckets.len() - 1,
-            "ConcurrentEdgeSet is overfull: size it for the graph's edge count and rebuild \
-             between supersteps to reclaim tombstones"
-        );
-        let key = Self::key_of(edge);
-        let mut idx = self.home_bucket(key);
+        self.insert_entry(Self::key_of(edge), 0)
+    }
+
+    /// Insert `key` locked by `lock` (0 = unlocked) into the first empty
+    /// bucket on its probe path; returns `false` if it was already present.
+    ///
+    /// A failed compare-and-swap means another insert took that bucket
+    /// first, so the probe starts again.  No bucket becomes empty again while
+    /// other threads can probe, so the retry passes the same buckets and
+    /// then examines the one that was just taken.
+    fn insert_entry(&self, key: u64, lock: u8) -> bool {
+        self.assert_not_overfull();
         loop {
-            let slot = self.buckets[idx].load(Ordering::Acquire);
-            if slot == EMPTY {
-                match self.buckets[idx].compare_exchange(
-                    EMPTY,
-                    Self::entry(key, 0),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        self.live.fetch_add(1, Ordering::Relaxed);
-                        return true;
-                    }
-                    Err(_) => continue, // re-examine the same bucket
-                }
-            }
-            if slot != TOMBSTONE && (slot & EDGE_MASK) == key {
+            let Err(idx) = self.find(key) else {
                 return false;
+            };
+            let taken = self.buckets[idx].compare_exchange(
+                EMPTY,
+                Self::entry(key, lock),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            );
+            if taken.is_ok() {
+                self.live.fetch_add(1, Ordering::Relaxed);
+                return true;
             }
-            idx = (idx + 1) & self.mask;
         }
     }
 
@@ -227,34 +278,10 @@ impl ConcurrentEdgeSet {
     /// [`LockOutcome::Acquired`].
     pub fn try_insert_and_lock(&self, edge: Edge, owner: u8) -> LockOutcome {
         debug_assert!(owner != 0, "owner id 0 denotes the unlocked state");
-        assert!(
-            self.live.load(Ordering::Relaxed) + self.tombstones.load(Ordering::Relaxed)
-                < self.buckets.len() - 1,
-            "ConcurrentEdgeSet is overfull: size it for the graph's edge count and rebuild \
-             between supersteps to reclaim tombstones"
-        );
-        let key = Self::key_of(edge);
-        let mut idx = self.home_bucket(key);
-        loop {
-            let slot = self.buckets[idx].load(Ordering::Acquire);
-            if slot == EMPTY {
-                match self.buckets[idx].compare_exchange(
-                    EMPTY,
-                    Self::entry(key, owner),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        self.live.fetch_add(1, Ordering::Relaxed);
-                        return LockOutcome::Acquired;
-                    }
-                    Err(_) => continue,
-                }
-            }
-            if slot != TOMBSTONE && (slot & EDGE_MASK) == key {
-                return LockOutcome::AlreadyPresent;
-            }
-            idx = (idx + 1) & self.mask;
+        if self.insert_entry(Self::key_of(edge), owner) {
+            LockOutcome::Acquired
+        } else {
+            LockOutcome::AlreadyPresent
         }
     }
 
@@ -327,35 +354,19 @@ impl ConcurrentEdgeSet {
     ///
     /// Requires exclusive access, which the chains have between supersteps.
     pub fn rebuild(&mut self) {
-        let live: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .filter(|&slot| slot != EMPTY && slot != TOMBSTONE)
-            .map(|slot| slot & EDGE_MASK)
-            .collect();
-        let cap = self.buckets.len();
+        let live: Vec<Edge> = self.iter().collect();
         for b in &mut self.buckets {
-            *b = AtomicU64::new(EMPTY);
+            *b.get_mut() = EMPTY;
         }
-        self.mask = cap - 1;
-        self.tombstones.store(0, Ordering::Relaxed);
-        self.live.store(live.len(), Ordering::Relaxed);
-        for key in live {
-            let mut idx = self.home_bucket(key);
-            loop {
-                if self.buckets[idx].load(Ordering::Relaxed) == EMPTY {
-                    self.buckets[idx].store(Self::entry(key, 0), Ordering::Relaxed);
-                    break;
-                }
-                idx = (idx + 1) & self.mask;
-            }
+        *self.live.get_mut() = 0;
+        *self.tombstones.get_mut() = 0;
+        for e in live {
+            self.insert_mut(e);
         }
     }
 
-    /// Iterate over the live edges (arbitrary order).  Intended for
-    /// diagnostics and tests; concurrent modification yields an unspecified
-    /// but memory-safe snapshot.
+    /// Iterate over the live edges in bucket order.  Concurrent
+    /// modification yields an unspecified but memory-safe snapshot.
     pub fn iter(&self) -> impl Iterator<Item = Edge> + '_ {
         self.buckets.iter().filter_map(|b| {
             let slot = b.load(Ordering::Relaxed);
@@ -491,6 +502,63 @@ mod tests {
         let set = ConcurrentEdgeSet::with_capacity(4);
         for i in 0..64u32 {
             set.insert(Edge::new(i, i + 1));
+        }
+    }
+
+    #[test]
+    fn exclusive_writes_match_a_hash_set_across_tombstones_and_rebuilds() {
+        // The edges {u, v} with u < v < 20: few enough that inserts of
+        // present edges and erases of missing ones are common.
+        let edge = |r: u64| {
+            let (a, b) = ((r % 20) as u32, ((r >> 8) % 19) as u32);
+            Edge::new(a, if b >= a { b + 1 } else { b })
+        };
+        let mut set = ConcurrentEdgeSet::with_capacity(128);
+        let mut model = std::collections::HashSet::new();
+        // Start from tombstones that the atomic erase left behind.
+        for r in 0..100u64 {
+            let e = edge(hash_edge(r));
+            assert_eq!(set.insert(e), model.insert(e));
+        }
+        for r in 0..100u64 {
+            let e = edge(hash_edge(r));
+            if r % 2 == 0 {
+                assert_eq!(set.erase(e), model.remove(&e));
+            }
+        }
+        assert!(set.tombstones.load(Ordering::Relaxed) > 0);
+        let mut rebuilds = 0;
+        for r in 100..3_000u64 {
+            let e = edge(hash_edge(r));
+            if hash_edge(!r) % 2 == 0 {
+                assert_eq!(set.insert_mut(e), model.insert(e), "insert {e:?} at step {r}");
+            } else {
+                assert_eq!(set.erase_mut(e), model.remove(&e), "erase {e:?} at step {r}");
+            }
+            assert_eq!(set.len(), model.len());
+            if set.needs_rebuild() {
+                set.rebuild();
+                rebuilds += 1;
+            }
+        }
+        assert!(rebuilds > 0, "the sequence must run through a rebuild");
+        let mut from_set: Vec<Edge> = set.iter().collect();
+        from_set.sort();
+        let mut from_model: Vec<Edge> = model.into_iter().collect();
+        from_model.sort();
+        assert_eq!(from_set, from_model);
+        for r in 0..1_000u64 {
+            let e = edge(hash_edge(r ^ 0x5555));
+            assert_eq!(set.contains(e), from_model.binary_search(&e).is_ok());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overfull")]
+    fn overfilling_through_exclusive_inserts_panics_instead_of_hanging() {
+        let mut set = ConcurrentEdgeSet::with_capacity(4);
+        for i in 0..64u32 {
+            set.insert_mut(Edge::new(i, i + 1));
         }
     }
 

@@ -5,7 +5,12 @@
 //! the remaining switches that contains **no source dependencies**, i.e. in
 //! which no edge index occurs twice, and executes that prefix with
 //! [`parallel_superstep`](crate::superstep::parallel_superstep), through the
-//! one [`DependencyTable`] the chain reuses for every superstep.
+//! one [`DependencyTable`] the chain reuses for every superstep.  At one
+//! rayon thread the chain runs each prefix in order with
+//! [`sequential_superstep`](crate::superstep::sequential_superstep) instead,
+//! writing its own edge set through exclusive access; both paths leave the
+//! same bytes (see [`crate::superstep`]).  The prefixes, and with them the
+//! per-prefix statistics, are the same on both paths.
 //!
 //! The prefix is found by one sequential scan over `R` against a dense array
 //! of `u32` *epoch stamps*, one per edge slot, that the chain owns.  Each
@@ -26,6 +31,7 @@
 use crate::chain::{EdgeSwitching, SwitchingConfig};
 use crate::snapshot::{ChainSnapshot, SnapshotError};
 use crate::stats::SuperstepStats;
+use crate::superstep::execute_superstep;
 use crate::switch::SwitchRequest;
 use gesmc_concurrent::{AtomicEdgeList, ConcurrentEdgeSet, DependencyTable};
 use gesmc_graph::EdgeListGraph;
@@ -95,12 +101,8 @@ impl ParES {
         let mut rest = requests;
         while !rest.is_empty() {
             let (superstep, after) = rest.split_at(self.dependency_free_prefix(rest));
-            let stats = crate::superstep::parallel_superstep(
-                &mut self.table,
-                &self.edges,
-                &self.edge_set,
-                superstep,
-            );
+            let stats =
+                execute_superstep(&mut self.table, &self.edges, &mut self.edge_set, superstep);
             all_stats.push(stats);
             if self.edge_set.needs_rebuild() {
                 self.edge_set.rebuild();
@@ -155,17 +157,18 @@ impl EdgeSwitching for ParES {
         let start = Instant::now();
         let requested = self.edges.len() / 2;
         let parts = self.run_switches(requested);
-        let mut merged = SuperstepStats {
-            requested,
-            legal: parts.iter().map(|p| p.legal).sum(),
-            illegal: parts.iter().map(|p| p.illegal).sum(),
-            rounds: parts.iter().map(|p| p.rounds).sum(),
-            round_durations: parts.iter().flat_map(|p| p.round_durations.clone()).collect(),
-            duration: start.elapsed(),
-        };
-        merged.illegal = merged.requested - merged.legal;
+        let legal = parts.iter().map(|p| p.legal).sum();
+        let rounds = parts.iter().map(|p| p.rounds).sum();
+        let round_durations = parts.into_iter().flat_map(|p| p.round_durations).collect();
         self.supersteps_done += 1;
-        merged
+        SuperstepStats {
+            requested,
+            legal,
+            illegal: requested - legal,
+            rounds,
+            round_durations,
+            duration: start.elapsed(),
+        }
     }
 
     fn snapshot(&self) -> Option<ChainSnapshot> {

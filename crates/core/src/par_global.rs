@@ -4,15 +4,20 @@
 //! every edge index occurs at most once in the permutation prefix — the whole
 //! algorithm is a loop that draws a random global switch and hands it to
 //! [`parallel_superstep`](crate::superstep::parallel_superstep), together with
-//! the one [`DependencyTable`] the chain reuses for every superstep.  The chain is
-//! *exact*: given the same permutation and trial count, the resulting graph is
-//! identical to executing the switches sequentially (this is asserted by the
-//! integration tests against [`crate::SeqGlobalES`]).
+//! the one [`DependencyTable`] the chain reuses for every superstep.  At one
+//! rayon thread it runs the global switch in order with
+//! [`sequential_superstep`](crate::superstep::sequential_superstep) instead,
+//! writing its own edge set through exclusive access (see
+//! [`crate::superstep`]).  The chain is *exact* on both paths: given the same
+//! permutation and trial count, the resulting graph is identical to executing
+//! the switches sequentially (this is asserted by the integration tests
+//! against [`crate::SeqGlobalES`]).
 
 use crate::chain::{EdgeSwitching, SwitchingConfig};
 use crate::seq_global::SeqGlobalES;
 use crate::snapshot::{ChainSnapshot, SnapshotError};
 use crate::stats::SuperstepStats;
+use crate::superstep::execute_superstep;
 use gesmc_concurrent::{AtomicEdgeList, ConcurrentEdgeSet, DependencyTable};
 use gesmc_graph::EdgeListGraph;
 use gesmc_randx::permutation::parallel_permutation;
@@ -64,12 +69,7 @@ impl ParGlobalES {
             as usize;
         let switches = SeqGlobalES::switches_from_permutation(&perm, ell);
 
-        let stats = crate::superstep::parallel_superstep(
-            &mut self.table,
-            &self.edges,
-            &self.edge_set,
-            &switches,
-        );
+        let stats = execute_superstep(&mut self.table, &self.edges, &mut self.edge_set, &switches);
 
         if self.edge_set.needs_rebuild() {
             self.edge_set.rebuild();

@@ -18,7 +18,8 @@ pub struct SuperstepStats {
     /// Number of switches that were rejected.
     pub illegal: usize,
     /// Number of decision rounds `ParallelSuperstep` needed (1 for the
-    /// sequential chains).
+    /// sequential chains, and for the parallel chains' supersteps run in
+    /// order at one thread).
     pub rounds: usize,
     /// Wall-clock duration of each round (empty for chains that do not track
     /// per-round timing).

@@ -1,6 +1,21 @@
 //! `ParallelSuperstep` (Algorithm 1): execute a batch of source-dependency
 //! free edge switches in parallel while preserving the sequential outcome.
 //!
+//! The chains run a batch through `execute_superstep`, which picks one of
+//! two exact paths from the ambient rayon thread count:
+//!
+//! * with two or more threads, [`parallel_superstep`] runs Algorithm 1 as
+//!   described below;
+//! * with one thread, [`sequential_superstep`] applies the switches strictly
+//!   in order with Def. 1.  Algorithm 1 is exact, so this leaves the same
+//!   edge array, legal count and edge-set contents, and at one thread its
+//!   machinery (registration, decision rounds, two apply passes,
+//!   compare-and-swap writes) buys nothing.  The chain owns its edge set, so
+//!   the in-order path borrows it mutably and writes it with plain stores.
+//!
+//! [`parallel_superstep`] and [`run_superstep_on_graph`] always run
+//! Algorithm 1, whatever the thread count.
+//!
 //! The batch is processed in three phases.  **Registration** enters every
 //! switch into the caller's [`DependencyTable`], as the eraser of its two
 //! source edges and an inserter of its two target edges, and keeps the four
@@ -69,8 +84,9 @@ struct SwitchWork {
 /// # Panics
 /// If the edge set does not hold as many edges after the superstep as before
 /// it, which would mean a legal switch erased a missing edge or inserted an
-/// existing one.  Debug builds also assert that the batch really is free of
-/// source dependencies; violating that precondition is a caller bug.
+/// existing one; if registration finds an edge erased twice, i.e. a batch
+/// with source dependencies, which is a caller bug; and if a decision round
+/// decides nothing, which would otherwise loop forever.
 pub fn parallel_superstep(
     table: &mut DependencyTable,
     edges: &AtomicEdgeList,
@@ -123,7 +139,7 @@ pub fn parallel_superstep(
                 None
             })
             .collect();
-        debug_assert!(
+        assert!(
             delayed.len() < undecided.len(),
             "a decision round must decide at least one switch"
         );
@@ -166,6 +182,79 @@ pub fn parallel_superstep(
         rounds: round_durations.len(),
         round_durations,
         duration: start.elapsed(),
+    }
+}
+
+/// Execute a superstep strictly in order: each switch is rejected if a target
+/// is a self-loop or already present (a target equal to one of its own
+/// sources counts as present, as Def. 1 tests existence before removing the
+/// sources), and otherwise erases its sources, inserts its targets and
+/// rewires its two slots.
+///
+/// The result equals [`parallel_superstep`]'s on the same batch.  Like the
+/// sequential chains, it reports one round that lasts the whole superstep.
+///
+/// # Panics
+/// If the edge set does not hold as many edges after the superstep as before
+/// it.  Debug builds also assert every erase and insert.
+pub fn sequential_superstep(
+    edges: &AtomicEdgeList,
+    edge_set: &mut ConcurrentEdgeSet,
+    switches: &[SwitchRequest],
+) -> SuperstepStats {
+    let start = Instant::now();
+    let requested = switches.len();
+    if requested == 0 {
+        return SuperstepStats { duration: start.elapsed(), ..SuperstepStats::default() };
+    }
+    let edges_before = edge_set.len();
+    let mut legal = 0;
+    for &request in switches {
+        let e1 = edges.get(request.i);
+        let e2 = edges.get(request.j);
+        let (e3, e4) = switch_targets(e1, e2, request.g);
+        if e3.is_loop() || e4.is_loop() || edge_set.contains(e3) || edge_set.contains(e4) {
+            continue;
+        }
+        let erased = edge_set.erase_mut(e1) & edge_set.erase_mut(e2);
+        debug_assert!(erased, "legal switch must erase existing edges");
+        let inserted = edge_set.insert_mut(e3) & edge_set.insert_mut(e4);
+        debug_assert!(inserted, "legal switch must insert fresh edges");
+        edges.set(request.i, e3);
+        edges.set(request.j, e4);
+        legal += 1;
+    }
+    assert_eq!(
+        edge_set.len(),
+        edges_before,
+        "a superstep must keep the number of edges: a legal switch erased a missing edge \
+         or inserted an existing one"
+    );
+    let duration = start.elapsed();
+    SuperstepStats {
+        requested,
+        legal,
+        illegal: requested - legal,
+        rounds: 1,
+        round_durations: vec![duration],
+        duration,
+    }
+}
+
+/// Execute a superstep of switches without source dependencies on the
+/// chain's state: in order at one rayon thread ([`sequential_superstep`]),
+/// else with Algorithm 1 ([`parallel_superstep`]).  Both leave the same
+/// bytes.
+pub(crate) fn execute_superstep(
+    table: &mut DependencyTable,
+    edges: &AtomicEdgeList,
+    edge_set: &mut ConcurrentEdgeSet,
+    switches: &[SwitchRequest],
+) -> SuperstepStats {
+    if rayon::current_num_threads() <= 1 {
+        sequential_superstep(edges, edge_set, switches)
+    } else {
+        parallel_superstep(table, edges, edge_set, switches)
     }
 }
 
@@ -268,6 +357,19 @@ mod tests {
         let (out, stats) = run_superstep_on_graph(&graph, &[]);
         assert_eq!(out.canonical_edges(), graph.canonical_edges());
         assert_eq!(stats.rounds, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "erased twice")]
+    fn a_shared_source_index_panics_in_every_build() {
+        // Switches 0 and 1 both erase E[1]: a source dependency, which the
+        // caller must never put into one superstep.  One thread makes the
+        // registration order, and so the panic message, deterministic.
+        let graph =
+            EdgeListGraph::new(6, vec![Edge::new(0, 1), Edge::new(2, 3), Edge::new(4, 5)]).unwrap();
+        let switches = vec![SwitchRequest::new(0, 1, false), SwitchRequest::new(1, 2, false)];
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        pool.install(|| run_superstep_on_graph(&graph, &switches));
     }
 
     #[test]

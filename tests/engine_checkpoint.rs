@@ -24,6 +24,27 @@ fn build(
     default_registry().build_with_config(&ChainSpec::new(name), graph, config).unwrap()
 }
 
+/// Thread counts of a resume test: the uninterrupted and the checkpointed
+/// runs use the first, the resumed run the second; `None` keeps the ambient
+/// pool.
+type Threads = (Option<usize>, Option<usize>);
+
+/// Both runs in the ambient pool.
+const AMBIENT: Threads = (None, None);
+
+/// The exact parallel chains also capture at 2 threads, where they run
+/// Algorithm 1, and resume at 1, where they run their supersteps in order,
+/// and the reverse.
+const PARALLEL_CHAIN_THREADS: [Threads; 3] = [AMBIENT, (Some(2), Some(1)), (Some(1), Some(2))];
+
+/// Run `op` on a rayon pool of `threads` threads, or in the ambient pool.
+fn on_threads<R: Send>(threads: Option<usize>, op: impl FnOnce() -> R + Send) -> R {
+    match threads {
+        None => op(),
+        Some(n) => rayon::ThreadPoolBuilder::new().num_threads(n).build().unwrap().install(op),
+    }
+}
+
 /// Run `total` supersteps uninterrupted; independently run `cut`, checkpoint
 /// through the binary format, resume into a fresh chain, and run the rest.
 /// Returns (uninterrupted, resumed) canonical edge sets.
@@ -33,15 +54,18 @@ fn uninterrupted_vs_resumed(
     chain_seed: u64,
     cut: usize,
     total: usize,
+    (capture_threads, resume_threads): Threads,
 ) -> (Vec<u64>, Vec<u64>) {
     let graph = gnp(&mut rng_from_seed(graph_seed), 60, 0.09);
     let config = SwitchingConfig::with_seed(chain_seed);
 
-    let mut uninterrupted = build(algorithm, graph.clone(), config);
-    uninterrupted.run_supersteps(total);
-
-    let mut interrupted = build(algorithm, graph, config);
-    interrupted.run_supersteps(cut);
+    let (uninterrupted, interrupted) = on_threads(capture_threads, || {
+        let mut uninterrupted = build(algorithm, graph.clone(), config);
+        uninterrupted.run_supersteps(total);
+        let mut interrupted = build(algorithm, graph, config);
+        interrupted.run_supersteps(cut);
+        (uninterrupted, interrupted)
+    });
     let checkpoint = Checkpoint::capture(
         "prop",
         interrupted.as_ref(),
@@ -61,39 +85,51 @@ fn uninterrupted_vs_resumed(
         build(roundtripped.chain_name(), snapshot.graph().unwrap(), snapshot.config());
     resumed.restore(snapshot).unwrap();
     assert_eq!(snapshot.supersteps_done, cut as u64);
-    resumed.run_supersteps(total - cut);
+    on_threads(resume_threads, || resumed.run_supersteps(total - cut));
 
     (uninterrupted.graph().canonical_edges(), resumed.graph().canonical_edges())
 }
 
-fn assert_bit_identical_resume(algorithm: &str, seed: u64, cut: usize, extra: usize) {
+fn assert_bit_identical_resume(
+    algorithm: &str,
+    seed: u64,
+    cut: usize,
+    extra: usize,
+    threads: Threads,
+) {
     let total = cut + extra;
-    let (full, resumed) = uninterrupted_vs_resumed(algorithm, seed ^ 0xABCD, seed, cut, total);
+    let (full, resumed) =
+        uninterrupted_vs_resumed(algorithm, seed ^ 0xABCD, seed, cut, total, threads);
     assert_eq!(
         full, resumed,
-        "{algorithm}: resume from superstep {cut} diverged by superstep {total} (seed {seed})",
+        "{algorithm}: resume from superstep {cut} diverged by superstep {total} (seed {seed}, \
+         threads {threads:?})",
     );
 }
 
 proptest! {
     #[test]
     fn seq_es_checkpoint_resume_is_exact(seed in any::<u64>(), cut in 1usize..5, extra in 1usize..5) {
-        assert_bit_identical_resume("seq-es", seed, cut, extra);
+        assert_bit_identical_resume("seq-es", seed, cut, extra, AMBIENT);
     }
 
     #[test]
     fn seq_global_es_checkpoint_resume_is_exact(seed in any::<u64>(), cut in 1usize..5, extra in 1usize..5) {
-        assert_bit_identical_resume("seq-global-es", seed, cut, extra);
+        assert_bit_identical_resume("seq-global-es", seed, cut, extra, AMBIENT);
     }
 
     #[test]
     fn par_es_checkpoint_resume_is_exact(seed in any::<u64>(), cut in 1usize..4, extra in 1usize..4) {
-        assert_bit_identical_resume("par-es", seed, cut, extra);
+        for threads in PARALLEL_CHAIN_THREADS {
+            assert_bit_identical_resume("par-es", seed, cut, extra, threads);
+        }
     }
 
     #[test]
     fn par_global_es_checkpoint_resume_is_exact(seed in any::<u64>(), cut in 1usize..4, extra in 1usize..4) {
-        assert_bit_identical_resume("par-global-es", seed, cut, extra);
+        for threads in PARALLEL_CHAIN_THREADS {
+            assert_bit_identical_resume("par-global-es", seed, cut, extra, threads);
+        }
     }
 
     #[test]
@@ -102,22 +138,22 @@ proptest! {
         // (Sec. 5.1); its trajectory is only a function of the checkpoint
         // state under a single-threaded pool.
         let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        pool.install(|| assert_bit_identical_resume("naive-par-es", seed, cut, extra));
+        pool.install(|| assert_bit_identical_resume("naive-par-es", seed, cut, extra, AMBIENT));
     }
 
     #[test]
     fn global_curveball_checkpoint_resume_is_exact(seed in any::<u64>(), cut in 1usize..5, extra in 1usize..5) {
-        assert_bit_identical_resume("global-curveball", seed, cut, extra);
+        assert_bit_identical_resume("global-curveball", seed, cut, extra, AMBIENT);
     }
 
     #[test]
     fn adjacency_es_checkpoint_resume_is_exact(seed in any::<u64>(), cut in 1usize..5, extra in 1usize..5) {
-        assert_bit_identical_resume("adjacency-es", seed, cut, extra);
+        assert_bit_identical_resume("adjacency-es", seed, cut, extra, AMBIENT);
     }
 
     #[test]
     fn sorted_adjacency_es_checkpoint_resume_is_exact(seed in any::<u64>(), cut in 1usize..5, extra in 1usize..5) {
-        assert_bit_identical_resume("sorted-adjacency-es", seed, cut, extra);
+        assert_bit_identical_resume("sorted-adjacency-es", seed, cut, extra, AMBIENT);
     }
 }
 

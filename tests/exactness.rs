@@ -2,14 +2,23 @@
 //! switch sequence they produce bitwise the same graph as a sequential
 //! execution, and G-ES-MC supersteps executed in parallel match the
 //! sequential G-ES-MC implementation replaying the identical global switch.
+//! At one thread the chains run their supersteps in order instead of with
+//! Algorithm 1; the two paths must agree byte for byte, also when they
+//! alternate on one edge set.
 
 use gesmc::chains::seq_global::SeqGlobalES;
-use gesmc::chains::superstep::{parallel_superstep, run_superstep_on_graph};
+use gesmc::chains::superstep::{parallel_superstep, run_superstep_on_graph, sequential_superstep};
 use gesmc::chains::SwitchRequest;
 use gesmc::concurrent::{AtomicEdgeList, ConcurrentEdgeSet, DependencyTable};
 use gesmc::prelude::*;
 use gesmc::randx::permutation::random_permutation;
 use gesmc::randx::{rng_from_seed, sample_binomial};
+use std::collections::HashSet;
+
+/// Run `op` on a rayon pool of `threads` threads.
+fn on_threads<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(op)
+}
 
 /// Replay one explicit global switch on both implementations and compare.
 #[test]
@@ -155,4 +164,142 @@ fn dependency_chains_resolve_in_sequential_order() {
     assert!(par_graph.has_edge_slow(0, 1));
     assert!(par_graph.has_edge_slow(4, 5));
     assert!(par_graph.has_edge_slow(0, 6), "sources of the rejected switch remain");
+}
+
+/// The chain state a superstep path drives: an edge array, its edge set and
+/// a dependency table.
+struct Lane {
+    edges: AtomicEdgeList,
+    edge_set: ConcurrentEdgeSet,
+    table: DependencyTable,
+}
+
+impl Lane {
+    fn new(graph: &EdgeListGraph) -> Self {
+        Self {
+            edges: AtomicEdgeList::from_graph(graph),
+            edge_set: ConcurrentEdgeSet::from_edges(graph.edges().iter(), 2 * graph.num_edges()),
+            table: DependencyTable::default(),
+        }
+    }
+
+    /// Run `batch` in order or with Algorithm 1, then rebuild the edge set if
+    /// it asks for it; returns the legal count and whether it rebuilt.
+    fn run(&mut self, in_order: bool, batch: &[SwitchRequest]) -> (usize, bool) {
+        let stats = if in_order {
+            sequential_superstep(&self.edges, &mut self.edge_set, batch)
+        } else {
+            parallel_superstep(&mut self.table, &self.edges, &self.edge_set, batch)
+        };
+        let rebuild = self.edge_set.needs_rebuild();
+        if rebuild {
+            self.edge_set.rebuild();
+        }
+        (stats.legal, rebuild)
+    }
+
+    fn sorted_edge_set(&self) -> Vec<Edge> {
+        let mut edges: Vec<Edge> = self.edge_set.iter().collect();
+        edges.sort();
+        edges
+    }
+}
+
+/// `requests` cut into its longest prefixes without a repeated edge index:
+/// the supersteps of Algorithm 2.
+fn dependency_free_prefixes(requests: &[SwitchRequest]) -> Vec<&[SwitchRequest]> {
+    let mut prefixes = Vec::new();
+    let mut used = HashSet::new();
+    let mut start = 0;
+    for (k, r) in requests.iter().enumerate() {
+        if used.contains(&r.i) || used.contains(&r.j) {
+            prefixes.push(&requests[start..k]);
+            used.clear();
+            start = k;
+        }
+        used.extend([r.i, r.j]);
+    }
+    prefixes.push(&requests[start..]);
+    prefixes
+}
+
+/// Global-switch batches and `ParES` prefixes run through three lanes: one
+/// in order, one with Algorithm 1, and one that alternates between the two
+/// on its single table and edge set.  After every batch all three, and a
+/// sequential Def. 1 replay, hold the same edge array, legal count and edge
+/// set, at 1, 2 and 8 threads and across rebuilds of the edge sets.
+#[test]
+fn in_order_and_parallel_supersteps_agree_and_alternate_on_one_edge_set() {
+    let graph = gesmc::datasets::syn_pld_graph(4, 400, 2.2);
+    let m = graph.num_edges();
+    let mut rng = rng_from_seed(5);
+    let mut requests = ParES::new(graph.clone(), SwitchingConfig::with_seed(6));
+    let mut batches: Vec<Vec<SwitchRequest>> = Vec::new();
+    for percent in [100usize, 7, 60, 100, 30, 100] {
+        let perm = random_permutation(&mut rng, m);
+        batches.push(SeqGlobalES::switches_from_permutation(&perm, m / 2 * percent / 100));
+        let list = requests.sample_requests(m / 2);
+        batches.extend(dependency_free_prefixes(&list).into_iter().map(<[_]>::to_vec));
+    }
+    for threads in [1, 2, 8] {
+        on_threads(threads, || {
+            let mut in_order = Lane::new(&graph);
+            let mut parallel = Lane::new(&graph);
+            let mut alternating = Lane::new(&graph);
+            let mut seq = SeqGlobalES::new(graph.clone(), SwitchingConfig::with_seed(0));
+            let mut rebuilds = 0;
+            for (b, batch) in batches.iter().enumerate() {
+                let at = format!("{threads} threads, batch {b}");
+                let legal_seq: usize = batch.iter().map(|&s| seq.apply(s) as usize).sum();
+                let (legal, rebuilt) = in_order.run(true, batch);
+                assert_eq!(legal, legal_seq, "{at}: in-order legal count");
+                assert_eq!(parallel.run(false, batch), (legal, rebuilt), "{at}: parallel");
+                assert_eq!(alternating.run(b % 2 == 0, batch), (legal, rebuilt), "{at}: mixed");
+                rebuilds += rebuilt as usize;
+
+                let array = in_order.edges.snapshot_edges();
+                assert_eq!(array, seq.graph().edges(), "{at}: in-order edge array");
+                assert_eq!(parallel.edges.snapshot_edges(), array, "{at}: parallel edge array");
+                assert_eq!(alternating.edges.snapshot_edges(), array, "{at}: mixed edge array");
+                let set = in_order.sorted_edge_set();
+                let mut canonical = array.clone();
+                canonical.sort();
+                assert_eq!(set, canonical, "{at}: in-order edge set");
+                assert_eq!(parallel.sorted_edge_set(), set, "{at}: parallel edge set");
+                assert_eq!(alternating.sorted_edge_set(), set, "{at}: mixed edge set");
+            }
+            assert!(rebuilds >= 1, "{threads} threads: the batches must span a rebuild");
+        });
+    }
+}
+
+/// `ParES` and `ParGlobalES` leave the same edge array after every superstep
+/// whether one thread runs it in order or 2 or 8 threads run Algorithm 1.
+#[test]
+fn parallel_chains_are_independent_of_the_thread_count() {
+    type Build = fn(EdgeListGraph, SwitchingConfig) -> Box<dyn EdgeSwitching + Send>;
+    let builds: [Build; 2] =
+        [|g, c| Box::new(ParES::new(g, c)), |g, c| Box::new(ParGlobalES::new(g, c))];
+    let graph = gesmc::datasets::syn_pld_graph(7, 600, 2.2);
+    for build in builds {
+        let mut chains: Vec<(usize, Box<dyn EdgeSwitching + Send>)> = [1, 2, 8]
+            .into_iter()
+            .map(|threads| (threads, build(graph.clone(), SwitchingConfig::with_seed(8))))
+            .collect();
+        for step in 0..6 {
+            let arrays: Vec<Vec<Edge>> = chains
+                .iter_mut()
+                .map(|(threads, chain)| {
+                    on_threads(*threads, || {
+                        chain.superstep();
+                        chain.graph().edges().to_vec()
+                    })
+                })
+                .collect();
+            let name = chains[0].1.name();
+            assert_ne!(arrays[0], graph.edges(), "{name}: superstep {step} must switch edges");
+            assert_eq!(arrays[1], arrays[0], "{name}, superstep {step}: 2 threads vs 1");
+            assert_eq!(arrays[2], arrays[0], "{name}, superstep {step}: 8 threads vs 1");
+        }
+    }
 }
