@@ -24,15 +24,21 @@
 //!   edge while deliberately ignoring switch dependencies.
 //!
 //! Every insert, atomic or exclusive, takes the first empty bucket on its
-//! probe path, so both kinds of write leave the same layout and may follow
-//! each other on one set.  Deleted entries become tombstones; the owner
-//! rebuilds the table between supersteps once tombstones start to degrade
-//! probe lengths ([`ConcurrentEdgeSet::needs_rebuild`] /
-//! [`ConcurrentEdgeSet::rebuild`]).
+//! probe path.  The two kinds of erase differ.  An atomic erase leaves a
+//! tombstone, because concurrent probes must still pass its bucket.  An
+//! exclusive erase leaves none: it moves later entries of the probe cluster
+//! back into the gap (backward-shift deletion, Knuth's Algorithm R in TAOCP
+//! Vol. 3, §6.4) and steps over tombstones.  So the two paths leave the same
+//! contents but different layouts, and they may follow each other on one set
+//! in any order.  The owner rebuilds the table between supersteps once
+//! tombstones start to degrade probe lengths
+//! ([`ConcurrentEdgeSet::needs_rebuild`] / [`ConcurrentEdgeSet::rebuild`]);
+//! in-order supersteps add none, so they never trigger a rebuild.
 
 use crate::hash_edge;
 use crate::prefetch::prefetch_read_pair;
-use gesmc_graph::Edge;
+use gesmc_graph::edge::MAX_NODE_56;
+use gesmc_graph::{Edge, EdgeListGraph};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 const EMPTY: u64 = 0;
@@ -62,6 +68,24 @@ pub struct ConcurrentEdgeSet {
 }
 
 impl ConcurrentEdgeSet {
+    /// Largest node count whose ids fit the 28-bit halves of a bucket's key.
+    pub const MAX_NODES: usize = MAX_NODE_56 as usize + 1;
+
+    /// Build the set of `graph`'s edges, sized for twice its edge count so
+    /// that the tombstones of Algorithm 1 supersteps fit between rebuilds.
+    ///
+    /// # Panics
+    /// If `graph` has more than [`MAX_NODES`](Self::MAX_NODES) nodes: two of
+    /// its edges could then share one key.
+    pub fn for_graph(graph: &EdgeListGraph) -> Self {
+        assert!(
+            graph.num_nodes() <= Self::MAX_NODES,
+            "ConcurrentEdgeSet holds node ids below 2^28, but the graph has {} nodes",
+            graph.num_nodes()
+        );
+        Self::from_edges(graph.edges().iter(), graph.num_edges() * 2)
+    }
+
     /// Create a set able to hold `capacity_hint` edges at load factor ≤ 1/2.
     pub fn with_capacity(capacity_hint: usize) -> Self {
         let buckets = (capacity_hint.max(4) * 2).next_power_of_two();
@@ -169,13 +193,34 @@ impl ConcurrentEdgeSet {
 
     /// Erase `edge` (regardless of its lock state) through exclusive access;
     /// returns whether it was present.
+    ///
+    /// Leaves no tombstone.  Each later entry of the probe cluster whose
+    /// probe path passes the gap moves into it, lock byte included, and
+    /// leaves a gap of its own; the last gap becomes empty.  Tombstones of
+    /// atomic erases stay where they are.
     pub fn erase_mut(&mut self, edge: Edge) -> bool {
-        let Ok(idx) = self.find(Self::key_of(edge)) else {
+        let Ok(mut hole) = self.find(Self::key_of(edge)) else {
             return false;
         };
-        *self.buckets[idx].get_mut() = TOMBSTONE;
+        let mut next = (hole + 1) & self.mask;
+        loop {
+            let slot = *self.buckets[next].get_mut();
+            if slot == EMPTY {
+                break;
+            }
+            if slot != TOMBSTONE {
+                // The entry may fill the gap iff the gap lies on its probe
+                // path, from its home bucket up to `next`.
+                let home = self.home_bucket(slot & EDGE_MASK);
+                if next.wrapping_sub(home) & self.mask >= next.wrapping_sub(hole) & self.mask {
+                    *self.buckets[hole].get_mut() = slot;
+                    hole = next;
+                }
+            }
+            next = (next + 1) & self.mask;
+        }
+        *self.buckets[hole].get_mut() = EMPTY;
         *self.live.get_mut() -= 1;
-        *self.tombstones.get_mut() += 1;
         true
     }
 
@@ -342,9 +387,12 @@ impl ConcurrentEdgeSet {
     /// exceed half of the capacity).
     ///
     /// The threshold is deliberately conservative: the chains call this
-    /// between supersteps, and a single superstep can add up to `2m` new
-    /// slots (tombstones for erased edges plus freshly inserted ones), so the
-    /// table must never enter a superstep more than half full.
+    /// between supersteps, and a single Algorithm 1 superstep can add up to
+    /// `2m` new slots (tombstones for erased edges plus freshly inserted
+    /// ones), so the table must never enter a superstep more than half full.
+    /// Only atomic erases leave tombstones, so a set sized by
+    /// [`for_graph`](Self::for_graph) that only in-order supersteps write
+    /// never needs a rebuild.
     pub fn needs_rebuild(&self) -> bool {
         let used = self.live.load(Ordering::Relaxed) + self.tombstones.load(Ordering::Relaxed);
         2 * used > self.buckets.len()
@@ -553,6 +601,107 @@ mod tests {
         }
     }
 
+    /// Panic unless every live entry is reachable from its home bucket
+    /// without crossing an empty bucket.
+    fn assert_probe_paths_unbroken(set: &ConcurrentEdgeSet) {
+        for (b, bucket) in set.buckets.iter().enumerate() {
+            let slot = bucket.load(Ordering::Relaxed);
+            if slot == EMPTY || slot == TOMBSTONE {
+                continue;
+            }
+            let mut idx = set.home_bucket(slot & EDGE_MASK);
+            while idx != b {
+                assert_ne!(set.buckets[idx].load(Ordering::Relaxed), EMPTY, "bucket {b}");
+                idx = (idx + 1) & set.mask;
+            }
+        }
+    }
+
+    #[test]
+    fn exclusive_erases_shift_clusters_that_wrap_past_the_last_bucket() {
+        // 16 buckets and the 10 edges {u, v} with u < v < 5, so clusters
+        // are long and often run from bucket 15 into bucket 0.
+        let edge = |r: u64| {
+            let (a, b) = ((r % 5) as u32, ((r >> 8) % 4) as u32);
+            Edge::new(a, if b >= a { b + 1 } else { b })
+        };
+        let mut set = ConcurrentEdgeSet::with_capacity(8);
+        assert_eq!(set.capacity(), 16);
+        let mut model = std::collections::HashSet::new();
+        // Start from tombstones that the atomic erase left behind.
+        for r in 0..4u64 {
+            let e = Edge::new(r as u32, 5);
+            assert!(set.insert(e));
+            assert!(set.erase(e));
+        }
+        assert_eq!(set.tombstones.load(Ordering::Relaxed), 4);
+        let mut wrapped = 0;
+        for r in 0..5_000u64 {
+            let e = edge(hash_edge(r));
+            let last = set.buckets[set.mask].load(Ordering::Relaxed);
+            let first = set.buckets[0].load(Ordering::Relaxed);
+            if hash_edge(!r) % 2 == 0 {
+                assert_eq!(set.insert_mut(e), model.insert(e), "insert {e:?} at step {r}");
+            } else {
+                wrapped += (last != EMPTY && first != EMPTY) as usize;
+                assert_eq!(set.erase_mut(e), model.remove(&e), "erase {e:?} at step {r}");
+            }
+            assert_eq!(set.len(), model.len());
+            assert_probe_paths_unbroken(&set);
+            for a in 0..5u32 {
+                for b in a + 1..5 {
+                    let e = Edge::new(a, b);
+                    assert_eq!(set.contains(e), model.contains(&e), "{e:?} at step {r}");
+                }
+            }
+        }
+        assert!(wrapped > 100, "only {wrapped} erases met a cluster across the last bucket");
+        assert_eq!(set.tombstones.load(Ordering::Relaxed), 4, "tombstones stay in place");
+    }
+
+    #[test]
+    fn exclusive_writes_leave_no_tombstones() {
+        // The writes of in-order supersteps: each switch erases two edges
+        // and inserts two, at a quarter of the table's capacity.
+        let mut set = ConcurrentEdgeSet::with_capacity(64);
+        let mut live: Vec<Edge> = (0..64u32).map(|i| Edge::new(i, i + 1)).collect();
+        for &e in &live {
+            assert!(set.insert_mut(e));
+        }
+        for r in 0..10_000u64 {
+            let slot = (hash_edge(r) % 64) as usize;
+            let fresh = Edge::new((hash_edge(!r) % 1000) as u32, 1000 + r as u32);
+            assert!(set.erase_mut(live[slot]));
+            assert!(set.insert_mut(fresh));
+            live[slot] = fresh;
+            assert_eq!(set.tombstones.load(Ordering::Relaxed), 0);
+            assert!(!set.needs_rebuild(), "step {r}");
+        }
+        assert_eq!(set.len(), 64);
+        assert!(live.iter().all(|&e| set.contains(e)));
+        assert_probe_paths_unbroken(&set);
+    }
+
+    #[test]
+    fn shifted_entries_keep_their_locks() {
+        let mut set = ConcurrentEdgeSet::with_capacity(8);
+        // Two edges with the same home bucket: the second lands one bucket
+        // later, locked, and the exclusive erase of the first shifts it home.
+        let home_of = |e: Edge| set.home_bucket(ConcurrentEdgeSet::key_of(e));
+        let first = Edge::new(0, 1);
+        let home = home_of(first);
+        let second = (2..1000u32).map(|v| Edge::new(0, v)).find(|&e| home_of(e) == home).unwrap();
+        assert!(set.insert_mut(first));
+        assert_eq!(set.try_insert_and_lock(second, 7), LockOutcome::Acquired);
+        let key = ConcurrentEdgeSet::key_of(second);
+        assert_eq!(set.find(key), Ok((home + 1) & set.mask));
+        assert!(set.erase_mut(first));
+        assert_eq!(set.find(key), Ok(home), "the erase must shift the locked entry");
+        assert_eq!(set.try_lock_existing(second, 9), LockOutcome::Busy);
+        assert!(set.unlock(second, 7));
+        assert_eq!(set.try_lock_existing(second, 9), LockOutcome::Acquired);
+    }
+
     #[test]
     #[should_panic(expected = "overfull")]
     fn overfilling_through_exclusive_inserts_panics_instead_of_hanging() {
@@ -560,6 +709,24 @@ mod tests {
         for i in 0..64u32 {
             set.insert_mut(Edge::new(i, i + 1));
         }
+    }
+
+    #[test]
+    fn for_graph_accepts_node_ids_up_to_the_limit() {
+        let edges = vec![Edge::new(0, 1), Edge::new(1, 2), Edge::new(0, 3)];
+        let graph = EdgeListGraph::new(ConcurrentEdgeSet::MAX_NODES, edges).unwrap();
+        let set = ConcurrentEdgeSet::for_graph(&graph);
+        assert_eq!(set.len(), 3);
+        assert_eq!(set.capacity(), 16);
+        assert!(graph.edges().iter().all(|&e| set.contains(e)));
+    }
+
+    #[test]
+    #[should_panic(expected = "node ids below 2^28")]
+    fn for_graph_refuses_node_ids_beyond_28_bits() {
+        let edges = vec![Edge::new(0, ConcurrentEdgeSet::MAX_NODES as u32), Edge::new(1, 2)];
+        let graph = EdgeListGraph::new(ConcurrentEdgeSet::MAX_NODES + 1, edges).unwrap();
+        ConcurrentEdgeSet::for_graph(&graph);
     }
 
     #[test]

@@ -7,37 +7,36 @@
 //! matching the design the paper settled on after comparing several hash-set
 //! implementations.
 //!
-//! Deletions use tombstones; the table rebuilds itself once tombstones would
-//! degrade probe lengths.  For the prefetching pipeline (Sec. 5.4) every
-//! operation is also available in split form: [`SeqEdgeSet::prefetch`]
-//! computes the home bucket and prefetches it, and the actual operation is
-//! carried out later.
+//! Deletions leave no tombstones: an erase moves later entries of the probe
+//! cluster back into the gap (backward-shift deletion, Knuth's Algorithm R in
+//! TAOCP Vol. 3, §6.4), so probes always run at the live load factor.  For
+//! the prefetching pipeline (Sec. 5.4) every operation is also available in
+//! split form: [`SeqEdgeSet::prefetch`] computes the home bucket and
+//! prefetches it, and the actual operation is carried out later.
 
 use crate::hash_edge;
 use crate::prefetch::prefetch_read_pair;
 use gesmc_graph::PackedEdge;
 
 const EMPTY: u64 = u64::MAX;
-const TOMBSTONE: u64 = u64::MAX - 1;
 
 /// A sequential hash set of packed edges.
 ///
-/// Packed edges `(u << 32) | v` with `u <= v` never collide with the two
-/// sentinels because both sentinels decode to self-loops, which simple graphs
-/// never contain.
+/// Packed edges `(u << 32) | v` with `u <= v` never collide with the empty
+/// sentinel because it decodes to a self-loop, which simple graphs never
+/// contain.
 #[derive(Clone, Debug)]
 pub struct SeqEdgeSet {
     buckets: Vec<u64>,
     mask: usize,
     len: usize,
-    tombstones: usize,
 }
 
 impl SeqEdgeSet {
     /// Create a set able to hold `capacity_hint` edges at load factor ≤ 1/2.
     pub fn with_capacity(capacity_hint: usize) -> Self {
         let buckets = (capacity_hint.max(4) * 2).next_power_of_two();
-        Self { buckets: vec![EMPTY; buckets], mask: buckets - 1, len: 0, tombstones: 0 }
+        Self { buckets: vec![EMPTY; buckets], mask: buckets - 1, len: 0 }
     }
 
     /// Build a set containing the given edges.
@@ -84,12 +83,19 @@ impl SeqEdgeSet {
     /// Whether `key` is in the set.
     #[inline]
     pub fn contains(&self, key: PackedEdge) -> bool {
-        debug_assert!(key < TOMBSTONE);
+        self.find(key).is_ok()
+    }
+
+    /// Probe for `key`: `Ok` with its bucket if present, else `Err` with the
+    /// empty bucket that ends its probe path.
+    #[inline]
+    fn find(&self, key: PackedEdge) -> Result<usize, usize> {
+        debug_assert!(key != EMPTY);
         let mut idx = self.home_bucket(key);
         loop {
             match self.buckets[idx] {
-                EMPTY => return false,
-                slot if slot == key => return true,
+                EMPTY => return Err(idx),
+                slot if slot == key => return Ok(idx),
                 _ => idx = (idx + 1) & self.mask,
             }
         }
@@ -97,73 +103,54 @@ impl SeqEdgeSet {
 
     /// Insert `key`; returns `false` if it was already present.
     pub fn insert(&mut self, key: PackedEdge) -> bool {
-        debug_assert!(key < TOMBSTONE);
         self.maybe_grow();
-        let mut idx = self.home_bucket(key);
-        let mut first_tombstone: Option<usize> = None;
-        loop {
-            match self.buckets[idx] {
-                EMPTY => {
-                    let target = first_tombstone.unwrap_or(idx);
-                    if first_tombstone.is_some() {
-                        self.tombstones -= 1;
-                    }
-                    self.buckets[target] = key;
-                    self.len += 1;
-                    return true;
-                }
-                TOMBSTONE => {
-                    if first_tombstone.is_none() {
-                        first_tombstone = Some(idx);
-                    }
-                    idx = (idx + 1) & self.mask;
-                }
-                slot if slot == key => return false,
-                _ => idx = (idx + 1) & self.mask,
-            }
-        }
+        let Err(idx) = self.find(key) else {
+            return false;
+        };
+        self.buckets[idx] = key;
+        self.len += 1;
+        true
     }
 
     /// Erase `key`; returns whether it was present.
+    ///
+    /// Each later entry of the probe cluster whose probe path passes the gap
+    /// moves into it and leaves a gap of its own; the last gap becomes empty.
     pub fn erase(&mut self, key: PackedEdge) -> bool {
-        debug_assert!(key < TOMBSTONE);
-        let mut idx = self.home_bucket(key);
-        loop {
-            match self.buckets[idx] {
-                EMPTY => return false,
-                slot if slot == key => {
-                    self.buckets[idx] = TOMBSTONE;
-                    self.len -= 1;
-                    self.tombstones += 1;
-                    return true;
-                }
-                _ => idx = (idx + 1) & self.mask,
+        let Ok(mut hole) = self.find(key) else {
+            return false;
+        };
+        let mut next = (hole + 1) & self.mask;
+        while self.buckets[next] != EMPTY {
+            // The entry may fill the gap iff the gap lies on its probe path,
+            // from its home bucket up to `next`.
+            let home = self.home_bucket(self.buckets[next]);
+            if next.wrapping_sub(home) & self.mask >= next.wrapping_sub(hole) & self.mask {
+                self.buckets[hole] = self.buckets[next];
+                hole = next;
             }
+            next = (next + 1) & self.mask;
         }
+        self.buckets[hole] = EMPTY;
+        self.len -= 1;
+        true
     }
 
     /// Iterate over the stored edges (arbitrary order).
     pub fn iter(&self) -> impl Iterator<Item = PackedEdge> + '_ {
-        self.buckets.iter().copied().filter(|&b| b < TOMBSTONE)
+        self.buckets.iter().copied().filter(|&b| b != EMPTY)
     }
 
-    /// Grow or clean the table when live entries or tombstones exceed the
-    /// load-factor targets (live ≤ 1/2, live + tombstones ≤ 3/4).
+    /// Double the table when one more entry would raise the load factor
+    /// above 1/2.
     fn maybe_grow(&mut self) {
         let cap = self.buckets.len();
-        if (self.len + 1) * 2 > cap || (self.len + self.tombstones + 1) * 4 > cap * 3 {
-            let new_cap = if (self.len + 1) * 2 > cap { cap * 2 } else { cap };
-            let old = std::mem::replace(&mut self.buckets, vec![EMPTY; new_cap]);
-            self.mask = new_cap - 1;
+        if (self.len + 1) * 2 > cap {
+            let old = std::mem::replace(&mut self.buckets, vec![EMPTY; cap * 2]);
+            self.mask = cap * 2 - 1;
             self.len = 0;
-            self.tombstones = 0;
-            for key in old.into_iter().filter(|&b| b < TOMBSTONE) {
-                let mut idx = self.home_bucket(key);
-                while self.buckets[idx] != EMPTY {
-                    idx = (idx + 1) & self.mask;
-                }
-                self.buckets[idx] = key;
-                self.len += 1;
+            for key in old.into_iter().filter(|&b| b != EMPTY) {
+                self.insert(key);
             }
         }
     }
@@ -195,7 +182,7 @@ mod tests {
     #[test]
     fn tombstones_do_not_hide_entries() {
         let mut set = SeqEdgeSet::with_capacity(4);
-        // Fill, erase, re-insert repeatedly to exercise tombstone reuse.
+        // Fill, erase, re-insert repeatedly: every erase shifts entries back.
         for round in 0..50u32 {
             for i in 0..20u32 {
                 set.insert(key(round, i + 1 + round));
@@ -248,6 +235,42 @@ mod tests {
         set.prefetch(key(4, 5));
         assert!(set.contains(key(3, 9)));
         assert!(!set.contains(key(4, 5)));
+    }
+
+    #[test]
+    fn erase_shifts_clusters_that_wrap_past_the_last_bucket() {
+        use std::collections::HashSet;
+        // Seven keys whose home is one of the last three of 16 buckets: at
+        // most 7 are ever live, so the table keeps its 16 buckets, and its
+        // clusters often run from bucket 15 into bucket 0.
+        let mut set = SeqEdgeSet::with_capacity(8);
+        let keys: Vec<u64> =
+            (1..).map(|v| key(0, v)).filter(|&k| set.home_bucket(k) >= 13).take(7).collect();
+        let mut model = HashSet::new();
+        let mut wrapped = 0;
+        for r in 0..5_000u64 {
+            let k = keys[(hash_edge(r) % 7) as usize];
+            if hash_edge(!r) % 2 == 0 {
+                assert_eq!(set.insert(k), model.insert(k), "insert {k:#x} at step {r}");
+            } else {
+                wrapped += (set.buckets[set.mask] != EMPTY && set.buckets[0] != EMPTY) as usize;
+                assert_eq!(set.erase(k), model.remove(&k), "erase {k:#x} at step {r}");
+            }
+            assert_eq!(set.len(), model.len());
+            for &k in &keys {
+                assert_eq!(set.contains(k), model.contains(&k), "{k:#x} at step {r}");
+            }
+            // Every entry is reachable from its home bucket.
+            for (b, &slot) in set.buckets.iter().enumerate().filter(|&(_, &s)| s != EMPTY) {
+                let mut idx = set.home_bucket(slot);
+                while idx != b {
+                    assert_ne!(set.buckets[idx], EMPTY, "bucket {b} at step {r}");
+                    idx = (idx + 1) & set.mask;
+                }
+            }
+        }
+        assert_eq!(set.capacity(), 16);
+        assert!(wrapped > 100, "only {wrapped} erases met a cluster across the last bucket");
     }
 
     #[test]

@@ -37,8 +37,11 @@ pub struct NaiveParES {
 
 impl NaiveParES {
     /// Create a chain randomising `graph`.
+    ///
+    /// # Panics
+    /// If `graph` has more nodes than [`ConcurrentEdgeSet::MAX_NODES`].
     pub fn new(graph: EdgeListGraph, config: SwitchingConfig) -> Self {
-        let edge_set = ConcurrentEdgeSet::from_edges(graph.edges().iter(), graph.num_edges() * 2);
+        let edge_set = ConcurrentEdgeSet::for_graph(&graph);
         let edges = AtomicEdgeList::from_graph(&graph);
         Self { edges, edge_set, seeds: SeedSequence::new(config.seed), supersteps_done: 0, config }
     }
@@ -204,7 +207,7 @@ impl EdgeSwitching for NaiveParES {
     fn restore(&mut self, snapshot: &ChainSnapshot) -> Result<(), SnapshotError> {
         snapshot.check_algorithm(self.name())?;
         let graph = snapshot.graph()?;
-        self.edge_set = ConcurrentEdgeSet::from_edges(graph.edges().iter(), graph.num_edges() * 2);
+        self.edge_set = ConcurrentEdgeSet::for_graph(&graph);
         self.edges = AtomicEdgeList::from_graph(&graph);
         self.seeds = SeedSequence::from_raw_state(snapshot.aux_seed_state);
         self.supersteps_done = snapshot.supersteps_done;

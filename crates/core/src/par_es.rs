@@ -10,7 +10,9 @@
 //! [`sequential_superstep`](crate::superstep::sequential_superstep) instead,
 //! writing its own edge set through exclusive access; both paths leave the
 //! same bytes (see [`crate::superstep`]).  The prefixes, and with them the
-//! per-prefix statistics, are the same on both paths.
+//! per-prefix statistics, are the same on both paths.  Only Algorithm 1
+//! leaves tombstones in the edge set, so only that path ever makes the chain
+//! rebuild it between prefixes.
 //!
 //! The prefix is found by one sequential scan over `R` against a dense array
 //! of `u32` *epoch stamps*, one per edge slot, that the chain owns.  Each
@@ -58,8 +60,11 @@ pub struct ParES {
 
 impl ParES {
     /// Create a chain randomising `graph`.
+    ///
+    /// # Panics
+    /// If `graph` has more nodes than [`ConcurrentEdgeSet::MAX_NODES`].
     pub fn new(graph: EdgeListGraph, config: SwitchingConfig) -> Self {
-        let edge_set = ConcurrentEdgeSet::from_edges(graph.edges().iter(), graph.num_edges() * 2);
+        let edge_set = ConcurrentEdgeSet::for_graph(&graph);
         let edges = AtomicEdgeList::from_graph(&graph);
         Self {
             edges,
@@ -188,7 +193,7 @@ impl EdgeSwitching for ParES {
     fn restore(&mut self, snapshot: &ChainSnapshot) -> Result<(), SnapshotError> {
         snapshot.check_algorithm(self.name())?;
         let graph = snapshot.graph()?;
-        self.edge_set = ConcurrentEdgeSet::from_edges(graph.edges().iter(), graph.num_edges() * 2);
+        self.edge_set = ConcurrentEdgeSet::for_graph(&graph);
         self.edges = AtomicEdgeList::from_graph(&graph);
         self.rng = snapshot.rng.restore();
         self.supersteps_done = snapshot.supersteps_done;

@@ -7,11 +7,11 @@
 //! the one [`DependencyTable`] the chain reuses for every superstep.  At one
 //! rayon thread it runs the global switch in order with
 //! [`sequential_superstep`](crate::superstep::sequential_superstep) instead,
-//! writing its own edge set through exclusive access (see
-//! [`crate::superstep`]).  The chain is *exact* on both paths: given the same
-//! permutation and trial count, the resulting graph is identical to executing
-//! the switches sequentially (this is asserted by the integration tests
-//! against [`crate::SeqGlobalES`]).
+//! writing its own edge set through exclusive access, whose erases leave no
+//! tombstones (see [`crate::superstep`]).  The chain is *exact* on both
+//! paths: given the same permutation and trial count, the resulting graph is
+//! identical to executing the switches sequentially (this is asserted by the
+//! integration tests against [`crate::SeqGlobalES`]).
 
 use crate::chain::{EdgeSwitching, SwitchingConfig};
 use crate::seq_global::SeqGlobalES;
@@ -38,10 +38,14 @@ impl ParGlobalES {
     /// Create a chain randomising `graph`.
     ///
     /// The concurrent edge set is sized for the (constant) number of edges of
-    /// the graph plus the tombstones of a few supersteps; it is rebuilt
-    /// automatically between supersteps when necessary.
+    /// the graph plus the tombstones of a few Algorithm 1 supersteps; it is
+    /// rebuilt between supersteps when they have left too many.  In-order
+    /// supersteps leave none.
+    ///
+    /// # Panics
+    /// If `graph` has more nodes than [`ConcurrentEdgeSet::MAX_NODES`].
     pub fn new(graph: EdgeListGraph, config: SwitchingConfig) -> Self {
-        let edge_set = ConcurrentEdgeSet::from_edges(graph.edges().iter(), graph.num_edges() * 2);
+        let edge_set = ConcurrentEdgeSet::for_graph(&graph);
         let edges = AtomicEdgeList::from_graph(&graph);
         Self {
             edges,
@@ -112,7 +116,7 @@ impl EdgeSwitching for ParGlobalES {
     fn restore(&mut self, snapshot: &ChainSnapshot) -> Result<(), SnapshotError> {
         snapshot.check_algorithm(self.name())?;
         let graph = snapshot.graph()?;
-        self.edge_set = ConcurrentEdgeSet::from_edges(graph.edges().iter(), graph.num_edges() * 2);
+        self.edge_set = ConcurrentEdgeSet::for_graph(&graph);
         self.edges = AtomicEdgeList::from_graph(&graph);
         self.rng = snapshot.rng.restore();
         self.seeds = SeedSequence::from_raw_state(snapshot.aux_seed_state);
@@ -163,10 +167,12 @@ mod tests {
     #[test]
     fn repeated_supersteps_keep_edge_set_consistent() {
         // Run enough supersteps to force at least one rebuild of the edge set.
+        // Only Algorithm 1 leaves tombstones, and it runs at two threads.
         let graph = gnp_graph(5, 150, 0.08);
         let m = graph.num_edges();
         let mut chain = ParGlobalES::new(graph, SwitchingConfig::with_seed(6));
-        chain.run_supersteps(20);
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        pool.install(|| chain.run_supersteps(20));
         let result = chain.graph();
         assert_eq!(result.num_edges(), m);
         assert!(result.validate().is_ok());

@@ -31,6 +31,7 @@ use crate::chain::{EdgeSwitching, SwitchingConfig};
 use crate::spec::{ChainError, ChainSpec, ParamValue, PARAM_LOOP_PROBABILITY, PARAM_PREFETCH};
 use crate::store_chain::StoreSwitching;
 use crate::{NaiveParES, ParES, ParGlobalES, SeqES, SeqGlobalES};
+use gesmc_concurrent::ConcurrentEdgeSet;
 use gesmc_graph::{EdgeListGraph, EdgeStore};
 use std::collections::HashMap;
 
@@ -376,6 +377,21 @@ impl ChainRegistry {
     }
 }
 
+/// Fail with [`ChainError::UnsupportedGraph`] unless `graph`'s node ids fit
+/// the keys of the [`ConcurrentEdgeSet`] that `chain` keeps its edges in.
+fn check_edge_set_keys(chain: &str, graph: &EdgeListGraph) -> Result<(), ChainError> {
+    if graph.num_nodes() <= ConcurrentEdgeSet::MAX_NODES {
+        return Ok(());
+    }
+    Err(ChainError::UnsupportedGraph {
+        chain: chain.to_string(),
+        message: format!(
+            "the graph has {} nodes, but the concurrent edge set holds node ids below 2^28",
+            graph.num_nodes()
+        ),
+    })
+}
+
 /// Descriptors of the five core chains.
 fn core_chain_infos() -> Vec<ChainInfo> {
     vec![
@@ -410,7 +426,10 @@ fn core_chain_infos() -> Vec<ChainInfo> {
             parallel: true,
             snapshot: true,
             params: COMMON_PARAMS,
-            factory: |graph, config, _| Ok(Box::new(ParES::new(graph, config))),
+            factory: |graph, config, _| {
+                check_edge_set_keys("par-es", &graph)?;
+                Ok(Box::new(ParES::new(graph, config)))
+            },
         },
         ChainInfo {
             name: "par-global-es",
@@ -421,7 +440,10 @@ fn core_chain_infos() -> Vec<ChainInfo> {
             parallel: true,
             snapshot: true,
             params: COMMON_PARAMS,
-            factory: |graph, config, _| Ok(Box::new(ParGlobalES::new(graph, config))),
+            factory: |graph, config, _| {
+                check_edge_set_keys("par-global-es", &graph)?;
+                Ok(Box::new(ParGlobalES::new(graph, config)))
+            },
         },
         ChainInfo {
             name: "naive-par-es",
@@ -433,7 +455,10 @@ fn core_chain_infos() -> Vec<ChainInfo> {
             parallel: true,
             snapshot: true,
             params: COMMON_PARAMS,
-            factory: |graph, config, _| Ok(Box::new(NaiveParES::new(graph, config))),
+            factory: |graph, config, _| {
+                check_edge_set_keys("naive-par-es", &graph)?;
+                Ok(Box::new(NaiveParES::new(graph, config)))
+            },
         },
     ]
 }
@@ -461,6 +486,35 @@ mod tests {
             assert_eq!(chain.graph().degrees(), degrees, "{}", info.name);
             assert_eq!(chain.snapshot().is_some(), info.snapshot, "{}", info.name);
         }
+    }
+
+    #[test]
+    fn edge_set_chains_refuse_node_ids_beyond_28_bits() {
+        // {0, 2^28 + 5} and {1, 5} would share one 56-bit edge-set key.
+        let far = (1 << 28) + 5;
+        let pairs = [(0, far), (1, 5), (2, 3), (4, 6), (7, 8), (9, 10), (11, 12), (13, 14)];
+        let edges = pairs.iter().map(|&(u, v)| gesmc_graph::Edge::new(u, v)).collect();
+        let graph = EdgeListGraph::new(far as usize + 1, edges).unwrap();
+        let registry = ChainRegistry::with_core_chains();
+        for name in ["par-es", "par-global-es", "naive-par-es"] {
+            match registry.build(&ChainSpec::new(name), graph.clone(), 1).map(|_| ()) {
+                Err(ChainError::UnsupportedGraph { chain, message }) => {
+                    assert_eq!(chain, name);
+                    assert!(message.contains("2^28"), "{message}");
+                }
+                other => panic!("{name}: expected UnsupportedGraph, got {other:?}"),
+            }
+        }
+        // SeqES packs node ids into 32 bits and runs on the same graph.
+        let endpoints = |g: &EdgeListGraph| {
+            let mut nodes: Vec<u32> = g.edges().iter().flat_map(|e| [e.u(), e.v()]).collect();
+            nodes.sort_unstable();
+            nodes
+        };
+        let mut chain = registry.build(&ChainSpec::new("seq-es"), graph.clone(), 1).unwrap();
+        assert!(chain.run_supersteps(4).total_legal() > 0);
+        assert_eq!(endpoints(&chain.graph()), endpoints(&graph));
+        assert!(chain.graph().validate().is_ok());
     }
 
     #[test]

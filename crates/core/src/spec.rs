@@ -174,6 +174,13 @@ pub enum ChainError {
         /// What was wrong with the value.
         message: String,
     },
+    /// The chain cannot run on this graph.
+    UnsupportedGraph {
+        /// The chain the spec addressed.
+        chain: String,
+        /// Which of the chain's limits the graph exceeds.
+        message: String,
+    },
 }
 
 impl std::fmt::Display for ChainError {
@@ -196,6 +203,9 @@ impl std::fmt::Display for ChainError {
             }
             ChainError::BadParam { chain, param, message } => {
                 write!(f, "chain {chain:?}, parameter {param:?}: {message}")
+            }
+            ChainError::UnsupportedGraph { chain, message } => {
+                write!(f, "chain {chain:?} cannot run this graph: {message}")
             }
         }
     }

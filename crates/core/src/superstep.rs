@@ -12,6 +12,9 @@
 //!   machinery (registration, decision rounds, two apply passes,
 //!   compare-and-swap writes) buys nothing.  The chain owns its edge set, so
 //!   the in-order path borrows it mutably and writes it with plain stores.
+//!   Its erases move later entries of the probe cluster back into the gap
+//!   instead of leaving tombstones, so the set never needs a rebuild after
+//!   an in-order superstep.
 //!
 //! [`parallel_superstep`] and [`run_superstep_on_graph`] always run
 //! Algorithm 1, whatever the thread count.
@@ -191,7 +194,9 @@ pub fn parallel_superstep(
 /// sources), and otherwise erases its sources, inserts its targets and
 /// rewires its two slots.
 ///
-/// The result equals [`parallel_superstep`]'s on the same batch.  Like the
+/// The result equals [`parallel_superstep`]'s on the same batch: the same
+/// edge array, legal count and edge-set contents, though not the same bucket
+/// layout, since this path's erases leave no tombstones.  Like the
 /// sequential chains, it reports one round that lasts the whole superstep.
 ///
 /// # Panics
@@ -312,12 +317,16 @@ fn decide(
 
 /// Convenience wrapper: run a superstep on a plain graph and return the new
 /// graph (used by tests and by callers that do not keep persistent state).
+///
+/// # Panics
+/// As [`parallel_superstep`], and if `graph` has more nodes than
+/// [`ConcurrentEdgeSet::MAX_NODES`].
 pub fn run_superstep_on_graph(
     graph: &gesmc_graph::EdgeListGraph,
     switches: &[SwitchRequest],
 ) -> (gesmc_graph::EdgeListGraph, SuperstepStats) {
     let edges = AtomicEdgeList::from_graph(graph);
-    let edge_set = ConcurrentEdgeSet::from_edges(graph.edges().iter(), graph.num_edges() * 2);
+    let edge_set = ConcurrentEdgeSet::for_graph(graph);
     let stats = parallel_superstep(&mut DependencyTable::default(), &edges, &edge_set, switches);
     (edges.to_graph(), stats)
 }

@@ -227,7 +227,9 @@ fn dependency_free_prefixes(requests: &[SwitchRequest]) -> Vec<&[SwitchRequest]>
 /// in order, one with Algorithm 1, and one that alternates between the two
 /// on its single table and edge set.  After every batch all three, and a
 /// sequential Def. 1 replay, hold the same edge array, legal count and edge
-/// set, at 1, 2 and 8 threads and across rebuilds of the edge sets.
+/// set, at 1, 2 and 8 threads.  The in-order lane's erases leave no
+/// tombstones, so it never needs a rebuild; the other two lanes run across
+/// at least one.
 #[test]
 fn in_order_and_parallel_supersteps_agree_and_alternate_on_one_edge_set() {
     let graph = gesmc::datasets::syn_pld_graph(4, 400, 2.2);
@@ -247,15 +249,25 @@ fn in_order_and_parallel_supersteps_agree_and_alternate_on_one_edge_set() {
             let mut parallel = Lane::new(&graph);
             let mut alternating = Lane::new(&graph);
             let mut seq = SeqGlobalES::new(graph.clone(), SwitchingConfig::with_seed(0));
-            let mut rebuilds = 0;
+            let (mut parallel_rebuilds, mut mixed_rebuilds) = (0, 0);
             for (b, batch) in batches.iter().enumerate() {
                 let at = format!("{threads} threads, batch {b}");
                 let legal_seq: usize = batch.iter().map(|&s| seq.apply(s) as usize).sum();
                 let (legal, rebuilt) = in_order.run(true, batch);
                 assert_eq!(legal, legal_seq, "{at}: in-order legal count");
-                assert_eq!(parallel.run(false, batch), (legal, rebuilt), "{at}: parallel");
-                assert_eq!(alternating.run(b % 2 == 0, batch), (legal, rebuilt), "{at}: mixed");
-                rebuilds += rebuilt as usize;
+                assert!(!rebuilt, "{at}: the in-order lane asked for a rebuild");
+                let (parallel_legal, rebuilt) = parallel.run(false, batch);
+                assert_eq!(parallel_legal, legal, "{at}: parallel legal count");
+                parallel_rebuilds += rebuilt as usize;
+                let (mixed_legal, rebuilt) = alternating.run(b % 2 == 0, batch);
+                assert_eq!(mixed_legal, legal, "{at}: mixed legal count");
+                mixed_rebuilds += rebuilt as usize;
+                if b == batches.len() / 2 && mixed_rebuilds == 0 {
+                    // Half of its batches leave no tombstones, so the mixed
+                    // lane may never ask for a rebuild; force one.
+                    alternating.edge_set.rebuild();
+                    mixed_rebuilds += 1;
+                }
 
                 let array = in_order.edges.snapshot_edges();
                 assert_eq!(array, seq.graph().edges(), "{at}: in-order edge array");
@@ -268,7 +280,8 @@ fn in_order_and_parallel_supersteps_agree_and_alternate_on_one_edge_set() {
                 assert_eq!(parallel.sorted_edge_set(), set, "{at}: parallel edge set");
                 assert_eq!(alternating.sorted_edge_set(), set, "{at}: mixed edge set");
             }
-            assert!(rebuilds >= 1, "{threads} threads: the batches must span a rebuild");
+            assert!(parallel_rebuilds >= 1, "{threads} threads: the parallel lane never rebuilt");
+            assert!(mixed_rebuilds >= 1, "{threads} threads: the mixed lane never rebuilt");
         });
     }
 }
