@@ -15,7 +15,6 @@ use gesmc_core::{
 use gesmc_graph::{Edge, EdgeListGraph, Node};
 use gesmc_randx::bounded::UniformIndex;
 use gesmc_randx::{rng_from_seed, Rng, RngState};
-use rand::Rng as _;
 use std::time::Instant;
 
 /// Shared implementation detail: the two baselines differ only in how the
@@ -125,9 +124,8 @@ impl AdjacencyChain {
         let sampler = UniformIndex::new(m as u64);
         let mut applied = 0usize;
         for _ in 0..count {
-            let (i, j) = sampler.sample_distinct_pair(&mut self.rng);
-            let g: bool = self.rng.gen();
-            applied += self.apply(SwitchRequest::new(i as usize, j as usize, g)) as usize;
+            let request = SwitchRequest::sample(&sampler, &mut self.rng);
+            applied += self.apply(request) as usize;
         }
         applied
     }

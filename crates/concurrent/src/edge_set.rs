@@ -9,16 +9,17 @@
 //!
 //! The set serves two distinct clients:
 //!
-//! * the **exact parallel chains** use it as the authoritative edge-existence
-//!   set.  With two or more threads a superstep runs concurrent `contains`,
-//!   then batched parallel `erase`/`insert` of the decided switches (no locks
-//!   needed because Observation 2 guarantees each edge is erased at most once
-//!   and inserted by at most one legal switch per superstep).  With one
-//!   thread the superstep runs its switches in order and writes through
-//!   [`ConcurrentEdgeSet::insert_mut`] / [`ConcurrentEdgeSet::erase_mut`]:
-//!   the `&mut` borrow proves that no other thread can probe the set, so a
-//!   plain store replaces the compare-and-swap and the atomic counter
-//!   updates;
+//! * the **exact chains**, sequential and parallel, use it as the
+//!   authoritative edge-existence set.  With two or more threads a parallel
+//!   chain's superstep runs concurrent `contains`, then batched parallel
+//!   `erase`/`insert` of the decided switches (no locks needed because
+//!   Observation 2 guarantees each edge is erased at most once and inserted
+//!   by at most one legal switch per superstep).  The sequential chains, and
+//!   the parallel ones at one thread, run their switches in order and write
+//!   through [`ConcurrentEdgeSet::insert_mut`] /
+//!   [`ConcurrentEdgeSet::erase_mut`]: the `&mut` borrow proves that no
+//!   other thread can probe the set, so a plain store replaces the
+//!   compare-and-swap and the atomic counter updates;
 //! * **`NaiveParES`** uses the ticket semantics — lock an existing edge or
 //!   insert-and-lock a new one — to prevent concurrent updates of the same
 //!   edge while deliberately ignoring switch dependencies.
@@ -700,6 +701,46 @@ mod tests {
         assert_eq!(set.try_lock_existing(second, 9), LockOutcome::Busy);
         assert!(set.unlock(second, 7));
         assert_eq!(set.try_lock_existing(second, 9), LockOutcome::Acquired);
+    }
+
+    #[test]
+    fn exclusive_writes_match_a_hash_set_under_a_heavy_mixed_workload() {
+        // 20k inserts, erases and queries over the edges of 500 nodes: about
+        // 6.3k edges end up live in 8192 buckets, so the probe clusters that
+        // the backward shift repairs are long.
+        let mut set = ConcurrentEdgeSet::with_capacity(4096);
+        let mut model = std::collections::HashSet::new();
+        let mut state = 12345u64;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 16
+        };
+        for _ in 0..20_000 {
+            let (u, v) = ((next() % 500) as u32, (next() % 500) as u32);
+            if u == v {
+                continue;
+            }
+            let e = Edge::new(u, v);
+            match next() % 3 {
+                0 => assert_eq!(set.insert_mut(e), model.insert(e)),
+                1 => assert_eq!(set.erase_mut(e), model.remove(&e)),
+                _ => assert_eq!(set.contains(e), model.contains(&e)),
+            }
+        }
+        assert_eq!(set.len(), model.len());
+        assert!(set.len() > set.capacity() / 2, "only {} edges live", set.len());
+        assert_probe_paths_unbroken(&set);
+    }
+
+    #[test]
+    fn prefetch_has_no_semantic_effect() {
+        let mut set = ConcurrentEdgeSet::with_capacity(8);
+        assert!(set.insert_mut(Edge::new(3, 9)));
+        set.prefetch(Edge::new(3, 9));
+        set.prefetch(Edge::new(4, 5));
+        assert!(set.contains(Edge::new(3, 9)));
+        assert!(!set.contains(Edge::new(4, 5)));
+        assert_eq!(set.len(), 1);
     }
 
     #[test]

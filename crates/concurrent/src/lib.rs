@@ -1,14 +1,16 @@
 //! Concurrent data structures for exact parallel edge switching.
 //!
 //! Section 5 of the paper describes the data-structure layer that makes the
-//! parallel chains fast and exact:
+//! chains fast and the parallel ones exact:
 //!
-//! * a **concurrent edge hash set** with open addressing, power-of-two
-//!   capacity, a low maximum load factor, and an 8-bit lock field per bucket
-//!   manipulated with compare-and-swap ([`edge_set::ConcurrentEdgeSet`]),
-//! * a **sequential edge hash set** tuned for the single-threaded chains,
-//!   including the split hash-then-operate API used for software prefetching
-//!   ([`seq_set::SeqEdgeSet`]),
+//! * the one **edge hash set** of every exact chain, with open addressing,
+//!   power-of-two capacity, a low maximum load factor, and an 8-bit lock
+//!   field per bucket manipulated with compare-and-swap
+//!   ([`edge_set::ConcurrentEdgeSet`]).  Algorithm 1 and `NaiveParES` write
+//!   it atomically; the in-order kernel of the sequential chains, and of the
+//!   parallel ones at one thread, writes it through exclusive access with
+//!   plain stores, and hints the software prefetcher through its split
+//!   hash-then-operate API,
 //! * the **dependency table** of `ParallelSuperstep` (Algorithm 1): a
 //!   reusable, lock-free map from each packed edge to the one switch erasing
 //!   it and the list of switches inserting it, plus one three-state
@@ -31,12 +33,10 @@ pub mod atomic_edge_list;
 pub mod dep_table;
 pub mod edge_set;
 pub mod prefetch;
-pub mod seq_set;
 
 pub use atomic_edge_list::AtomicEdgeList;
 pub use dep_table::{DependencyTable, SwitchState};
 pub use edge_set::{ConcurrentEdgeSet, LockOutcome};
-pub use seq_set::SeqEdgeSet;
 
 /// Scramble a packed edge identifier into a well-distributed hash.
 ///

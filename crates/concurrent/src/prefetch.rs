@@ -1,10 +1,10 @@
 //! Portable software-prefetch helpers.
 //!
 //! Randomised edge switching makes inherently unstructured memory accesses
-//! (Sec. 5.4 of the paper).  The sequential chains hide part of the resulting
-//! cache-miss latency by splitting every hash-set operation into a
-//! *hash-and-prefetch* step and an *operate* step, with a small pipeline of
-//! switches in flight between the two.  These helpers issue the prefetch; on
+//! (Sec. 5.4 of the paper).  `SeqES` hides part of the resulting cache-miss
+//! latency by splitting every hash-set operation into a *hash-and-prefetch*
+//! step and an *operate* step, with a small window of switches in flight
+//! between the two.  These helpers issue the prefetch; on
 //! platforms without a stable prefetch intrinsic they compile to a no-op, so
 //! the surrounding algorithm stays portable.
 

@@ -15,8 +15,8 @@ pub struct SwitchingConfig {
     /// probability `1 − P_L`; a small positive value guarantees aperiodicity.
     /// Ignored by the ES-MC family.
     pub loop_probability: f64,
-    /// Enable the software-prefetch pipeline in the sequential chains
-    /// (Sec. 5.4).  Parallel chains currently ignore this flag.
+    /// Enable the software-prefetch pipeline of [`SeqES`](crate::SeqES)
+    /// (Sec. 5.4).  Every other chain ignores this flag.
     pub prefetch: bool,
 }
 

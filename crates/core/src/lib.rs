@@ -9,7 +9,9 @@
 //!   [`SeqGlobalES`] (sequential) and [`ParGlobalES`] (exact parallel,
 //!   Algorithm 3),
 //! * the **`ParallelSuperstep`** primitive (Algorithm 1) both parallel chains
-//!   are built on ([`superstep::parallel_superstep`]),
+//!   are built on ([`superstep::parallel_superstep`]), and the in-order Def. 1
+//!   kernel that all four exact chains share
+//!   ([`superstep::sequential_superstep`]),
 //! * **`NaiveParES`** (Sec. 5.1), the inexact lock-per-edge parallel baseline.
 //!
 //! All chains expose the same [`EdgeSwitching`] interface so the examples,

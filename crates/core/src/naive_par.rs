@@ -17,7 +17,7 @@
 use crate::chain::{EdgeSwitching, SwitchingConfig};
 use crate::snapshot::{ChainSnapshot, SnapshotError};
 use crate::stats::SuperstepStats;
-use crate::switch::switch_targets;
+use crate::switch::{switch_targets, SwitchRequest};
 use gesmc_concurrent::{AtomicEdgeList, ConcurrentEdgeSet, LockOutcome};
 use gesmc_graph::{Edge, EdgeListGraph};
 use gesmc_randx::bounded::UniformIndex;
@@ -69,10 +69,8 @@ impl NaiveParES {
             let in_this_chunk = chunk.min(count - c * chunk);
             let mut local_applied = 0usize;
             for _ in 0..in_this_chunk {
-                let (i, j) = sampler.sample_distinct_pair(&mut rng);
-                local_applied +=
-                    self.attempt_switch(i as usize, j as usize, rand::Rng::gen(&mut rng), owner)
-                        as usize;
+                let request = SwitchRequest::sample(&sampler, &mut rng);
+                local_applied += self.attempt_switch(request, owner) as usize;
             }
             applied.fetch_add(local_applied, Ordering::Relaxed);
         });
@@ -81,10 +79,7 @@ impl NaiveParES {
 
     /// Attempt a single switch with ticket acquisition; returns whether it was
     /// applied.
-    fn attempt_switch(&self, i: usize, j: usize, g: bool, owner: u8) -> bool {
-        if i == j {
-            return false;
-        }
+    fn attempt_switch(&self, SwitchRequest { i, j, g }: SwitchRequest, owner: u8) -> bool {
         let e1 = self.edges.get(i);
         let e2 = self.edges.get(j);
         let (e3, e4) = switch_targets(e1, e2, g);

@@ -39,7 +39,6 @@ use gesmc_concurrent::{AtomicEdgeList, ConcurrentEdgeSet, DependencyTable};
 use gesmc_graph::EdgeListGraph;
 use gesmc_randx::bounded::UniformIndex;
 use gesmc_randx::{rng_from_seed, Rng, RngState};
-use rand::Rng as _;
 use std::time::Instant;
 
 /// Exact parallel ES-MC chain.
@@ -86,13 +85,7 @@ impl ParES {
             return Vec::new();
         }
         let sampler = UniformIndex::new(m as u64);
-        (0..count)
-            .map(|_| {
-                let (i, j) = sampler.sample_distinct_pair(&mut self.rng);
-                let g: bool = self.rng.gen();
-                SwitchRequest::new(i as usize, j as usize, g)
-            })
-            .collect()
+        (0..count).map(|_| SwitchRequest::sample(&sampler, &mut self.rng)).collect()
     }
 
     /// Execute an explicit sequence of switch requests exactly (i.e. with the

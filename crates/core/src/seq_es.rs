@@ -7,29 +7,36 @@
 //! array combined with a low-load-factor hash set was measured there to beat
 //! sampling from the hash set directly.
 //!
-//! When [`SwitchingConfig::prefetch`] is enabled, switches are processed in a
-//! small pipeline: the hash-set buckets of the next few switches are
-//! prefetched while the current switch is decided (Sec. 5.4).
+//! The chain holds the same edge array and [`ConcurrentEdgeSet`] as
+//! [`ParES`](crate::ParES), draws its switches from the same stream, and
+//! applies them with the in-order kernel [`sequential_superstep`] that
+//! `ParES` runs at one thread, so the two chains agree byte for byte at
+//! every seed.  It draws the switches of a superstep in chunks of 1024, so
+//! its request buffer stays in cache and adds no memory per edge.  When
+//! [`SwitchingConfig::prefetch`] is enabled, the kernel prefetches the
+//! hash-set buckets of the next few switches before it decides them
+//! (Sec. 5.4).  The edge set keeps node ids below 2^28; `seq-es-ext` samples
+//! the same chain on larger graphs.
 
 use crate::chain::{EdgeSwitching, SwitchingConfig};
 use crate::snapshot::{ChainSnapshot, SnapshotError};
 use crate::stats::SuperstepStats;
-use crate::switch::{switch_targets, SwitchRequest};
-use gesmc_concurrent::SeqEdgeSet;
-use gesmc_graph::{Edge, EdgeListGraph};
+use crate::superstep::sequential_superstep;
+use crate::switch::SwitchRequest;
+use gesmc_concurrent::{AtomicEdgeList, ConcurrentEdgeSet};
+use gesmc_graph::EdgeListGraph;
 use gesmc_randx::bounded::UniformIndex;
 use gesmc_randx::{rng_from_seed, Rng, RngState};
-use rand::Rng as _;
 use std::time::Instant;
 
-/// Depth of the prefetch pipeline (number of switches in flight).
-const PIPELINE: usize = 4;
+/// Switches drawn at a time before the kernel applies them: a multiple of
+/// its prefetch window, and 24 KiB of requests.
+const REQUEST_CHUNK: usize = 1024;
 
 /// Sequential ES-MC chain.
 pub struct SeqES {
-    num_nodes: usize,
-    edges: Vec<Edge>,
-    set: SeqEdgeSet,
+    edges: AtomicEdgeList,
+    set: ConcurrentEdgeSet,
     rng: Rng,
     supersteps_done: u64,
     config: SwitchingConfig,
@@ -37,45 +44,23 @@ pub struct SeqES {
 
 impl SeqES {
     /// Create a chain randomising `graph`.
+    ///
+    /// # Panics
+    /// If `graph` has more nodes than [`ConcurrentEdgeSet::MAX_NODES`].
     pub fn new(graph: EdgeListGraph, config: SwitchingConfig) -> Self {
-        let set = SeqEdgeSet::from_edges(graph.edges().iter().map(|e| e.pack()), graph.num_edges());
-        let rng = rng_from_seed(config.seed);
-        let num_nodes = graph.num_nodes();
-        Self { num_nodes, edges: graph.into_edges(), set, rng, supersteps_done: 0, config }
-    }
-
-    /// Attempt a single uniformly random edge switch; returns whether it was
-    /// applied.
-    pub fn single_switch(&mut self) -> bool {
-        let m = self.edges.len();
-        if m < 2 {
-            return false;
+        Self {
+            set: ConcurrentEdgeSet::for_graph(&graph),
+            edges: AtomicEdgeList::from_graph(&graph),
+            rng: rng_from_seed(config.seed),
+            supersteps_done: 0,
+            config,
         }
-        let sampler = UniformIndex::new(m as u64);
-        let (i, j) = sampler.sample_distinct_pair(&mut self.rng);
-        let g: bool = self.rng.gen();
-        self.apply(SwitchRequest::new(i as usize, j as usize, g))
     }
 
     /// Apply one explicit switch request (Def. 1); returns whether it was
     /// legal.
     pub fn apply(&mut self, request: SwitchRequest) -> bool {
-        let e1 = self.edges[request.i];
-        let e2 = self.edges[request.j];
-        let (e3, e4) = switch_targets(e1, e2, request.g);
-        if e3.is_loop() || e4.is_loop() {
-            return false;
-        }
-        if self.set.contains(e3.pack()) || self.set.contains(e4.pack()) {
-            return false;
-        }
-        self.set.erase(e1.pack());
-        self.set.erase(e2.pack());
-        self.set.insert(e3.pack());
-        self.set.insert(e4.pack());
-        self.edges[request.i] = e3;
-        self.edges[request.j] = e4;
-        true
+        sequential_superstep(&self.edges, &mut self.set, &[request], false).legal == 1
     }
 
     /// Perform `count` uniformly random switches; returns the number applied.
@@ -84,45 +69,16 @@ impl SeqES {
         if m < 2 {
             return 0;
         }
-        if self.config.prefetch {
-            self.run_switches_pipelined(count)
-        } else {
-            (0..count).filter(|_| self.single_switch()).count()
-        }
-    }
-
-    /// Pipelined variant: sample a window of switches ahead of time and
-    /// prefetch the hash-set buckets of their candidate target edges before
-    /// deciding them.
-    fn run_switches_pipelined(&mut self, count: usize) -> usize {
-        let m = self.edges.len();
         let sampler = UniformIndex::new(m as u64);
-        let mut applied = 0usize;
-        let mut window: Vec<SwitchRequest> = Vec::with_capacity(PIPELINE);
-        let mut remaining = count;
-        while remaining > 0 {
-            let batch = remaining.min(PIPELINE);
-            window.clear();
-            for _ in 0..batch {
-                let (i, j) = sampler.sample_distinct_pair(&mut self.rng);
-                let g: bool = self.rng.gen();
-                window.push(SwitchRequest::new(i as usize, j as usize, g));
-            }
-            // Stage 1: prefetch the buckets the legality test will touch.
-            for request in &window {
-                let e1 = self.edges[request.i];
-                let e2 = self.edges[request.j];
-                let (e3, e4) = switch_targets(e1, e2, request.g);
-                self.set.prefetch(e3.pack());
-                self.set.prefetch(e4.pack());
-            }
-            // Stage 2: decide and apply.  Note that switches within the window
-            // are applied strictly in order, so the chain is unchanged; only
-            // the memory accesses are overlapped.
-            for request in &window {
-                applied += self.apply(*request) as usize;
-            }
-            remaining -= batch;
+        let mut chunk = Vec::with_capacity(count.min(REQUEST_CHUNK));
+        let mut applied = 0;
+        for first in (0..count).step_by(REQUEST_CHUNK) {
+            chunk.clear();
+            let len = REQUEST_CHUNK.min(count - first);
+            chunk.extend((0..len).map(|_| SwitchRequest::sample(&sampler, &mut self.rng)));
+            applied +=
+                sequential_superstep(&self.edges, &mut self.set, &chunk, self.config.prefetch)
+                    .legal;
         }
         applied
     }
@@ -138,7 +94,7 @@ impl EdgeSwitching for SeqES {
     }
 
     fn graph(&self) -> EdgeListGraph {
-        EdgeListGraph::from_edges_unchecked(self.num_nodes, self.edges.clone())
+        self.edges.to_graph()
     }
 
     fn superstep(&mut self) -> SuperstepStats {
@@ -159,8 +115,8 @@ impl EdgeSwitching for SeqES {
     fn snapshot(&self) -> Option<ChainSnapshot> {
         Some(ChainSnapshot {
             algorithm: self.name().to_string(),
-            num_nodes: self.num_nodes,
-            edges: self.edges.clone(),
+            num_nodes: self.edges.num_nodes(),
+            edges: self.edges.snapshot_edges(),
             rng: RngState::capture(&self.rng),
             aux_seed_state: 0,
             supersteps_done: self.supersteps_done,
@@ -172,10 +128,9 @@ impl EdgeSwitching for SeqES {
 
     fn restore(&mut self, snapshot: &ChainSnapshot) -> Result<(), SnapshotError> {
         snapshot.check_algorithm(self.name())?;
-        snapshot.validate()?;
-        self.num_nodes = snapshot.num_nodes;
-        self.edges = snapshot.edges.clone();
-        self.set = SeqEdgeSet::from_edges(self.edges.iter().map(|e| e.pack()), self.edges.len());
+        let graph = snapshot.graph()?;
+        self.set = ConcurrentEdgeSet::for_graph(&graph);
+        self.edges = AtomicEdgeList::from_graph(&graph);
         self.rng = snapshot.rng.restore();
         self.supersteps_done = snapshot.supersteps_done;
         self.config = snapshot.config();
@@ -187,6 +142,7 @@ impl EdgeSwitching for SeqES {
 mod tests {
     use super::*;
     use gesmc_graph::gen::gnp;
+    use gesmc_graph::Edge;
 
     fn test_graph(seed: u64) -> EdgeListGraph {
         let mut rng = rng_from_seed(seed);

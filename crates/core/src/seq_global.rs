@@ -8,22 +8,29 @@
 //! unbiased and independent, and every edge participates in at most one
 //! switch, which is exactly what removes the source dependencies exploited by
 //! the parallel algorithm.
+//!
+//! The chain holds the same edge array and [`ConcurrentEdgeSet`] as
+//! [`ParGlobalES`](crate::ParGlobalES) and hands each global switch to the
+//! in-order kernel [`sequential_superstep`] that `ParGlobalES` runs at one
+//! thread.  The two chains draw `π` differently, so they agree byte for byte
+//! only when they replay the same `(π, ℓ)`.  The edge set keeps node ids
+//! below 2^28.
 
 use crate::chain::{EdgeSwitching, SwitchingConfig};
 use crate::snapshot::{ChainSnapshot, SnapshotError};
 use crate::stats::SuperstepStats;
-use crate::switch::{switch_targets, SwitchRequest};
-use gesmc_concurrent::SeqEdgeSet;
-use gesmc_graph::{Edge, EdgeListGraph};
+use crate::superstep::sequential_superstep;
+use crate::switch::SwitchRequest;
+use gesmc_concurrent::{AtomicEdgeList, ConcurrentEdgeSet};
+use gesmc_graph::EdgeListGraph;
 use gesmc_randx::permutation::random_permutation;
 use gesmc_randx::{rng_from_seed, sample_binomial, Rng, RngState};
 use std::time::Instant;
 
 /// Sequential G-ES-MC chain.
 pub struct SeqGlobalES {
-    num_nodes: usize,
-    edges: Vec<Edge>,
-    set: SeqEdgeSet,
+    edges: AtomicEdgeList,
+    set: ConcurrentEdgeSet,
     rng: Rng,
     supersteps_done: u64,
     config: SwitchingConfig,
@@ -31,11 +38,17 @@ pub struct SeqGlobalES {
 
 impl SeqGlobalES {
     /// Create a chain randomising `graph`.
+    ///
+    /// # Panics
+    /// If `graph` has more nodes than [`ConcurrentEdgeSet::MAX_NODES`].
     pub fn new(graph: EdgeListGraph, config: SwitchingConfig) -> Self {
-        let set = SeqEdgeSet::from_edges(graph.edges().iter().map(|e| e.pack()), graph.num_edges());
-        let rng = rng_from_seed(config.seed);
-        let num_nodes = graph.num_nodes();
-        Self { num_nodes, edges: graph.into_edges(), set, rng, supersteps_done: 0, config }
+        Self {
+            set: ConcurrentEdgeSet::for_graph(&graph),
+            edges: AtomicEdgeList::from_graph(&graph),
+            rng: rng_from_seed(config.seed),
+            supersteps_done: 0,
+            config,
+        }
     }
 
     /// Build the switch sequence of one global switch from a permutation and
@@ -56,22 +69,7 @@ impl SeqGlobalES {
     /// Apply one explicit switch (Def. 1 legality rules); returns whether it
     /// was legal.
     pub fn apply(&mut self, request: SwitchRequest) -> bool {
-        let e1 = self.edges[request.i];
-        let e2 = self.edges[request.j];
-        let (e3, e4) = switch_targets(e1, e2, request.g);
-        if e3.is_loop() || e4.is_loop() {
-            return false;
-        }
-        if self.set.contains(e3.pack()) || self.set.contains(e4.pack()) {
-            return false;
-        }
-        self.set.erase(e1.pack());
-        self.set.erase(e2.pack());
-        self.set.insert(e3.pack());
-        self.set.insert(e4.pack());
-        self.edges[request.i] = e3;
-        self.edges[request.j] = e4;
-        true
+        sequential_superstep(&self.edges, &mut self.set, &[request], false).legal == 1
     }
 
     /// Execute one global switch; returns `(requested, legal)`.
@@ -84,10 +82,7 @@ impl SeqGlobalES {
         let ell = sample_binomial(&mut self.rng, (m / 2) as u64, 1.0 - self.config.loop_probability)
             as usize;
         let switches = Self::switches_from_permutation(&perm, ell);
-        let mut legal = 0usize;
-        for request in &switches {
-            legal += self.apply(*request) as usize;
-        }
+        let legal = sequential_superstep(&self.edges, &mut self.set, &switches, false).legal;
         (switches.len(), legal)
     }
 }
@@ -102,7 +97,7 @@ impl EdgeSwitching for SeqGlobalES {
     }
 
     fn graph(&self) -> EdgeListGraph {
-        EdgeListGraph::from_edges_unchecked(self.num_nodes, self.edges.clone())
+        self.edges.to_graph()
     }
 
     fn superstep(&mut self) -> SuperstepStats {
@@ -122,8 +117,8 @@ impl EdgeSwitching for SeqGlobalES {
     fn snapshot(&self) -> Option<ChainSnapshot> {
         Some(ChainSnapshot {
             algorithm: self.name().to_string(),
-            num_nodes: self.num_nodes,
-            edges: self.edges.clone(),
+            num_nodes: self.edges.num_nodes(),
+            edges: self.edges.snapshot_edges(),
             rng: RngState::capture(&self.rng),
             aux_seed_state: 0,
             supersteps_done: self.supersteps_done,
@@ -135,10 +130,9 @@ impl EdgeSwitching for SeqGlobalES {
 
     fn restore(&mut self, snapshot: &ChainSnapshot) -> Result<(), SnapshotError> {
         snapshot.check_algorithm(self.name())?;
-        snapshot.validate()?;
-        self.num_nodes = snapshot.num_nodes;
-        self.edges = snapshot.edges.clone();
-        self.set = SeqEdgeSet::from_edges(self.edges.iter().map(|e| e.pack()), self.edges.len());
+        let graph = snapshot.graph()?;
+        self.set = ConcurrentEdgeSet::for_graph(&graph);
+        self.edges = AtomicEdgeList::from_graph(&graph);
         self.rng = snapshot.rng.restore();
         self.supersteps_done = snapshot.supersteps_done;
         self.config = snapshot.config();
@@ -150,6 +144,7 @@ impl EdgeSwitching for SeqGlobalES {
 mod tests {
     use super::*;
     use gesmc_graph::gen::gnp;
+    use gesmc_graph::Edge;
 
     fn test_graph(seed: u64) -> EdgeListGraph {
         let mut rng = rng_from_seed(seed);

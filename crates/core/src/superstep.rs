@@ -1,20 +1,23 @@
-//! `ParallelSuperstep` (Algorithm 1): execute a batch of source-dependency
-//! free edge switches in parallel while preserving the sequential outcome.
+//! The two superstep kernels of the exact chains: `ParallelSuperstep`
+//! (Algorithm 1), which executes a batch of source-dependency free edge
+//! switches in parallel while preserving the sequential outcome, and the
+//! one in-order Def. 1 kernel.
 //!
-//! The chains run a batch through `execute_superstep`, which picks one of
-//! two exact paths from the ambient rayon thread count:
+//! [`sequential_superstep`] applies a batch strictly in order and writes the
+//! chain's edge set through exclusive access, with plain stores.  Its erases
+//! move later entries of the probe cluster back into the gap instead of
+//! leaving tombstones, so the set never needs a rebuild after it.  `SeqES`
+//! and `SeqGlobalES` run every switch through it.  `ParES` and `ParGlobalES`
+//! run a batch through `execute_superstep`, which picks one of the two
+//! kernels from the ambient rayon thread count:
 //!
 //! * with two or more threads, [`parallel_superstep`] runs Algorithm 1 as
 //!   described below;
-//! * with one thread, [`sequential_superstep`] applies the switches strictly
-//!   in order with Def. 1.  Algorithm 1 is exact, so this leaves the same
-//!   edge array, legal count and edge-set contents, and at one thread its
-//!   machinery (registration, decision rounds, two apply passes,
-//!   compare-and-swap writes) buys nothing.  The chain owns its edge set, so
-//!   the in-order path borrows it mutably and writes it with plain stores.
-//!   Its erases move later entries of the probe cluster back into the gap
-//!   instead of leaving tombstones, so the set never needs a rebuild after
-//!   an in-order superstep.
+//! * with one thread, [`sequential_superstep`] runs the batch in order.
+//!   Algorithm 1 is exact, so this leaves the same edge array, legal count
+//!   and edge-set contents, and at one thread its machinery (registration,
+//!   decision rounds, two apply passes, compare-and-swap writes) buys
+//!   nothing.
 //!
 //! [`parallel_superstep`] and [`run_superstep_on_graph`] always run
 //! Algorithm 1, whatever the thread count.
@@ -188,16 +191,35 @@ pub fn parallel_superstep(
     }
 }
 
+/// Switches whose target buckets the in-order kernel prefetches at once
+/// (Sec. 5.4).
+const PREFETCH_WINDOW: usize = 4;
+
 /// Execute a superstep strictly in order: each switch is rejected if a target
 /// is a self-loop or already present (a target equal to one of its own
 /// sources counts as present, as Def. 1 tests existence before removing the
 /// sources), and otherwise erases its sources, inserts its targets and
 /// rewires its two slots.
 ///
-/// The result equals [`parallel_superstep`]'s on the same batch: the same
-/// edge array, legal count and edge-set contents, though not the same bucket
-/// layout, since this path's erases leave no tombstones.  Like the
-/// sequential chains, it reports one round that lasts the whole superstep.
+/// This is the one in-order Def. 1 kernel: `SeqES` and `SeqGlobalES` run
+/// every switch through it, and `ParES` and `ParGlobalES` run their batches
+/// through it at one thread.  Any batch is allowed, source dependencies
+/// included.  On a batch without them the result equals
+/// [`parallel_superstep`]'s: the same edge array, legal count and edge-set
+/// contents, though not the same bucket layout, since this path's erases
+/// leave no tombstones.  It reports one round that lasts the whole superstep.
+///
+/// With `prefetch`, the kernel computes the targets of each window of four
+/// switches and prefetches their buckets before it decides them (Sec. 5.4).
+/// The switches are still decided in order, so the flag changes no byte; a
+/// prefetch made stale by a slot the window rewires only wastes a hint.
+/// Only `SeqES` passes its
+/// [`SwitchingConfig::prefetch`](crate::SwitchingConfig::prefetch); the
+/// other three chains pass `false`, as they ignored the flag before they
+/// shared this kernel.  A prototype that let `ParES` and `ParGlobalES`
+/// prefetch made their in-order supersteps 4–7% slower on a 20k-edge graph
+/// and 9–22% slower on ~600-edge graphs, so whether prefetching pays in
+/// those chains waits for a benchmark with a large-m workload.
 ///
 /// # Panics
 /// If the edge set does not hold as many edges after the superstep as before
@@ -206,6 +228,7 @@ pub fn sequential_superstep(
     edges: &AtomicEdgeList,
     edge_set: &mut ConcurrentEdgeSet,
     switches: &[SwitchRequest],
+    prefetch: bool,
 ) -> SuperstepStats {
     let start = Instant::now();
     let requested = switches.len();
@@ -213,22 +236,22 @@ pub fn sequential_superstep(
         return SuperstepStats { duration: start.elapsed(), ..SuperstepStats::default() };
     }
     let edges_before = edge_set.len();
-    let mut legal = 0;
-    for &request in switches {
-        let e1 = edges.get(request.i);
-        let e2 = edges.get(request.j);
-        let (e3, e4) = switch_targets(e1, e2, request.g);
-        if e3.is_loop() || e4.is_loop() || edge_set.contains(e3) || edge_set.contains(e4) {
-            continue;
-        }
-        let erased = edge_set.erase_mut(e1) & edge_set.erase_mut(e2);
-        debug_assert!(erased, "legal switch must erase existing edges");
-        let inserted = edge_set.insert_mut(e3) & edge_set.insert_mut(e4);
-        debug_assert!(inserted, "legal switch must insert fresh edges");
-        edges.set(request.i, e3);
-        edges.set(request.j, e4);
-        legal += 1;
-    }
+    let legal = if prefetch {
+        switches
+            .chunks(PREFETCH_WINDOW)
+            .map(|window| {
+                for request in window {
+                    let (e3, e4) =
+                        switch_targets(edges.get(request.i), edges.get(request.j), request.g);
+                    edge_set.prefetch(e3);
+                    edge_set.prefetch(e4);
+                }
+                switch_in_order(edges, edge_set, window)
+            })
+            .sum()
+    } else {
+        switch_in_order(edges, edge_set, switches)
+    };
     assert_eq!(
         edge_set.len(),
         edges_before,
@@ -246,10 +269,37 @@ pub fn sequential_superstep(
     }
 }
 
+/// Decide and apply `switches` one after another with Def. 1; returns how
+/// many were legal.
+#[inline]
+fn switch_in_order(
+    edges: &AtomicEdgeList,
+    edge_set: &mut ConcurrentEdgeSet,
+    switches: &[SwitchRequest],
+) -> usize {
+    let mut legal = 0;
+    for &request in switches {
+        let e1 = edges.get(request.i);
+        let e2 = edges.get(request.j);
+        let (e3, e4) = switch_targets(e1, e2, request.g);
+        if e3.is_loop() || e4.is_loop() || edge_set.contains(e3) || edge_set.contains(e4) {
+            continue;
+        }
+        let erased = edge_set.erase_mut(e1) & edge_set.erase_mut(e2);
+        debug_assert!(erased, "legal switch must erase existing edges");
+        let inserted = edge_set.insert_mut(e3) & edge_set.insert_mut(e4);
+        debug_assert!(inserted, "legal switch must insert fresh edges");
+        edges.set(request.i, e3);
+        edges.set(request.j, e4);
+        legal += 1;
+    }
+    legal
+}
+
 /// Execute a superstep of switches without source dependencies on the
-/// chain's state: in order at one rayon thread ([`sequential_superstep`]),
-/// else with Algorithm 1 ([`parallel_superstep`]).  Both leave the same
-/// bytes.
+/// chain's state: in order at one rayon thread ([`sequential_superstep`],
+/// without prefetching), else with Algorithm 1 ([`parallel_superstep`]).
+/// Both leave the same bytes.
 pub(crate) fn execute_superstep(
     table: &mut DependencyTable,
     edges: &AtomicEdgeList,
@@ -257,7 +307,7 @@ pub(crate) fn execute_superstep(
     switches: &[SwitchRequest],
 ) -> SuperstepStats {
     if rayon::current_num_threads() <= 1 {
-        sequential_superstep(edges, edge_set, switches)
+        sequential_superstep(edges, edge_set, switches, false)
     } else {
         parallel_superstep(table, edges, edge_set, switches)
     }

@@ -14,6 +14,9 @@
 //! rewired.  Degrees are preserved in either case.
 
 use gesmc_graph::Edge;
+use gesmc_randx::bounded::UniformIndex;
+use gesmc_randx::Rng;
+use rand::Rng as _;
 
 /// A requested edge switch `σ = (i, j, g)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,6 +35,18 @@ impl SwitchRequest {
         debug_assert_ne!(i, j, "an edge switch needs two distinct edge indices");
         Self { i, j, g }
     }
+
+    /// Draw one uniformly random ES-MC switch: the slot pair from `sampler`
+    /// (over the `m` slots of the edge array), then the direction bit.
+    ///
+    /// Every ES-MC chain draws its switches here, in this order, so that
+    /// `seq-es`, `par-es`, `seq-es-ext` and `adjacency-es` follow one random
+    /// stream per seed.
+    #[inline]
+    pub fn sample(sampler: &UniformIndex, rng: &mut Rng) -> Self {
+        let (i, j) = sampler.sample_distinct_pair(rng);
+        Self::new(i as usize, j as usize, rng.gen())
+    }
 }
 
 /// Compute the target edges `(e₃, e₄) = τ(⃗e₁, ⃗e₂, g)` from the canonical
@@ -47,25 +62,6 @@ pub fn switch_targets(e1: Edge, e2: Edge, g: bool) -> (Edge, Edge) {
         (Edge::new(u, x), Edge::new(v, y))
     } else {
         (Edge::new(u, y), Edge::new(v, x))
-    }
-}
-
-/// Why a switch was rejected (or that it was accepted).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SwitchOutcome {
-    /// The switch was applied.
-    Accepted,
-    /// A target edge would be a self-loop.
-    RejectedLoop,
-    /// A target edge already exists in the graph.
-    RejectedExisting,
-}
-
-impl SwitchOutcome {
-    /// Whether the switch was applied.
-    #[inline]
-    pub fn is_accepted(&self) -> bool {
-        matches!(self, SwitchOutcome::Accepted)
     }
 }
 
@@ -108,13 +104,6 @@ mod tests {
         let (t1, t2) = switch_targets(e1, e2, false); // ((1,2),(2,3)) = original edges
         assert_eq!(t1, e1);
         assert_eq!(t2, e2);
-    }
-
-    #[test]
-    fn outcome_accessors() {
-        assert!(SwitchOutcome::Accepted.is_accepted());
-        assert!(!SwitchOutcome::RejectedLoop.is_accepted());
-        assert!(!SwitchOutcome::RejectedExisting.is_accepted());
     }
 
     #[test]

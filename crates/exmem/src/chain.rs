@@ -2,8 +2,8 @@
 //! for external (out-of-core) edge storage.
 //!
 //! The chain draws exactly the same pseudo-random stream as
-//! [`SeqES`](gesmc_core::SeqES) (slot pair via
-//! `UniformIndex::sample_distinct_pair`, then the direction bit) and makes
+//! [`SeqES`](gesmc_core::SeqES) (through
+//! [`SwitchRequest::sample`](gesmc_core::SwitchRequest::sample)) and makes
 //! exactly the same accept/reject decisions, so **its samples are
 //! bit-identical to `seq-es` at the same seed** — property-tested in the
 //! workspace's `exmem_equivalence` suite.  What changes is only the memory
@@ -45,7 +45,6 @@ use gesmc_core::{
 use gesmc_graph::{Edge, EdgeListGraph, EdgeStore, PackedEdge};
 use gesmc_randx::bounded::UniformIndex;
 use gesmc_randx::{rng_from_seed, Rng, RngState};
-use rand::Rng as _;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::Path;
 use std::sync::Mutex;
@@ -219,10 +218,8 @@ impl SeqESExt {
                 batch.push(r);
             }
             while batch.len() < self.batch_cap && drafted < count {
-                let (i, j) = sampler.sample_distinct_pair(&mut self.rng);
-                let g: bool = self.rng.gen();
+                let r = SwitchRequest::sample(&sampler, &mut self.rng);
                 drafted += 1;
-                let r = SwitchRequest::new(i as usize, j as usize, g);
                 if batch_slots.contains(&r.i) || batch_slots.contains(&r.j) {
                     // Slot collision: the draws are consumed (stream parity
                     // with SeqES), but the request must observe the writes of

@@ -45,6 +45,7 @@ pub use mapped::MappedEdgeList;
 pub use mmap::{mmap_available, Advice, Mmap};
 pub use store::{ExternalEdgeStore, CHUNK_BYTES, CHUNK_EDGES};
 
+use gesmc_core::registry::COMMON_PARAMS;
 use gesmc_core::{
     ChainError, ChainInfo, ChainRegistry, ChainSpec, EdgeSwitching, ParamInfo, ParamKind,
     StoreSwitching, SwitchingConfig,
@@ -56,20 +57,8 @@ pub const PARAM_BATCH: &str = "batch";
 
 /// Parameters accepted by `seq-es-ext`: the common pair plus `batch`.
 const SEQ_ES_EXT_PARAMS: &[ParamInfo] = &[
-    ParamInfo {
-        name: "pl",
-        kind: ParamKind::Float,
-        default: "0.01",
-        doc: "per-switch rejection probability P_L in [0, 1) (G-ES-MC chains; \
-              ES-MC-style chains accept and ignore it)",
-    },
-    ParamInfo {
-        name: "prefetch",
-        kind: ParamKind::Bool,
-        default: "true",
-        doc: "software-prefetch pipeline of the sequential hash-set chains (Sec. 5.4; \
-              other chains accept and ignore it)",
-    },
+    COMMON_PARAMS[0],
+    COMMON_PARAMS[1],
     ParamInfo {
         name: PARAM_BATCH,
         kind: ParamKind::Int,

@@ -123,28 +123,44 @@ impl SampleCache {
 
     /// Look `key` up, refreshing its recency on a hit.
     pub fn get(&self, key: &CacheKey) -> Option<CachedSample> {
+        self.get_or_load(key, || None)
+    }
+
+    /// Look `key` up, refreshing its recency on a hit; on a miss, ask `load`
+    /// (e.g. a disk spill) and insert what it returns.
+    ///
+    /// Counts and times the whole probe once: a hit when the sample was
+    /// resident or loaded, else a miss.  `load` runs without the cache lock.
+    pub fn get_or_load(
+        &self,
+        key: &CacheKey,
+        load: impl FnOnce() -> Option<CachedSample>,
+    ) -> Option<CachedSample> {
         let probe_start = Instant::now();
-        if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            self.probe_miss.observe(probe_start.elapsed());
-            return None;
-        }
-        let mut inner = self.inner.lock().expect("cache mutex poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some(entry) => {
+        if self.capacity > 0 {
+            let mut inner = self.inner.lock().expect("cache mutex poisoned");
+            inner.tick += 1;
+            let tick = inner.tick;
+            if let Some(entry) = inner.map.get_mut(key) {
                 entry.last_used = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.probe_hit.observe(probe_start.elapsed());
-                Some(entry.sample.clone())
+                return Some(entry.sample.clone());
+            }
+        }
+        let found = load();
+        match &found {
+            Some(loaded) => {
+                self.insert(key.clone(), loaded.clone());
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.probe_hit.observe(probe_start.elapsed());
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 self.probe_miss.observe(probe_start.elapsed());
-                None
             }
         }
+        found
     }
 
     /// Insert (or overwrite) `key`, evicting the least-recently-used entry
@@ -203,6 +219,17 @@ mod tests {
         let got = cache.get(&key(1)).unwrap();
         assert_eq!(*got.text, vec![7]);
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, evictions: 0, entries: 1 });
+    }
+
+    #[test]
+    fn a_loaded_sample_counts_as_one_hit_and_becomes_resident() {
+        let cache = SampleCache::new(4);
+        assert!(cache.get_or_load(&key(1), || None).is_none());
+        let loaded = cache.get_or_load(&key(2), || Some(sample(2))).unwrap();
+        assert_eq!(*loaded.text, vec![2]);
+        let resident = cache.get_or_load(&key(2), || panic!("a resident key must not load"));
+        assert_eq!(*resident.unwrap().text, vec![2]);
+        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 1, evictions: 0, entries: 1 });
     }
 
     #[test]

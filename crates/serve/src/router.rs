@@ -376,17 +376,11 @@ fn sample(
     }
     let cached = {
         let mut probe = span.child("cache_probe");
-        let found = state.cache.get(&key).or_else(|| {
-            // LRU miss: a restarted (or evicted) node may still hold this
-            // key spilled on disk — rehydrate lazily and serve it as a hit.
-            state.persist.as_ref().and_then(|persist| {
-                let cached = persist.load_cached(&key);
-                if let Some(cached) = &cached {
-                    state.cache.insert(key.clone(), cached.clone());
-                }
-                cached
-            })
-        });
+        // On an LRU miss, a restarted (or evicted) node may still hold this
+        // key spilled on disk: rehydrate it lazily and serve it as a hit.
+        let found = state
+            .cache
+            .get_or_load(&key, || state.persist.as_ref().and_then(|p| p.load_cached(&key)));
         probe.annotate("result", if found.is_some() { "hit" } else { "miss" });
         found
     };

@@ -261,6 +261,9 @@ fn corrupt_cache_spills_rehydrate_as_misses_never_as_wrong_bytes() {
     assert_eq!(header(&head, "X-Gesmc-Cache"), Some("hit"), "intact spill must rehydrate");
     assert_eq!(body, original, "rehydrated bytes must be bit-identical");
     assert!(metric(addr, "gesmc_persist_cache_rehydrated_total") >= 1);
+    // The probe counts once, with the result the response reports.
+    assert_eq!(metric(addr, "gesmc_cache_hits_total"), 1, "a rehydrated sample is a hit");
+    assert_eq!(metric(addr, "gesmc_cache_misses_total"), 0, "a rehydrated sample is a hit");
     server.shutdown();
 
     // Three damage modes against the mapped view: bad magic (rejected at
@@ -293,6 +296,8 @@ fn corrupt_cache_spills_rehydrate_as_misses_never_as_wrong_bytes() {
         );
         assert_eq!(body, original, "{mode}: recomputed bytes must match (seeded)");
         assert!(metric(addr, "gesmc_persist_errors_total") >= 1, "{mode}: must be metered");
+        assert_eq!(metric(addr, "gesmc_cache_hits_total"), 0, "{mode}: no hit");
+        assert_eq!(metric(addr, "gesmc_cache_misses_total"), 1, "{mode}: one miss");
         server.shutdown();
     }
     let _ = std::fs::remove_dir_all(dir);

@@ -13,7 +13,7 @@
 //!   registered alongside the core chains in the engine's default registry;
 //! * [`analysis`] — autocorrelation-based mixing-time analysis and proxies;
 //! * [`datasets`] — the SynGnp / SynPld / NetRep-like dataset families;
-//! * [`concurrent`] — the concurrent hash sets and dependency tables;
+//! * [`concurrent`] — the edge hash set and the dependency table;
 //! * [`exmem`] — out-of-core edge storage: a dependency-free mmap wrapper,
 //!   the zero-copy `MappedEdgeList` view, the disk-backed
 //!   `ExternalEdgeStore`, and the `seq-es-ext` chain (bit-identical to

@@ -116,3 +116,32 @@ fn per_job_prefetch_is_plumbed_to_the_chain() {
     // A different P_L genuinely changes a G-ES-MC trajectory.
     assert_ne!(run("seq-global-es?pl=0.001"), run("seq-global-es?pl=0.9"));
 }
+
+/// The core chains keep their edges in a set with 28-bit node ids and
+/// refuse larger graphs; `seq-es-ext` packs node ids into 32 bits and runs
+/// the same chain on them.
+#[test]
+fn seq_es_ext_runs_graphs_beyond_the_edge_set_node_limit() {
+    // {0, 2^28 + 5} and {1, 5} would share one 56-bit edge-set key.
+    let far = (1 << 28) + 5;
+    let pairs = [(0, far), (1, 5), (2, 3), (4, 6), (7, 8), (9, 10), (11, 12), (13, 14)];
+    let edges = pairs.iter().map(|&(u, v)| Edge::new(u, v)).collect();
+    let graph = EdgeListGraph::new(far as usize + 1, edges).unwrap();
+    let registry = default_registry();
+    let refused = registry.build(&ChainSpec::new("seq-es"), graph.clone(), 1).map(|_| ());
+    match refused {
+        Err(ChainError::UnsupportedGraph { message, .. }) => {
+            assert!(message.contains("seq-es-ext"), "{message}")
+        }
+        other => panic!("seq-es: expected UnsupportedGraph, got {other:?}"),
+    }
+    let endpoints = |g: &EdgeListGraph| {
+        let mut nodes: Vec<u32> = g.edges().iter().flat_map(|e| [e.u(), e.v()]).collect();
+        nodes.sort_unstable();
+        nodes
+    };
+    let mut chain = registry.build(&ChainSpec::new("seq-es-ext"), graph.clone(), 1).unwrap();
+    assert!(chain.run_supersteps(4).total_legal() > 0);
+    assert_eq!(endpoints(&chain.graph()), endpoints(&graph));
+    assert!(chain.graph().validate().is_ok());
+}

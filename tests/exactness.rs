@@ -166,6 +166,13 @@ fn dependency_chains_resolve_in_sequential_order() {
     assert!(par_graph.has_edge_slow(0, 6), "sources of the rejected switch remain");
 }
 
+/// A superstep path: the in-order kernel, or Algorithm 1.
+#[derive(Clone, Copy)]
+enum Path {
+    InOrder { prefetch: bool },
+    Algorithm1,
+}
+
 /// The chain state a superstep path drives: an edge array, its edge set and
 /// a dependency table.
 struct Lane {
@@ -183,11 +190,12 @@ impl Lane {
         }
     }
 
-    /// Run `batch` in order or with Algorithm 1, then rebuild the edge set if
-    /// it asks for it; returns the legal count and whether it rebuilt.
-    fn run(&mut self, in_order: bool, batch: &[SwitchRequest]) -> (usize, bool) {
-        let stats = if in_order {
-            sequential_superstep(&self.edges, &mut self.edge_set, batch)
+    /// Run `batch` in order (with or without prefetching) or with Algorithm
+    /// 1, then rebuild the edge set if it asks for it; returns the legal
+    /// count and whether it rebuilt.
+    fn run(&mut self, path: Path, batch: &[SwitchRequest]) -> (usize, bool) {
+        let stats = if let Path::InOrder { prefetch } = path {
+            sequential_superstep(&self.edges, &mut self.edge_set, batch, prefetch)
         } else {
             parallel_superstep(&mut self.table, &self.edges, &self.edge_set, batch)
         };
@@ -224,12 +232,12 @@ fn dependency_free_prefixes(requests: &[SwitchRequest]) -> Vec<&[SwitchRequest]>
 }
 
 /// Global-switch batches and `ParES` prefixes run through three lanes: one
-/// in order, one with Algorithm 1, and one that alternates between the two
-/// on its single table and edge set.  After every batch all three, and a
-/// sequential Def. 1 replay, hold the same edge array, legal count and edge
-/// set, at 1, 2 and 8 threads.  The in-order lane's erases leave no
-/// tombstones, so it never needs a rebuild; the other two lanes run across
-/// at least one.
+/// in order with prefetching, one with Algorithm 1, and one that alternates
+/// between Algorithm 1 and the in-order path without prefetching on its
+/// single table and edge set.  After every batch all three, and a sequential
+/// Def. 1 replay, hold the same edge array, legal count and edge set, at 1,
+/// 2 and 8 threads.  The in-order lane's erases leave no tombstones, so it
+/// never needs a rebuild; the other two lanes run across at least one.
 #[test]
 fn in_order_and_parallel_supersteps_agree_and_alternate_on_one_edge_set() {
     let graph = gesmc::datasets::syn_pld_graph(4, 400, 2.2);
@@ -253,13 +261,15 @@ fn in_order_and_parallel_supersteps_agree_and_alternate_on_one_edge_set() {
             for (b, batch) in batches.iter().enumerate() {
                 let at = format!("{threads} threads, batch {b}");
                 let legal_seq: usize = batch.iter().map(|&s| seq.apply(s) as usize).sum();
-                let (legal, rebuilt) = in_order.run(true, batch);
+                let (legal, rebuilt) = in_order.run(Path::InOrder { prefetch: true }, batch);
                 assert_eq!(legal, legal_seq, "{at}: in-order legal count");
                 assert!(!rebuilt, "{at}: the in-order lane asked for a rebuild");
-                let (parallel_legal, rebuilt) = parallel.run(false, batch);
+                let (parallel_legal, rebuilt) = parallel.run(Path::Algorithm1, batch);
                 assert_eq!(parallel_legal, legal, "{at}: parallel legal count");
                 parallel_rebuilds += rebuilt as usize;
-                let (mixed_legal, rebuilt) = alternating.run(b % 2 == 0, batch);
+                let path =
+                    if b % 2 == 0 { Path::InOrder { prefetch: false } } else { Path::Algorithm1 };
+                let (mixed_legal, rebuilt) = alternating.run(path, batch);
                 assert_eq!(mixed_legal, legal, "{at}: mixed legal count");
                 mixed_rebuilds += rebuilt as usize;
                 if b == batches.len() / 2 && mixed_rebuilds == 0 {
@@ -287,17 +297,24 @@ fn in_order_and_parallel_supersteps_agree_and_alternate_on_one_edge_set() {
 }
 
 /// `ParES` and `ParGlobalES` leave the same edge array after every superstep
-/// whether one thread runs it in order or 2 or 8 threads run Algorithm 1.
+/// whether one thread runs it in order or 2 or 8 threads run Algorithm 1,
+/// and `SeqES`, which draws the same stream as `ParES`, leaves that array
+/// too.
 #[test]
 fn parallel_chains_are_independent_of_the_thread_count() {
     type Build = fn(EdgeListGraph, SwitchingConfig) -> Box<dyn EdgeSwitching + Send>;
-    let builds: [Build; 2] =
-        [|g, c| Box::new(ParES::new(g, c)), |g, c| Box::new(ParGlobalES::new(g, c))];
+    let par_es: Build = |g, c| Box::new(ParES::new(g, c));
+    let seq_es: Build = |g, c| Box::new(SeqES::new(g, c));
+    let par_global_es: Build = |g, c| Box::new(ParGlobalES::new(g, c));
+    let lanes: [&[(usize, Build)]; 2] = [
+        &[(1, par_es), (2, par_es), (8, par_es), (1, seq_es)],
+        &[(1, par_global_es), (2, par_global_es), (8, par_global_es)],
+    ];
     let graph = gesmc::datasets::syn_pld_graph(7, 600, 2.2);
-    for build in builds {
-        let mut chains: Vec<(usize, Box<dyn EdgeSwitching + Send>)> = [1, 2, 8]
-            .into_iter()
-            .map(|threads| (threads, build(graph.clone(), SwitchingConfig::with_seed(8))))
+    for lanes in lanes {
+        let mut chains: Vec<(usize, Box<dyn EdgeSwitching + Send>)> = lanes
+            .iter()
+            .map(|&(threads, build)| (threads, build(graph.clone(), SwitchingConfig::with_seed(8))))
             .collect();
         for step in 0..6 {
             let arrays: Vec<Vec<Edge>> = chains
@@ -311,8 +328,10 @@ fn parallel_chains_are_independent_of_the_thread_count() {
                 .collect();
             let name = chains[0].1.name();
             assert_ne!(arrays[0], graph.edges(), "{name}: superstep {step} must switch edges");
-            assert_eq!(arrays[1], arrays[0], "{name}, superstep {step}: 2 threads vs 1");
-            assert_eq!(arrays[2], arrays[0], "{name}, superstep {step}: 8 threads vs 1");
+            for ((threads, chain), array) in chains.iter().zip(&arrays).skip(1) {
+                let lane = format!("{} at {threads} threads", chain.name());
+                assert_eq!(array, &arrays[0], "superstep {step}: {lane} vs {name} at 1 thread");
+            }
         }
     }
 }
