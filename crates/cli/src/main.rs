@@ -66,7 +66,6 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 
-mod latency;
 mod waterfall;
 
 fn print_usage() {
@@ -975,9 +974,6 @@ fn cmd_serve(positional: &[String], flags: &HashMap<String, String>) -> Result<(
 /// Per-thread tallies of one loadgen worker, merged after the run.
 #[derive(Default)]
 struct LoadgenTally {
-    /// Bucketed latencies: constant-size per thread, whatever the run
-    /// length; percentiles are derived from the merged buckets.
-    latency: latency::LatencyBuckets,
     hits: u64,
     misses: u64,
     coalesced: u64,
@@ -1036,6 +1032,9 @@ fn cmd_loadgen(positional: &[String], flags: &HashMap<String, String>) -> Result
     }
     let specs = std::sync::Arc::new(specs);
 
+    // One unregistered histogram that every worker records into: constant
+    // size whatever the run length, and percentiles within 1.25×.
+    let latency = gesmc_obs::Histogram::new("loadgen_request_seconds", "Request latency.", &[]);
     let start = std::time::Instant::now();
     let deadline = start + std::time::Duration::from_secs(duration_secs);
     let tallies: Vec<LoadgenTally> = std::thread::scope(|scope| {
@@ -1043,6 +1042,7 @@ fn cmd_loadgen(positional: &[String], flags: &HashMap<String, String>) -> Result
             .map(|worker| {
                 let client = client.clone();
                 let specs = std::sync::Arc::clone(&specs);
+                let latency = &latency;
                 scope.spawn(move || {
                     let mut tally = LoadgenTally::default();
                     let mut n = worker; // stagger the key order across workers
@@ -1052,7 +1052,7 @@ fn cmd_loadgen(positional: &[String], flags: &HashMap<String, String>) -> Result
                         let t0 = std::time::Instant::now();
                         match client.samples().get(spec) {
                             Ok(sample) => {
-                                tally.latency.record_us(t0.elapsed().as_micros() as u64);
+                                latency.observe(t0.elapsed());
                                 match sample.cache.as_str() {
                                     "hit" => tally.hits += 1,
                                     "coalesced" => tally.coalesced += 1,
@@ -1077,7 +1077,6 @@ fn cmd_loadgen(positional: &[String], flags: &HashMap<String, String>) -> Result
 
     let mut merged = LoadgenTally::default();
     for tally in tallies {
-        merged.latency.merge(&tally.latency);
         merged.hits += tally.hits;
         merged.misses += tally.misses;
         merged.coalesced += tally.coalesced;
@@ -1088,13 +1087,9 @@ fn cmd_loadgen(positional: &[String], flags: &HashMap<String, String>) -> Result
             }
         }
     }
-    let requests = merged.latency.count();
+    let requests = latency.snapshot().count;
     let rps = if elapsed > 0.0 { requests as f64 / elapsed } else { 0.0 };
-    let (p50, p90, p99) = (
-        merged.latency.percentile_us(0.50),
-        merged.latency.percentile_us(0.90),
-        merged.latency.percentile_us(0.99),
-    );
+    let [p50, p90, p99] = [0.50, 0.90, 0.99].map(|q| latency.percentile_ns(q) / 1_000);
 
     if flags.contains_key("json") {
         let mut map = serde_json::Map::new();

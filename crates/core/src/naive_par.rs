@@ -19,7 +19,7 @@ use crate::snapshot::{ChainSnapshot, SnapshotError};
 use crate::stats::SuperstepStats;
 use crate::switch::{switch_targets, SwitchRequest};
 use gesmc_concurrent::{AtomicEdgeList, ConcurrentEdgeSet, LockOutcome};
-use gesmc_graph::{Edge, EdgeListGraph};
+use gesmc_graph::EdgeListGraph;
 use gesmc_randx::bounded::UniformIndex;
 use gesmc_randx::{RngState, SeedSequence};
 use rayon::prelude::*;
@@ -86,48 +86,40 @@ impl NaiveParES {
         if e3.is_loop() || e4.is_loop() {
             return false;
         }
-        // Acquire tickets: lock both source edges, insert-and-lock both
-        // target edges.  Roll back on any failure.
-        let mut locked_sources: Vec<Edge> = Vec::with_capacity(2);
-        let mut inserted_targets: Vec<Edge> = Vec::with_capacity(2);
-        let mut ok = true;
+        // Acquire tickets in order: lock both source edges, then
+        // insert-and-lock both target edges; the first `locked` sources and
+        // `inserted` targets hold tickets.  Roll back on any failure.
+        let sources = [e1, e2];
+        let targets = [e3, e4];
+        let acquired = |outcome| matches!(outcome, LockOutcome::Acquired);
+        let locked = sources
+            .iter()
+            .take_while(|&&source| acquired(self.edge_set.try_lock_existing(source, owner)))
+            .count();
+        let inserted = if locked == sources.len() {
+            targets
+                .iter()
+                .take_while(|&&target| acquired(self.edge_set.try_insert_and_lock(target, owner)))
+                .count()
+        } else {
+            0
+        };
 
-        for &source in &[e1, e2] {
-            match self.edge_set.try_lock_existing(source, owner) {
-                LockOutcome::Acquired => locked_sources.push(source),
-                _ => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok {
-            for &target in &[e3, e4] {
-                match self.edge_set.try_insert_and_lock(target, owner) {
-                    LockOutcome::Acquired => inserted_targets.push(target),
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-        }
-
-        if !ok {
-            for &target in &inserted_targets {
+        if inserted < targets.len() {
+            for &target in &targets[..inserted] {
                 self.edge_set.erase_locked(target, owner);
             }
-            for &source in &locked_sources {
+            for &source in &sources[..locked] {
                 self.edge_set.unlock(source, owner);
             }
             return false;
         }
 
         // Commit: remove the sources, publish the targets, rewire the slots.
-        for &source in &locked_sources {
+        for &source in &sources {
             self.edge_set.erase_locked(source, owner);
         }
-        for &target in &inserted_targets {
+        for &target in &targets {
             self.edge_set.unlock(target, owner);
         }
         self.edges.set(i, e3);
@@ -215,6 +207,7 @@ impl EdgeSwitching for NaiveParES {
 mod tests {
     use super::*;
     use gesmc_graph::gen::gnp;
+    use gesmc_graph::Edge;
     use gesmc_randx::rng_from_seed;
 
     fn gnp_graph(seed: u64, n: usize, p: f64) -> EdgeListGraph {

@@ -11,6 +11,7 @@ use gesmc_core::{ChainRegistry, ChainSpec, EdgeSwitching, StoreSwitching, Supers
 use gesmc_exmem::ExternalEdgeStore;
 use gesmc_graph::io::{BinaryEdgeListWriter, BINARY_MAGIC};
 use gesmc_graph::StoreIoStats;
+use gesmc_obs::Phase;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -301,7 +302,7 @@ fn drive(
 
     // Per-chain superstep latency plus workspace-wide emit/capture meters.
     // Resolved once per job; the per-superstep cost is two clock reads and
-    // three relaxed atomic adds into a thread-private histogram shard.
+    // two relaxed atomic adds into a thread-private histogram shard.
     let superstep_hist = gesmc_obs::histogram_with(
         "gesmc_superstep_duration_seconds",
         "Wall time of one Markov-chain superstep.",
@@ -363,7 +364,10 @@ fn drive(
             if control.is_cancel_requested() {
                 return Err(EngineError::Cancelled { job: spec.name.clone(), superstep: step - 1 });
             }
-            let stats = gesmc_obs::span!(superstep_hist, { chain.superstep() });
+            let stats = {
+                let _phase = Phase::start(&superstep_hist);
+                chain.superstep()
+            };
             requested += stats.requested as u64;
             legal += stats.legal as u64;
             control.record(step);
@@ -381,58 +385,67 @@ fn drive(
                 .checkpoint_every
                 .is_some_and(|every| every > 0 && step % every == 0 && step < spec.supersteps);
             if due && (spec.checkpoint_dir.is_some() || checkpoint_sink.is_some()) {
-                let mut ckpt_span = gesmc_obs::trace::child_of_current("checkpoint");
-                if let Some(span) = ckpt_span.as_mut() {
+                let mut phase =
+                    Phase::traced(&capture_hist, gesmc_obs::trace::child_of_current("checkpoint"));
+                if let Some(span) = phase.span_mut() {
                     span.annotate("superstep", step.to_string());
                 }
-                let capture_timer = gesmc_obs::Timer::start(&capture_hist);
                 let file =
                     spec.checkpoint_dir.as_ref().map(|dir| dir.join(format!("{}.ckpt", spec.name)));
-                match &mut chain {
-                    JobChain::Heap(chain) => {
-                        let checkpoint = Checkpoint::capture(
-                            &spec.name,
-                            chain.as_ref(),
-                            &algorithm_spec,
-                            spec.supersteps,
-                            spec.thinning,
-                            samples_emitted,
-                        )?;
-                        if let Some(file) = &file {
-                            checkpoint.write_to_file(file)?;
+                let captured = (|| -> Result<(), EngineError> {
+                    match &mut chain {
+                        JobChain::Heap(chain) => {
+                            let checkpoint = Checkpoint::capture(
+                                &spec.name,
+                                chain.as_ref(),
+                                &algorithm_spec,
+                                spec.supersteps,
+                                spec.thinning,
+                                samples_emitted,
+                            )?;
+                            if let Some(file) = &file {
+                                checkpoint.write_to_file(file)?;
+                            }
+                            if let Some(hook) = checkpoint_sink.as_deref_mut() {
+                                hook.store(&checkpoint)?;
+                            }
                         }
-                        if let Some(hook) = checkpoint_sink.as_deref_mut() {
-                            hook.store(&checkpoint)?;
+                        // The same bytes as the heap capture, streamed from
+                        // the store through the one codec.
+                        JobChain::Store { chain, .. } => {
+                            let meta = Checkpoint {
+                                job_name: spec.name.clone(),
+                                snapshot: chain.snapshot_meta(),
+                                algorithm_spec: Some(algorithm_spec.clone()),
+                                total_supersteps: spec.supersteps,
+                                thinning: spec.thinning,
+                                samples_emitted,
+                            };
+                            if let Some(file) = &file {
+                                publish(file, |out| {
+                                    let num_edges = chain.num_edges() as u64;
+                                    let mut writer = CheckpointWriter::new(out, &meta, num_edges)?;
+                                    let mut pushed = Ok(());
+                                    chain.stream_edges(&mut |edge| {
+                                        if pushed.is_ok() {
+                                            pushed = writer.push_edge(edge);
+                                        }
+                                    });
+                                    pushed?;
+                                    writer.finish().map(drop)
+                                })?;
+                            }
                         }
                     }
-                    // The same bytes as the heap capture, streamed from the
-                    // store through the one codec.
-                    JobChain::Store { chain, .. } => {
-                        let meta = Checkpoint {
-                            job_name: spec.name.clone(),
-                            snapshot: chain.snapshot_meta(),
-                            algorithm_spec: Some(algorithm_spec.clone()),
-                            total_supersteps: spec.supersteps,
-                            thinning: spec.thinning,
-                            samples_emitted,
-                        };
-                        if let Some(file) = &file {
-                            publish(file, |out| {
-                                let num_edges = chain.num_edges() as u64;
-                                let mut writer = CheckpointWriter::new(out, &meta, num_edges)?;
-                                let mut pushed = Ok(());
-                                chain.stream_edges(&mut |edge| {
-                                    if pushed.is_ok() {
-                                        pushed = writer.push_edge(edge);
-                                    }
-                                });
-                                pushed?;
-                                writer.finish().map(drop)
-                            })?;
-                        }
-                    }
+                    Ok(())
+                })();
+                // Every failure above flags the checkpoint span itself, not
+                // only the enclosing superstep loop.
+                if captured.is_err() {
+                    phase.set_error();
                 }
-                drop(capture_timer);
+                drop(phase);
+                captured?;
                 checkpoints += 1;
             }
         }
@@ -867,6 +880,33 @@ mod tests {
         }
         assert!(!dir.join("input.scratch.el").exists(), "a failed build leaves no scratch");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_checkpoint_flags_its_own_span() {
+        struct Refuse;
+        impl CheckpointSink for Refuse {
+            fn store(&mut self, _: &Checkpoint) -> Result<(), EngineError> {
+                Err(EngineError::Checkpoint("storage refused".to_string()))
+            }
+        }
+        let mut spec = spec_for("refused", "seq-es", test_graph(7));
+        spec.checkpoint_every = Some(2);
+        let tracer = gesmc_obs::trace::tracer();
+        let root = tracer.start_root_flagged("job", gesmc_obs::trace::FLAG_SAMPLED);
+        let result = gesmc_obs::trace::with_context(root.context(), || {
+            let control = JobControl::new();
+            run_job(default_registry(), &spec, &mut NullSink::default(), None, &control, {
+                Some(&mut Refuse)
+            })
+        });
+        assert!(matches!(result, Err(EngineError::Checkpoint(_))), "{result:?}");
+        let trace = root.trace_id();
+        drop(root);
+        let spans = tracer.kept_trace(trace).expect("a sampled trace is kept").spans;
+        let checkpoint = spans.iter().find(|s| s.name == "checkpoint").expect("checkpoint span");
+        assert!(checkpoint.error, "{checkpoint:?}");
+        assert_eq!(checkpoint.annotations, [("superstep", "2".to_string())]);
     }
 
     #[test]

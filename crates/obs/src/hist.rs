@@ -1,17 +1,23 @@
-//! Fixed-bucket latency histograms and the [`Timer`]/[`span!`](crate::span!) API.
+//! Fixed-bucket latency histograms with a percentile query.
 //!
 //! ## Design
 //!
-//! A [`Histogram`] has a fixed set of log2 buckets: bucket `i` counts
+//! A [`Histogram`] exposes a fixed set of log2 buckets: bucket `i` counts
 //! observations `≤ 2^(8+i)` nanoseconds, for `i` in `0..31` (256 ns up to
-//! ~275 s), plus an implicit `+Inf` bucket.  Power-of-two boundaries make
-//! bucket selection a `leading_zeros` instruction — no search, no float math
-//! on the record path.
+//! ~275 s), plus an implicit `+Inf` bucket.  Behind each of those octaves it
+//! records four linear sub-buckets: octave `(2^(7+i), 2^(8+i)]` splits at
+//! 1.25, 1.5 and 1.75 × `2^(7+i)`, and everything up to 160 ns shares the
+//! first one.  The exposition ([`HistogramSnapshot`], `/metrics`) sums the
+//! sub-buckets back into the 31 octaves, and
+//! [`percentile_ns`](Histogram::percentile_ns) reads them directly, so a
+//! percentile above 160 ns is at most 1.25× the true value.  Picking a
+//! sub-bucket is a `leading_zeros` and a shift — no search, no float math on
+//! the record path.
 //!
 //! Recording is lock-free and contention-cheap: each histogram owns
 //! `SHARDS` cache-line-aligned shards, every thread is assigned a stable
 //! shard index on first use (a per-thread counter, so up to `SHARDS`
-//! threads never share a cache line), and one observation is three `Relaxed`
+//! threads never share a cache line), and one observation is two `Relaxed`
 //! atomic adds into that shard.  Shards are merged only when a scrape calls
 //! [`Histogram::snapshot`], so the hot path never synchronises with
 //! `/metrics`.
@@ -19,24 +25,30 @@
 //! Snapshots are internally consistent by construction: the total `count` is
 //! derived from the merged bucket counters (not a separate atomic), so the
 //! rendered Prometheus `_count` always equals the `+Inf` cumulative bucket.
+//!
+//! Regions are timed into a histogram with a [`Phase`](crate::Phase).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Number of finite log2 buckets (`≤ 2^(8+i)` ns for `i in 0..BUCKETS`).
 pub const BUCKETS: usize = 31;
 
-/// Exponent of the first bucket boundary: bucket 0 is `≤ 2^LOW_EXP` ns.
-const LOW_EXP: u32 = 8;
+/// Linear sub-buckets recorded per exposed log2 bucket.
+const SUB_BUCKETS: usize = 4;
+
+/// Number of recorded finite sub-buckets.
+const FINE_BUCKETS: usize = BUCKETS * SUB_BUCKETS;
 
 /// Number of shards; threads are striped across them by a per-thread index.
 const SHARDS: usize = 16;
 
-/// One shard of bucket counters, aligned so shards never share a cache line.
+/// One shard of sub-bucket counters, aligned so shards never share a cache
+/// line.
 #[repr(align(128))]
 #[derive(Debug)]
 struct Shard {
-    buckets: [AtomicU64; BUCKETS],
+    buckets: [AtomicU64; FINE_BUCKETS],
     overflow: AtomicU64,
     sum_ns: AtomicU64,
 }
@@ -68,25 +80,26 @@ fn shard_index() -> usize {
     })
 }
 
-/// The inclusive upper bound of finite bucket `i`, in nanoseconds.
-pub(crate) fn bucket_bound_ns(i: usize) -> u64 {
-    1u64 << (LOW_EXP + i as u32)
+/// The inclusive upper bound of finite sub-bucket `i`, in nanoseconds:
+/// `(5 + i % 4) · 2^(5 + i / 4)`, so every fourth bound is a power of two.
+fn fine_bound_ns(i: usize) -> u64 {
+    (5 + (i % SUB_BUCKETS) as u64) << (5 + i / SUB_BUCKETS)
 }
 
-/// Index of the finite bucket for `value_ns`, or `None` for the `+Inf`
+/// Index of the finite sub-bucket for `value_ns`, or `None` for the `+Inf`
 /// overflow bucket.
-fn bucket_index(value_ns: u64) -> Option<usize> {
-    if value_ns <= bucket_bound_ns(0) {
-        return Some(0);
+fn fine_index(value_ns: u64) -> Option<usize> {
+    // For v > 128, v - 1 has its highest set bit at `msb` exactly when v
+    // lies in the octave (2^msb, 2^(msb+1)]; the next two bits pick the
+    // quarter.  Values up to 128 join the first quarter of (128, 256].
+    let v = value_ns.max(129) - 1;
+    let msb = 63 - v.leading_zeros();
+    let octave = (msb - 7) as usize;
+    if octave >= BUCKETS {
+        return None;
     }
-    // ceil(log2(v)) for v ≥ 2: position of the highest set bit of v-1, +1.
-    let ceil_log2 = 64 - (value_ns - 1).leading_zeros();
-    let index = (ceil_log2 - LOW_EXP) as usize;
-    if index < BUCKETS {
-        Some(index)
-    } else {
-        None
-    }
+    let quarter = ((v >> (msb - 2)) & 3) as usize;
+    Some(octave * SUB_BUCKETS + quarter)
 }
 
 /// A fixed log2-bucket latency histogram; see the [module docs](self).
@@ -103,8 +116,9 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Create an unregistered histogram (tests; production code should use
-    /// the registry constructors so scrapes can see it).
+    /// Create an unregistered histogram (tests and tools such as `gesmc
+    /// loadgen`; service code should use the registry constructors so
+    /// scrapes can see it).
     pub fn new(name: &str, help: &str, labels: &[(&str, &str)]) -> Self {
         Self {
             name: name.to_string(),
@@ -132,7 +146,7 @@ impl Histogram {
     /// Record one observation of `value_ns` nanoseconds.
     pub fn record_ns(&self, value_ns: u64) {
         let shard = &self.shards[shard_index()];
-        match bucket_index(value_ns) {
+        match fine_index(value_ns) {
             Some(i) => shard.buckets[i].fetch_add(1, Ordering::Relaxed),
             None => shard.overflow.fetch_add(1, Ordering::Relaxed),
         };
@@ -144,9 +158,10 @@ impl Histogram {
         self.record_ns(u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Merge all shards into a consistent snapshot.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut per_bucket = [0u64; BUCKETS];
+    /// Sum the shards: per-sub-bucket counts, the overflow count and the
+    /// (saturating) sum.
+    fn merge(&self) -> ([u64; FINE_BUCKETS], u64, u64) {
+        let mut per_bucket = [0u64; FINE_BUCKETS];
         let mut overflow = 0u64;
         let mut sum_ns = 0u64;
         for shard in &self.shards {
@@ -156,12 +171,24 @@ impl Histogram {
             overflow += shard.overflow.load(Ordering::Relaxed);
             sum_ns = sum_ns.saturating_add(shard.sum_ns.load(Ordering::Relaxed));
         }
-        let mut buckets = Vec::with_capacity(BUCKETS);
+        (per_bucket, overflow, sum_ns)
+    }
+
+    /// Merge all shards into a consistent snapshot.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let (per_bucket, overflow, sum_ns) = self.merge();
         let mut cumulative = 0u64;
-        for (i, count) in per_bucket.iter().enumerate() {
-            cumulative += count;
-            buckets.push(BucketCount { le_ns: bucket_bound_ns(i), count: cumulative });
-        }
+        let buckets = per_bucket
+            .chunks(SUB_BUCKETS)
+            .enumerate()
+            .map(|(i, quarters)| {
+                cumulative += quarters.iter().sum::<u64>();
+                BucketCount {
+                    le_ns: fine_bound_ns(i * SUB_BUCKETS + SUB_BUCKETS - 1),
+                    count: cumulative,
+                }
+            })
+            .collect();
         HistogramSnapshot {
             name: self.name.clone(),
             help: self.help.clone(),
@@ -170,6 +197,28 @@ impl Histogram {
             count: cumulative + overflow,
             sum_ns,
         }
+    }
+
+    /// The `q`-quantile (`q` in 0..=1) of everything recorded so far, in
+    /// nanoseconds: the upper bound of the sub-bucket holding rank
+    /// `⌈q · count⌉`.  Above 160 ns that is at most 1.25× the true value.
+    /// Returns 0 for an empty histogram and `u64::MAX` when the rank falls
+    /// in the `+Inf` bucket (beyond ~275 s).
+    pub fn percentile_ns(&self, q: f64) -> u64 {
+        let (per_bucket, overflow, _) = self.merge();
+        let count = per_bucket.iter().sum::<u64>() + overflow;
+        if count == 0 {
+            return 0;
+        }
+        let rank = ((count as f64 * q).ceil() as u64).clamp(1, count);
+        let mut cumulative = 0u64;
+        for (i, n) in per_bucket.iter().enumerate() {
+            cumulative += n;
+            if cumulative >= rank {
+                return fine_bound_ns(i);
+            }
+        }
+        u64::MAX
     }
 }
 
@@ -206,74 +255,42 @@ impl HistogramSnapshot {
     }
 }
 
-/// Times a region into a [`Histogram`]; records on drop unless
-/// [`cancel`](Timer::cancel)led.
-#[derive(Debug)]
-pub struct Timer<'a> {
-    histogram: &'a Histogram,
-    start: Instant,
-    armed: bool,
-}
-
-impl<'a> Timer<'a> {
-    /// Start timing into `histogram`.
-    pub fn start(histogram: &'a Histogram) -> Self {
-        Self { histogram, start: Instant::now(), armed: true }
-    }
-
-    /// Stop now, record, and return the elapsed time.
-    pub fn stop(mut self) -> Duration {
-        let elapsed = self.start.elapsed();
-        self.armed = false;
-        self.histogram.observe(elapsed);
-        elapsed
-    }
-
-    /// Discard the timer without recording.
-    pub fn cancel(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for Timer<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.histogram.observe(self.start.elapsed());
-        }
-    }
-}
-
-/// Time a block into a histogram: `span!(hist, { work() })` evaluates the
-/// block, records its wall time, and yields the block's value (also on early
-/// `return`/panic unwind, via [`Timer`]'s drop).
-#[macro_export]
-macro_rules! span {
-    ($histogram:expr, $body:block) => {{
-        let __gesmc_obs_timer = $crate::Timer::start(&$histogram);
-        $body
-    }};
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn bucket_boundary_goldens() {
-        // Bucket 0 is ≤ 256 ns and also absorbs 0.
-        assert_eq!(bucket_index(0), Some(0));
-        assert_eq!(bucket_index(1), Some(0));
-        assert_eq!(bucket_index(256), Some(0));
-        // One past a power-of-two boundary moves up exactly one bucket.
-        assert_eq!(bucket_index(257), Some(1));
-        assert_eq!(bucket_index(512), Some(1));
-        assert_eq!(bucket_index(513), Some(2));
-        // 1 ms = 1_000_000 ns: 2^19 = 524288 < 1e6 ≤ 2^20, bucket 20-8 = 12.
-        assert_eq!(bucket_index(1_000_000), Some(12));
-        // Last finite bucket is ≤ 2^38 ns (~274.9 s).
-        assert_eq!(bucket_index(1 << 38), Some(BUCKETS - 1));
-        assert_eq!(bucket_index((1 << 38) + 1), None);
-        assert_eq!(bucket_index(u64::MAX), None);
+    fn sub_bucket_boundary_goldens() {
+        // The first sub-bucket is ≤ 160 ns and also absorbs 0.
+        assert_eq!(fine_index(0), Some(0));
+        assert_eq!(fine_index(160), Some(0));
+        assert_eq!(fine_index(161), Some(1));
+        assert_eq!(fine_index(256), Some(3));
+        // One past a power of two opens the next octave's first quarter.
+        assert_eq!(fine_index(257), Some(4));
+        assert_eq!(fine_index(320), Some(4));
+        assert_eq!(fine_index(321), Some(5));
+        assert_eq!(fine_index(512), Some(7));
+        // 1 ms lies in octave 12's last quarter, (1.75 · 2^19, 2^20].
+        assert_eq!(fine_index(1_000_000), Some(12 * 4 + 3));
+        // Last finite sub-bucket is ≤ 2^38 ns (~274.9 s).
+        assert_eq!(fine_index(1 << 38), Some(FINE_BUCKETS - 1));
+        assert_eq!(fine_index((1 << 38) + 1), None);
+        assert_eq!(fine_index(u64::MAX), None);
+        // Every fourth bound is an exposed log2 bound.
+        for i in 0..BUCKETS {
+            assert_eq!(fine_bound_ns(i * SUB_BUCKETS + SUB_BUCKETS - 1), 1 << (8 + i));
+        }
+        // Above 160 ns a value's sub-bucket bound is at most 1.25× the value.
+        let mut value = 161u64;
+        while value <= 1 << 38 {
+            for v in [value - 1, value, value + 1] {
+                let i = fine_index(v).unwrap();
+                assert!(i == 0 || fine_bound_ns(i - 1) < v, "{v} belongs below {i}");
+                assert!(v <= fine_bound_ns(i) && fine_bound_ns(i) as f64 <= 1.25 * v as f64);
+            }
+            value = value * 9 / 8 + 1;
+        }
     }
 
     #[test]
@@ -284,6 +301,7 @@ mod tests {
         h.record_ns(300); // bucket 1
         h.record_ns(u64::MAX); // +Inf
         let s = h.snapshot();
+        assert_eq!(s.buckets.len(), BUCKETS);
         assert_eq!(s.buckets[0].count, 1);
         assert_eq!(s.buckets[1].count, 3);
         assert_eq!(s.buckets.last().unwrap().count, 3);
@@ -306,48 +324,56 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_recording_merges_across_thread_shards() {
-        let h = std::sync::Arc::new(Histogram::new("t", "test", &[]));
-        let threads = 8;
-        let per_thread = 10_000u64;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let h = h.clone();
-                std::thread::spawn(move || {
-                    for i in 0..per_thread {
-                        h.record_ns(1 + (i + t) % 4096);
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().unwrap();
+    fn percentiles_of_a_mixture_fall_within_one_sub_bucket() {
+        // 90 fast, 10 slow: p50 lands on the fast value, p99 on the slow
+        // one, each at most one sub-bucket (1.25×) above it.
+        let h = Histogram::new("t", "test", &[]);
+        for _ in 0..90 {
+            h.record_ns(500_000);
         }
+        for _ in 0..10 {
+            h.record_ns(20_000_000);
+        }
+        let p50 = h.percentile_ns(0.50);
+        assert!((500_000..=625_000).contains(&p50), "p50 {p50}");
+        let p90 = h.percentile_ns(0.90);
+        assert_eq!(p90, p50, "rank 90 is the last fast observation");
+        let p99 = h.percentile_ns(0.99);
+        assert!((20_000_000..=25_000_000).contains(&p99), "p99 {p99}");
+    }
+
+    #[test]
+    fn several_threads_recording_into_one_histogram_equal_one_thread_recording_everything() {
+        // 8 threads, so each records into a shard of its own.
+        let values: Vec<u64> =
+            (0..8_000u64).map(|i| 90 + (i * 7_919 % 1_000) * (1 + i % 5) * 999).collect();
+        let shared = Histogram::new("t", "test", &[]);
+        std::thread::scope(|scope| {
+            for part in values.chunks(1_000) {
+                let shared = &shared;
+                scope.spawn(move || part.iter().for_each(|&v| shared.record_ns(v)));
+            }
+        });
+        let single = Histogram::new("t", "test", &[]);
+        values.iter().for_each(|&v| single.record_ns(v));
+        let (a, b) = (shared.snapshot(), single.snapshot());
+        assert_eq!(a.count, values.len() as u64);
+        assert_eq!((a.count, a.sum_ns, &a.buckets), (b.count, b.sum_ns, &b.buckets));
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(shared.percentile_ns(q), single.percentile_ns(q), "q = {q}");
+        }
+    }
+
+    #[test]
+    fn overflow_lands_in_inf() {
+        let h = Histogram::new("t", "test", &[]);
+        assert_eq!(h.percentile_ns(0.5), 0, "an empty histogram reports 0");
+        h.record_ns(u64::MAX);
+        h.record_ns(3);
         let s = h.snapshot();
-        assert_eq!(s.count, threads * per_thread);
-        assert_eq!(s.buckets.last().unwrap().count, threads * per_thread);
-        // Every recorded value was ≤ 4096 = 2^12, bucket index 4.
-        assert_eq!(s.buckets[4].count, threads * per_thread);
-        assert!(s.sum_ns > 0);
-    }
-
-    #[test]
-    fn timer_records_and_cancel_does_not() {
-        let h = Histogram::new("t", "test", &[]);
-        let elapsed = Timer::start(&h).stop();
-        assert!(elapsed.as_nanos() > 0 || elapsed.is_zero());
-        Timer::start(&h).cancel();
-        {
-            let _implicit = Timer::start(&h);
-        }
-        assert_eq!(h.snapshot().count, 2); // stop + drop, not cancel
-    }
-
-    #[test]
-    fn span_macro_yields_block_value() {
-        let h = Histogram::new("t", "test", &[]);
-        let v = span!(h, { 21 * 2 });
-        assert_eq!(v, 42);
-        assert_eq!(h.snapshot().count, 1);
+        assert_eq!(s.buckets.last().unwrap().count, 1, "only the 3 ns value is finite");
+        assert_eq!(s.count, 2, "the +Inf bucket holds both");
+        assert_eq!(h.percentile_ns(1.0), u64::MAX);
+        assert_eq!(h.percentile_ns(0.25), 160);
     }
 }

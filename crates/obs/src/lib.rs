@@ -1,6 +1,6 @@
 //! `gesmc-obs` — the workspace's dependency-free observability layer.
 //!
-//! Three pieces, all built on `std` only so every crate in the workspace can
+//! Four pieces, all built on `std` only so every crate in the workspace can
 //! depend on it without pulling anything in:
 //!
 //! * **Structured leveled logging** ([`log`]) — a process-global logger with
@@ -10,12 +10,15 @@
 //!   [`warn!`]/[`error!`] macros are the only sanctioned way to emit
 //!   diagnostics; raw `eprintln!` is banned in `cli`, `serve`, and `engine`
 //!   (CI greps for it).
-//! * **Latency histograms + spans** ([`hist`]) — a lock-cheap [`Histogram`]
-//!   with fixed log2 (power-of-two nanosecond) buckets.  Recording picks one
-//!   of a small set of cache-line-aligned shards by a per-thread index and
-//!   does three relaxed atomic adds; shards are only merged when a scrape
-//!   takes a [`HistogramSnapshot`].  [`Timer`] and the [`span!`] macro time a
-//!   region into a histogram.
+//! * **Latency histograms** ([`hist`]) — a lock-cheap [`Histogram`] with
+//!   fixed log2 (power-of-two nanosecond) buckets, each recorded as four
+//!   linear sub-buckets so [`Histogram::percentile_ns`] is within 1.25×.
+//!   Recording picks one of a small set of cache-line-aligned shards by a
+//!   per-thread index and does two relaxed atomic adds; shards are only
+//!   merged when a scrape takes a [`HistogramSnapshot`].
+//! * **One timing primitive** ([`mod@phase`]) — a [`Phase`] guard times a
+//!   region with one clock and, on drop, observes its histogram and closes
+//!   its trace span (when the work is traced) with the same duration.
 //! * **A process-global registry** ([`registry`]) — histograms and counters
 //!   register themselves by `(name, labels)` on first use, so `/metrics`
 //!   (Prometheus text with `_bucket`/`_sum`/`_count`), `/v1/debug/stats`
@@ -35,10 +38,11 @@
 //! ```
 //! let requests = gesmc_obs::histogram("doc_request_seconds", "Example latency.");
 //! {
-//!     let _t = gesmc_obs::Timer::start(&requests);
+//!     let _phase = gesmc_obs::Phase::start(&requests);
 //!     // ... timed region ...
 //! }
 //! assert_eq!(requests.snapshot().count, 1);
+//! assert!(requests.percentile_ns(0.5) > 0);
 //! gesmc_obs::info!(target: "doc", "handled one request");
 //! ```
 
@@ -47,12 +51,14 @@
 
 pub mod hist;
 pub mod log;
+pub mod phase;
 pub mod registry;
 pub mod telemetry;
 pub mod trace;
 
-pub use hist::{BucketCount, Histogram, HistogramSnapshot, Timer, BUCKETS};
-pub use log::{next_request_id, Level, LogFormat};
+pub use hist::{BucketCount, Histogram, HistogramSnapshot, BUCKETS};
+pub use log::{Level, LogFormat};
+pub use phase::Phase;
 pub use registry::{
     counter, counter_with, histogram, histogram_with, render_json, render_prometheus, snapshot,
     Counter, CounterSnapshot, ObsSnapshot,

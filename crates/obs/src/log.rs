@@ -18,13 +18,14 @@
 //!   `[id]`, message) for humans, `json` (one object per line with `ts`,
 //!   `level`, `target`, optional `id`, `msg`) for ingestion.
 //! * **Correlation ids** — the optional `id:` argument stamps a
-//!   per-request/job id on the line; [`next_request_id`] mints them.
+//!   per-request/job id on the line (`gesmc-serve` uses the request's root
+//!   span id, [`SpanId`](crate::SpanId)).
 //!
 //! Output goes to stderr; tests can capture it with [`capture_for_tests`].
 
 use std::fmt;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -312,27 +313,6 @@ pub fn rfc3339_from_epoch_millis(epoch_millis: u128) -> String {
     format!("{year:04}-{month:02}-{day:02}T{hour:02}:{minute:02}:{second:02}.{millis:03}Z")
 }
 
-/// Mint a process-unique correlation id (16 lowercase hex chars).
-///
-/// Combines process identity, a coarse boot timestamp, and a counter through
-/// a 64-bit mix, so concurrent servers on one host do not collide in logs.
-pub fn next_request_id() -> String {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    static BOOT: OnceLock<u64> = OnceLock::new();
-    let boot = *BOOT.get_or_init(|| {
-        let nanos =
-            SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_nanos() as u64).unwrap_or(0);
-        nanos ^ ((std::process::id() as u64) << 32)
-    });
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    // splitmix64 finalizer over (boot, counter).
-    let mut x = boot.wrapping_add(n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    format!("{x:016x}")
-}
-
 /// Log at an explicit [`Level`] with a `target:` and optional `id:`.
 #[macro_export]
 macro_rules! log_at {
@@ -518,14 +498,5 @@ mod tests {
         for line in lines {
             assert_valid_json_line(line);
         }
-    }
-
-    #[test]
-    fn request_ids_are_unique_and_hex() {
-        let a = next_request_id();
-        let b = next_request_id();
-        assert_ne!(a, b);
-        assert_eq!(a.len(), 16);
-        assert!(a.chars().all(|c| c.is_ascii_hexdigit()));
     }
 }

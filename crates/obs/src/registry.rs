@@ -326,34 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_rendering_round_trip() {
-        let h = histogram_with("reg_render_seconds", "Render test.", &[("phase", "compute")]);
-        h.record_ns(300); // bucket le=512ns
-        h.record_ns(1_000_000_000); // 1 s
-        let text = render_prometheus();
-        assert!(text.contains("# HELP reg_render_seconds Render test."));
-        assert!(text.contains("# TYPE reg_render_seconds histogram"));
-        assert!(text.contains("reg_render_seconds_bucket{phase=\"compute\",le=\"0.000000512\"} 1"));
-        assert!(text.contains("reg_render_seconds_bucket{phase=\"compute\",le=\"+Inf\"} 2"));
-        assert!(text.contains("reg_render_seconds_count{phase=\"compute\"} 2"));
-        assert!(text.contains("reg_render_seconds_sum{phase=\"compute\"} 1.0000003"));
-        // Cumulative buckets: the last finite bucket holds everything ≤ bound.
-        let last_finite =
-            format!("reg_render_seconds_bucket{{phase=\"compute\",le=\"{}\"}} 2", "274.877906944");
-        assert!(text.contains(&last_finite), "missing `{last_finite}` in:\n{text}");
-
-        // Round-trip: buckets are cumulative (monotone) and bounded by count.
-        for snapshot in snapshot().histograms {
-            let mut previous = 0;
-            for bucket in &snapshot.buckets {
-                assert!(bucket.count >= previous, "non-monotone buckets in {}", snapshot.name);
-                previous = bucket.count;
-            }
-            assert!(previous <= snapshot.count);
-        }
-    }
-
-    #[test]
     fn counters_render_as_counter_type() {
         let c = counter_with("reg_test_total", "Counter test.", &[("kind", "x")]);
         c.add(3);
@@ -362,19 +334,30 @@ mod tests {
         assert!(text.contains("reg_test_total{kind=\"x\"} 3"));
     }
 
+    /// Values at, just below and just above every exposed bound render the
+    /// Prometheus lines and JSON that the log2-only histogram (before
+    /// sub-buckets) rendered; the golden files were captured from it.
     #[test]
-    fn json_snapshot_is_parseable_shape() {
-        let h = histogram("reg_json_seconds", "Json test.");
-        h.record_ns(400);
-        let json = render_json();
-        assert!(json.starts_with("{\"histograms\":["));
-        assert!(json.contains("\"name\":\"reg_json_seconds\""));
-        assert!(json.contains("\"buckets\":[{\"le_seconds\":0.000000256,\"count\":0}"));
-        assert!(json.ends_with("]}"));
-        // Balanced braces/brackets as a cheap well-formedness check.
-        let opens = json.matches(['{', '[']).count();
-        let closes = json.matches(['}', ']']).count();
-        assert_eq!(opens, closes);
+    fn octave_bounds_render_the_golden_exposition() {
+        let labels = [("phase", "golden")];
+        let h = histogram_with("golden_octave_bounds_seconds", "Golden exposition test.", &labels);
+        for i in 0..crate::BUCKETS {
+            let bound = 1u64 << (8 + i);
+            for v in [bound - 1, bound, bound + 1] {
+                h.record_ns(v);
+            }
+        }
+        let prometheus: String = render_prometheus()
+            .lines()
+            .filter(|l| l.contains("golden_octave_bounds_seconds"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(prometheus, include_str!("../testdata/octave_bounds.prom"));
+        let json = render_json_snapshot(&ObsSnapshot {
+            histograms: vec![h.snapshot()],
+            counters: Vec::new(),
+        });
+        assert_eq!(json, include_str!("../testdata/octave_bounds.json").trim_end());
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! `"forward"`, `"compute"`, …), a wall-clock start, a duration, an error
 //! flag, and free-form `key=value` annotations.  Spans are cheap value
 //! guards: [`Span`] records itself into the process-local [`Tracer`] when
-//! dropped, so instrumented code never talks to a collector.
+//! dropped, so instrumented code never talks to a collector.  A phase that
+//! also feeds a histogram is timed by a [`Phase`](crate::Phase), which
+//! closes its span with the duration it observed.
 //!
 //! ## Recording and tail-based sampling
 //!
@@ -106,6 +108,13 @@ impl SpanId {
             return None;
         }
         u64::from_str_radix(s, 16).ok().map(SpanId)
+    }
+
+    /// Mint a fresh process-unique id, as every new span gets one (for an
+    /// id that must match the span ids of a process, e.g. the request id
+    /// of a response that has no span).
+    pub fn mint() -> SpanId {
+        SpanId(next_id())
     }
 }
 
@@ -299,6 +308,7 @@ impl Tracer {
             local_root,
             start_unix_us: now_unix_us(),
             started: Instant::now(),
+            ended: None,
             error: false,
             annotations: Vec::new(),
         }
@@ -469,6 +479,9 @@ pub struct Span<'a> {
     local_root: bool,
     start_unix_us: u64,
     started: Instant,
+    /// The duration a [`Phase`](crate::Phase) measured, which closes the
+    /// span instead of a second clock read.
+    ended: Option<Duration>,
     error: bool,
     annotations: Vec<(&'static str, String)>,
 }
@@ -504,28 +517,48 @@ impl<'a> Span<'a> {
         self.error = true;
     }
 
-    /// Record an already-finished child retroactively: it ended `ended_ago`
-    /// before now and ran for `duration`.  Used for phases measured before
-    /// the root span could exist (queue wait, request read).
-    pub fn record_completed_child(
-        &self,
-        name: &'static str,
-        ended_ago: Duration,
-        duration: Duration,
-    ) {
-        let now = now_unix_us();
-        let ended = now.saturating_sub(duration_us(ended_ago));
-        let start = ended.saturating_sub(duration_us(duration));
+    /// Backdate the span's start to `at`, an instant taken before the span
+    /// could exist (a request's root starts when its connection was
+    /// queued, before its trace header was read).
+    pub fn started_at(mut self, at: Instant) -> Self {
+        self.start_unix_us = self.unix_us_at(at);
+        self.started = at;
+        self
+    }
+
+    /// The instant the span started.
+    pub(crate) fn started(&self) -> Instant {
+        self.started
+    }
+
+    /// Close the span with a `duration` its caller measured.
+    pub(crate) fn end(mut self, duration: Duration) {
+        self.ended = Some(duration);
+    }
+
+    /// Record an already-finished child retroactively: it started at
+    /// `start` and ran for `duration`.  Used for phases that ended before
+    /// this span existed (queue wait, request read).
+    pub(crate) fn record_child(&self, name: &'static str, start: Instant, duration: Duration) {
         self.tracer.record(SpanRecord {
             trace: self.trace,
             span: SpanId(next_id()),
             parent: Some(self.id),
             name,
-            start_unix_us: start,
+            start_unix_us: self.unix_us_at(start),
             duration_us: duration_us(duration),
             error: false,
             annotations: Vec::new(),
         });
+    }
+
+    /// Wall-clock microseconds at `at`, from this span's start (no clock
+    /// read).
+    fn unix_us_at(&self, at: Instant) -> u64 {
+        match at.checked_duration_since(self.started) {
+            Some(after) => self.start_unix_us.saturating_add(duration_us(after)),
+            None => self.start_unix_us.saturating_sub(duration_us(self.started - at)),
+        }
     }
 }
 
@@ -537,7 +570,7 @@ impl Drop for Span<'_> {
             parent: self.parent,
             name: self.name,
             start_unix_us: self.start_unix_us,
-            duration_us: duration_us(self.started.elapsed()),
+            duration_us: duration_us(self.ended.unwrap_or_else(|| self.started.elapsed())),
             error: self.error,
             annotations: std::mem::take(&mut self.annotations),
         };
@@ -768,21 +801,12 @@ mod tests {
     }
 
     #[test]
-    fn retroactive_children_land_before_the_root_finish() {
-        let tracer = drop_all();
-        let root = tracer.start_root_flagged("request", FLAG_SAMPLED);
-        root.record_completed_child(
-            "queue_wait",
-            Duration::from_millis(5),
-            Duration::from_millis(10),
-        );
-        let id = root.trace_id();
-        drop(root);
-        let kept = tracer.kept_trace(id).unwrap();
-        let queued = kept.spans.iter().find(|s| s.name == "queue_wait").unwrap();
-        assert_eq!(queued.duration_us, 10_000);
-        let root_rec = kept.spans.iter().find(|s| s.name == "request").unwrap();
-        assert!(queued.start_unix_us <= root_rec.start_unix_us.saturating_add(1_000));
+    fn minted_span_ids_are_unique_and_render_as_16_hex_chars() {
+        let (a, b) = (SpanId::mint(), SpanId::mint());
+        assert_ne!(a, b);
+        assert_eq!(a.to_hex().len(), 16);
+        assert!(a.to_hex().chars().all(|c| c.is_ascii_hexdigit()));
+        assert_eq!(SpanId::parse(&a.to_hex()), Some(a));
     }
 
     #[test]

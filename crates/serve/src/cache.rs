@@ -14,12 +14,11 @@
 //! stored behind `Arc`s, so a hit is one map lookup plus two atomic
 //! increments — no copying, no re-encoding.
 
-use gesmc_obs::Histogram;
+use gesmc_obs::{Histogram, Phase, Span};
 use gesmc_randx::{fnv1a_64, mix64};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// The triple identifying one cacheable sample.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -123,44 +122,53 @@ impl SampleCache {
 
     /// Look `key` up, refreshing its recency on a hit.
     pub fn get(&self, key: &CacheKey) -> Option<CachedSample> {
-        self.get_or_load(key, || None)
+        self.get_or_load(key, None, || None)
     }
 
     /// Look `key` up, refreshing its recency on a hit; on a miss, ask `load`
     /// (e.g. a disk spill) and insert what it returns.
     ///
-    /// Counts and times the whole probe once: a hit when the sample was
-    /// resident or loaded, else a miss.  `load` runs without the cache lock.
+    /// Counts and times the whole probe once, as one [`Phase`] that closes
+    /// `span` (when the request is traced): a hit when the sample was
+    /// resident or loaded, else a miss; the span's `result` annotation says
+    /// which.  `load` runs without the cache lock.
     pub fn get_or_load(
         &self,
         key: &CacheKey,
+        span: Option<Span<'_>>,
         load: impl FnOnce() -> Option<CachedSample>,
     ) -> Option<CachedSample> {
-        let probe_start = Instant::now();
-        if self.capacity > 0 {
-            let mut inner = self.inner.lock().expect("cache mutex poisoned");
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.map.get_mut(key) {
-                entry.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.probe_hit.observe(probe_start.elapsed());
-                return Some(entry.sample.clone());
-            }
-        }
-        let found = load();
-        match &found {
-            Some(loaded) => {
-                self.insert(key.clone(), loaded.clone());
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.probe_hit.observe(probe_start.elapsed());
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.probe_miss.observe(probe_start.elapsed());
-            }
+        let mut probe = Phase::traced(&self.probe_miss, span);
+        let found = self.lookup(key).or_else(|| {
+            let loaded = load()?;
+            self.insert(key.clone(), loaded.clone());
+            Some(loaded)
+        });
+        let result = if found.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            probe.observe_into(&self.probe_hit);
+            "hit"
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            "miss"
+        };
+        if let Some(span) = probe.span_mut() {
+            span.annotate("result", result);
         }
         found
+    }
+
+    /// The resident sample of `key`, refreshing its recency.
+    fn lookup(&self, key: &CacheKey) -> Option<CachedSample> {
+        if self.capacity == 0 {
+            return None;
+        }
+        let mut inner = self.inner.lock().expect("cache mutex poisoned");
+        inner.tick += 1;
+        let tick = inner.tick;
+        let entry = inner.map.get_mut(key)?;
+        entry.last_used = tick;
+        Some(entry.sample.clone())
     }
 
     /// Insert (or overwrite) `key`, evicting the least-recently-used entry
@@ -223,13 +231,24 @@ mod tests {
 
     #[test]
     fn a_loaded_sample_counts_as_one_hit_and_becomes_resident() {
+        use gesmc_obs::trace::{TracePolicy, Tracer, FLAG_SAMPLED};
+        let tracer = Tracer::new(TracePolicy::default());
+        let root = tracer.start_root_flagged("request", FLAG_SAMPLED);
+        let probe = || Some(root.child("cache_probe"));
         let cache = SampleCache::new(4);
-        assert!(cache.get_or_load(&key(1), || None).is_none());
-        let loaded = cache.get_or_load(&key(2), || Some(sample(2))).unwrap();
+        assert!(cache.get_or_load(&key(1), probe(), || None).is_none());
+        let loaded = cache.get_or_load(&key(2), probe(), || Some(sample(2))).unwrap();
         assert_eq!(*loaded.text, vec![2]);
-        let resident = cache.get_or_load(&key(2), || panic!("a resident key must not load"));
+        let resident =
+            cache.get_or_load(&key(2), probe(), || panic!("a resident key must not load"));
         assert_eq!(*resident.unwrap().text, vec![2]);
         assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 1, evictions: 0, entries: 1 });
+        // Each probe closed one span, annotated with the counted result.
+        let trace = root.trace_id();
+        drop(root);
+        let spans = tracer.kept_trace(trace).unwrap().spans;
+        let results: Vec<_> = spans.iter().flat_map(|s| &s.annotations).map(|a| &a.1).collect();
+        assert_eq!(results, ["miss", "hit", "hit"]);
     }
 
     #[test]

@@ -54,6 +54,7 @@ use gesmc_graph::io::{
     read_edge_list_binary_file, write_edge_list, write_edge_list_binary, BINARY_MAGIC,
 };
 use gesmc_graph::EdgeListGraph;
+use gesmc_obs::Phase;
 use gesmc_randx::fnv1a_64;
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
@@ -346,9 +347,8 @@ impl Persistence {
         let path = self.journal_path();
         let result = {
             let _guard = self.journal_lock.lock().expect("journal mutex poisoned");
-            gesmc_obs::span!(self.journal_hist, {
-                self.io.append(&path, &bytes).and_then(|()| self.io.fsync(&path))
-            })
+            let _phase = Phase::start(&self.journal_hist);
+            self.io.append(&path, &bytes).and_then(|()| self.io.fsync(&path))
         };
         match result {
             Ok(()) => {
@@ -402,12 +402,11 @@ impl Persistence {
     /// Persist the latest checkpoint of a running job.  Absorbs failures —
     /// a storage hiccup must not kill a healthy job.
     pub(crate) fn write_checkpoint(&self, id: u64, checkpoint: &Checkpoint) {
-        let result = gesmc_obs::span!(self.checkpoint_hist, {
-            (|| {
-                std::fs::create_dir_all(self.job_dir(id))?;
-                self.write_atomic(&self.checkpoint_path(id), &checkpoint.to_bytes())
-            })()
-        });
+        let result = {
+            let _phase = Phase::start(&self.checkpoint_hist);
+            std::fs::create_dir_all(self.job_dir(id))
+                .and_then(|()| self.write_atomic(&self.checkpoint_path(id), &checkpoint.to_bytes()))
+        };
         match result {
             Ok(()) => {
                 self.metrics.checkpoints.fetch_add(1, Ordering::Relaxed);
@@ -421,12 +420,11 @@ impl Persistence {
 
     /// Spill one thinned job sample to disk.  Absorbs failures.
     pub(crate) fn spill_job_sample(&self, id: u64, index: u64, superstep: u64, binary: &[u8]) {
-        let result = gesmc_obs::span!(self.spill_hist, {
-            (|| {
-                std::fs::create_dir_all(self.job_dir(id))?;
-                self.write_atomic(&self.sample_path(id, index, superstep), binary)
-            })()
-        });
+        let result = {
+            let _phase = Phase::start(&self.spill_hist);
+            std::fs::create_dir_all(self.job_dir(id))
+                .and_then(|()| self.write_atomic(&self.sample_path(id, index, superstep), binary))
+        };
         match result {
             Ok(()) => {
                 self.metrics.samples_spilled.fetch_add(1, Ordering::Relaxed);
@@ -440,9 +438,11 @@ impl Persistence {
 
     /// Spill a one-shot cache entry to disk.  Absorbs failures.
     pub(crate) fn spill_cache(&self, key: &CacheKey, sample: &CachedSample) {
-        match gesmc_obs::span!(self.spill_hist, {
+        let result = {
+            let _phase = Phase::start(&self.spill_hist);
             self.write_atomic(&self.cache_path(key), &sample.binary)
-        }) {
+        };
+        match result {
             Ok(()) => {
                 self.metrics.samples_spilled.fetch_add(1, Ordering::Relaxed);
             }

@@ -20,6 +20,7 @@ use gesmc_engine::{
 };
 use gesmc_graph::io::{write_edge_list, write_edge_list_binary};
 use gesmc_graph::EdgeListGraph;
+use gesmc_obs::Phase;
 use gesmc_randx::fnv1a_64;
 use serde_json::{Map, Value};
 use std::sync::Arc;
@@ -217,33 +218,36 @@ fn generate_into_cache(
     .seed(seed);
     let sink = MemorySink::new();
     let store = sink.store();
-    // The "compute" span covers queueing plus the engine run; the queued job
-    // carries its context, so the engine's supersteps/checkpoint spans nest
-    // beneath it in the joined tree.
-    let mut compute_span =
-        trace.map(|ctx| gesmc_obs::trace::tracer().span_from_context(ctx, "compute"));
-    if let Some(span) = &mut compute_span {
+    // The compute phase covers admission, queueing and the engine run; the
+    // queued job carries its span's context, so the engine's
+    // supersteps/checkpoint spans nest beneath it in the joined tree.
+    let mut compute = Phase::traced(
+        &state.phases.compute,
+        trace.map(|ctx| gesmc_obs::trace::tracer().span_from_context(ctx, "compute")),
+    );
+    let job_trace = compute.span_mut().map(|span| {
         span.annotate("chain", key.chain_slug.clone());
         span.annotate("supersteps", supersteps.to_string());
-    }
-    let job_trace = compute_span.as_ref().map(gesmc_obs::Span::context);
+        span.context()
+    });
     let queued = QueuedJob::new(spec, Box::new(sink)).with_trace(job_trace);
-    let handle = state.pool.submit(queued).map_err(|e| {
-        if let Some(span) = &mut compute_span {
-            span.set_error();
+    let handle = match state.pool.submit(queued) {
+        Ok(handle) => handle,
+        Err(e) => {
+            // A refused admission flags the span but is no compute phase.
+            compute.set_error();
+            compute.cancel();
+            return Err(match e {
+                SubmitError::Saturated { .. } => ColdError::Saturated,
+                SubmitError::ShuttingDown => ColdError::ShuttingDown,
+            });
         }
-        match e {
-            SubmitError::Saturated { .. } => ColdError::Saturated,
-            SubmitError::ShuttingDown => ColdError::ShuttingDown,
-        }
-    })?;
-    let waited = gesmc_obs::span!(state.phases.compute, { handle.wait() });
-    if let Some(span) = &mut compute_span {
-        if !matches!(waited, JobState::Done(_)) {
-            span.set_error();
-        }
+    };
+    let waited = handle.wait();
+    if !matches!(waited, JobState::Done(_)) {
+        compute.set_error();
     }
-    drop(compute_span);
+    drop(compute);
     match waited {
         JobState::Done(_) => {
             let samples = store.lock().expect("sample store mutex poisoned");
@@ -374,16 +378,11 @@ fn sample(
             }
         }
     }
-    let cached = {
-        let mut probe = span.child("cache_probe");
-        // On an LRU miss, a restarted (or evicted) node may still hold this
-        // key spilled on disk: rehydrate it lazily and serve it as a hit.
-        let found = state
-            .cache
-            .get_or_load(&key, || state.persist.as_ref().and_then(|p| p.load_cached(&key)));
-        probe.annotate("result", if found.is_some() { "hit" } else { "miss" });
-        found
-    };
+    // On an LRU miss, a restarted (or evicted) node may still hold this key
+    // spilled on disk: rehydrate it lazily and serve it as a hit.
+    let cached = state.cache.get_or_load(&key, Some(span.child("cache_probe")), || {
+        state.persist.as_ref().and_then(|p| p.load_cached(&key))
+    });
     if let Some(cached) = cached {
         if warm {
             return Response::json(
@@ -441,12 +440,13 @@ fn sample(
             }
         }
         Lease::Follower(slot) => {
-            let mut wait_span = span.child("coalesced_wait");
+            let mut wait =
+                Phase::traced(&state.phases.coalesced_wait, Some(span.child("coalesced_wait")));
             let outcome = slot.wait();
             if outcome.is_err() {
-                wait_span.set_error();
+                wait.set_error();
             }
-            drop(wait_span);
+            drop(wait);
             match outcome {
                 Ok(sample) => sample_response(request, &sample, "coalesced"),
                 Err(e) => e.into_response(),

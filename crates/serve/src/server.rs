@@ -35,7 +35,7 @@ use crate::persist::{boot_replay, Persistence};
 use crate::router::route;
 use crate::ServeConfig;
 use gesmc_engine::{default_registry, ChainRegistry, ServicePool};
-use gesmc_obs::Histogram;
+use gesmc_obs::{Histogram, Phase, Span, SpanId};
 use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -88,11 +88,6 @@ impl InflightSlot {
     }
 
     pub(crate) fn wait(&self) -> Result<CachedSample, ColdError> {
-        let coalesce_hist = gesmc_obs::histogram(
-            "gesmc_coalesce_wait_duration_seconds",
-            "Time coalesced followers spent waiting on the leader's sample.",
-        );
-        let _timer = gesmc_obs::Timer::start(&coalesce_hist);
         let mut result = self.result.lock().expect("inflight mutex poisoned");
         while result.is_none() {
             result = self.ready.wait(result).expect("inflight mutex poisoned");
@@ -150,14 +145,15 @@ impl Drop for LeaseGuard<'_> {
 }
 
 /// Cached handles of the `gesmc_request_phase_duration_seconds` family, one
-/// series per pipeline phase, so the per-request hot path never takes the
-/// obs registry lock.
+/// series per pipeline phase, and of the coalesced-wait histogram, so the
+/// per-request hot path never takes the obs registry lock.
 pub(crate) struct PhaseHists {
     pub(crate) queue_wait: Arc<Histogram>,
     pub(crate) read: Arc<Histogram>,
     pub(crate) handle: Arc<Histogram>,
     pub(crate) write: Arc<Histogram>,
     pub(crate) compute: Arc<Histogram>,
+    pub(crate) coalesced_wait: Arc<Histogram>,
 }
 
 impl PhaseHists {
@@ -176,6 +172,10 @@ impl PhaseHists {
             handle: phase("handle"),
             write: phase("write"),
             compute: phase("compute"),
+            coalesced_wait: gesmc_obs::histogram(
+                "gesmc_coalesce_wait_duration_seconds",
+                "Time coalesced followers spent waiting on the leader's sample.",
+            ),
         }
     }
 }
@@ -500,7 +500,7 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
                 // Shed at the connection level too: answer 429 inline
                 // without occupying a worker.
                 state.metrics.count_response(429);
-                let request_id = gesmc_obs::next_request_id();
+                let request_id = SpanId::mint().to_hex();
                 gesmc_obs::warn!(
                     target: "gesmc_serve::http",
                     id: request_id,
@@ -534,56 +534,64 @@ fn http_worker(state: &Arc<ServerState>) {
             state.conn_available.notify_all();
             return;
         };
-        let queue_wait = queued_at.elapsed();
-        state.phases.queue_wait.observe(queue_wait);
-        let request_id = gesmc_obs::next_request_id();
+        // One instant ends the queue wait and starts the read; both phases
+        // are recorded once the root span exists (or without one).
+        let popped = Instant::now();
         let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
         let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-        let Ok(read_half) = stream.try_clone() else { continue };
+        let Ok(read_half) = stream.try_clone() else {
+            Phase::record(&state.phases.queue_wait, None, "queue_wait", queued_at, popped);
+            continue;
+        };
         let mut reader = BufReader::new(read_half);
-        let read_start = Instant::now();
         let parsed = read_request(&mut reader, state.config.max_body_bytes);
-        let read_elapsed = read_start.elapsed();
-        state.phases.read.observe(read_elapsed);
-        let (response, request_line, span) = match parsed {
+        let read_end = Instant::now();
+        // Every parsed request gets a root span, started when its connection
+        // was queued, so its duration (which the tail sampler's slow rule
+        // reads) covers the queue wait and the read.  An inbound
+        // `X-Gesmc-Trace` joins the sender's trace instead.
+        let mut span = parsed.as_ref().ok().map(|request| {
+            let tracer = gesmc_obs::trace::tracer();
+            let mut span =
+                match request.header("x-gesmc-trace").and_then(gesmc_obs::SpanContext::parse) {
+                    Some(ctx) => tracer.continue_trace(ctx, "request"),
+                    None => tracer.start_root("request"),
+                }
+                .started_at(queued_at);
+            span.annotate("method", request.method.as_str());
+            span.annotate("path", request.path.clone());
+            span
+        });
+        Phase::record(&state.phases.queue_wait, span.as_ref(), "queue_wait", queued_at, popped);
+        Phase::record(&state.phases.read, span.as_ref(), "read", popped, read_end);
+        // The request id is the root span's id; a request without a span
+        // gets a fresh one.
+        let request_id = span.as_ref().map_or_else(SpanId::mint, Span::span_id).to_hex();
+        let (response, request_line) = match parsed {
             Ok(request) => {
+                let root = span.as_mut().expect("a parsed request has a root span");
                 state.metrics.count_request();
                 let line = format!("{} {}", request.method.as_str(), request.path);
-                // Every parsed request gets a root span; the tail sampler
-                // decides at the end whether the trace is kept.  An inbound
-                // `X-Gesmc-Trace` joins the sender's trace instead.
-                let tracer = gesmc_obs::trace::tracer();
-                let mut span =
-                    match request.header("x-gesmc-trace").and_then(gesmc_obs::SpanContext::parse) {
-                        Some(ctx) => tracer.continue_trace(ctx, "request"),
-                        None => tracer.start_root("request"),
-                    };
-                span.annotate("method", request.method.as_str());
-                span.annotate("path", request.path.clone());
-                span.annotate("request_id", request_id.clone());
-                // The queue and read phases happened before the header was
-                // known; attach them retroactively.
-                span.record_completed_child("queue_wait", read_elapsed, queue_wait);
-                span.record_completed_child("read", Duration::ZERO, read_elapsed);
                 // A panicking handler must cost one response, not a worker
                 // thread: answer 500 and keep serving.  (LeaseGuard already
                 // unstranded any followers of a panicked leader.)
-                let handle_start = Instant::now();
-                let handled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    route(state, &request, &request_id, &mut span)
-                }));
-                state.phases.handle.observe(handle_start.elapsed());
+                let handled = {
+                    let _handle = Phase::start(&state.phases.handle);
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        route(state, &request, &request_id, root)
+                    }))
+                };
                 let response = match handled {
                     Ok(response) => response,
                     Err(_) => {
-                        span.set_error();
+                        root.set_error();
                         Response::error(500, "internal error: request handler panicked")
                     }
                 };
-                (response, line, Some(span))
+                (response, line)
             }
             Err(error) => match error.into_response() {
-                Some(response) => (response, "<unparsed request>".to_string(), None),
+                Some(response) => (response, "<unparsed request>".to_string()),
                 None => continue, // peer went away; nothing to answer
             },
         };
@@ -592,25 +600,25 @@ fn http_worker(state: &Arc<ServerState>) {
         if let Some(span) = &span {
             response = response.with_header("X-Gesmc-Trace-Id", span.trace_id().to_hex().as_str());
         }
-        let write_start = Instant::now();
-        let _ = response.write_to(&mut stream);
-        let write_elapsed = write_start.elapsed();
-        state.phases.write.observe(write_elapsed);
-        if let Some(mut span) = span {
-            span.record_completed_child("write", Duration::ZERO, write_elapsed);
+        {
+            let _write =
+                Phase::traced(&state.phases.write, span.as_ref().map(|root| root.child("write")));
+            let _ = response.write_to(&mut stream);
+        }
+        if let Some(span) = &mut span {
             if response.status >= 500 {
                 span.set_error();
             }
             span.annotate("status", response.status.to_string());
-            drop(span); // local root: the tail decision runs here
         }
+        drop(span); // local root: the tail decision runs here
         gesmc_obs::info!(
             target: "gesmc_serve::http",
             id: request_id,
             "{request_line} -> {} ({} B in {:.1} ms)",
             response.status,
             response.body().len(),
-            read_start.elapsed().as_secs_f64() * 1e3
+            popped.elapsed().as_secs_f64() * 1e3
         );
     }
 }
@@ -697,6 +705,47 @@ mod tests {
         let mut raw = String::new();
         stream.read_to_string(&mut raw).unwrap();
         assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_request_slow_only_in_the_queue_is_kept_with_a_root_over_its_queue_wait_and_read() {
+        // One HTTP worker, held by a first connection whose request line
+        // arrives 300 ms late: the second connection waits in the queue
+        // longer than the tail sampler's default 250 ms slow threshold, then
+        // is answered at once.
+        let server = Server::bind(ServeConfig { http_workers: 1, ..test_config() }).unwrap();
+        let addr = server.local_addr();
+        let mut blocker = TcpStream::connect(addr).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        let queued = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            write!(stream, "GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+            let mut raw = String::new();
+            stream.read_to_string(&mut raw).unwrap();
+            raw
+        });
+        std::thread::sleep(Duration::from_millis(300));
+        write!(blocker, "GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+        blocker.read_to_string(&mut String::new()).unwrap();
+        let raw = queued.join().unwrap();
+        let trace_id = raw
+            .lines()
+            .find_map(|line| line.strip_prefix("X-Gesmc-Trace-Id: "))
+            .expect("a parsed request carries its trace id");
+
+        let (status, body) = get(addr, &format!("/v1/debug/trace/{trace_id}"));
+        assert_eq!(status, 200, "the slow trace must be kept: {body}");
+        let trace: serde_json::Value = serde_json::from_str(&body).unwrap();
+        let span = |name: &str| {
+            let spans = trace.get("spans").and_then(|v| v.as_array()).unwrap();
+            let span = spans.iter().find(|s| s.get("name").unwrap().as_str() == Some(name));
+            let field = |key: &str| span.unwrap().get(key).and_then(|v| v.as_u64()).unwrap();
+            (field("start_unix_us"), field("start_unix_us") + field("duration_us"))
+        };
+        let (root, queue_wait, read) = (span("request"), span("queue_wait"), span("read"));
+        assert!(queue_wait.1 - queue_wait.0 >= 250_000, "queue wait {queue_wait:?}");
+        assert!(root.0 <= queue_wait.0 && read.1 <= root.1, "{root:?} {queue_wait:?} {read:?}");
         server.shutdown();
     }
 

@@ -7,7 +7,7 @@
 //! * `GET /metrics` — the Prometheus text exposition.
 //!
 //! The acceptance properties: every response carries an
-//! `X-Gesmc-Request-Id`; `/metrics` speaks Prometheus text format 0.0.4 and
+//! `X-Gesmc-Request-Id`, the id of the request's root span; `/metrics` speaks Prometheus text format 0.0.4 and
 //! exposes the histogram families the pipeline records (superstep duration,
 //! request phases, cache probes, journal appends); and the `_count`s of the
 //! two scrapes agree — exactly for families the scrapes themselves never
@@ -131,6 +131,45 @@ fn every_response_carries_a_fresh_request_id() {
         assert!(id.chars().all(|c| c.is_ascii_hexdigit()), "non-hex request id {id:?}");
     }
     assert_ne!(first, second, "request ids must differ across requests");
+
+    server.shutdown();
+}
+
+#[test]
+fn a_sampled_requests_id_is_the_span_id_of_its_request_span() {
+    let server = boot(|_| {});
+    let addr = server.local_addr();
+
+    // A client-started trace with the sampled flag, so the server keeps it.
+    let (trace_id, parent_id) = ("0123456789abcdef0123456789abcdef", "00000000000000aa");
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    write!(
+        stream,
+        "GET /healthz HTTP/1.1\r\nHost: e2e\r\nX-Gesmc-Trace: {trace_id}-{parent_id}-01\r\n\r\n"
+    )
+    .unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read response");
+    let header = |name: &str| {
+        raw.lines()
+            .find_map(|line| line.split_once(':').filter(|(k, _)| k.eq_ignore_ascii_case(name)))
+            .map(|(_, v)| v.trim().to_string())
+            .unwrap_or_else(|| panic!("no {name} header in {raw}"))
+    };
+    assert_eq!(header("x-gesmc-trace-id"), trace_id);
+    let request_id = header("x-gesmc-request-id");
+
+    let (status, _, body) = get(addr, &format!("/v1/debug/trace/{trace_id}"));
+    assert_eq!(status, 200, "the sampled trace must be kept");
+    let trace: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&body).unwrap()).expect("trace JSON");
+    let spans = trace.get("spans").and_then(|v| v.as_array()).expect("spans array");
+    let root = spans
+        .iter()
+        .find(|s| s.get("name").and_then(|v| v.as_str()) == Some("request"))
+        .expect("a request span");
+    assert_eq!(root.get("span_id").and_then(|v| v.as_str()), Some(request_id.as_str()));
+    assert_eq!(root.get("parent_id").and_then(|v| v.as_str()), Some(parent_id));
 
     server.shutdown();
 }
