@@ -141,7 +141,6 @@ impl AdjacencyChain {
             illegal: requested - legal,
             rounds: 1,
             round_durations: vec![start.elapsed()],
-            duration: start.elapsed(),
         }
     }
 

@@ -161,7 +161,6 @@ impl EdgeSwitching for GlobalCurveball {
             illegal: 0,
             rounds: 1,
             round_durations: vec![start.elapsed()],
-            duration: start.elapsed(),
         }
     }
 

@@ -20,8 +20,7 @@
 use criterion::{criterion_group, BatchSize, BenchmarkId, Criterion, Throughput};
 use gesmc_bench::Scale;
 use gesmc_serve::{ServeConfig, Server};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 
 fn scale_from_args() -> Scale {
     let args: Vec<String> = std::env::args().collect();
@@ -31,14 +30,13 @@ fn scale_from_args() -> Scale {
         .unwrap_or(Scale::Smoke)
 }
 
-/// One blocking request; panics on a non-200 so regressions fail loudly.
+/// One blocking request through the wire client; panics on a non-200 so
+/// regressions fail loudly.
 fn request(addr: SocketAddr, path: &str) -> usize {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: bench\r\n\r\n").expect("write");
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).expect("read");
-    assert!(response.starts_with(b"HTTP/1.1 200"), "non-200 response during bench");
-    response.len()
+    let response =
+        gesmc_cluster::request(&addr.to_string(), "GET", path, &[], b"").expect("request");
+    assert_eq!(response.status, 200, "non-200 response during bench");
+    response.body.len()
 }
 
 fn bench_serve(c: &mut Criterion) {

@@ -10,25 +10,9 @@
 
 use crate::error::ClientError;
 use crate::pool::{EndpointPool, PoolRequest, PoolResponse};
-use gesmc_cluster::{canonical_graph_spec, SampleKey};
+use gesmc_cluster::{canonical_graph_spec, encode_query_value, SampleKey};
 use gesmc_core::ChainSpec;
 use serde_json::Value;
-
-/// Encode a query value so the serve stack's percent-decoder round-trips
-/// it: `%`, `&`, `+`, and space are the only bytes it treats specially.
-fn encode_query_value(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    for ch in raw.chars() {
-        match ch {
-            '%' => out.push_str("%25"),
-            '&' => out.push_str("%26"),
-            '+' => out.push_str("%2B"),
-            ' ' => out.push_str("%20"),
-            other => out.push(other),
-        }
-    }
-    out
-}
 
 /// Map a pool response to its body, turning 4xx/5xx into [`ClientError::Api`]
 /// with the server's `{"error": …}` message extracted.
@@ -498,12 +482,6 @@ impl Algorithms<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn query_values_encode_the_decoder_specials() {
-        assert_eq!(encode_query_value("pld:m=2000,gamma=2.5"), "pld:m=2000,gamma=2.5");
-        assert_eq!(encode_query_value("a&b+c d%e"), "a%26b%2Bc%20d%25e");
-    }
 
     #[test]
     fn sample_specs_resolve_to_the_server_cache_key() {

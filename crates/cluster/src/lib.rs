@@ -16,7 +16,8 @@
 //!   probe re-admission, clock-injected so transitions are unit-testable
 //!   without sleeping;
 //! * [`wire`] — a minimal HTTP/1.1 client codec (request writer + response
-//!   reader) over `std::net`, the peer-to-peer and SDK transport.
+//!   reader) over `std::net`: the workspace's one HTTP client (SDK,
+//!   forwarder, `gesmc trace`, tests, benches) and its one query encoder.
 //!
 //! The load-bearing invariant making all of this safe: sample seeds are
 //! derived from the cache key, so **any** node computes bit-identical bytes
@@ -44,4 +45,4 @@ pub mod wire;
 pub use health::{HealthPolicy, HealthTracker, PeerStatus};
 pub use key::{canonical_graph_spec, check_service_gamma, GraphParams, SampleKey};
 pub use ring::{HashRing, RingError, DEFAULT_VNODES};
-pub use wire::{request, request_with_timeouts, WireError, WireResponse};
+pub use wire::{encode_query_value, request, request_with_timeouts, WireError, WireResponse};

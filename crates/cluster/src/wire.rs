@@ -1,11 +1,12 @@
 //! A minimal HTTP/1.1 client codec over `std::net`.
 //!
 //! The serve stack speaks hand-rolled HTTP/1.1 (`Connection: close`, no
-//! chunked encoding) and this is the matching client half, used for
-//! peer-to-peer forwarding inside the cluster and as the transport under the
-//! typed SDK.  One function, one connection, one request: no pools, no
-//! keep-alive, no async runtime — exactly the simplicity budget of the
-//! server side.
+//! chunked encoding) and this is the matching client half: the workspace's
+//! one HTTP client, used for peer-to-peer forwarding inside the cluster, as
+//! the transport under the typed SDK and `gesmc trace`, and by the tests and
+//! benches that drive a server.  One function, one connection, one request:
+//! no pools, no keep-alive, no async runtime — exactly the simplicity budget
+//! of the server side.  [`encode_query_value`] is the one query encoder.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -61,6 +62,22 @@ impl WireResponse {
     pub fn is_success(&self) -> bool {
         (200..300).contains(&self.status)
     }
+}
+
+/// Encode a query value so the serve stack's percent-decoder round-trips
+/// it: `%`, `&`, `+`, and space are the only bytes it treats specially.
+pub fn encode_query_value(raw: &str) -> String {
+    let mut out = String::with_capacity(raw.len());
+    for ch in raw.chars() {
+        match ch {
+            '%' => out.push_str("%25"),
+            '&' => out.push_str("%26"),
+            '+' => out.push_str("%2B"),
+            ' ' => out.push_str("%20"),
+            other => out.push(other),
+        }
+    }
+    out
 }
 
 /// [`request_with_timeouts`] with 2s connect and 30s read/write timeouts —
@@ -247,6 +264,12 @@ mod tests {
             Err(WireError::Malformed(_))
         ));
         assert!(matches!(read_response(Cursor::new(&b""[..])), Err(WireError::Malformed(_))));
+    }
+
+    #[test]
+    fn query_values_encode_the_decoder_specials() {
+        assert_eq!(encode_query_value("pld:m=2000,gamma=2.5"), "pld:m=2000,gamma=2.5");
+        assert_eq!(encode_query_value("a&b+c d%e"), "a%26b%2Bc%20d%25e");
     }
 
     #[test]

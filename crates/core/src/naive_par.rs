@@ -159,7 +159,6 @@ impl EdgeSwitching for NaiveParES {
             illegal: requested - legal,
             rounds: 1,
             round_durations: vec![start.elapsed()],
-            duration: start.elapsed(),
         }
     }
 

@@ -39,7 +39,6 @@ use gesmc_concurrent::{AtomicEdgeList, ConcurrentEdgeSet, DependencyTable};
 use gesmc_graph::EdgeListGraph;
 use gesmc_randx::bounded::UniformIndex;
 use gesmc_randx::{rng_from_seed, Rng, RngState};
-use std::time::Instant;
 
 /// Exact parallel ES-MC chain.
 pub struct ParES {
@@ -152,21 +151,13 @@ impl EdgeSwitching for ParES {
 
     fn superstep(&mut self) -> SuperstepStats {
         // One ES-MC superstep = ⌊m/2⌋ uniformly random switches (Sec. 6.1).
-        let start = Instant::now();
         let requested = self.edges.len() / 2;
         let parts = self.run_switches(requested);
         let legal = parts.iter().map(|p| p.legal).sum();
         let rounds = parts.iter().map(|p| p.rounds).sum();
         let round_durations = parts.into_iter().flat_map(|p| p.round_durations).collect();
         self.supersteps_done += 1;
-        SuperstepStats {
-            requested,
-            legal,
-            illegal: requested - legal,
-            rounds,
-            round_durations,
-            duration: start.elapsed(),
-        }
+        SuperstepStats { requested, legal, illegal: requested - legal, rounds, round_durations }
     }
 
     fn snapshot(&self) -> Option<ChainSnapshot> {

@@ -108,7 +108,6 @@ impl EdgeSwitching for SeqES {
             illegal: requested - legal,
             rounds: 1,
             round_durations: vec![start.elapsed()],
-            duration: start.elapsed(),
         }
     }
 

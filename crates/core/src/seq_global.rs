@@ -110,7 +110,6 @@ impl EdgeSwitching for SeqGlobalES {
             illegal: requested - legal,
             rounds: 1,
             round_durations: vec![start.elapsed()],
-            duration: start.elapsed(),
         }
     }
 

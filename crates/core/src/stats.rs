@@ -24,8 +24,6 @@ pub struct SuperstepStats {
     /// Wall-clock duration of each round (empty for chains that do not track
     /// per-round timing).
     pub round_durations: Vec<Duration>,
-    /// Total wall-clock duration of the superstep.
-    pub duration: Duration,
 }
 
 impl SuperstepStats {
@@ -76,11 +74,6 @@ impl ChainStats {
         self.supersteps.iter().map(|s| s.legal).sum()
     }
 
-    /// Total wall-clock time.
-    pub fn total_duration(&self) -> Duration {
-        self.supersteps.iter().map(|s| s.duration).sum()
-    }
-
     /// Mean number of rounds per superstep (Fig. 9's x-axis aggregation).
     pub fn mean_rounds(&self) -> f64 {
         if self.supersteps.is_empty() {
@@ -129,7 +122,6 @@ mod tests {
             illegal: requested - legal,
             rounds,
             round_durations: durs_ms.iter().map(|&d| Duration::from_millis(d)).collect(),
-            duration: Duration::from_millis(durs_ms.iter().sum()),
         }
     }
 
@@ -159,7 +151,6 @@ mod tests {
         assert!((chain.mean_rounds() - 3.0).abs() < 1e-12);
         assert_eq!(chain.max_rounds(), 4);
         assert!((chain.acceptance_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(chain.total_duration(), Duration::from_millis(36));
     }
 
     #[test]

@@ -99,10 +99,9 @@ pub fn parallel_superstep(
     edge_set: &ConcurrentEdgeSet,
     switches: &[SwitchRequest],
 ) -> SuperstepStats {
-    let start = Instant::now();
     let requested = switches.len();
     if requested == 0 {
-        return SuperstepStats { duration: start.elapsed(), ..SuperstepStats::default() };
+        return SuperstepStats::default();
     }
     let edges_before = edge_set.len();
 
@@ -187,7 +186,6 @@ pub fn parallel_superstep(
         illegal: requested - legal,
         rounds: round_durations.len(),
         round_durations,
-        duration: start.elapsed(),
     }
 }
 
@@ -233,7 +231,7 @@ pub fn sequential_superstep(
     let start = Instant::now();
     let requested = switches.len();
     if requested == 0 {
-        return SuperstepStats { duration: start.elapsed(), ..SuperstepStats::default() };
+        return SuperstepStats::default();
     }
     let edges_before = edge_set.len();
     let legal = if prefetch {
@@ -258,14 +256,12 @@ pub fn sequential_superstep(
         "a superstep must keep the number of edges: a legal switch erased a missing edge \
          or inserted an existing one"
     );
-    let duration = start.elapsed();
     SuperstepStats {
         requested,
         legal,
         illegal: requested - legal,
         rounds: 1,
-        round_durations: vec![duration],
-        duration,
+        round_durations: vec![start.elapsed()],
     }
 }
 

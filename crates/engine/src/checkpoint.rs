@@ -43,7 +43,7 @@
 use crate::error::EngineError;
 use gesmc_core::{ChainSnapshot, ChainSpec, EdgeSwitching, SnapshotError};
 use gesmc_graph::Edge;
-use gesmc_randx::RngState;
+use gesmc_randx::{Fnv1a64, RngState};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -86,19 +86,6 @@ pub struct Checkpoint {
     pub thinning: u64,
     /// Samples already emitted before the checkpoint.
     pub samples_emitted: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Fold `bytes` into a running FNV-1a 64-bit state (which starts at
-/// [`FNV_OFFSET`]): the format's integrity checksum, computed as the bytes
-/// stream past.
-fn fnv1a_update(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
 }
 
 impl Checkpoint {
@@ -246,7 +233,8 @@ pub(crate) fn publish(
 #[derive(Debug)]
 pub struct CheckpointWriter<W> {
     out: W,
-    hash: u64,
+    /// The format's integrity checksum, folded as the bytes stream past.
+    hash: Fnv1a64,
     spec: Option<String>,
     declared_edges: u64,
     written_edges: u64,
@@ -257,7 +245,7 @@ impl<W: Write> CheckpointWriter<W> {
     pub fn new(out: W, meta: &Checkpoint, num_edges: u64) -> Result<Self, EngineError> {
         let mut writer = Self {
             out,
-            hash: FNV_OFFSET,
+            hash: Fnv1a64::new(),
             spec: meta.algorithm_spec.as_ref().map(ChainSpec::to_string),
             declared_edges: num_edges,
             written_edges: 0,
@@ -296,14 +284,14 @@ impl<W: Write> CheckpointWriter<W> {
             self.put(&(text.len() as u64).to_le_bytes())?;
             self.put(text.as_bytes())?;
         }
-        self.out.write_all(&self.hash.to_le_bytes())?;
+        self.out.write_all(&self.hash.finish().to_le_bytes())?;
         self.out.flush()?;
         Ok(self.out)
     }
 
     /// Write `bytes`, folding them into the running checksum.
     fn put(&mut self, bytes: &[u8]) -> Result<(), EngineError> {
-        fnv1a_update(&mut self.hash, bytes);
+        self.hash.write(bytes);
         Ok(self.out.write_all(bytes)?)
     }
 }
@@ -323,7 +311,7 @@ impl<W: Write> CheckpointWriter<W> {
 #[derive(Debug)]
 pub struct CheckpointReader<R> {
     input: R,
-    hash: u64,
+    hash: Fnv1a64,
     payload_len: u64,
     pos: u64,
     meta: Checkpoint,
@@ -358,7 +346,7 @@ impl<R: Read> CheckpointReader<R> {
         }
         let mut this = Self {
             input,
-            hash: FNV_OFFSET,
+            hash: Fnv1a64::new(),
             payload_len: len - 8,
             pos: 0,
             meta: Checkpoint {
@@ -491,12 +479,11 @@ impl<R: Read> CheckpointReader<R> {
         self.input
             .read_exact(&mut checksum)
             .map_err(|e| EngineError::Checkpoint(format!("cannot read checksum: {e}")))?;
-        let stored = u64::from_le_bytes(checksum);
-        if stored != self.hash {
+        let (stored, computed) = (u64::from_le_bytes(checksum), self.hash.finish());
+        if stored != computed {
             return Err(EngineError::Checkpoint(format!(
-                "checksum mismatch (stored {stored:#018x}, computed {:#018x}): \
-                 the file is corrupt or truncated",
-                self.hash
+                "checksum mismatch (stored {stored:#018x}, computed {computed:#018x}): \
+                 the file is corrupt or truncated"
             )));
         }
         Ok(self.meta)
@@ -528,7 +515,7 @@ impl<R: Read> CheckpointReader<R> {
         self.input.read_exact(buf).map_err(|e| {
             EngineError::Checkpoint(format!("read failed at offset {}: {e}", self.pos))
         })?;
-        fnv1a_update(&mut self.hash, buf);
+        self.hash.write(buf);
         self.pos += n;
         Ok(())
     }
@@ -602,8 +589,7 @@ mod tests {
     /// check a forged field must trip from the checksum.
     fn resealed(mut bytes: Vec<u8>) -> Vec<u8> {
         let len = bytes.len();
-        let mut sum = FNV_OFFSET;
-        fnv1a_update(&mut sum, &bytes[..len - 8]);
+        let sum = gesmc_randx::fnv1a_64(&bytes[..len - 8]);
         bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
         bytes
     }

@@ -261,7 +261,6 @@ impl EdgeSwitching for SeqESExt {
             illegal: requested - legal,
             rounds: 1,
             round_durations: vec![start.elapsed()],
-            duration: start.elapsed(),
         }
     }
 

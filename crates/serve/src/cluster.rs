@@ -18,7 +18,9 @@
 
 use crate::cache::CacheKey;
 use crate::http::{Request, Response};
-use gesmc_cluster::{HashRing, HealthPolicy, HealthTracker, PeerStatus, SampleKey};
+use gesmc_cluster::{
+    encode_query_value, HashRing, HealthPolicy, HealthTracker, PeerStatus, SampleKey,
+};
 use serde_json::{Map, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -276,25 +278,11 @@ fn rebuild_target(request: &Request) -> String {
     let mut target = request.path.clone();
     for (i, (key, value)) in request.query.iter().enumerate() {
         target.push(if i == 0 { '?' } else { '&' });
-        target.push_str(&encode_component(key));
+        target.push_str(&encode_query_value(key));
         target.push('=');
-        target.push_str(&encode_component(value));
+        target.push_str(&encode_query_value(value));
     }
     target
-}
-
-fn encode_component(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    for ch in raw.chars() {
-        match ch {
-            '%' => out.push_str("%25"),
-            '&' => out.push_str("%26"),
-            '+' => out.push_str("%2B"),
-            ' ' => out.push_str("%20"),
-            other => out.push(other),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -517,6 +517,32 @@ mod tests {
         assert_eq!(percent_decode("%zz"), "%zz");
     }
 
+    #[test]
+    fn encoded_query_values_round_trip_through_the_decoder() {
+        use gesmc_cluster::encode_query_value;
+        // What the SDK and the cluster forwarder encode: graph specs, chain
+        // specs with parameters, and values holding every special byte.
+        let values = [
+            "pld:m=2000,gamma=2.5,seed=7",
+            "par-global-es?pl=0.001&prefetch=off",
+            "50% a+b c=d \u{fc}",
+            "%41%zz%",
+        ];
+        for value in values {
+            let encoded = encode_query_value(value);
+            assert_eq!(percent_decode(&encoded), value, "{encoded}");
+        }
+        for (graph, algo) in values.iter().zip(values.iter().rev()) {
+            let query =
+                format!("graph={}&algo={}", encode_query_value(graph), encode_query_value(algo));
+            let pairs = vec![
+                ("graph".to_string(), graph.to_string()),
+                ("algo".to_string(), algo.to_string()),
+            ];
+            assert_eq!(parse_query(&query), pairs, "{query}");
+        }
+    }
+
     /// A `Write` that counts its calls and takes at most `cap` bytes per
     /// call, spanning slices in `write_vectored` as `writev` does.
     struct CappedWriter {

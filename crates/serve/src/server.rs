@@ -605,6 +605,10 @@ fn http_worker(state: &Arc<ServerState>) {
                 Phase::traced(&state.phases.write, span.as_ref().map(|root| root.child("write")));
             let _ = response.write_to(&mut stream);
         }
+        // Close the connection before the bookkeeping below, so a client
+        // reading to EOF does not wait for the tail decision and the log.
+        drop(reader);
+        drop(stream);
         if let Some(span) = &mut span {
             if response.status >= 500 {
                 span.set_error();
@@ -626,16 +630,12 @@ fn http_worker(state: &Arc<ServerState>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gesmc_cluster::wire;
     use std::io::{Read, Write};
 
     fn get(addr: SocketAddr, path: &str) -> (u16, String) {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).unwrap();
-        let status: u16 = raw.split(' ').nth(1).unwrap().parse().unwrap();
-        let body = raw.split("\r\n\r\n").nth(1).unwrap_or("").to_string();
-        (status, body)
+        let response = wire::request(&addr.to_string(), "GET", path, &[], b"").unwrap();
+        (response.status, String::from_utf8(response.body).unwrap())
     }
 
     fn test_config() -> ServeConfig {
@@ -719,22 +719,25 @@ mod tests {
         let mut blocker = TcpStream::connect(addr).unwrap();
         std::thread::sleep(Duration::from_millis(50));
         let queued = std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            write!(stream, "GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
-            let mut raw = String::new();
-            stream.read_to_string(&mut raw).unwrap();
-            raw
+            wire::request(&addr.to_string(), "GET", "/healthz", &[], b"").unwrap()
         });
         std::thread::sleep(Duration::from_millis(300));
         write!(blocker, "GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
         blocker.read_to_string(&mut String::new()).unwrap();
-        let raw = queued.join().unwrap();
-        let trace_id = raw
-            .lines()
-            .find_map(|line| line.strip_prefix("X-Gesmc-Trace-Id: "))
-            .expect("a parsed request carries its trace id");
+        let response = queued.join().unwrap();
+        let trace_id =
+            response.header("x-gesmc-trace-id").expect("a parsed request carries its trace id");
 
-        let (status, body) = get(addr, &format!("/v1/debug/trace/{trace_id}"));
+        // The trace is committed when the root span drops, after the
+        // response was sent: wait for it, boundedly.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let (status, body) = loop {
+            let (status, body) = get(addr, &format!("/v1/debug/trace/{trace_id}"));
+            if status == 200 || Instant::now() > deadline {
+                break (status, body);
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
         assert_eq!(status, 200, "the slow trace must be kept: {body}");
         let trace: serde_json::Value = serde_json::from_str(&body).unwrap();
         let span = |name: &str| {
@@ -757,11 +760,8 @@ mod tests {
             let server = Arc::clone(&server);
             std::thread::spawn(move || server.wait())
         };
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(stream, "POST /v1/shutdown HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).unwrap();
-        assert!(raw.starts_with("HTTP/1.1 202"), "{raw}");
+        let response = wire::request(&addr.to_string(), "POST", "/v1/shutdown", &[], b"").unwrap();
+        assert_eq!(response.status, 202, "{response:?}");
         waiter.join().unwrap();
     }
 }

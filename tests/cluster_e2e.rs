@@ -23,14 +23,16 @@
 //!   compute/superstep phases, and every parent link resolves inside the
 //!   joined tree.
 
-use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+mod common;
+
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use common::{boot, http, metric, trace_fragment, BINARY};
 use gesmc::client::PeerStatus;
+use gesmc::cluster::wire;
 use gesmc::prelude::{Client, ClusterConfig, HashRing, SampleSpec, ServeConfig, Server};
 
 /// The child half of the re-exec trick: boot one cluster node on the fixed
@@ -120,7 +122,9 @@ fn spawn_cluster(tag: &str, n: usize) -> Vec<ClusterNode> {
     let deadline = Instant::now() + Duration::from_secs(60);
     for node in &nodes {
         loop {
-            if let Ok((200, _, _)) = try_http(node.addr, "GET", "/healthz", None, &[]) {
+            if wire::request(&node.endpoint, "GET", "/healthz", &[], b"")
+                .is_ok_and(|r| r.status == 200)
+            {
                 break;
             }
             assert!(Instant::now() < deadline, "node {} never became healthy", node.endpoint);
@@ -130,64 +134,6 @@ fn spawn_cluster(tag: &str, n: usize) -> Vec<ClusterNode> {
     nodes
 }
 
-fn try_http(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    accept: Option<&str>,
-    extra_headers: &[(&str, &str)],
-) -> std::io::Result<(u16, HashMap<String, String>, Vec<u8>)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-    let mut request = format!("{method} {path} HTTP/1.1\r\nHost: e2e\r\n");
-    if let Some(accept) = accept {
-        request.push_str(&format!("Accept: {accept}\r\n"));
-    }
-    for (name, value) in extra_headers {
-        request.push_str(&format!("{name}: {value}\r\n"));
-    }
-    request.push_str("\r\n");
-    stream.write_all(request.as_bytes())?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    let header_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| std::io::Error::other("no header/body separator"))?;
-    let head = String::from_utf8_lossy(&raw[..header_end]).to_string();
-    let body = raw[header_end + 4..].to_vec();
-    let mut lines = head.lines();
-    let status: u16 = lines
-        .next()
-        .and_then(|line| line.split(' ').nth(1))
-        .and_then(|code| code.parse().ok())
-        .ok_or_else(|| std::io::Error::other("bad status line"))?;
-    let headers = lines
-        .filter_map(|line| line.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    Ok((status, headers, body))
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, HashMap<String, String>, Vec<u8>) {
-    try_http(addr, "GET", path, None, &[]).expect("http exchange")
-}
-
-fn get_binary(addr: SocketAddr, path: &str) -> (u16, HashMap<String, String>, Vec<u8>) {
-    try_http(addr, "GET", path, Some("application/octet-stream"), &[]).expect("http exchange")
-}
-
-fn metric(addr: SocketAddr, name: &str) -> u64 {
-    let (status, _, body) = get(addr, "/metrics");
-    assert_eq!(status, 200);
-    String::from_utf8_lossy(&body)
-        .lines()
-        .find(|line| line.starts_with(name) && !line.starts_with('#'))
-        .and_then(|line| line.split_whitespace().nth(1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or_else(|| panic!("metric {name} missing")) as u64
-}
-
 /// The workload: a spread of small power-law specs, distinct keys.
 fn workload_specs() -> Vec<SampleSpec> {
     (1..=8u64)
@@ -195,31 +141,26 @@ fn workload_specs() -> Vec<SampleSpec> {
         .collect()
 }
 
-/// The raw sample path a spec resolves to (the client encodes the same way;
-/// the specs here contain no bytes that need escaping).
+/// The sample path a spec resolves to, encoded as the client encodes it.
 fn sample_path(spec: &SampleSpec) -> String {
-    format!("/v1/sample?graph={}&algo={}&supersteps={}", spec.graph, spec.algo, spec.supersteps)
+    let (graph, algo) =
+        (wire::encode_query_value(&spec.graph), wire::encode_query_value(&spec.algo));
+    format!("/v1/sample?graph={graph}&algo={algo}&supersteps={}", spec.supersteps)
 }
 
 /// Run the same specs against a plain in-process single-node server (no
 /// cluster config) — the reference every sharded answer must match
 /// bit-identically.
 fn reference_bytes(specs: &[SampleSpec]) -> Vec<Vec<u8>> {
-    let config = ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        http_workers: 2,
-        engine_workers: 2,
-        ..ServeConfig::default()
-    };
-    let server = Server::bind(config).expect("reference bind");
+    let server = boot(|c| c.http_workers = 2);
     let addr = server.local_addr();
     let bytes = specs
         .iter()
         .map(|spec| {
-            let (status, _, body) = get_binary(addr, &sample_path(spec));
-            assert_eq!(status, 200);
-            assert!(!body.is_empty());
-            body
+            let response = http(addr, "GET", &sample_path(spec), BINARY, "");
+            assert_eq!(response.status, 200);
+            assert!(!response.body.is_empty());
+            response.body
         })
         .collect();
     server.shutdown();
@@ -263,17 +204,17 @@ fn misrouted_requests_forward_to_the_owner_and_match_a_single_node_bit_for_bit()
         let owner_node = nodes.iter().find(|n| n.endpoint == owner).expect("owner node");
         let received_before = metric(owner_node.addr, "gesmc_cluster_forwards_received_total");
 
-        let (status, headers, body) = get_binary(wrong.addr, &sample_path(spec));
-        assert_eq!(status, 200);
-        assert_eq!(&body, expected, "forwarded answer diverged for {}", spec.graph);
+        let response = http(wrong.addr, "GET", &sample_path(spec), BINARY, "");
+        assert_eq!(response.status, 200);
+        assert_eq!(&response.body, expected, "forwarded answer diverged for {}", spec.graph);
         assert_eq!(
-            headers.get("x-gesmc-forwarded-by").map(String::as_str),
+            response.header("x-gesmc-forwarded-by"),
             Some(wrong.endpoint.as_str()),
             "misrouted fetch of {} must be forwarded",
             spec.graph
         );
         assert_eq!(
-            headers.get("x-gesmc-cache").map(String::as_str),
+            response.header("x-gesmc-cache"),
             Some("hit"),
             "the owner's cache is warm, so the relayed verdict must be a hit"
         );
@@ -283,9 +224,9 @@ fn misrouted_requests_forward_to_the_owner_and_match_a_single_node_bit_for_bit()
 
     // The ring status endpoint agrees: every node sees 3 peers, all healthy.
     for node in &nodes {
-        let (status, _, body) = get(node.addr, "/v1/cluster");
-        assert_eq!(status, 200);
-        let text = String::from_utf8_lossy(&body).to_string();
+        let response = http(node.addr, "GET", "/v1/cluster", &[], "");
+        assert_eq!(response.status, 200);
+        let text = String::from_utf8_lossy(&response.body).to_string();
         assert!(text.contains("\"enabled\": true"), "{text}");
         assert!(!text.contains("ejected"), "no peer may be ejected yet: {text}");
         assert_eq!(metric(node.addr, "gesmc_cluster_peers"), 3);
@@ -293,26 +234,6 @@ fn misrouted_requests_forward_to_the_owner_and_match_a_single_node_bit_for_bit()
 
     for node in nodes {
         node.kill();
-    }
-}
-
-/// Fetch a kept trace fragment from one node, retrying briefly: a node
-/// commits spans to its flight recorder when the local root drops, which on
-/// the forwarder happens a beat after the response bytes hit the socket.
-fn trace_fragment(addr: SocketAddr, trace_id: &str) -> serde_json::Value {
-    let path = format!("/v1/debug/trace/{trace_id}");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let (status, _, body) = get(addr, &path);
-        if status == 200 {
-            return serde_json::from_str(std::str::from_utf8(&body).expect("trace utf8"))
-                .expect("trace json");
-        }
-        assert!(
-            Instant::now() < deadline,
-            "node {addr} never exposed trace {trace_id} (last status {status})"
-        );
-        std::thread::sleep(Duration::from_millis(20));
     }
 }
 
@@ -338,22 +259,17 @@ fn a_misrouted_traced_request_yields_one_span_tree_across_both_processes() {
     let origin_span_id = format!("{:016x}", 0x5eed_0000_0000_0001u64);
     let header = format!("{trace_id}-{origin_span_id}-01");
 
-    let (status, headers, body) = try_http(
-        wrong.addr,
-        "GET",
-        &sample_path(&spec),
-        Some("application/octet-stream"),
-        &[("X-Gesmc-Trace", &header)],
-    )
-    .expect("misrouted traced fetch");
-    assert_eq!(status, 200);
-    assert!(!body.is_empty());
+    let headers = [("Accept", "application/octet-stream"), ("X-Gesmc-Trace", &header)];
+    let response = http(wrong.addr, "GET", &sample_path(&spec), &headers, "");
+    assert_eq!(response.status, 200);
+    assert!(!response.body.is_empty());
     assert!(
-        headers.contains_key("x-gesmc-forwarded-by"),
-        "the misrouted request must be forwarded: {headers:?}"
+        response.header("x-gesmc-forwarded-by").is_some(),
+        "the misrouted request must be forwarded: {:?}",
+        response.headers
     );
     assert_eq!(
-        headers.get("x-gesmc-trace-id").map(String::as_str),
+        response.header("x-gesmc-trace-id"),
         Some(trace_id.as_str()),
         "the response must echo the originated trace id"
     );
@@ -497,9 +413,9 @@ fn killing_one_node_loses_no_requests_and_survivors_eject_it() {
         .iter()
         .find(|survivor| metric(survivor.addr, "gesmc_cluster_forward_fallbacks_total") > 0)
         .expect("some survivor must have fallen back from the dead owner");
-    let (status, _, body) = get(fallback_survivor.addr, "/v1/cluster");
-    assert_eq!(status, 200);
-    let text = String::from_utf8_lossy(&body).to_string();
+    let response = http(fallback_survivor.addr, "GET", "/v1/cluster", &[], "");
+    assert_eq!(response.status, 200);
+    let text = String::from_utf8_lossy(&response.body).to_string();
     assert!(
         text.contains("ejected"),
         "the dead peer must be ejected on {}: {text}",

@@ -18,63 +18,11 @@
 //! tests only issue requests that touch the (monotonically-checked)
 //! request-phase family.
 
-use gesmc::prelude::*;
+mod common;
+
+use common::{boot, http, trace_fragment};
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
-
-/// One raw HTTP exchange; returns (status, lowercased headers, body bytes).
-fn http(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> (u16, HashMap<String, String>, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-    let mut request = format!("{method} {path} HTTP/1.1\r\nHost: e2e\r\n");
-    match body {
-        Some(body) => {
-            request.push_str(&format!("Content-Length: {}\r\n\r\n{body}", body.len()));
-        }
-        None => request.push_str("\r\n"),
-    }
-    stream.write_all(request.as_bytes()).expect("write request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-
-    let header_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("response must have a header/body separator");
-    let head = String::from_utf8(raw[..header_end].to_vec()).expect("headers are UTF-8");
-    let body = raw[header_end + 4..].to_vec();
-    let mut lines = head.lines();
-    let status: u16 =
-        lines.next().expect("status line").split(' ').nth(1).expect("status code").parse().unwrap();
-    let headers = lines
-        .filter_map(|line| line.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    (status, headers, body)
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, HashMap<String, String>, Vec<u8>) {
-    http(addr, "GET", path, None)
-}
-
-fn boot(mutate: impl FnOnce(&mut ServeConfig)) -> Server {
-    let mut config = ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        http_workers: 4,
-        engine_workers: 2,
-        allow_shutdown: true,
-        ..ServeConfig::default()
-    };
-    mutate(&mut config);
-    Server::bind(config).expect("bind ephemeral port")
-}
 
 /// Extract every `<family>_count{…}` series of the Prometheus text as
 /// `series -> value` (the series string includes the label set verbatim).
@@ -119,12 +67,12 @@ fn every_response_carries_a_fresh_request_id() {
     let server = boot(|_| {});
     let addr = server.local_addr();
 
-    let (status, ok_headers, _) = get(addr, "/healthz");
-    assert_eq!(status, 200);
-    let first = ok_headers.get("x-gesmc-request-id").expect("id on 200").clone();
-    let (status, err_headers, _) = get(addr, "/no/such/route");
-    assert_eq!(status, 404);
-    let second = err_headers.get("x-gesmc-request-id").expect("id on 404").clone();
+    let ok = http(addr, "GET", "/healthz", &[], "");
+    assert_eq!(ok.status, 200);
+    let first = ok.header("x-gesmc-request-id").expect("id on 200");
+    let err = http(addr, "GET", "/no/such/route", &[], "");
+    assert_eq!(err.status, 404);
+    let second = err.header("x-gesmc-request-id").expect("id on 404");
 
     for id in [&first, &second] {
         assert_eq!(id.len(), 16, "request id {id:?} must be 16 hex chars");
@@ -142,33 +90,23 @@ fn a_sampled_requests_id_is_the_span_id_of_its_request_span() {
 
     // A client-started trace with the sampled flag, so the server keeps it.
     let (trace_id, parent_id) = ("0123456789abcdef0123456789abcdef", "00000000000000aa");
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "GET /healthz HTTP/1.1\r\nHost: e2e\r\nX-Gesmc-Trace: {trace_id}-{parent_id}-01\r\n\r\n"
-    )
-    .unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
+    let context = format!("{trace_id}-{parent_id}-01");
+    let response = http(addr, "GET", "/healthz", &[("X-Gesmc-Trace", &context)], "");
     let header = |name: &str| {
-        raw.lines()
-            .find_map(|line| line.split_once(':').filter(|(k, _)| k.eq_ignore_ascii_case(name)))
-            .map(|(_, v)| v.trim().to_string())
-            .unwrap_or_else(|| panic!("no {name} header in {raw}"))
+        response.header(name).unwrap_or_else(|| panic!("no {name} header in {response:?}"))
     };
     assert_eq!(header("x-gesmc-trace-id"), trace_id);
     let request_id = header("x-gesmc-request-id");
 
-    let (status, _, body) = get(addr, &format!("/v1/debug/trace/{trace_id}"));
-    assert_eq!(status, 200, "the sampled trace must be kept");
-    let trace: serde_json::Value =
-        serde_json::from_str(std::str::from_utf8(&body).unwrap()).expect("trace JSON");
+    // The sampled trace must be kept (committed once the request's root
+    // span drops, after the response was sent).
+    let trace = trace_fragment(addr, trace_id);
     let spans = trace.get("spans").and_then(|v| v.as_array()).expect("spans array");
     let root = spans
         .iter()
         .find(|s| s.get("name").and_then(|v| v.as_str()) == Some("request"))
         .expect("a request span");
-    assert_eq!(root.get("span_id").and_then(|v| v.as_str()), Some(request_id.as_str()));
+    assert_eq!(root.get("span_id").and_then(|v| v.as_str()), Some(request_id));
     assert_eq!(root.get("parent_id").and_then(|v| v.as_str()), Some(parent_id));
 
     server.shutdown();
@@ -183,24 +121,28 @@ fn observability_end_to_end() {
 
     // --- Known request mix -------------------------------------------------
     let sample_path = "/v1/sample?graph=pld:m=300,seed=7&algo=seq-es&supersteps=4";
-    let (status, headers, _) = get(addr, sample_path); // cold: chain runs
-    assert_eq!(status, 200);
-    assert_eq!(headers.get("x-gesmc-cache").map(String::as_str), Some("miss"));
-    let (status, headers, _) = get(addr, sample_path); // warm: cache probe hit
-    assert_eq!(status, 200);
-    assert_eq!(headers.get("x-gesmc-cache").map(String::as_str), Some("hit"));
-    let (status, _, _) = get(addr, "/definitely/not/a/route");
-    assert_eq!(status, 404);
+    let cold = http(addr, "GET", sample_path, &[], ""); // cold: chain runs
+    assert_eq!(cold.status, 200);
+    assert_eq!(cold.header("x-gesmc-cache"), Some("miss"));
+    let warm = http(addr, "GET", sample_path, &[], ""); // warm: cache probe hit
+    assert_eq!(warm.status, 200);
+    assert_eq!(warm.header("x-gesmc-cache"), Some("hit"));
+    assert_eq!(http(addr, "GET", "/definitely/not/a/route", &[], "").status, 404);
     // One async job, so superstep + journal histograms tick while the job
     // store has a record to report.
     let job = r#"{"generate":{"family":"gnp","edges":200},"supersteps":6,"name":"obsjob"}"#;
-    let (status, _, body) = http(addr, "POST", "/v1/jobs", Some(job));
-    assert_eq!(status, 202, "job submit failed: {}", String::from_utf8_lossy(&body));
+    let response = http(addr, "POST", "/v1/jobs", &[], job);
+    assert_eq!(
+        response.status,
+        202,
+        "job submit failed: {}",
+        String::from_utf8_lossy(&response.body)
+    );
     let accepted: serde_json::Value =
-        serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
+        serde_json::from_str(std::str::from_utf8(&response.body).unwrap()).unwrap();
     let job_url = accepted.get("url").and_then(|v| v.as_str()).unwrap().to_string();
     loop {
-        let (_, _, body) = get(addr, &job_url);
+        let body = http(addr, "GET", &job_url, &[], "").body;
         let status_doc: serde_json::Value =
             serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
         match status_doc.get("status").and_then(|v| v.as_str()) {
@@ -211,10 +153,10 @@ fn observability_end_to_end() {
     }
 
     // --- Scrape order matters: the JSON snapshot first ---------------------
-    let (status, _, stats_body) = get(addr, "/v1/debug/stats");
-    assert_eq!(status, 200);
+    let response = http(addr, "GET", "/v1/debug/stats", &[], "");
+    assert_eq!(response.status, 200);
     let stats: serde_json::Value =
-        serde_json::from_str(std::str::from_utf8(&stats_body).unwrap()).unwrap();
+        serde_json::from_str(std::str::from_utf8(&response.body).unwrap()).unwrap();
     let jobs = stats.get("jobs").and_then(|v| v.as_array()).expect("jobs array");
     assert!(
         jobs.iter().any(|j| j.get("name").and_then(|v| v.as_str()) == Some("obsjob")
@@ -223,14 +165,14 @@ fn observability_end_to_end() {
     );
     let snapshot_counts = debug_stats_counts(stats.get("metrics").expect("metrics object"));
 
-    let (status, metrics_headers, metrics_body) = get(addr, "/metrics");
-    assert_eq!(status, 200);
+    let response = http(addr, "GET", "/metrics", &[], "");
+    assert_eq!(response.status, 200);
     assert_eq!(
-        metrics_headers.get("content-type").map(String::as_str),
+        response.header("content-type"),
         Some("text/plain; version=0.0.4; charset=utf-8"),
         "/metrics must declare the Prometheus text format version"
     );
-    let text = String::from_utf8(metrics_body).unwrap();
+    let text = String::from_utf8(response.body).unwrap();
 
     // --- Families and exposition shape -------------------------------------
     for family in [

@@ -15,13 +15,15 @@
 //! * a torn journal tail and a corrupted checkpoint are both skipped
 //!   cleanly on boot — metered, never a panic, never a wrong sample.
 
-use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+mod common;
+
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use common::{boot, http, metric, BINARY};
+use gesmc::cluster::wire;
 use gesmc::prelude::{ServeConfig, Server};
 
 /// The child half of the re-exec trick: boot a durable server on an
@@ -84,7 +86,8 @@ impl ChildServer {
             std::thread::sleep(Duration::from_millis(20));
         };
         loop {
-            if let Ok((200, _, _)) = try_http(addr, "GET", "/healthz", None, None) {
+            let healthz = wire::request(&addr.to_string(), "GET", "/healthz", &[], b"");
+            if healthz.is_ok_and(|r| r.status == 200) {
                 break;
             }
             assert!(Instant::now() < deadline, "child never became healthy");
@@ -100,74 +103,6 @@ impl ChildServer {
     }
 }
 
-fn try_http(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    accept: Option<&str>,
-    body: Option<&str>,
-) -> std::io::Result<(u16, HashMap<String, String>, Vec<u8>)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-    let mut request = format!("{method} {path} HTTP/1.1\r\nHost: e2e\r\n");
-    if let Some(accept) = accept {
-        request.push_str(&format!("Accept: {accept}\r\n"));
-    }
-    match body {
-        Some(body) => request.push_str(&format!("Content-Length: {}\r\n\r\n{body}", body.len())),
-        None => request.push_str("\r\n"),
-    }
-    stream.write_all(request.as_bytes())?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    let header_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| std::io::Error::other("no header/body separator"))?;
-    let head = String::from_utf8_lossy(&raw[..header_end]).to_string();
-    let body = raw[header_end + 4..].to_vec();
-    let mut lines = head.lines();
-    let status: u16 = lines
-        .next()
-        .and_then(|line| line.split(' ').nth(1))
-        .and_then(|code| code.parse().ok())
-        .ok_or_else(|| std::io::Error::other("bad status line"))?;
-    let headers = lines
-        .filter_map(|line| line.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    Ok((status, headers, body))
-}
-
-fn http(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    accept: Option<&str>,
-    body: Option<&str>,
-) -> (u16, HashMap<String, String>, Vec<u8>) {
-    try_http(addr, method, path, accept, body).expect("http exchange")
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, HashMap<String, String>, Vec<u8>) {
-    http(addr, "GET", path, None, None)
-}
-
-fn get_binary(addr: SocketAddr, path: &str) -> (u16, HashMap<String, String>, Vec<u8>) {
-    http(addr, "GET", path, Some("application/octet-stream"), None)
-}
-
-fn metric(addr: SocketAddr, name: &str) -> u64 {
-    let (status, _, body) = get(addr, "/metrics");
-    assert_eq!(status, 200);
-    String::from_utf8_lossy(&body)
-        .lines()
-        .find(|line| line.starts_with(name) && !line.starts_with('#'))
-        .and_then(|line| line.split_whitespace().nth(1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or_else(|| panic!("metric {name} missing")) as u64
-}
-
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gesmc-durability-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -178,9 +113,9 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn wait_for_terminal(addr: SocketAddr, id: u64) -> String {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        let (status, _, body) = get(addr, &format!("/v1/jobs/{id}"));
-        assert_eq!(status, 200, "job {id} must stay queryable");
-        let text = String::from_utf8_lossy(&body).to_string();
+        let response = http(addr, "GET", &format!("/v1/jobs/{id}"), &[], "");
+        assert_eq!(response.status, 200, "job {id} must stay queryable");
+        let text = String::from_utf8_lossy(&response.body).to_string();
         if text.contains("\"done\"")
             || text.contains("\"failed\"")
             || text.contains("\"cancelled\"")
@@ -196,10 +131,10 @@ fn wait_for_terminal(addr: SocketAddr, id: u64) -> String {
 fn fetch_samples(addr: SocketAddr, id: u64, count: usize) -> Vec<Vec<u8>> {
     (0..count)
         .map(|k| {
-            let (status, _, body) = get_binary(addr, &format!("/v1/jobs/{id}/samples/{k}"));
-            assert_eq!(status, 200, "sample {k} of job {id} must be fetchable");
-            assert!(!body.is_empty());
-            body
+            let response = http(addr, "GET", &format!("/v1/jobs/{id}/samples/{k}"), BINARY, "");
+            assert_eq!(response.status, 200, "sample {k} of job {id} must be fetchable");
+            assert!(!response.body.is_empty());
+            response.body
         })
         .collect()
 }
@@ -212,16 +147,10 @@ const CRASH_JOB_SAMPLES: usize = 3;
 /// Run `CRASH_JOB` uninterrupted on an in-process, in-memory server and
 /// return its sample bytes — the control every crash test compares against.
 fn control_samples() -> Vec<Vec<u8>> {
-    let config = ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        http_workers: 2,
-        engine_workers: 2,
-        ..ServeConfig::default()
-    };
-    let server = Server::bind(config).expect("control bind");
+    let server = boot(|c| c.http_workers = 2);
     let addr = server.local_addr();
-    let (status, _, body) = http(addr, "POST", "/v1/jobs", None, Some(CRASH_JOB));
-    assert_eq!(status, 202, "{}", String::from_utf8_lossy(&body));
+    let response = http(addr, "POST", "/v1/jobs", &[], CRASH_JOB);
+    assert_eq!(response.status, 202, "{}", String::from_utf8_lossy(&response.body));
     let terminal = wait_for_terminal(addr, 1);
     assert!(terminal.contains("\"done\""), "{terminal}");
     let samples = fetch_samples(addr, 1, CRASH_JOB_SAMPLES);
@@ -237,14 +166,14 @@ fn finished_work_survives_sigkill_and_serves_from_disk() {
 
     // One-shot sample: computed, cached, and spilled.
     let sample_path = "/v1/sample?graph=pld:m=400&algo=par-global-es&supersteps=20";
-    let (status, headers, cold_bytes) = get_binary(addr, sample_path);
-    assert_eq!(status, 200);
-    assert_eq!(headers.get("x-gesmc-cache").map(String::as_str), Some("miss"));
+    let cold = http(addr, "GET", sample_path, BINARY, "");
+    assert_eq!(cold.status, 200);
+    assert_eq!(cold.header("x-gesmc-cache"), Some("miss"));
 
     // A small async job, run to completion.
     let job = r#"{"name":"smalljob","generate":{"family":"gnp","edges":300,"nodes":150,"seed":5},"supersteps":60,"thinning":20,"seed":3}"#;
-    let (status, _, body) = http(addr, "POST", "/v1/jobs", None, Some(job));
-    assert_eq!(status, 202, "{}", String::from_utf8_lossy(&body));
+    let response = http(addr, "POST", "/v1/jobs", &[], job);
+    assert_eq!(response.status, 202, "{}", String::from_utf8_lossy(&response.body));
     let terminal = wait_for_terminal(addr, 1);
     assert!(terminal.contains("\"done\""), "{terminal}");
     let samples_before = fetch_samples(addr, 1, 3);
@@ -255,14 +184,14 @@ fn finished_work_survives_sigkill_and_serves_from_disk() {
     let server = ChildServer::spawn(&dir, 25);
     let addr = server.addr;
 
-    let (status, headers, warm_bytes) = get_binary(addr, sample_path);
-    assert_eq!(status, 200);
+    let warm = http(addr, "GET", sample_path, BINARY, "");
+    assert_eq!(warm.status, 200);
     assert_eq!(
-        headers.get("x-gesmc-cache").map(String::as_str),
+        warm.header("x-gesmc-cache"),
         Some("hit"),
         "a restarted node must serve the spilled one-shot sample as a cache hit"
     );
-    assert_eq!(warm_bytes, cold_bytes, "rehydrated sample must be bit-identical");
+    assert_eq!(warm.body, cold.body, "rehydrated sample must be bit-identical");
     assert!(metric(addr, "gesmc_persist_cache_rehydrated_total") >= 1);
 
     let terminal = wait_for_terminal(addr, 1);
@@ -286,8 +215,8 @@ fn sigkill_mid_job_resumes_bit_identically() {
     let dir = temp_dir("resume");
     let server = ChildServer::spawn(&dir, 100);
     let addr = server.addr;
-    let (status, _, body) = http(addr, "POST", "/v1/jobs", None, Some(CRASH_JOB));
-    assert_eq!(status, 202, "{}", String::from_utf8_lossy(&body));
+    let response = http(addr, "POST", "/v1/jobs", &[], CRASH_JOB);
+    assert_eq!(response.status, 202, "{}", String::from_utf8_lossy(&response.body));
 
     // Wait for at least one checkpoint to land, then pull the plug.
     let ckpt = dir.join("jobs").join("1").join("job.ckpt");
@@ -323,8 +252,8 @@ fn torn_journal_and_corrupt_checkpoint_are_skipped_cleanly() {
     let dir = temp_dir("corrupt");
     let server = ChildServer::spawn(&dir, 100);
     let addr = server.addr;
-    let (status, _, body) = http(addr, "POST", "/v1/jobs", None, Some(CRASH_JOB));
-    assert_eq!(status, 202, "{}", String::from_utf8_lossy(&body));
+    let response = http(addr, "POST", "/v1/jobs", &[], CRASH_JOB);
+    assert_eq!(response.status, 202, "{}", String::from_utf8_lossy(&response.body));
     let ckpt = dir.join("jobs").join("1").join("job.ckpt");
     let deadline = Instant::now() + Duration::from_secs(120);
     while !ckpt.exists() {

@@ -1,8 +1,8 @@
 //! End-to-end tests of the `gesmc-serve` HTTP sampling service.
 //!
 //! Each test boots a real server on an ephemeral port and talks to it over
-//! raw `TcpStream`s — the same wire path curl takes.  The acceptance
-//! properties under test:
+//! HTTP through `gesmc::cluster::wire`.  The acceptance properties under
+//! test:
 //!
 //! * every served sample preserves the degree sequence of its input graph
 //!   (checked independently here, on top of the engine's internal check);
@@ -11,70 +11,15 @@
 //! * `429 Retry-After` appears **only** under admission-queue saturation;
 //! * shutdown drains cleanly: in-flight requests finish, the socket closes.
 
+mod common;
+
+use common::{boot, http, BINARY};
 use gesmc::engine::GraphSource;
 use gesmc::graph::io::{read_edge_list, read_edge_list_binary};
 use gesmc::prelude::*;
-use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// One raw HTTP exchange; returns (status, lowercased headers, body bytes).
-fn http(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    accept: Option<&str>,
-    body: Option<&str>,
-) -> (u16, HashMap<String, String>, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-    let mut request = format!("{method} {path} HTTP/1.1\r\nHost: e2e\r\n");
-    if let Some(accept) = accept {
-        request.push_str(&format!("Accept: {accept}\r\n"));
-    }
-    match body {
-        Some(body) => {
-            request.push_str(&format!("Content-Length: {}\r\n\r\n{body}", body.len()));
-        }
-        None => request.push_str("\r\n"),
-    }
-    stream.write_all(request.as_bytes()).expect("write request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-
-    let header_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("response must have a header/body separator");
-    let head = String::from_utf8(raw[..header_end].to_vec()).expect("headers are UTF-8");
-    let body = raw[header_end + 4..].to_vec();
-    let mut lines = head.lines();
-    let status: u16 =
-        lines.next().expect("status line").split(' ').nth(1).expect("status code").parse().unwrap();
-    let headers = lines
-        .filter_map(|line| line.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    (status, headers, body)
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, HashMap<String, String>, Vec<u8>) {
-    http(addr, "GET", path, None, None)
-}
-
-fn boot(mutate: impl FnOnce(&mut ServeConfig)) -> Server {
-    let mut config = ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        http_workers: 4,
-        engine_workers: 2,
-        allow_shutdown: true,
-        ..ServeConfig::default()
-    };
-    mutate(&mut config);
-    Server::bind(config).expect("bind ephemeral port")
-}
 
 /// The degree sequence the service must preserve for a generated pld key.
 fn expected_degrees(edges: usize, seed: u64) -> DegreeSequence {
@@ -104,23 +49,23 @@ fn concurrent_mixed_hot_cold_load_is_valid_and_never_sheds_below_saturation() {
                     // per-thread cold keys.
                     let seed = if i % 2 == 0 { 1 } else { 1_000 + t * 100 + i };
                     let path = sample_path(M, seed, "seq-global-es", 6);
-                    let (status, headers, body) = get(addr, &path);
+                    let response = http(addr, "GET", &path, &[], "");
                     assert_eq!(
-                        status, 200,
+                        response.status, 200,
                         "mixed load below saturation must never shed (thread {t}, request {i})"
                     );
-                    let graph = read_edge_list(&body[..]).expect("sample parses");
+                    let graph = read_edge_list(&response.body[..]).expect("sample parses");
                     assert_eq!(
                         graph.degrees(),
                         expected_degrees(M, seed),
                         "sample must preserve the input degree sequence"
                     );
                     assert!(
-                        headers.contains_key("x-gesmc-cache"),
+                        response.header("x-gesmc-cache").is_some(),
                         "sample responses carry the cache disposition"
                     );
                     if seed == 1 {
-                        hot_bodies.push(body);
+                        hot_bodies.push(response.body);
                     }
                 }
                 hot_bodies
@@ -142,8 +87,7 @@ fn concurrent_mixed_hot_cold_load_is_valid_and_never_sheds_below_saturation() {
 
     // The shared hot key was requested many times but computed once: the
     // cache (plus miss coalescing) absorbed the rest.
-    let (_, _, metrics) = get(addr, "/metrics");
-    let metrics = String::from_utf8(metrics).unwrap();
+    let metrics = String::from_utf8(http(addr, "GET", "/metrics", &[], "").body).unwrap();
     let hits: u64 = metrics
         .lines()
         .find_map(|l| l.strip_prefix("gesmc_cache_hits_total "))
@@ -171,7 +115,7 @@ fn saturation_sheds_with_429_and_retry_after_while_hits_keep_flowing() {
 
     // Pre-warm one key so hot traffic is servable even at saturation.
     let hot = sample_path(600, 7, "seq-global-es", 8);
-    assert_eq!(get(addr, &hot).0, 200);
+    assert_eq!(http(addr, "GET", &hot, &[], "").status, 200);
 
     // The gate: a job far too long to finish on its own pins the single
     // engine worker.  Polling it to `running` is the saturation barrier —
@@ -185,14 +129,14 @@ fn saturation_sheds_with_429_and_retry_after_while_hits_keep_flowing() {
         "supersteps": 50000,
         "seed": 9
     }"#;
-    let (status, _, response) = http(addr, "POST", "/v1/jobs", None, Some(gate_body));
-    assert_eq!(status, 202, "{}", String::from_utf8_lossy(&response));
+    let response = http(addr, "POST", "/v1/jobs", &[], gate_body);
+    assert_eq!(response.status, 202, "{}", String::from_utf8_lossy(&response.body));
     let gate: serde_json::Value =
-        serde_json::from_str(&String::from_utf8(response).unwrap()).unwrap();
+        serde_json::from_str(&String::from_utf8(response.body).unwrap()).unwrap();
     let gate_id = gate.get("id").and_then(|v| v.as_u64()).expect("gate id");
     let mut label = String::new();
     for _ in 0..600 {
-        let (_, _, body) = get(addr, &format!("/v1/jobs/{gate_id}"));
+        let body = http(addr, "GET", &format!("/v1/jobs/{gate_id}"), &[], "").body;
         let doc: serde_json::Value =
             serde_json::from_str(&String::from_utf8(body).unwrap()).unwrap();
         label = doc.get("status").and_then(|v| v.as_str()).unwrap_or("").to_string();
@@ -210,21 +154,21 @@ fn saturation_sheds_with_429_and_retry_after_while_hits_keep_flowing() {
         .map(|i| {
             std::thread::spawn(move || {
                 let path = sample_path(2_000, 10_000 + i, "seq-global-es", 30);
-                let (status, headers, body) = get(addr, &path);
-                match status {
+                let response = http(addr, "GET", &path, &[], "");
+                match response.status {
                     200 => {
-                        let graph = read_edge_list(&body[..]).expect("sample parses");
+                        let graph = read_edge_list(&response.body[..]).expect("sample parses");
                         assert_eq!(graph.degrees(), expected_degrees(2_000, 10_000 + i));
                     }
                     429 => {
                         assert!(
-                            headers.contains_key("retry-after"),
+                            response.header("retry-after").is_some(),
                             "shed responses must carry Retry-After"
                         );
                     }
                     other => panic!("unexpected status {other} under saturation"),
                 }
-                status
+                response.status
             })
         })
         .collect();
@@ -233,21 +177,20 @@ fn saturation_sheds_with_429_and_retry_after_while_hits_keep_flowing() {
     // cache.  Wait for all 11 rejections first so the hot fetch provably
     // overlaps saturation, then check it.
     for _ in 0..600 {
-        let (_, _, metrics) = get(addr, "/metrics");
-        let metrics = String::from_utf8(metrics).unwrap();
+        let metrics = String::from_utf8(http(addr, "GET", "/metrics", &[], "").body).unwrap();
         if metrics.contains("gesmc_http_responses_total{class=\"429\"} 11") {
             break;
         }
         std::thread::sleep(Duration::from_millis(10));
     }
-    let (status, headers, _) = get(addr, &hot);
-    assert_eq!(status, 200);
-    assert_eq!(headers.get("x-gesmc-cache").map(String::as_str), Some("hit"));
+    let response = http(addr, "GET", &hot, &[], "");
+    assert_eq!(response.status, 200);
+    assert_eq!(response.header("x-gesmc-cache"), Some("hit"));
 
     // Cancel the gate: the worker frees up, drains the one queued cold key,
     // and every client thread comes home — 1 success, 11 sheds.
-    let (status, _, _) = http(addr, "DELETE", &format!("/v1/jobs/{gate_id}"), None, None);
-    assert_eq!(status, 202);
+    let response = http(addr, "DELETE", &format!("/v1/jobs/{gate_id}"), &[], "");
+    assert_eq!(response.status, 202);
     let statuses: Vec<u16> = clients.into_iter().map(|c| c.join().unwrap()).collect();
     let shed = statuses.iter().filter(|&&s| s == 429).count();
     let served = statuses.iter().filter(|&&s| s == 200).count();
@@ -265,15 +208,17 @@ fn binary_and_text_encodings_agree_and_hits_are_bit_identical_in_both() {
     let addr = server.local_addr();
     let path = sample_path(300, 3, "par-global-es?pl=0.01", 5);
 
-    let (status, _, text_a) = get(addr, &path);
-    assert_eq!(status, 200);
-    let (_, _, text_b) = get(addr, &path);
+    let response = http(addr, "GET", &path, &[], "");
+    assert_eq!(response.status, 200);
+    let text_a = response.body;
+    let text_b = http(addr, "GET", &path, &[], "").body;
     assert_eq!(text_a, text_b, "text hits must be bit-identical");
 
-    let (status, headers, bin_a) = http(addr, "GET", &path, Some("application/octet-stream"), None);
-    assert_eq!(status, 200);
-    assert_eq!(headers.get("content-type").map(String::as_str), Some("application/octet-stream"));
-    let (_, _, bin_b) = http(addr, "GET", &path, Some("application/octet-stream"), None);
+    let response = http(addr, "GET", &path, BINARY, "");
+    assert_eq!(response.status, 200);
+    assert_eq!(response.header("content-type"), Some("application/octet-stream"));
+    let bin_a = response.body;
+    let bin_b = http(addr, "GET", &path, BINARY, "").body;
     assert_eq!(bin_a, bin_b, "binary hits must be bit-identical");
 
     let from_text = read_edge_list(&text_a[..]).unwrap();
@@ -290,15 +235,15 @@ fn warm_requests_prefill_the_cache_in_the_background() {
     let addr = server.local_addr();
     let key_query = "graph=pld:m=350,seed=11&algo=seq-es&supersteps=6";
 
-    let (status, _, body) = get(addr, &format!("/v1/sample?{key_query}&warm=true"));
-    assert_eq!(status, 202, "{}", String::from_utf8_lossy(&body));
+    let response = http(addr, "GET", &format!("/v1/sample?{key_query}&warm=true"), &[], "");
+    assert_eq!(response.status, 202, "{}", String::from_utf8_lossy(&response.body));
 
     // Poll until the background job landed the entry, then expect a hit.
     let mut disposition = String::new();
     for _ in 0..400 {
-        let (status, headers, _) = get(addr, &format!("/v1/sample?{key_query}"));
-        assert_eq!(status, 200);
-        disposition = headers.get("x-gesmc-cache").cloned().unwrap_or_default();
+        let response = http(addr, "GET", &format!("/v1/sample?{key_query}"), &[], "");
+        assert_eq!(response.status, 200);
+        disposition = response.header("x-gesmc-cache").unwrap_or_default().to_string();
         if disposition == "hit" {
             break;
         }
@@ -322,10 +267,10 @@ fn async_job_lifecycle_inline_edges_status_samples_and_cancel() {
         "thinning": 2,
         "seed": 4
     }"#;
-    let (status, _, response) = http(addr, "POST", "/v1/jobs", None, Some(body));
-    assert_eq!(status, 202, "{}", String::from_utf8_lossy(&response));
+    let response = http(addr, "POST", "/v1/jobs", &[], body);
+    assert_eq!(response.status, 202, "{}", String::from_utf8_lossy(&response.body));
     let submitted: serde_json::Value =
-        serde_json::from_str(&String::from_utf8(response).unwrap()).unwrap();
+        serde_json::from_str(&String::from_utf8(response.body).unwrap()).unwrap();
     let id = submitted.get("id").and_then(|v| v.as_u64()).expect("job id");
     assert_eq!(
         submitted.get("url").and_then(|v| v.as_str()),
@@ -335,9 +280,9 @@ fn async_job_lifecycle_inline_edges_status_samples_and_cancel() {
     // Poll to completion.
     let mut status_doc = serde_json::Value::Null;
     for _ in 0..400 {
-        let (code, _, body) = get(addr, &format!("/v1/jobs/{id}"));
-        assert_eq!(code, 200);
-        status_doc = serde_json::from_str(&String::from_utf8(body).unwrap()).unwrap();
+        let response = http(addr, "GET", &format!("/v1/jobs/{id}"), &[], "");
+        assert_eq!(response.status, 200);
+        status_doc = serde_json::from_str(&String::from_utf8(response.body).unwrap()).unwrap();
         if status_doc.get("status").and_then(|v| v.as_str()) == Some("done") {
             break;
         }
@@ -350,26 +295,20 @@ fn async_job_lifecycle_inline_edges_status_samples_and_cancel() {
     // Thinned samples 0..4 exist in both encodings and preserve degrees.
     let cycle_degrees = [2u32; 6];
     for k in 0..4u64 {
-        let (code, headers, text) = get(addr, &format!("/v1/jobs/{id}/samples/{k}"));
-        assert_eq!(code, 200);
-        let graph = read_edge_list(&text[..]).unwrap();
+        let text = http(addr, "GET", &format!("/v1/jobs/{id}/samples/{k}"), &[], "");
+        assert_eq!(text.status, 200);
+        let graph = read_edge_list(&text.body[..]).unwrap();
         assert_eq!(graph.degrees().degrees(), &cycle_degrees[..]);
-        let superstep: u64 = headers.get("x-gesmc-superstep").unwrap().parse().unwrap();
+        let superstep: u64 = text.header("x-gesmc-superstep").unwrap().parse().unwrap();
         assert_eq!(superstep, (k + 1) * 2);
-        let (code, _, binary) = http(
-            addr,
-            "GET",
-            &format!("/v1/jobs/{id}/samples/{k}"),
-            Some("application/octet-stream"),
-            None,
-        );
-        assert_eq!(code, 200);
-        let from_binary = read_edge_list_binary(&binary[..]).unwrap();
+        let binary = http(addr, "GET", &format!("/v1/jobs/{id}/samples/{k}"), BINARY, "");
+        assert_eq!(binary.status, 200);
+        let from_binary = read_edge_list_binary(&binary.body[..]).unwrap();
         assert_eq!(from_binary.canonical_edges(), graph.canonical_edges());
     }
     // Out-of-range and unknown-id lookups are clean 404s.
-    assert_eq!(get(addr, &format!("/v1/jobs/{id}/samples/99")).0, 404);
-    assert_eq!(get(addr, "/v1/jobs/4242").0, 404);
+    assert_eq!(http(addr, "GET", &format!("/v1/jobs/{id}/samples/99"), &[], "").status, 404);
+    assert_eq!(http(addr, "GET", "/v1/jobs/4242", &[], "").status, 404);
 
     // A long-running generated job can be cancelled mid-flight.
     let long_body = r#"{
@@ -378,16 +317,16 @@ fn async_job_lifecycle_inline_edges_status_samples_and_cancel() {
         "supersteps": 50000,
         "seed": 9
     }"#;
-    let (status, _, response) = http(addr, "POST", "/v1/jobs", None, Some(long_body));
-    assert_eq!(status, 202);
+    let response = http(addr, "POST", "/v1/jobs", &[], long_body);
+    assert_eq!(response.status, 202);
     let long_doc: serde_json::Value =
-        serde_json::from_str(&String::from_utf8(response).unwrap()).unwrap();
+        serde_json::from_str(&String::from_utf8(response.body).unwrap()).unwrap();
     let long_id = long_doc.get("id").and_then(|v| v.as_u64()).unwrap();
-    let (status, _, _) = http(addr, "DELETE", &format!("/v1/jobs/{long_id}"), None, None);
-    assert_eq!(status, 202);
+    let response = http(addr, "DELETE", &format!("/v1/jobs/{long_id}"), &[], "");
+    assert_eq!(response.status, 202);
     let mut label = String::new();
     for _ in 0..400 {
-        let (_, _, body) = get(addr, &format!("/v1/jobs/{long_id}"));
+        let body = http(addr, "GET", &format!("/v1/jobs/{long_id}"), &[], "").body;
         let doc: serde_json::Value =
             serde_json::from_str(&String::from_utf8(body).unwrap()).unwrap();
         label = doc.get("status").and_then(|v| v.as_str()).unwrap_or("").to_string();
@@ -419,68 +358,48 @@ fn bad_requests_get_readable_errors_not_hangs() {
         ("/v1/jobs/notanid", 400),
         ("/nope", 404),
     ] {
-        let (status, _, body) = get(addr, path);
-        assert_eq!(status, expected, "{path}: {}", String::from_utf8_lossy(&body));
+        let response = http(addr, "GET", path, &[], "");
+        assert_eq!(
+            response.status,
+            expected,
+            "{path}: {}",
+            String::from_utf8_lossy(&response.body)
+        );
         let doc: serde_json::Value =
-            serde_json::from_str(&String::from_utf8(body).unwrap()).unwrap();
+            serde_json::from_str(&String::from_utf8(response.body).unwrap()).unwrap();
         assert!(doc.get("error").is_some(), "{path} must return the JSON error shape");
     }
     // Wrong method on a known path is 405.
-    assert_eq!(http(addr, "DELETE", "/healthz", None, None).0, 405);
+    assert_eq!(http(addr, "DELETE", "/healthz", &[], "").status, 405);
     // Malformed job bodies.
-    let (status, _, _) = http(addr, "POST", "/v1/jobs", None, Some("not json"));
-    assert_eq!(status, 400);
-    let (status, _, body) =
-        http(addr, "POST", "/v1/jobs", None, Some(r#"{"edges": [[0,1]], "nodes": 1}"#));
-    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+    assert_eq!(http(addr, "POST", "/v1/jobs", &[], "not json").status, 400);
+    let rejected = |body: &str| {
+        let response = http(addr, "POST", "/v1/jobs", &[], body);
+        (response.status, String::from_utf8_lossy(&response.body).into_owned())
+    };
+    let (status, body) = rejected(r#"{"edges": [[0,1]], "nodes": 1}"#);
+    assert_eq!(status, 400, "{body}");
     // Unbounded node counts must be rejected before any generator runs.
-    let (status, _, body) = http(
-        addr,
-        "POST",
-        "/v1/jobs",
-        None,
-        Some(r#"{"generate": {"family": "pld", "edges": 10, "nodes": 2000000000}}"#),
-    );
-    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
-    let (status, _, body) =
-        http(addr, "POST", "/v1/jobs", None, Some(r#"{"edges": [[0, 4000000000]]}"#));
-    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+    let (status, body) =
+        rejected(r#"{"generate": {"family": "pld", "edges": 10, "nodes": 2000000000}}"#);
+    assert_eq!(status, 400, "{body}");
+    let (status, body) = rejected(r#"{"edges": [[0, 4000000000]]}"#);
+    assert_eq!(status, 400, "{body}");
     // Seeds beyond 2^53 would silently round in the f64-backed JSON layer;
     // the parser rejects them outright instead.
-    let (status, _, body) = http(
-        addr,
-        "POST",
-        "/v1/jobs",
-        None,
-        Some(r#"{"edges": [[0,1]], "seed": 9007199254740993}"#),
-    );
-    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+    let (status, body) = rejected(r#"{"edges": [[0,1]], "seed": 9007199254740993}"#);
+    assert_eq!(status, 400, "{body}");
     // Generator parameters that would panic a worker are rejected up front.
-    let (status, _, body) = http(
-        addr,
-        "POST",
-        "/v1/jobs",
-        None,
-        Some(r#"{"generate": {"family": "pld", "edges": 100, "gamma": 0.5}}"#),
-    );
-    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+    let (status, body) = rejected(r#"{"generate": {"family": "pld", "edges": 100, "gamma": 0.5}}"#);
+    assert_eq!(status, 400, "{body}");
     // Edge count and sample count compose: a job within both individual
     // limits but over the retained-bytes budget is rejected at submission.
-    let (status, _, body) = http(
-        addr,
-        "POST",
-        "/v1/jobs",
-        None,
-        Some(
-            r#"{"generate": {"family": "dense", "edges": 5000000},
-                "supersteps": 1000, "thinning": 1}"#,
-        ),
+    let (status, body) = rejected(
+        r#"{"generate": {"family": "dense", "edges": 5000000},
+            "supersteps": 1000, "thinning": 1}"#,
     );
-    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
-    assert!(
-        String::from_utf8_lossy(&body).contains("retain"),
-        "rejection must explain the byte budget"
-    );
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("retain"), "rejection must explain the byte budget");
     server.shutdown();
 }
 
@@ -492,14 +411,15 @@ fn shutdown_drains_in_flight_requests_and_closes_the_socket() {
     // Launch a cold request, give it a moment to reach the engine pool, then
     // shut down concurrently: the request must still complete with a valid
     // sample (drain), not an error or a reset.
-    let client =
-        std::thread::spawn(move || get(addr, &sample_path(2_000, 77, "seq-global-es", 40)));
+    let client = std::thread::spawn(move || {
+        http(addr, "GET", &sample_path(2_000, 77, "seq-global-es", 40), &[], "")
+    });
     std::thread::sleep(Duration::from_millis(50));
     server.shutdown();
 
-    let (status, _, body) = client.join().expect("in-flight client");
-    assert_eq!(status, 200, "in-flight requests must drain through shutdown");
-    let graph = read_edge_list(&body[..]).unwrap();
+    let response = client.join().expect("in-flight client");
+    assert_eq!(response.status, 200, "in-flight requests must drain through shutdown");
+    let graph = read_edge_list(&response.body[..]).unwrap();
     assert_eq!(graph.degrees(), expected_degrees(2_000, 77));
     assert!(
         TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err(),
