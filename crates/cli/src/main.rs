@@ -1049,10 +1049,9 @@ fn cmd_loadgen(positional: &[String], flags: &HashMap<String, String>) -> Result
                     while std::time::Instant::now() < deadline {
                         let spec = &specs[n % specs.len()];
                         n += 1;
-                        let t0 = std::time::Instant::now();
                         match client.samples().get(spec) {
                             Ok(sample) => {
-                                latency.observe(t0.elapsed());
+                                latency.observe(sample.elapsed);
                                 match sample.cache.as_str() {
                                     "hit" => tally.hits += 1,
                                     "coalesced" => tally.coalesced += 1,

@@ -13,6 +13,7 @@ use crate::pool::{EndpointPool, PoolRequest, PoolResponse};
 use gesmc_cluster::{canonical_graph_spec, encode_query_value, SampleKey};
 use gesmc_core::ChainSpec;
 use serde_json::Value;
+use std::time::Duration;
 
 /// Map a pool response to its body, turning 4xx/5xx into [`ClientError::Api`]
 /// with the server's `{"error": …}` message extracted.
@@ -120,6 +121,9 @@ pub struct Sample {
     /// the sampled flag, so every hop keeps its spans and `gesmc trace`
     /// can reconstruct the request afterwards.
     pub trace_id: String,
+    /// How long the fetch took: the duration its `client_fetch` span closed
+    /// with, from the same clock read.
+    pub elapsed: Duration,
 }
 
 /// The `Samples` resource: ring-routed one-shot sampling.
@@ -158,7 +162,9 @@ impl Samples<'_> {
         let seed =
             out.response.header("x-gesmc-seed").and_then(|v| v.parse().ok()).unwrap_or_default();
         let trace_id = span.trace_id().to_hex();
-        Ok(Sample { bytes: out.response.body, cache, seed, endpoint: out.endpoint, trace_id })
+        let (bytes, endpoint) = (out.response.body, out.endpoint);
+        let elapsed = span.finish();
+        Ok(Sample { bytes, cache, seed, endpoint, trace_id, elapsed })
     }
 
     /// Fetch the sample in the binary edge-list encoding.

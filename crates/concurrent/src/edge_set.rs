@@ -35,9 +35,19 @@
 //! tombstones start to degrade probe lengths
 //! ([`ConcurrentEdgeSet::needs_rebuild`] / [`ConcurrentEdgeSet::rebuild`]);
 //! in-order supersteps add none, so they never trigger a rebuild.
+//!
+//! The exclusive operations and [`ConcurrentEdgeSet::contains`] also take an
+//! [`EdgeProbe`], an edge hashed once; the `Edge` forms hash and then
+//! delegate to the probe forms, so every lookup walks one probe loop.  The
+//! in-order kernel probes each edge of a switch when it stages the switch,
+//! prefetches the probe's home bucket ([`ConcurrentEdgeSet::prefetch`]) and
+//! decides the switch some switches later with the same probes (Sec. 5.4),
+//! in one [`ConcurrentEdgeSet::switch_mut`]: Def. 1's existence test and
+//! set update, which inserts the targets into the empty buckets the test
+//! found.
 
 use crate::hash_edge;
-use crate::prefetch::prefetch_read_pair;
+use crate::prefetch::prefetch_read;
 use gesmc_graph::edge::MAX_NODE_56;
 use gesmc_graph::{Edge, EdgeListGraph};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -57,6 +67,27 @@ pub enum LockOutcome {
     NotFound,
     /// The edge is already in the set (insert-and-lock only).
     AlreadyPresent,
+}
+
+/// An edge's bucket key and hash, computed once: where every probe of that
+/// edge starts, in a set of any capacity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EdgeProbe {
+    key: u64,
+    hash: u64,
+}
+
+impl EdgeProbe {
+    /// Hash `edge`.
+    #[inline]
+    pub fn new(edge: Edge) -> Self {
+        Self::of_key(ConcurrentEdgeSet::key_of(edge))
+    }
+
+    #[inline]
+    fn of_key(key: u64) -> Self {
+        Self { key, hash: hash_edge(key) }
+    }
 }
 
 /// A concurrent hash set of packed edges with 8-bit lock fields.
@@ -133,27 +164,33 @@ impl ConcurrentEdgeSet {
     }
 
     #[inline]
+    fn home(&self, probe: EdgeProbe) -> usize {
+        probe.hash as usize & self.mask
+    }
+
+    #[inline]
     fn home_bucket(&self, key: u64) -> usize {
-        (hash_edge(key) as usize) & self.mask
+        self.home(EdgeProbe::of_key(key))
     }
 
-    /// Issue a software prefetch for the buckets `edge` will probe first.
+    /// Hint the CPU to fetch the home bucket of `probe` (Sec. 5.4); changes
+    /// nothing.
     #[inline]
-    pub fn prefetch(&self, edge: Edge) {
-        prefetch_read_pair(&self.buckets, self.home_bucket(Self::key_of(edge)));
+    pub fn prefetch(&self, probe: EdgeProbe) {
+        prefetch_read(&self.buckets, self.home(probe));
     }
 
-    /// Probe for `key`: `Ok` with its bucket if present (locked or not),
-    /// else `Err` with the first empty bucket on its probe path.
+    /// Probe for `probe`'s edge: `Ok` with its bucket if present (locked or
+    /// not), else `Err` with the first empty bucket on its probe path.
     #[inline]
-    fn find(&self, key: u64) -> Result<usize, usize> {
-        let mut idx = self.home_bucket(key);
+    fn find(&self, probe: EdgeProbe) -> Result<usize, usize> {
+        let mut idx = self.home(probe);
         loop {
             let slot = self.buckets[idx].load(Ordering::Acquire);
             if slot == EMPTY {
                 return Err(idx);
             }
-            if slot != TOMBSTONE && (slot & EDGE_MASK) == key {
+            if slot != TOMBSTONE && (slot & EDGE_MASK) == probe.key {
                 return Ok(idx);
             }
             idx = (idx + 1) & self.mask;
@@ -173,7 +210,13 @@ impl ConcurrentEdgeSet {
 
     /// Whether `edge` is in the set (locked or not).
     pub fn contains(&self, edge: Edge) -> bool {
-        self.find(Self::key_of(edge)).is_ok()
+        self.contains_probe(EdgeProbe::new(edge))
+    }
+
+    /// Whether `probe`'s edge is in the set (locked or not).
+    #[inline]
+    pub fn contains_probe(&self, probe: EdgeProbe) -> bool {
+        self.find(probe).is_ok()
     }
 
     /// Insert `edge` unlocked through exclusive access; returns `false` if it
@@ -182,13 +225,57 @@ impl ConcurrentEdgeSet {
     /// Leaves the same bucket layout as [`insert`](Self::insert) without its
     /// compare-and-swap and atomic counter update.
     pub fn insert_mut(&mut self, edge: Edge) -> bool {
-        self.assert_not_overfull();
-        let key = Self::key_of(edge);
-        let Err(idx) = self.find(key) else {
+        self.insert_mut_probe(EdgeProbe::new(edge))
+    }
+
+    /// [`insert_mut`](Self::insert_mut) of `probe`'s edge.
+    #[inline]
+    pub fn insert_mut_probe(&mut self, probe: EdgeProbe) -> bool {
+        let Err(idx) = self.find(probe) else {
             return false;
         };
-        *self.buckets[idx].get_mut() = Self::entry(key, 0);
+        self.fill(idx, probe);
+        true
+    }
+
+    /// Store `probe`'s edge, unlocked, in the empty bucket `idx`.
+    #[inline]
+    fn fill(&mut self, idx: usize, probe: EdgeProbe) {
+        self.assert_not_overfull();
+        *self.buckets[idx].get_mut() = Self::entry(probe.key, 0);
         *self.live.get_mut() += 1;
+    }
+
+    /// Def. 1's update for one switch, through exclusive access: unless an
+    /// edge of `targets` is present, insert both targets, erase both
+    /// `sources` and return `true`; otherwise change nothing and return
+    /// `false`.
+    ///
+    /// The targets go into the empty buckets the existence test found,
+    /// before the erases can move entries, so each probe path is walked
+    /// once.  The contents are those of erasing first and inserting after;
+    /// the layout may differ.  `sources` must be present and `targets` must
+    /// be two different edges, as a switch's are.
+    #[inline]
+    pub fn switch_mut(&mut self, sources: [EdgeProbe; 2], targets: [EdgeProbe; 2]) -> bool {
+        let Err(first) = self.find(targets[0]) else {
+            return false;
+        };
+        let Err(second) = self.find(targets[1]) else {
+            return false;
+        };
+        debug_assert_ne!(targets[0], targets[1], "a switch has two different targets");
+        self.fill(first, targets[0]);
+        // `first` was empty, so it is not on the second target's path before
+        // `second`, the first empty bucket there; unless it is `second`,
+        // that bucket is still the second target's.
+        if second == first {
+            self.insert_mut_probe(targets[1]);
+        } else {
+            self.fill(second, targets[1]);
+        }
+        let erased = self.erase_mut_probe(sources[0]) & self.erase_mut_probe(sources[1]);
+        debug_assert!(erased, "a switch erases two present edges");
         true
     }
 
@@ -200,7 +287,13 @@ impl ConcurrentEdgeSet {
     /// leaves a gap of its own; the last gap becomes empty.  Tombstones of
     /// atomic erases stay where they are.
     pub fn erase_mut(&mut self, edge: Edge) -> bool {
-        let Ok(mut hole) = self.find(Self::key_of(edge)) else {
+        self.erase_mut_probe(EdgeProbe::new(edge))
+    }
+
+    /// [`erase_mut`](Self::erase_mut) of `probe`'s edge.
+    #[inline]
+    pub fn erase_mut_probe(&mut self, probe: EdgeProbe) -> bool {
+        let Ok(mut hole) = self.find(probe) else {
             return false;
         };
         let mut next = (hole + 1) & self.mask;
@@ -230,25 +323,26 @@ impl ConcurrentEdgeSet {
     /// Concurrent inserts of the *same* edge are resolved so that exactly one
     /// caller observes `true`.
     pub fn insert(&self, edge: Edge) -> bool {
-        self.insert_entry(Self::key_of(edge), 0)
+        self.insert_entry(edge, 0)
     }
 
-    /// Insert `key` locked by `lock` (0 = unlocked) into the first empty
+    /// Insert `edge` locked by `lock` (0 = unlocked) into the first empty
     /// bucket on its probe path; returns `false` if it was already present.
     ///
     /// A failed compare-and-swap means another insert took that bucket
     /// first, so the probe starts again.  No bucket becomes empty again while
     /// other threads can probe, so the retry passes the same buckets and
     /// then examines the one that was just taken.
-    fn insert_entry(&self, key: u64, lock: u8) -> bool {
+    fn insert_entry(&self, edge: Edge, lock: u8) -> bool {
         self.assert_not_overfull();
+        let probe = EdgeProbe::new(edge);
         loop {
-            let Err(idx) = self.find(key) else {
+            let Err(idx) = self.find(probe) else {
                 return false;
             };
             let taken = self.buckets[idx].compare_exchange(
                 EMPTY,
-                Self::entry(key, lock),
+                Self::entry(probe.key, lock),
                 Ordering::AcqRel,
                 Ordering::Acquire,
             );
@@ -324,7 +418,7 @@ impl ConcurrentEdgeSet {
     /// [`LockOutcome::Acquired`].
     pub fn try_insert_and_lock(&self, edge: Edge, owner: u8) -> LockOutcome {
         debug_assert!(owner != 0, "owner id 0 denotes the unlocked state");
-        if self.insert_entry(Self::key_of(edge), owner) {
+        if self.insert_entry(edge, owner) {
             LockOutcome::Acquired
         } else {
             LockOutcome::AlreadyPresent
@@ -694,10 +788,10 @@ mod tests {
         let second = (2..1000u32).map(|v| Edge::new(0, v)).find(|&e| home_of(e) == home).unwrap();
         assert!(set.insert_mut(first));
         assert_eq!(set.try_insert_and_lock(second, 7), LockOutcome::Acquired);
-        let key = ConcurrentEdgeSet::key_of(second);
-        assert_eq!(set.find(key), Ok((home + 1) & set.mask));
+        let probe = EdgeProbe::new(second);
+        assert_eq!(set.find(probe), Ok((home + 1) & set.mask));
         assert!(set.erase_mut(first));
-        assert_eq!(set.find(key), Ok(home), "the erase must shift the locked entry");
+        assert_eq!(set.find(probe), Ok(home), "the erase must shift the locked entry");
         assert_eq!(set.try_lock_existing(second, 9), LockOutcome::Busy);
         assert!(set.unlock(second, 7));
         assert_eq!(set.try_lock_existing(second, 9), LockOutcome::Acquired);
@@ -733,14 +827,102 @@ mod tests {
     }
 
     #[test]
+    fn switch_mut_matches_erasing_then_inserting() {
+        // 64 buckets over the edges of 14 nodes at about half load, starting
+        // from tombstones: clusters are long and wrap past the last bucket,
+        // and targets are often present or equal to a source.
+        let edge = |r: u64| {
+            let (a, b) = ((r % 14) as u32, ((r >> 8) % 13) as u32);
+            Edge::new(a, if b >= a { b + 1 } else { b })
+        };
+        let mut set = ConcurrentEdgeSet::with_capacity(32);
+        for r in 0..6u64 {
+            assert!(set.insert(Edge::new(20, 21 + r as u32)));
+            assert!(set.erase(Edge::new(20, 21 + r as u32)));
+        }
+        let mut model = std::collections::HashSet::new();
+        let mut live = Vec::new();
+        for r in 0..200u64 {
+            let e = edge(hash_edge(r));
+            if live.len() < 30 && model.insert(e) {
+                assert!(set.insert_mut(e));
+                live.push(e);
+            }
+        }
+        let probe = EdgeProbe::new;
+        let (mut legal, mut illegal) = (0, 0);
+        for r in 0..20_000u64 {
+            let (i, j) = ((hash_edge(r) % 30) as usize, (hash_edge(!r) % 29) as usize);
+            let j = if j >= i { j + 1 } else { j };
+            let targets = [edge(hash_edge(r ^ 0xA5A5)), edge(hash_edge(r ^ 0x5A5A))];
+            if targets[0] == targets[1] {
+                continue;
+            }
+            let expected = !model.contains(&targets[0]) && !model.contains(&targets[1]);
+            let done = set.switch_mut([probe(live[i]), probe(live[j])], targets.map(probe));
+            assert_eq!(done, expected, "step {r}");
+            if done {
+                assert!(model.remove(&live[i]) && model.remove(&live[j]));
+                assert!(model.insert(targets[0]) && model.insert(targets[1]));
+                (live[i], live[j]) = (targets[0], targets[1]);
+                legal += 1;
+            } else {
+                illegal += 1;
+            }
+            assert_eq!(set.len(), model.len());
+            assert_probe_paths_unbroken(&set);
+        }
+        assert!(legal > 1_000 && illegal > 1_000, "{legal} legal, {illegal} illegal");
+        assert!(model.iter().all(|&e| set.contains(e)));
+        assert_eq!(set.tombstones.load(Ordering::Relaxed), 6, "tombstones stay in place");
+    }
+
+    #[test]
     fn prefetch_has_no_semantic_effect() {
         let mut set = ConcurrentEdgeSet::with_capacity(8);
-        assert!(set.insert_mut(Edge::new(3, 9)));
-        set.prefetch(Edge::new(3, 9));
-        set.prefetch(Edge::new(4, 5));
-        assert!(set.contains(Edge::new(3, 9)));
-        assert!(!set.contains(Edge::new(4, 5)));
+        let (present, absent) = (EdgeProbe::new(Edge::new(3, 9)), EdgeProbe::new(Edge::new(4, 5)));
+        assert!(set.insert_mut_probe(present));
+        let buckets: Vec<u64> = set.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+        set.prefetch(present);
+        set.prefetch(absent);
+        assert!(set.contains_probe(present));
+        assert!(!set.contains_probe(absent));
         assert_eq!(set.len(), 1);
+        assert!(set.buckets.iter().map(|b| b.load(Ordering::Relaxed)).eq(buckets));
+    }
+
+    #[test]
+    fn probe_forms_match_the_edge_forms() {
+        // The same operations, by edge on one set and by probe on another,
+        // over the edges of 40 nodes at up to 3/4 load: the same answers and
+        // the same bucket layout at every step.
+        let mut by_edge = ConcurrentEdgeSet::with_capacity(256);
+        let mut by_probe = ConcurrentEdgeSet::with_capacity(256);
+        let mut state = 99u64;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 16
+        };
+        for step in 0..20_000 {
+            let (u, v) = ((next() % 40) as u32, (next() % 40) as u32);
+            let e = Edge::new(u, v);
+            let p = EdgeProbe::new(e);
+            let (a, b) = match next() % 3 {
+                0 if by_edge.len() < 3 * by_edge.capacity() / 4 => {
+                    (by_edge.insert_mut(e), by_probe.insert_mut_probe(p))
+                }
+                0 | 1 => (by_edge.erase_mut(e), by_probe.erase_mut_probe(p)),
+                _ => (by_edge.contains(e), by_probe.contains_probe(p)),
+            };
+            assert_eq!(a, b, "{e:?} at step {step}");
+            assert_eq!(by_edge.len(), by_probe.len());
+        }
+        let layout = |set: &ConcurrentEdgeSet| {
+            set.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect::<Vec<_>>()
+        };
+        assert_eq!(layout(&by_edge), layout(&by_probe));
+        assert!(by_edge.len() > 100, "only {} edges live", by_edge.len());
+        assert_probe_paths_unbroken(&by_probe);
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //!   ([`edge_set::ConcurrentEdgeSet`]).  Algorithm 1 and `NaiveParES` write
 //!   it atomically; the in-order kernel of the sequential chains, and of the
 //!   parallel ones at one thread, writes it through exclusive access with
-//!   plain stores, and hints the software prefetcher through its split
-//!   hash-then-operate API,
+//!   plain stores.  That kernel hashes each edge once into an
+//!   [`edge_set::EdgeProbe`], prefetches the probe's home bucket, and
+//!   queries and writes the set with the same probe some switches later, in
+//!   one [`ConcurrentEdgeSet::switch_mut`] per switch,
 //! * the **dependency table** of `ParallelSuperstep` (Algorithm 1): a
 //!   reusable, lock-free map from each packed edge to the one switch erasing
 //!   it and the list of switches inserting it, plus one three-state
@@ -20,8 +22,10 @@
 //!   decision rounds read them only after that join,
 //! * an **atomic edge array** so that switches owning disjoint indices can
 //!   rewire `E[i]`/`E[j]` from different threads without locks
-//!   ([`atomic_edge_list::AtomicEdgeList`]),
-//! * portable **software prefetch** helpers ([`prefetch`]).
+//!   ([`atomic_edge_list::AtomicEdgeList`]), whose slots the in-order kernel
+//!   prefetches ahead of the switches that read them,
+//! * the portable **software prefetch** hint of both ([`prefetch`], Sec.
+//!   5.4).
 //!
 //! All structures are safe Rust; the only (optional) unsafe code is the
 //! x86_64 prefetch intrinsic, which is isolated in [`prefetch`].
@@ -36,7 +40,7 @@ pub mod prefetch;
 
 pub use atomic_edge_list::AtomicEdgeList;
 pub use dep_table::{DependencyTable, SwitchState};
-pub use edge_set::{ConcurrentEdgeSet, LockOutcome};
+pub use edge_set::{ConcurrentEdgeSet, EdgeProbe, LockOutcome};
 
 /// Scramble a packed edge identifier into a well-distributed hash.
 ///

@@ -1,12 +1,15 @@
-//! Portable software-prefetch helpers.
+//! The portable software-prefetch hint.
 //!
 //! Randomised edge switching makes inherently unstructured memory accesses
-//! (Sec. 5.4 of the paper).  `SeqES` hides part of the resulting cache-miss
-//! latency by splitting every hash-set operation into a *hash-and-prefetch*
-//! step and an *operate* step, with a small window of switches in flight
-//! between the two.  These helpers issue the prefetch; on
-//! platforms without a stable prefetch intrinsic they compile to a no-op, so
-//! the surrounding algorithm stays portable.
+//! (Sec. 5.4 of the paper).  The in-order kernel of the exact chains hides
+//! part of the resulting cache-miss latency by prefetching a fixed distance
+//! ahead: the edge-array slots of a switch it will stage, and the home
+//! buckets of the edges of a switch it has staged
+//! ([`AtomicEdgeList::prefetch`](crate::AtomicEdgeList::prefetch),
+//! [`ConcurrentEdgeSet::prefetch`](crate::ConcurrentEdgeSet::prefetch)).
+//! [`prefetch_read`] issues the hint; on platforms without a stable prefetch
+//! intrinsic it compiles to a no-op, so the surrounding algorithm stays
+//! portable.
 
 /// Prefetch the cache line containing `slice[index]` for reading.
 ///
@@ -35,18 +38,6 @@ pub fn prefetch_read<T>(slice: &[T], index: usize) {
     }
 }
 
-/// Prefetch `slice[index]` and its successor (`index + 1`).
-///
-/// Linear-probing hash sets with a low load factor nearly always resolve a
-/// query within two consecutive buckets, so prefetching the pair removes
-/// almost all misses (this mirrors the paper's "prefetch this bucket as well
-/// as its direct successor").
-#[inline]
-pub fn prefetch_read_pair<T>(slice: &[T], index: usize) {
-    prefetch_read(slice, index);
-    prefetch_read(slice, index + 1);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,8 +48,7 @@ mod tests {
         prefetch_read(&data, 0);
         prefetch_read(&data, 3);
         prefetch_read(&data, 100); // out of range: ignored
-        prefetch_read_pair(&data, 3); // second element out of range: ignored
-        prefetch_read_pair::<u64>(&[], 0);
+        prefetch_read::<u64>(&[], 0);
         assert_eq!(data, vec![1, 2, 3, 4]);
     }
 }

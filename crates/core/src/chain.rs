@@ -15,8 +15,12 @@ pub struct SwitchingConfig {
     /// probability `1 − P_L`; a small positive value guarantees aperiodicity.
     /// Ignored by the ES-MC family.
     pub loop_probability: f64,
-    /// Enable the software-prefetch pipeline of [`SeqES`](crate::SeqES)
-    /// (Sec. 5.4).  Every other chain ignores this flag.
+    /// Software-pipeline the in-order kernel (Sec. 5.4): stage each switch a
+    /// fixed distance ahead and prefetch its edge-array slots and hash-set
+    /// buckets, on edge sets large enough for that to pay.  The four exact
+    /// chains ([`SeqES`](crate::SeqES), [`SeqGlobalES`](crate::SeqGlobalES),
+    /// and [`ParES`](crate::ParES) and [`ParGlobalES`](crate::ParGlobalES) at
+    /// one thread) use it; it changes no byte.  Every other chain ignores it.
     pub prefetch: bool,
 }
 

@@ -1,18 +1,22 @@
 //! `ParES` (Algorithm 2): the exact shared-memory parallel ES-MC.
 //!
-//! The requested number of uniformly random switches is sampled up front into
-//! an array `R`.  The algorithm then repeatedly extracts the longest prefix of
-//! the remaining switches that contains **no source dependencies**, i.e. in
-//! which no edge index occurs twice, and executes that prefix with
+//! With two or more rayon threads, the requested number of uniformly random
+//! switches is sampled up front into an array `R`.  The algorithm then
+//! repeatedly extracts the longest prefix of the remaining switches that
+//! contains **no source dependencies**, i.e. in which no edge index occurs
+//! twice, and executes that prefix with
 //! [`parallel_superstep`](crate::superstep::parallel_superstep), through the
-//! one [`DependencyTable`] the chain reuses for every superstep.  At one
-//! rayon thread the chain runs each prefix in order with
-//! [`sequential_superstep`](crate::superstep::sequential_superstep) instead,
-//! writing its own edge set through exclusive access; both paths leave the
-//! same bytes (see [`crate::superstep`]).  The prefixes, and with them the
-//! per-prefix statistics, are the same on both paths.  Only Algorithm 1
-//! leaves tombstones in the edge set, so only that path ever makes the chain
-//! rebuild it between prefixes.
+//! one [`DependencyTable`] the chain reuses for every superstep.  Only
+//! Algorithm 1 leaves tombstones in the edge set, so only that path ever
+//! makes the chain rebuild it between prefixes.
+//!
+//! At one thread Algorithm 1 buys nothing, and neither do the prefixes: a
+//! superstep draws and applies its switches in order exactly as
+//! [`SeqES`](crate::SeqES) does, 1024 at a time through the in-order kernel
+//! (see [`crate::superstep`]), so it allocates neither `R` nor the stamp
+//! array below and reports one round.  Both paths leave the same bytes as
+//! `SeqES`.  [`ParES::run_requests`] splits an explicit request list into
+//! prefixes at any thread count and runs each prefix in order at one thread.
 //!
 //! The prefix is found by one sequential scan over `R` against a dense array
 //! of `u32` *epoch stamps*, one per edge slot, that the chain owns.  Each
@@ -33,7 +37,7 @@
 use crate::chain::{EdgeSwitching, SwitchingConfig};
 use crate::snapshot::{ChainSnapshot, SnapshotError};
 use crate::stats::SuperstepStats;
-use crate::superstep::execute_superstep;
+use crate::superstep::{execute_superstep, random_switches_in_order, runs_in_order};
 use crate::switch::SwitchRequest;
 use gesmc_concurrent::{AtomicEdgeList, ConcurrentEdgeSet, DependencyTable};
 use gesmc_graph::EdgeListGraph;
@@ -45,8 +49,8 @@ pub struct ParES {
     edges: AtomicEdgeList,
     edge_set: ConcurrentEdgeSet,
     table: DependencyTable,
-    /// Per edge slot, the epoch of the prefix that last used it (sized on
-    /// first use).
+    /// Per edge slot, the epoch of the prefix that last used it (sized by the
+    /// first [`run_requests`](Self::run_requests)).
     stamps: Vec<u32>,
     /// Epoch of the prefix being scanned; 0 is never used, so fresh stamps
     /// match no epoch.
@@ -94,12 +98,18 @@ impl ParES {
     pub fn run_requests(&mut self, requests: &[SwitchRequest]) -> Vec<SuperstepStats> {
         // Slots added here carry stamp 0, which matches no epoch.
         self.stamps.resize(self.edges.len(), 0);
+        let prefetch = self.config.prefetch;
         let mut all_stats = Vec::new();
         let mut rest = requests;
         while !rest.is_empty() {
             let (superstep, after) = rest.split_at(self.dependency_free_prefix(rest));
-            let stats =
-                execute_superstep(&mut self.table, &self.edges, &mut self.edge_set, superstep);
+            let stats = execute_superstep(
+                &mut self.table,
+                &self.edges,
+                &mut self.edge_set,
+                superstep,
+                prefetch,
+            );
             all_stats.push(stats);
             if self.edge_set.needs_rebuild() {
                 self.edge_set.rebuild();
@@ -127,13 +137,6 @@ impl ParES {
         }
         requests.len()
     }
-
-    /// Perform `count` uniformly random switches exactly; returns the
-    /// per-superstep statistics.
-    pub fn run_switches(&mut self, count: usize) -> Vec<SuperstepStats> {
-        let requests = self.sample_requests(count);
-        self.run_requests(&requests)
-    }
 }
 
 impl EdgeSwitching for ParES {
@@ -152,11 +155,16 @@ impl EdgeSwitching for ParES {
     fn superstep(&mut self) -> SuperstepStats {
         // One ES-MC superstep = ⌊m/2⌋ uniformly random switches (Sec. 6.1).
         let requested = self.edges.len() / 2;
-        let parts = self.run_switches(requested);
+        self.supersteps_done += 1;
+        if runs_in_order() {
+            let (edges, set, rng) = (&self.edges, &mut self.edge_set, &mut self.rng);
+            return random_switches_in_order(edges, set, rng, requested, self.config.prefetch);
+        }
+        let requests = self.sample_requests(requested);
+        let parts = self.run_requests(&requests);
         let legal = parts.iter().map(|p| p.legal).sum();
         let rounds = parts.iter().map(|p| p.rounds).sum();
         let round_durations = parts.into_iter().flat_map(|p| p.round_durations).collect();
-        self.supersteps_done += 1;
         SuperstepStats { requested, legal, illegal: requested - legal, rounds, round_durations }
     }
 
@@ -275,6 +283,30 @@ mod tests {
             requests = &requests[len..];
         }
         sizes
+    }
+
+    #[test]
+    fn one_thread_supersteps_run_as_seq_es_without_prefixes() {
+        // About 2200 edges: a superstep draws its switches in two chunks.
+        let graph = gnp_graph(19, 300, 0.05);
+        let threads = |n| rayon::ThreadPoolBuilder::new().num_threads(n).build().unwrap();
+        let mut seq = SeqES::new(graph.clone(), SwitchingConfig::with_seed(20));
+        let mut par = ParES::new(graph, SwitchingConfig::with_seed(20));
+        for step in 0..3 {
+            let expected = seq.superstep();
+            let stats = threads(1).install(|| par.superstep());
+            assert_eq!((stats.requested, stats.legal), (expected.requested, expected.legal));
+            assert_eq!((stats.rounds, stats.round_durations.len()), (1, 1), "step {step}");
+            assert_eq!(par.graph().edges(), seq.graph().edges(), "step {step}");
+        }
+        assert_eq!(par.snapshot().unwrap().rng, seq.snapshot().unwrap().rng);
+        assert!(par.stamps.is_empty(), "only run_requests allocates the stamps");
+        // At two threads the chain cuts prefixes, on the same stream.
+        let expected = seq.superstep();
+        let stats = threads(2).install(|| par.superstep());
+        assert_eq!(stats.legal, expected.legal);
+        assert!(stats.rounds > 1, "{} rounds", stats.rounds);
+        assert_eq!(par.graph().edges(), seq.graph().edges());
     }
 
     #[test]

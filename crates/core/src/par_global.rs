@@ -8,7 +8,8 @@
 //! rayon thread it runs the global switch in order with
 //! [`sequential_superstep`](crate::superstep::sequential_superstep) instead,
 //! writing its own edge set through exclusive access, whose erases leave no
-//! tombstones (see [`crate::superstep`]).  The chain is *exact* on both
+//! tombstones, and prefetching as the chain's [`SwitchingConfig::prefetch`]
+//! flag says (see [`crate::superstep`]).  The chain is *exact* on both
 //! paths: given the same permutation and trial count, the resulting graph is
 //! identical to executing the switches sequentially (this is asserted by the
 //! integration tests against [`crate::SeqGlobalES`]).
@@ -73,7 +74,14 @@ impl ParGlobalES {
             as usize;
         let switches = SeqGlobalES::switches_from_permutation(&perm, ell);
 
-        let stats = execute_superstep(&mut self.table, &self.edges, &mut self.edge_set, &switches);
+        let prefetch = self.config.prefetch;
+        let stats = execute_superstep(
+            &mut self.table,
+            &self.edges,
+            &mut self.edge_set,
+            &switches,
+            prefetch,
+        );
 
         if self.edge_set.needs_rebuild() {
             self.edge_set.rebuild();

@@ -122,8 +122,9 @@ pub const COMMON_PARAMS: &[ParamInfo] = &[
         name: PARAM_PREFETCH,
         kind: ParamKind::Bool,
         default: "true",
-        doc: "software-prefetch pipeline of seq-es (Sec. 5.4; other chains accept and \
-              ignore it)",
+        doc: "software-prefetch pipeline of the in-order kernel of seq-es, seq-global-es, \
+              par-es and par-global-es (Sec. 5.4; same bytes either way; other chains accept \
+              and ignore it)",
     },
 ];
 

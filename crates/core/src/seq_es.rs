@@ -8,30 +8,23 @@
 //! sampling from the hash set directly.
 //!
 //! The chain holds the same edge array and [`ConcurrentEdgeSet`] as
-//! [`ParES`](crate::ParES), draws its switches from the same stream, and
-//! applies them with the in-order kernel [`sequential_superstep`] that
-//! `ParES` runs at one thread, so the two chains agree byte for byte at
-//! every seed.  It draws the switches of a superstep in chunks of 1024, so
-//! its request buffer stays in cache and adds no memory per edge.  When
-//! [`SwitchingConfig::prefetch`] is enabled, the kernel prefetches the
-//! hash-set buckets of the next few switches before it decides them
-//! (Sec. 5.4).  The edge set keeps node ids below 2^28; `seq-es-ext` samples
-//! the same chain on larger graphs.
+//! [`ParES`](crate::ParES), and its superstep is the function `ParES` runs at
+//! one thread: it draws the switches 1024 at a time into one reused buffer,
+//! which stays in cache and adds no memory per edge, and applies each chunk
+//! with the in-order kernel of [`sequential_superstep`].  So the two chains
+//! agree byte for byte at every seed.  When [`SwitchingConfig::prefetch`] is
+//! enabled, as by default, the kernel stages each switch a fixed distance
+//! ahead and prefetches its slots and buckets (Sec. 5.4).  The edge set keeps
+//! node ids below 2^28; `seq-es-ext` samples the same chain on larger graphs.
 
 use crate::chain::{EdgeSwitching, SwitchingConfig};
 use crate::snapshot::{ChainSnapshot, SnapshotError};
 use crate::stats::SuperstepStats;
-use crate::superstep::sequential_superstep;
+use crate::superstep::{random_switches_in_order, sequential_superstep};
 use crate::switch::SwitchRequest;
 use gesmc_concurrent::{AtomicEdgeList, ConcurrentEdgeSet};
 use gesmc_graph::EdgeListGraph;
-use gesmc_randx::bounded::UniformIndex;
 use gesmc_randx::{rng_from_seed, Rng, RngState};
-use std::time::Instant;
-
-/// Switches drawn at a time before the kernel applies them: a multiple of
-/// its prefetch window, and 24 KiB of requests.
-const REQUEST_CHUNK: usize = 1024;
 
 /// Sequential ES-MC chain.
 pub struct SeqES {
@@ -65,22 +58,12 @@ impl SeqES {
 
     /// Perform `count` uniformly random switches; returns the number applied.
     pub fn run_switches(&mut self, count: usize) -> usize {
-        let m = self.edges.len();
-        if m < 2 {
-            return 0;
-        }
-        let sampler = UniformIndex::new(m as u64);
-        let mut chunk = Vec::with_capacity(count.min(REQUEST_CHUNK));
-        let mut applied = 0;
-        for first in (0..count).step_by(REQUEST_CHUNK) {
-            chunk.clear();
-            let len = REQUEST_CHUNK.min(count - first);
-            chunk.extend((0..len).map(|_| SwitchRequest::sample(&sampler, &mut self.rng)));
-            applied +=
-                sequential_superstep(&self.edges, &mut self.set, &chunk, self.config.prefetch)
-                    .legal;
-        }
-        applied
+        self.random_switches(count).legal
+    }
+
+    fn random_switches(&mut self, count: usize) -> SuperstepStats {
+        let prefetch = self.config.prefetch;
+        random_switches_in_order(&self.edges, &mut self.set, &mut self.rng, count, prefetch)
     }
 }
 
@@ -98,17 +81,8 @@ impl EdgeSwitching for SeqES {
     }
 
     fn superstep(&mut self) -> SuperstepStats {
-        let start = Instant::now();
-        let requested = self.edges.len() / 2;
-        let legal = self.run_switches(requested);
         self.supersteps_done += 1;
-        SuperstepStats {
-            requested,
-            legal,
-            illegal: requested - legal,
-            rounds: 1,
-            round_durations: vec![start.elapsed()],
-        }
+        self.random_switches(self.edges.len() / 2)
     }
 
     fn snapshot(&self) -> Option<ChainSnapshot> {

@@ -12,9 +12,11 @@
 //! The chain holds the same edge array and [`ConcurrentEdgeSet`] as
 //! [`ParGlobalES`](crate::ParGlobalES) and hands each global switch to the
 //! in-order kernel [`sequential_superstep`] that `ParGlobalES` runs at one
-//! thread.  The two chains draw `π` differently, so they agree byte for byte
-//! only when they replay the same `(π, ℓ)`.  The edge set keeps node ids
-//! below 2^28.
+//! thread, with its [`SwitchingConfig::prefetch`] flag: on by default, the
+//! kernel stages each switch a fixed distance ahead and prefetches its slots
+//! and buckets (Sec. 5.4).  The two chains draw `π` differently, so they
+//! agree byte for byte only when they replay the same `(π, ℓ)`.  The edge set
+//! keeps node ids below 2^28.
 
 use crate::chain::{EdgeSwitching, SwitchingConfig};
 use crate::snapshot::{ChainSnapshot, SnapshotError};
@@ -82,7 +84,8 @@ impl SeqGlobalES {
         let ell = sample_binomial(&mut self.rng, (m / 2) as u64, 1.0 - self.config.loop_probability)
             as usize;
         let switches = Self::switches_from_permutation(&perm, ell);
-        let legal = sequential_superstep(&self.edges, &mut self.set, &switches, false).legal;
+        let prefetch = self.config.prefetch;
+        let legal = sequential_superstep(&self.edges, &mut self.set, &switches, prefetch).legal;
         (switches.len(), legal)
     }
 }
@@ -104,13 +107,7 @@ impl EdgeSwitching for SeqGlobalES {
         let start = Instant::now();
         let (requested, legal) = self.global_switch();
         self.supersteps_done += 1;
-        SuperstepStats {
-            requested,
-            legal,
-            illegal: requested - legal,
-            rounds: 1,
-            round_durations: vec![start.elapsed()],
-        }
+        SuperstepStats::one_round(requested, legal, start.elapsed())
     }
 
     fn snapshot(&self) -> Option<ChainSnapshot> {

@@ -27,6 +27,18 @@ pub struct SuperstepStats {
 }
 
 impl SuperstepStats {
+    /// A superstep of `requested` switches, `legal` of them applied, run as
+    /// one round that lasted `duration`: how the in-order kernel reports.
+    pub fn one_round(requested: usize, legal: usize, duration: Duration) -> Self {
+        Self {
+            requested,
+            legal,
+            illegal: requested - legal,
+            rounds: 1,
+            round_durations: vec![duration],
+        }
+    }
+
     /// Time spent in rounds after the first one (Fig. 9's y-axis).
     pub fn time_after_first_round(&self) -> Duration {
         self.round_durations.iter().skip(1).sum()

@@ -6,10 +6,18 @@
 //! [`sequential_superstep`] applies a batch strictly in order and writes the
 //! chain's edge set through exclusive access, with plain stores.  Its erases
 //! move later entries of the probe cluster back into the gap instead of
-//! leaving tombstones, so the set never needs a rebuild after it.  `SeqES`
-//! and `SeqGlobalES` run every switch through it.  `ParES` and `ParGlobalES`
-//! run a batch through `execute_superstep`, which picks one of the two
-//! kernels from the ambient rayon thread count:
+//! leaving tombstones, so the set never needs a rebuild after it.  With the
+//! chain's `prefetch` flag, on by default, and on an edge set large enough
+//! for it to pay, it is software-pipelined as in Sec. 5.4: it reads and
+//! hashes each switch a fixed distance before it decides it and prefetches
+//! what the switch will touch, and it hashes a switch again when an earlier
+//! one rewired its slots in the meantime, so the flag changes no byte.
+//! `SeqES` and `SeqGlobalES` run every switch through it; `SeqES`, and
+//! `ParES` at one thread, draw an ES-MC superstep into it 1024 switches at a
+//! time.  `ParES` (explicit request lists, and
+//! every superstep at two or more threads) and `ParGlobalES` run a batch
+//! through `execute_superstep`, which picks one of the two kernels from the
+//! ambient rayon thread count:
 //!
 //! * with two or more threads, [`parallel_superstep`] runs Algorithm 1 as
 //!   described below;
@@ -61,8 +69,12 @@
 
 use crate::stats::SuperstepStats;
 use crate::switch::{switch_targets, SwitchRequest};
-use gesmc_concurrent::{AtomicEdgeList, ConcurrentEdgeSet, DependencyTable, SwitchState};
+use gesmc_concurrent::{
+    AtomicEdgeList, ConcurrentEdgeSet, DependencyTable, EdgeProbe, SwitchState,
+};
 use gesmc_graph::Edge;
+use gesmc_randx::bounded::UniformIndex;
+use gesmc_randx::Rng;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -172,12 +184,7 @@ pub fn parallel_superstep(
         }
         table.release(k as u32, w.buckets);
     });
-    assert_eq!(
-        edge_set.len(),
-        edges_before,
-        "a superstep must keep the number of edges: a legal switch erased a missing edge \
-         or inserted an existing one"
-    );
+    assert_edge_count_kept(edge_set, edges_before);
 
     let legal = legal_count.load(Ordering::Relaxed);
     SuperstepStats {
@@ -189,9 +196,29 @@ pub fn parallel_superstep(
     }
 }
 
-/// Switches whose target buckets the in-order kernel prefetches at once
+/// How many switches ahead of the one it decides the in-order kernel stages
+/// a switch, and half the distance at which it prefetches edge-array slots
 /// (Sec. 5.4).
-const PREFETCH_WINDOW: usize = 4;
+const PREFETCH_DISTANCE: usize = 16;
+
+/// Smallest edge set, in buckets (8 bytes each), on which the in-order
+/// kernel prefetches.  On smaller tables its probes hit cache anyway, and
+/// staging only adds work: on a 2-vCPU Xeon the pipelined loop took
+/// 1.3× the unpipelined one with 2^12 buckets and 1.01–1.20× with 2^15 and
+/// 2^16, but 0.85–0.96× with 2^17, 0.83–0.87× with 2^18 and 0.54–0.58× with
+/// 2^20 and 2^21 (medians of 250–500 supersteps on G(m/8, m)).
+const PREFETCH_MIN_BUCKETS: usize = 1 << 17;
+
+/// Entries of the in-order kernel's ring of staged switches: a power of two
+/// above [`PREFETCH_DISTANCE`], so that staging switch `k + D` never
+/// overwrites switch `k` before it is decided.
+const STAGE_RING: usize = 32;
+const _: () = assert!(STAGE_RING.is_power_of_two() && STAGE_RING > PREFETCH_DISTANCE);
+
+/// Switches an in-order ES-MC superstep draws at a time before the kernel
+/// applies them: 24 KiB of requests, so the buffer stays in cache and adds
+/// no memory per edge.
+const REQUEST_CHUNK: usize = 1024;
 
 /// Execute a superstep strictly in order: each switch is rejected if a target
 /// is a self-loop or already present (a target equal to one of its own
@@ -207,17 +234,16 @@ const PREFETCH_WINDOW: usize = 4;
 /// contents, though not the same bucket layout, since this path's erases
 /// leave no tombstones.  It reports one round that lasts the whole superstep.
 ///
-/// With `prefetch`, the kernel computes the targets of each window of four
-/// switches and prefetches their buckets before it decides them (Sec. 5.4).
-/// The switches are still decided in order, so the flag changes no byte; a
-/// prefetch made stale by a slot the window rewires only wastes a hint.
-/// Only `SeqES` passes its
-/// [`SwitchingConfig::prefetch`](crate::SwitchingConfig::prefetch); the
-/// other three chains pass `false`, as they ignored the flag before they
-/// shared this kernel.  A prototype that let `ParES` and `ParGlobalES`
-/// prefetch made their in-order supersteps 4–7% slower on a 20k-edge graph
-/// and 9–22% slower on ~600-edge graphs, so whether prefetching pays in
-/// those chains waits for a benchmark with a large-m workload.
+/// With `prefetch`, on an edge set of at least 2^17 buckets, the kernel is
+/// software-pipelined (Sec. 5.4): it stages each switch 16 switches before
+/// it decides it, hashing its four edges once and prefetching their
+/// buckets, and prefetches the edge-array slots of each switch twice that
+/// distance ahead.  A staged switch whose slots an earlier switch rewired in
+/// the meantime is hashed again when it is decided, so the flag changes no
+/// byte.  Otherwise the same loop stages nothing and hashes each switch when
+/// it decides it.  Every exact chain passes its
+/// [`SwitchingConfig::prefetch`](crate::SwitchingConfig::prefetch), which is
+/// on by default.
 ///
 /// # Panics
 /// If the edge set does not hold as many edges after the superstep as before
@@ -234,57 +260,163 @@ pub fn sequential_superstep(
         return SuperstepStats::default();
     }
     let edges_before = edge_set.len();
-    let legal = if prefetch {
-        switches
-            .chunks(PREFETCH_WINDOW)
-            .map(|window| {
-                for request in window {
-                    let (e3, e4) =
-                        switch_targets(edges.get(request.i), edges.get(request.j), request.g);
-                    edge_set.prefetch(e3);
-                    edge_set.prefetch(e4);
-                }
-                switch_in_order(edges, edge_set, window)
-            })
-            .sum()
-    } else {
-        switch_in_order(edges, edge_set, switches)
-    };
+    let legal = switch_in_order(edges, edge_set, switches, prefetch);
+    assert_edge_count_kept(edge_set, edges_before);
+    SuperstepStats::one_round(requested, legal, start.elapsed())
+}
+
+/// Draw `count` uniformly random ES-MC switches from `rng` and apply them in
+/// order, [`REQUEST_CHUNK`] at a time through one reused buffer: the
+/// superstep of `SeqES`, and of `ParES` at one thread, which thereby draw
+/// and apply the same stream.  Reports one round; with fewer than two edges
+/// it draws nothing and reports an empty superstep.
+///
+/// # Panics
+/// As [`sequential_superstep`].
+pub(crate) fn random_switches_in_order(
+    edges: &AtomicEdgeList,
+    edge_set: &mut ConcurrentEdgeSet,
+    rng: &mut Rng,
+    count: usize,
+    prefetch: bool,
+) -> SuperstepStats {
+    let start = Instant::now();
+    let m = edges.len();
+    if m < 2 || count == 0 {
+        return SuperstepStats::default();
+    }
+    let edges_before = edge_set.len();
+    let sampler = UniformIndex::new(m as u64);
+    let mut chunk = Vec::with_capacity(count.min(REQUEST_CHUNK));
+    let mut legal = 0;
+    for first in (0..count).step_by(REQUEST_CHUNK) {
+        chunk.clear();
+        let len = REQUEST_CHUNK.min(count - first);
+        chunk.extend((0..len).map(|_| SwitchRequest::sample(&sampler, rng)));
+        legal += switch_in_order(edges, edge_set, &chunk, prefetch);
+    }
+    assert_edge_count_kept(edge_set, edges_before);
+    SuperstepStats::one_round(count, legal, start.elapsed())
+}
+
+/// Panic unless a superstep left the edge set with as many edges as it had.
+fn assert_edge_count_kept(edge_set: &ConcurrentEdgeSet, edges_before: usize) {
     assert_eq!(
         edge_set.len(),
         edges_before,
         "a superstep must keep the number of edges: a legal switch erased a missing edge \
          or inserted an existing one"
     );
-    SuperstepStats {
-        requested,
-        legal,
-        illegal: requested - legal,
-        rounds: 1,
-        round_durations: vec![start.elapsed()],
-    }
 }
 
-/// Decide and apply `switches` one after another with Def. 1; returns how
-/// many were legal.
-#[inline]
+/// Decide and apply `switches` one after another with Def. 1, pipelined when
+/// `prefetch` is set and the edge set has at least [`PREFETCH_MIN_BUCKETS`];
+/// returns how many were legal.
 fn switch_in_order(
     edges: &AtomicEdgeList,
     edge_set: &mut ConcurrentEdgeSet,
     switches: &[SwitchRequest],
+    prefetch: bool,
 ) -> usize {
+    if prefetch && edge_set.capacity() >= PREFETCH_MIN_BUCKETS {
+        switch_pipelined::<PREFETCH_DISTANCE>(edges, edge_set, switches)
+    } else {
+        switch_pipelined::<0>(edges, edge_set, switches)
+    }
+}
+
+/// A switch as the in-order kernel read and hashed it: its sources, its
+/// targets, and the probes of `[e1, e2, e3, e4]`.
+#[derive(Clone, Copy)]
+struct Staged {
+    sources: (Edge, Edge),
+    targets: (Edge, Edge),
+    probes: [EdgeProbe; 4],
+}
+
+impl Staged {
+    #[inline(always)]
+    fn new(e1: Edge, e2: Edge, g: bool) -> Self {
+        let (e3, e4) = switch_targets(e1, e2, g);
+        Self {
+            sources: (e1, e2),
+            targets: (e3, e4),
+            probes: [
+                EdgeProbe::new(e1),
+                EdgeProbe::new(e2),
+                EdgeProbe::new(e3),
+                EdgeProbe::new(e4),
+            ],
+        }
+    }
+
+    /// Read `request`'s slots, hash its edges and prefetch their buckets.
+    #[inline(always)]
+    fn stage(
+        edges: &AtomicEdgeList,
+        edge_set: &ConcurrentEdgeSet,
+        request: &SwitchRequest,
+    ) -> Self {
+        let staged = Self::new(edges.get(request.i), edges.get(request.j), request.g);
+        for probe in staged.probes {
+            edge_set.prefetch(probe);
+        }
+        staged
+    }
+}
+
+/// The in-order kernel, staging each switch `D` switches before it decides
+/// it; returns how many switches were legal.
+///
+/// At switch `k` the loop prefetches the edge-array slots of switch `k + 2D`;
+/// stages switch `k + D`: reads its two slots, computes its targets, probes
+/// its four edges and prefetches their home buckets; and decides switch `k`.
+/// Switches `k..k + D` may rewire a slot that switch `k + D` read, so the
+/// decision reads `E[i]` and `E[j]` again and uses the staged probes only if
+/// both are unchanged, and otherwise hashes afresh.  With `D = 0` nothing is
+/// staged: every switch is hashed when it is decided.
+#[inline]
+fn switch_pipelined<const D: usize>(
+    edges: &AtomicEdgeList,
+    edge_set: &mut ConcurrentEdgeSet,
+    switches: &[SwitchRequest],
+) -> usize {
+    let prefetch_slots = |request: &SwitchRequest| {
+        edges.prefetch(request.i);
+        edges.prefetch(request.j);
+    };
+    // Every entry is staged before it is read; this value is never used.
+    let mut ring = [Staged::new(Edge::new(0, 1), Edge::new(2, 3), false); STAGE_RING];
+    if D > 0 {
+        for (k, request) in switches.iter().enumerate().take(2 * D) {
+            if k < D {
+                ring[k] = Staged::stage(edges, edge_set, request);
+            } else {
+                prefetch_slots(request);
+            }
+        }
+    }
     let mut legal = 0;
-    for &request in switches {
-        let e1 = edges.get(request.i);
-        let e2 = edges.get(request.j);
-        let (e3, e4) = switch_targets(e1, e2, request.g);
-        if e3.is_loop() || e4.is_loop() || edge_set.contains(e3) || edge_set.contains(e4) {
+    for (k, request) in switches.iter().enumerate() {
+        if D > 0 {
+            if let Some(ahead) = switches.get(k + 2 * D) {
+                prefetch_slots(ahead);
+            }
+            if let Some(next) = switches.get(k + D) {
+                ring[(k + D) % STAGE_RING] = Staged::stage(edges, edge_set, next);
+            }
+        }
+        let (e1, e2) = (edges.get(request.i), edges.get(request.j));
+        let staged = ring[k % STAGE_RING];
+        let Staged { targets: (e3, e4), probes: [p1, p2, p3, p4], .. } =
+            if D > 0 && staged.sources == (e1, e2) {
+                staged
+            } else {
+                Staged::new(e1, e2, request.g)
+            };
+        if e3.is_loop() || e4.is_loop() || !edge_set.switch_mut([p1, p2], [p3, p4]) {
             continue;
         }
-        let erased = edge_set.erase_mut(e1) & edge_set.erase_mut(e2);
-        debug_assert!(erased, "legal switch must erase existing edges");
-        let inserted = edge_set.insert_mut(e3) & edge_set.insert_mut(e4);
-        debug_assert!(inserted, "legal switch must insert fresh edges");
         edges.set(request.i, e3);
         edges.set(request.j, e4);
         legal += 1;
@@ -292,18 +424,26 @@ fn switch_in_order(
     legal
 }
 
+/// Whether the parallel chains run their supersteps in order: at one rayon
+/// thread, where Algorithm 1's machinery (registration, decision rounds, two
+/// apply passes, compare-and-swap writes) buys nothing.
+pub(crate) fn runs_in_order() -> bool {
+    rayon::current_num_threads() <= 1
+}
+
 /// Execute a superstep of switches without source dependencies on the
 /// chain's state: in order at one rayon thread ([`sequential_superstep`],
-/// without prefetching), else with Algorithm 1 ([`parallel_superstep`]).
-/// Both leave the same bytes.
+/// with the chain's `prefetch` flag), else with Algorithm 1
+/// ([`parallel_superstep`]).  Both leave the same bytes.
 pub(crate) fn execute_superstep(
     table: &mut DependencyTable,
     edges: &AtomicEdgeList,
     edge_set: &mut ConcurrentEdgeSet,
     switches: &[SwitchRequest],
+    prefetch: bool,
 ) -> SuperstepStats {
-    if rayon::current_num_threads() <= 1 {
-        sequential_superstep(edges, edge_set, switches, false)
+    if runs_in_order() {
+        sequential_superstep(edges, edge_set, switches, prefetch)
     } else {
         parallel_superstep(table, edges, edge_set, switches)
     }
@@ -534,6 +674,128 @@ mod tests {
             );
             assert_eq!(out.degrees(), graph.degrees());
             assert!(out.validate().is_ok());
+        }
+    }
+
+    /// The edge array and edge set of `graph`, as the chains build them.
+    fn in_order_state(graph: &EdgeListGraph) -> (AtomicEdgeList, ConcurrentEdgeSet) {
+        (AtomicEdgeList::from_graph(graph), ConcurrentEdgeSet::for_graph(graph))
+    }
+
+    fn sorted_edges(set: &ConcurrentEdgeSet) -> Vec<Edge> {
+        let mut edges: Vec<Edge> = set.iter().collect();
+        edges.sort();
+        edges
+    }
+
+    /// Run `batches` one after another on two copies of `graph`, staged
+    /// [`PREFETCH_DISTANCE`] ahead and unstaged, and assert after every batch
+    /// that both applied as many switches and left the same edge array and
+    /// edge set; returns how many switches were legal.
+    fn assert_staging_changes_nothing(
+        graph: &EdgeListGraph,
+        batches: &[Vec<SwitchRequest>],
+    ) -> usize {
+        let (staged_edges, mut staged_set) = in_order_state(graph);
+        let (plain_edges, mut plain_set) = in_order_state(graph);
+        let mut legal = 0;
+        for (b, batch) in batches.iter().enumerate() {
+            let staged =
+                switch_pipelined::<PREFETCH_DISTANCE>(&staged_edges, &mut staged_set, batch);
+            let plain = switch_pipelined::<0>(&plain_edges, &mut plain_set, batch);
+            let len = batch.len();
+            assert_eq!(staged, plain, "legal switches of batch {b} ({len} switches)");
+            assert_eq!(staged_edges.snapshot_edges(), plain_edges.snapshot_edges(), "batch {b}");
+            assert_eq!(sorted_edges(&staged_set), sorted_edges(&plain_set), "batch {b}");
+            legal += staged;
+        }
+        legal
+    }
+
+    /// A batch over the slots `0..m` that makes staged switches stale: each
+    /// of the three switches after every fourth one reuses a slot of it, and
+    /// every fourth switch reuses a slot of the switch D − 1, D, D + 1 or 2D
+    /// before it.
+    fn stale_batch(m: usize, len: usize) -> Vec<SwitchRequest> {
+        let d = PREFETCH_DISTANCE;
+        let other = |slot: usize, k: usize| match (slot + 1 + 7 * k) % m {
+            same if same == slot => (slot + 1) % m,
+            other => other,
+        };
+        let mut batch: Vec<SwitchRequest> = Vec::with_capacity(len);
+        for k in 0..len {
+            let (i, j) = match k % 4 {
+                0 => {
+                    let back = [d - 1, d, d + 1, 2 * d][k / 4 % 4];
+                    let i = if k >= back { batch[k - back].j } else { 5 * k % m };
+                    (i, other(i, k))
+                }
+                1 => (batch[k - 1].i, other(batch[k - 1].i, k)),
+                2 => (other(batch[k - 2].j, k), batch[k - 2].j),
+                _ => (batch[k - 3].j, batch[k - 3].i),
+            };
+            batch.push(SwitchRequest::new(i, j, k % 3 == 0));
+        }
+        batch
+    }
+
+    /// The batch lengths around the staging distance.
+    fn lengths_around_the_distance() -> [usize; 7] {
+        let d = PREFETCH_DISTANCE;
+        [0, 1, d - 1, d, d + 1, 2 * d + 1, 300]
+    }
+
+    #[test]
+    fn staging_survives_slots_rewired_while_staged() {
+        // A cycle of 48 edges: switches of disjoint edges are legal, and
+        // switches of adjacent edges make loops or keep their sources.
+        let m = 48;
+        let graph = EdgeListGraph::new(
+            m,
+            (0..m as u32).map(|t| Edge::new(t, (t + 1) % m as u32)).collect(),
+        )
+        .unwrap();
+        let batches: Vec<_> = lengths_around_the_distance().map(|len| stale_batch(m, len)).into();
+        let legal = assert_staging_changes_nothing(&graph, &batches);
+        let requested: usize = batches.iter().map(Vec::len).sum();
+        assert!(legal > requested / 3, "only {legal} of {requested} switches were legal");
+        assert!(legal < requested, "no switch was illegal");
+    }
+
+    #[test]
+    fn staging_changes_nothing_on_random_es_mc_batches() {
+        // About 60 edges: a slot recurs within the staging distance in most
+        // batches of that length.
+        let mut rng = rng_from_seed(25);
+        for trial in 0..10 {
+            let graph = gnp(&mut rng, 30, 0.14);
+            let sampler = UniformIndex::new(graph.num_edges() as u64);
+            let batches: Vec<Vec<SwitchRequest>> = lengths_around_the_distance()
+                .iter()
+                .map(|&len| (0..len).map(|_| SwitchRequest::sample(&sampler, &mut rng)).collect())
+                .collect();
+            let legal = assert_staging_changes_nothing(&graph, &batches);
+            assert!(legal > 0, "trial {trial}: no switch was legal");
+        }
+    }
+
+    #[test]
+    fn the_prefetch_flag_changes_no_byte_on_a_table_that_pipelines() {
+        // for_graph would size this graph's table below PREFETCH_MIN_BUCKETS.
+        let graph = gnp(&mut rng_from_seed(26), 40, 0.09);
+        let big_state = || {
+            let set = ConcurrentEdgeSet::from_edges(graph.edges(), PREFETCH_MIN_BUCKETS / 2);
+            assert!(set.capacity() >= PREFETCH_MIN_BUCKETS);
+            (AtomicEdgeList::from_graph(&graph), set)
+        };
+        let ((on_edges, mut on_set), (off_edges, mut off_set)) = (big_state(), big_state());
+        for len in lengths_around_the_distance() {
+            let batch = stale_batch(graph.num_edges(), len);
+            let on = sequential_superstep(&on_edges, &mut on_set, &batch, true);
+            let off = sequential_superstep(&off_edges, &mut off_set, &batch, false);
+            assert_eq!((on.legal, on.rounds), (off.legal, off.rounds), "{len} switches");
+            assert_eq!(on_edges.snapshot_edges(), off_edges.snapshot_edges(), "{len} switches");
+            assert_eq!(sorted_edges(&on_set), sorted_edges(&off_set), "{len} switches");
         }
     }
 

@@ -536,6 +536,14 @@ impl<'a> Span<'a> {
         self.ended = Some(duration);
     }
 
+    /// Close the span now and return its duration: one clock read for the
+    /// span and for whatever else its caller records.
+    pub fn finish(self) -> Duration {
+        let duration = self.started.elapsed();
+        self.end(duration);
+        duration
+    }
+
     /// Record an already-finished child retroactively: it started at
     /// `start` and ran for `duration`.  Used for phases that ended before
     /// this span existed (queue wait, request read).
@@ -737,6 +745,19 @@ mod tests {
         assert!(root.context().is_sampled());
         drop(root);
         assert!(tracer.kept_trace(id).is_some());
+    }
+
+    #[test]
+    fn a_finished_span_records_the_duration_it_returns() {
+        let tracer = drop_all();
+        let root = tracer.start_root_flagged("client_fetch", FLAG_SAMPLED);
+        let id = root.trace_id();
+        std::thread::sleep(Duration::from_millis(2));
+        let elapsed = root.finish();
+        assert!(elapsed >= Duration::from_millis(2), "{elapsed:?}");
+        let spans = tracer.kept_trace(id).unwrap().spans;
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].duration_us, duration_us(elapsed));
     }
 
     #[test]
