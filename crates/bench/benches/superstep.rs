@@ -2,8 +2,8 @@
 //! on one global switch, across dataset families.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gesmc_core::seq_global::SeqGlobalES;
 use gesmc_core::superstep::run_superstep_on_graph;
+use gesmc_core::SeqGlobalES;
 use gesmc_datasets::{netrep_like::family_graph, GraphFamily};
 use gesmc_randx::permutation::random_permutation;
 use gesmc_randx::rng_from_seed;

@@ -17,10 +17,12 @@ pub struct SwitchingConfig {
     pub loop_probability: f64,
     /// Software-pipeline the in-order kernel (Sec. 5.4): stage each switch a
     /// fixed distance ahead and prefetch its edge-array slots and hash-set
-    /// buckets, on edge sets large enough for that to pay.  The four exact
-    /// chains ([`SeqES`](crate::SeqES), [`SeqGlobalES`](crate::SeqGlobalES),
-    /// and [`ParES`](crate::ParES) and [`ParGlobalES`](crate::ParGlobalES) at
-    /// one thread) use it; it changes no byte.  Every other chain ignores it.
+    /// buckets, on edge sets large enough for that to pay.  Every in-order
+    /// superstep of the four exact chains ([`ExactChain`](crate::ExactChain):
+    /// always for [`SeqES`](crate::SeqES) and
+    /// [`SeqGlobalES`](crate::SeqGlobalES), at one thread for
+    /// [`ParES`](crate::ParES) and [`ParGlobalES`](crate::ParGlobalES)) uses
+    /// it; it changes no byte.  Every other chain ignores it.
     pub prefetch: bool,
 }
 

@@ -14,6 +14,10 @@
 //!   ([`superstep::sequential_superstep`]),
 //! * **`NaiveParES`** (Sec. 5.1), the inexact lock-per-edge parallel baseline.
 //!
+//! The four exact chains are one type, [`ExactChain`], whose two parameters
+//! choose the draw (ES-MC requests or a global switch) and whether
+//! Algorithm 1 may run.
+//!
 //! All chains expose the same [`EdgeSwitching`] interface so the examples,
 //! analysis tooling and benchmarks can treat them interchangeably.  A
 //! *superstep* is the unit of comparison defined in Sec. 6.1 of the paper:
@@ -41,12 +45,9 @@
 #![warn(missing_docs)]
 
 pub mod chain;
+pub mod exact;
 pub mod naive_par;
-pub mod par_es;
-pub mod par_global;
 pub mod registry;
-pub mod seq_es;
-pub mod seq_global;
 pub mod snapshot;
 pub mod spec;
 pub mod stats;
@@ -55,14 +56,11 @@ pub mod superstep;
 pub mod switch;
 
 pub use chain::{EdgeSwitching, SwitchingConfig};
+pub use exact::{ExactChain, ParES, ParGlobalES, SeqES, SeqGlobalES};
 pub use naive_par::NaiveParES;
-pub use par_es::ParES;
-pub use par_global::ParGlobalES;
 pub use registry::{
     ChainFactory, ChainInfo, ChainRegistry, ParamInfo, ParamKind, StoreChainFactory,
 };
-pub use seq_es::SeqES;
-pub use seq_global::SeqGlobalES;
 pub use snapshot::{ChainSnapshot, SnapshotError};
 pub use spec::{ChainError, ChainSpec, ParamValue};
 pub use stats::{ChainStats, SuperstepStats};

@@ -46,9 +46,12 @@ impl NaiveParES {
         Self { edges, edge_set, seeds: SeedSequence::new(config.seed), supersteps_done: 0, config }
     }
 
-    /// Attempt `count` switches distributed over all rayon worker threads;
+    /// Attempt `count` switches distributed over all rayon worker threads as
+    /// one superstep, counted also on a graph with fewer than two edges;
     /// returns the number of switches that were applied.
     pub fn run_switches(&mut self, count: usize) -> usize {
+        let epoch = self.supersteps_done;
+        self.supersteps_done += 1;
         let m = self.edges.len();
         if m < 2 {
             return 0;
@@ -56,8 +59,6 @@ impl NaiveParES {
         let sampler = UniformIndex::new(m as u64);
         let applied = AtomicUsize::new(0);
         let chunk = 256usize;
-        let epoch = self.supersteps_done;
-        self.supersteps_done += 1;
         let num_chunks = count.div_ceil(chunk);
 
         (0..num_chunks).into_par_iter().for_each(|c| {
@@ -265,5 +266,6 @@ mod tests {
         let stats = chain.superstep();
         assert_eq!(stats.legal, 0);
         assert_eq!(chain.graph().canonical_edges(), graph.canonical_edges());
+        assert_eq!(chain.snapshot().unwrap().supersteps_done, 1);
     }
 }

@@ -12,23 +12,15 @@
 //! hashes each switch a fixed distance before it decides it and prefetches
 //! what the switch will touch, and it hashes a switch again when an earlier
 //! one rewired its slots in the meantime, so the flag changes no byte.
-//! `SeqES` and `SeqGlobalES` run every switch through it; `SeqES`, and
-//! `ParES` at one thread, draw an ES-MC superstep into it 1024 switches at a
-//! time.  `ParES` (explicit request lists, and
-//! every superstep at two or more threads) and `ParGlobalES` run a batch
-//! through `execute_superstep`, which picks one of the two kernels from the
-//! ambient rayon thread count:
-//!
-//! * with two or more threads, [`parallel_superstep`] runs Algorithm 1 as
-//!   described below;
-//! * with one thread, [`sequential_superstep`] runs the batch in order.
-//!   Algorithm 1 is exact, so this leaves the same edge array, legal count
-//!   and edge-set contents, and at one thread its machinery (registration,
-//!   decision rounds, two apply passes, compare-and-swap writes) buys
-//!   nothing.
-//!
-//! [`parallel_superstep`] and [`run_superstep_on_graph`] always run
-//! Algorithm 1, whatever the thread count.
+//! Every in-order superstep of the four exact chains
+//! ([`ExactChain`](crate::ExactChain)) draws its switches into this kernel
+//! 1024 at a time, through one reused buffer: an ES-MC superstep its random
+//! requests, a global switch the pairs of its permutation.  At two or more
+//! rayon threads `ParES` and `ParGlobalES` run [`parallel_superstep`]
+//! (Algorithm 1) instead; it is exact, so both paths leave the same edge
+//! array, legal count and edge-set contents.  [`parallel_superstep`] and
+//! [`run_superstep_on_graph`] always run Algorithm 1, whatever the thread
+//! count.
 //!
 //! The batch is processed in three phases.  **Registration** enters every
 //! switch into the caller's [`DependencyTable`], as the eraser of its two
@@ -73,8 +65,6 @@ use gesmc_concurrent::{
     AtomicEdgeList, ConcurrentEdgeSet, DependencyTable, EdgeProbe, SwitchState,
 };
 use gesmc_graph::Edge;
-use gesmc_randx::bounded::UniformIndex;
-use gesmc_randx::Rng;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -215,9 +205,9 @@ const PREFETCH_MIN_BUCKETS: usize = 1 << 17;
 const STAGE_RING: usize = 32;
 const _: () = assert!(STAGE_RING.is_power_of_two() && STAGE_RING > PREFETCH_DISTANCE);
 
-/// Switches an in-order ES-MC superstep draws at a time before the kernel
-/// applies them: 24 KiB of requests, so the buffer stays in cache and adds
-/// no memory per edge.
+/// Switches an in-order superstep draws at a time before the kernel applies
+/// them: 24 KiB of requests, so the buffer stays in cache and adds no memory
+/// per edge.
 const REQUEST_CHUNK: usize = 1024;
 
 /// Execute a superstep strictly in order: each switch is rejected if a target
@@ -226,13 +216,11 @@ const REQUEST_CHUNK: usize = 1024;
 /// sources), and otherwise erases its sources, inserts its targets and
 /// rewires its two slots.
 ///
-/// This is the one in-order Def. 1 kernel: `SeqES` and `SeqGlobalES` run
-/// every switch through it, and `ParES` and `ParGlobalES` run their batches
-/// through it at one thread.  Any batch is allowed, source dependencies
-/// included.  On a batch without them the result equals
-/// [`parallel_superstep`]'s: the same edge array, legal count and edge-set
-/// contents, though not the same bucket layout, since this path's erases
-/// leave no tombstones.  It reports one round that lasts the whole superstep.
+/// Any batch is allowed, source dependencies included.  On a batch without
+/// them the result equals [`parallel_superstep`]'s: the same edge array,
+/// legal count and edge-set contents, though not the same bucket layout,
+/// since this path's erases leave no tombstones.  It reports one round that
+/// lasts the whole superstep.
 ///
 /// With `prefetch`, on an edge set of at least 2^17 buckets, the kernel is
 /// software-pipelined (Sec. 5.4): it stages each switch 16 switches before
@@ -254,45 +242,39 @@ pub fn sequential_superstep(
     switches: &[SwitchRequest],
     prefetch: bool,
 ) -> SuperstepStats {
-    let start = Instant::now();
-    let requested = switches.len();
-    if requested == 0 {
-        return SuperstepStats::default();
-    }
-    let edges_before = edge_set.len();
-    let legal = switch_in_order(edges, edge_set, switches, prefetch);
-    assert_edge_count_kept(edge_set, edges_before);
-    SuperstepStats::one_round(requested, legal, start.elapsed())
+    switches_in_order(edges, edge_set, switches.len(), prefetch, |k| switches[k])
 }
 
-/// Draw `count` uniformly random ES-MC switches from `rng` and apply them in
-/// order, [`REQUEST_CHUNK`] at a time through one reused buffer: the
-/// superstep of `SeqES`, and of `ParES` at one thread, which thereby draw
-/// and apply the same stream.  Reports one round; with fewer than two edges
-/// it draws nothing and reports an empty superstep.
+/// Apply the switches `draw(0), …, draw(count − 1)` in order, as
+/// [`sequential_superstep`] does, drawing them [`REQUEST_CHUNK`] at a time
+/// into one reused buffer: the in-order superstep of every exact chain.
+/// Reports one round, which covers the draws; with `count == 0` it reports
+/// an empty superstep.
 ///
 /// # Panics
 /// As [`sequential_superstep`].
-pub(crate) fn random_switches_in_order(
+pub(crate) fn switches_in_order(
     edges: &AtomicEdgeList,
     edge_set: &mut ConcurrentEdgeSet,
-    rng: &mut Rng,
     count: usize,
     prefetch: bool,
+    mut draw: impl FnMut(usize) -> SwitchRequest,
 ) -> SuperstepStats {
     let start = Instant::now();
-    let m = edges.len();
-    if m < 2 || count == 0 {
+    if count == 0 {
         return SuperstepStats::default();
     }
     let edges_before = edge_set.len();
-    let sampler = UniformIndex::new(m as u64);
     let mut chunk = Vec::with_capacity(count.min(REQUEST_CHUNK));
     let mut legal = 0;
     for first in (0..count).step_by(REQUEST_CHUNK) {
         chunk.clear();
-        let len = REQUEST_CHUNK.min(count - first);
-        chunk.extend((0..len).map(|_| SwitchRequest::sample(&sampler, rng)));
+        // A plain loop: `chunk.extend(range.map(&mut draw))` left the draw
+        // uninlined behind `&mut F`, one call per switch, and es-small's
+        // `sample_ms` read 1.12× on a 2-vCPU Xeon.
+        for k in first..count.min(first + REQUEST_CHUNK) {
+            chunk.push(draw(k));
+        }
         legal += switch_in_order(edges, edge_set, &chunk, prefetch);
     }
     assert_edge_count_kept(edge_set, edges_before);
@@ -424,31 +406,6 @@ fn switch_pipelined<const D: usize>(
     legal
 }
 
-/// Whether the parallel chains run their supersteps in order: at one rayon
-/// thread, where Algorithm 1's machinery (registration, decision rounds, two
-/// apply passes, compare-and-swap writes) buys nothing.
-pub(crate) fn runs_in_order() -> bool {
-    rayon::current_num_threads() <= 1
-}
-
-/// Execute a superstep of switches without source dependencies on the
-/// chain's state: in order at one rayon thread ([`sequential_superstep`],
-/// with the chain's `prefetch` flag), else with Algorithm 1
-/// ([`parallel_superstep`]).  Both leave the same bytes.
-pub(crate) fn execute_superstep(
-    table: &mut DependencyTable,
-    edges: &AtomicEdgeList,
-    edge_set: &mut ConcurrentEdgeSet,
-    switches: &[SwitchRequest],
-    prefetch: bool,
-) -> SuperstepStats {
-    if runs_in_order() {
-        sequential_superstep(edges, edge_set, switches, prefetch)
-    } else {
-        parallel_superstep(table, edges, edge_set, switches)
-    }
-}
-
 /// Apply the decision rules of Algorithm 1 to switch `k`; `None` delays it
 /// to the next round.
 ///
@@ -521,9 +478,10 @@ pub fn run_superstep_on_graph(
 mod tests {
     use super::*;
     use crate::chain::{EdgeSwitching, SwitchingConfig};
-    use crate::seq_global::SeqGlobalES;
+    use crate::SeqGlobalES;
     use gesmc_graph::gen::gnp;
     use gesmc_graph::EdgeListGraph;
+    use gesmc_randx::bounded::UniformIndex;
     use gesmc_randx::permutation::random_permutation;
     use gesmc_randx::rng_from_seed;
 

@@ -45,18 +45,17 @@ fn on_threads<R: Send>(threads: Option<usize>, op: impl FnOnce() -> R + Send) ->
     }
 }
 
-/// Run `total` supersteps uninterrupted; independently run `cut`, checkpoint
-/// through the binary format, resume into a fresh chain, and run the rest.
-/// Returns (uninterrupted, resumed) canonical edge sets.
+/// Run `total` supersteps on `graph` uninterrupted; independently run `cut`,
+/// checkpoint through the binary format, resume into a fresh chain, and run
+/// the rest.  Returns (uninterrupted, resumed) canonical edge sets.
 fn uninterrupted_vs_resumed(
     algorithm: &str,
-    graph_seed: u64,
+    graph: EdgeListGraph,
     chain_seed: u64,
     cut: usize,
     total: usize,
     (capture_threads, resume_threads): Threads,
 ) -> (Vec<u64>, Vec<u64>) {
-    let graph = gnp(&mut rng_from_seed(graph_seed), 60, 0.09);
     let config = SwitchingConfig::with_seed(chain_seed);
 
     let (uninterrupted, interrupted) = on_threads(capture_threads, || {
@@ -84,7 +83,7 @@ fn uninterrupted_vs_resumed(
     let mut resumed =
         build(roundtripped.chain_name(), snapshot.graph().unwrap(), snapshot.config());
     resumed.restore(snapshot).unwrap();
-    assert_eq!(snapshot.supersteps_done, cut as u64);
+    assert_eq!(snapshot.supersteps_done, cut as u64, "{algorithm}: checkpointed superstep");
     on_threads(resume_threads, || resumed.run_supersteps(total - cut));
 
     (uninterrupted.graph().canonical_edges(), resumed.graph().canonical_edges())
@@ -98,8 +97,8 @@ fn assert_bit_identical_resume(
     threads: Threads,
 ) {
     let total = cut + extra;
-    let (full, resumed) =
-        uninterrupted_vs_resumed(algorithm, seed ^ 0xABCD, seed, cut, total, threads);
+    let graph = gnp(&mut rng_from_seed(seed ^ 0xABCD), 60, 0.09);
+    let (full, resumed) = uninterrupted_vs_resumed(algorithm, graph, seed, cut, total, threads);
     assert_eq!(
         full, resumed,
         "{algorithm}: resume from superstep {cut} diverged by superstep {total} (seed {seed}, \
@@ -154,6 +153,39 @@ proptest! {
     #[test]
     fn sorted_adjacency_es_checkpoint_resume_is_exact(seed in any::<u64>(), cut in 1usize..5, extra in 1usize..5) {
         assert_bit_identical_resume("sorted-adjacency-es", seed, cut, extra, AMBIENT);
+    }
+}
+
+/// On a graph with fewer than two edges no chain draws a switch, but every
+/// chain still counts its supersteps, so a checkpoint records the superstep
+/// it was taken at and the resumed run neither repeats nor skips any.
+#[test]
+fn tiny_graphs_resume_at_the_checkpointed_superstep() {
+    let graphs = [
+        EdgeListGraph::new(3, vec![]).unwrap(),
+        EdgeListGraph::new(3, vec![gesmc_graph::Edge::new(0, 1)]).unwrap(),
+    ];
+    for info in default_registry().infos().filter(|info| info.snapshot) {
+        let threads: &[Threads] = if info.name == "naive-par-es" {
+            &[(Some(1), Some(1))]
+        } else if info.exact && info.parallel {
+            &PARALLEL_CHAIN_THREADS
+        } else {
+            &[AMBIENT]
+        };
+        for graph in &graphs {
+            for &threads in threads {
+                let (full, resumed) =
+                    uninterrupted_vs_resumed(info.name, graph.clone(), 5, 2, 4, threads);
+                assert_eq!(
+                    full,
+                    resumed,
+                    "{} on {} edges, threads {threads:?}",
+                    info.name,
+                    graph.num_edges()
+                );
+            }
+        }
     }
 }
 

@@ -6,8 +6,8 @@
 //! Algorithm 1; the two paths must agree byte for byte, also when they
 //! alternate on one edge set.
 
-use gesmc::chains::seq_global::SeqGlobalES;
 use gesmc::chains::superstep::{parallel_superstep, run_superstep_on_graph, sequential_superstep};
+use gesmc::chains::SeqGlobalES;
 use gesmc::chains::SwitchRequest;
 use gesmc::concurrent::{AtomicEdgeList, ConcurrentEdgeSet, DependencyTable};
 use gesmc::prelude::*;
