@@ -236,3 +236,94 @@ fn resume_is_repeatable() {
     };
     assert_eq!(run(&checkpoint), run(&checkpoint));
 }
+
+/// The golden `GESMCKP1` file of chain `name` under `crates/engine/testdata/`.
+fn golden_path(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("crates/engine/testdata")
+        .join(format!("{name}.ckpt"))
+}
+
+/// The job each golden file checkpoints: chain `name` (seed 7) on G(45, 0.1)
+/// (seed 1, 110 edges) for 5 supersteps on one rayon thread, keeping only the
+/// final sample.
+fn golden_job(name: &str) -> JobSpec {
+    let graph = gnp(&mut rng_from_seed(1), 45, 0.1);
+    JobSpec::new(name, GraphSource::InMemory(graph), ChainSpec::new(name))
+        .supersteps(5)
+        .thinning(0)
+        .seed(7)
+        .threads(1)
+}
+
+/// Run `spec` (resuming from `resume` when given) and return its final
+/// sample's edges in slot order.
+fn final_edges(spec: &JobSpec, resume: Option<&Checkpoint>) -> Vec<gesmc_graph::Edge> {
+    let mut sink = MemorySink::new();
+    let samples = sink.store();
+    run_job(default_registry(), spec, &mut sink, resume, &JobControl::new(), None).unwrap();
+    let samples = samples.lock().unwrap();
+    samples.last().expect("a final sample").1.edges().to_vec()
+}
+
+/// Checkpoints written by the engine before chain snapshots stopped carrying
+/// the edges are kept as golden files, one per registered chain, each taken
+/// at superstep 3 of its [`golden_job`].  The same runs must write the same
+/// bytes today (through the engine and through `Checkpoint::capture`), and
+/// each file, with or without its chain-spec tail, must resume to the
+/// uninterrupted run's final sample.
+#[test]
+fn golden_checkpoints_are_byte_identical_and_resume_exactly() {
+    let dir = std::env::temp_dir().join("gesmc-golden-checkpoints");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for info in default_registry().infos() {
+        let spec = golden_job(info.name);
+        let full = final_edges(&spec.clone().checkpoint(3, &dir), None);
+        let written = std::fs::read(dir.join(format!("{}.ckpt", info.name))).unwrap();
+        let golden = std::fs::read(golden_path(info.name))
+            .unwrap_or_else(|e| panic!("{}: {e}", golden_path(info.name).display()));
+        assert!(
+            written == golden,
+            "{}: the engine's checkpoint differs from the golden file",
+            info.name
+        );
+
+        let chain = on_threads(Some(1), || {
+            let graph = spec.source.load().unwrap();
+            let mut chain = default_registry().build(&spec.algorithm, graph, spec.seed).unwrap();
+            chain.run_supersteps(3);
+            chain
+        });
+        let captured =
+            Checkpoint::capture(info.name, chain.as_ref(), &spec.algorithm, 5, 0, 0).unwrap();
+        assert!(
+            captured.to_bytes() == golden,
+            "{}: capture differs from the golden file",
+            info.name
+        );
+
+        let checkpoint = Checkpoint::read_from_file(golden_path(info.name)).unwrap();
+        assert_eq!(checkpoint.snapshot.supersteps_done, 3, "{}", info.name);
+        assert_eq!(final_edges(&spec, Some(&checkpoint)), full, "{}: resumed run", info.name);
+        let mut legacy = checkpoint.clone();
+        legacy.algorithm_spec = None;
+        let legacy = Checkpoint::from_bytes(&legacy.to_bytes()).unwrap();
+        assert_eq!(
+            final_edges(&spec, Some(&legacy)),
+            full,
+            "{}: resumed without a spec",
+            info.name
+        );
+        if default_registry().store_factory(info.name).is_some() {
+            let source = GraphSource::OutOfCore {
+                path: golden_path(info.name),
+                scratch: dir.join("resume.scratch.el"),
+                memory_budget: 4096,
+            };
+            let out_of_core = JobSpec { source, ..spec };
+            assert_eq!(final_edges(&out_of_core, None), full, "{}: resumed out of core", info.name);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
