@@ -17,40 +17,47 @@ use gesmc_randx::bounded::UniformIndex;
 use gesmc_randx::{rng_from_seed, Rng, RngState};
 use std::time::Instant;
 
-/// Shared implementation detail: the two baselines differ only in how the
-/// neighbourhood vectors are maintained (unsorted vs sorted).
-struct AdjacencyChain {
+/// NetworKit-style ES-MC baseline: unsorted adjacency lists with linear-scan
+/// existence queries.
+pub type AdjacencyListES = AdjacencyES<false>;
+
+/// Gengraph-style ES-MC baseline: sorted adjacency vectors with binary-search
+/// existence queries and ordered insertion/removal.
+pub type SortedAdjacencyES = AdjacencyES<true>;
+
+/// ES-MC on an edge array plus adjacency structures: the two baselines differ
+/// only in whether the neighbourhood vectors are kept sorted (`SORTED`).
+pub struct AdjacencyES<const SORTED: bool> {
     num_nodes: usize,
     edges: Vec<Edge>,
     neighbors: Vec<Vec<Node>>,
-    sorted: bool,
     rng: Rng,
     supersteps_done: u64,
     config: SwitchingConfig,
 }
 
-impl AdjacencyChain {
-    fn new(graph: EdgeListGraph, config: SwitchingConfig, sorted: bool) -> Self {
+impl<const SORTED: bool> AdjacencyES<SORTED> {
+    /// Create a baseline chain randomising `graph`.
+    pub fn new(graph: EdgeListGraph, config: SwitchingConfig) -> Self {
         let num_nodes = graph.num_nodes();
         let edges = graph.into_edges();
         Self {
             num_nodes,
-            neighbors: Self::adjacency(num_nodes, &edges, sorted),
+            neighbors: Self::adjacency(num_nodes, &edges),
             edges,
-            sorted,
             rng: rng_from_seed(config.seed),
             supersteps_done: 0,
             config,
         }
     }
 
-    fn adjacency(num_nodes: usize, edges: &[Edge], sorted: bool) -> Vec<Vec<Node>> {
+    fn adjacency(num_nodes: usize, edges: &[Edge]) -> Vec<Vec<Node>> {
         let mut neighbors: Vec<Vec<Node>> = vec![Vec::new(); num_nodes];
         for e in edges {
             neighbors[e.u() as usize].push(e.v());
             neighbors[e.v() as usize].push(e.u());
         }
-        if sorted {
+        if SORTED {
             for list in &mut neighbors {
                 list.sort_unstable();
             }
@@ -65,7 +72,7 @@ impl AdjacencyChain {
             (v, u)
         };
         let list = &self.neighbors[a as usize];
-        if self.sorted {
+        if SORTED {
             list.binary_search(&b).is_ok()
         } else {
             list.contains(&b)
@@ -74,7 +81,7 @@ impl AdjacencyChain {
 
     fn remove_half_edge(&mut self, from: Node, to: Node) {
         let list = &mut self.neighbors[from as usize];
-        if self.sorted {
+        if SORTED {
             if let Ok(pos) = list.binary_search(&to) {
                 list.remove(pos);
             }
@@ -85,7 +92,7 @@ impl AdjacencyChain {
 
     fn insert_half_edge(&mut self, from: Node, to: Node) {
         let list = &mut self.neighbors[from as usize];
-        if self.sorted {
+        if SORTED {
             let pos = list.partition_point(|&x| x < to);
             list.insert(pos, to);
         } else {
@@ -93,7 +100,9 @@ impl AdjacencyChain {
         }
     }
 
-    fn apply(&mut self, request: SwitchRequest) -> bool {
+    /// Apply one explicit switch request (testing hook); returns whether it
+    /// was legal.
+    pub fn apply(&mut self, request: SwitchRequest) -> bool {
         let e1 = self.edges[request.i];
         let e2 = self.edges[request.j];
         let (e3, e4) = switch_targets(e1, e2, request.g);
@@ -129,131 +138,57 @@ impl AdjacencyChain {
         }
         applied
     }
+}
 
-    fn superstep(&mut self) -> SuperstepStats {
-        let start = Instant::now();
-        let requested = self.edges.len() / 2;
-        let legal = self.run_switches(requested);
-        self.supersteps_done += 1;
-        SuperstepStats {
-            requested,
-            legal,
-            illegal: requested - legal,
-            rounds: 1,
-            round_durations: vec![start.elapsed()],
+impl<const SORTED: bool> EdgeSwitching for AdjacencyES<SORTED> {
+    fn name(&self) -> &'static str {
+        if SORTED {
+            "SortedAdjacencyES"
+        } else {
+            "AdjacencyListES"
         }
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.num_nodes
+    }
+
+    fn num_edges(&self) -> usize {
+        self.edges.len()
     }
 
     fn graph(&self) -> EdgeListGraph {
         EdgeListGraph::from_edges_unchecked(self.num_nodes, self.edges.clone())
     }
 
+    fn for_each_edge(&self, visit: &mut dyn FnMut(Edge)) {
+        self.edges.iter().for_each(|&edge| visit(edge));
+    }
+
+    fn superstep(&mut self) -> SuperstepStats {
+        let start = Instant::now();
+        let requested = self.edges.len() / 2;
+        let legal = self.run_switches(requested);
+        self.supersteps_done += 1;
+        SuperstepStats::one_round(requested, legal, start.elapsed())
+    }
+
     /// The trajectory depends on the edge array (switch requests index into
     /// it) and the PRNG stream; the adjacency vectors are an index over the
     /// edge array whose *internal order* never influences a decision
-    /// (membership scans and binary searches only), so restoring rebuilds
+    /// (membership scans and binary searches only), so a resume rebuilds
     /// them from the captured edges.
-    fn snapshot(&self, algorithm: &'static str) -> ChainSnapshot {
-        ChainSnapshot {
-            algorithm: algorithm.to_string(),
-            num_nodes: self.num_nodes,
-            edges: self.edges.clone(),
-            rng: RngState::capture(&self.rng),
-            aux_seed_state: 0,
-            supersteps_done: self.supersteps_done,
-            seed: self.config.seed,
-            loop_probability: self.config.loop_probability,
-            prefetch: self.config.prefetch,
-        }
+    fn snapshot(&self) -> Option<ChainSnapshot> {
+        let rng = RngState::capture(&self.rng);
+        Some(ChainSnapshot::new(self, rng, 0, self.supersteps_done, self.config))
     }
 
-    fn restore(
-        &mut self,
-        algorithm: &'static str,
-        snapshot: &ChainSnapshot,
-    ) -> Result<(), SnapshotError> {
-        snapshot.check_algorithm(algorithm)?;
-        snapshot.validate()?;
-        self.num_nodes = snapshot.num_nodes;
-        self.edges = snapshot.edges.clone();
-        self.neighbors = Self::adjacency(self.num_nodes, &self.edges, self.sorted);
+    fn restore(&mut self, snapshot: &ChainSnapshot) -> Result<(), SnapshotError> {
+        snapshot.check(self)?;
         self.rng = snapshot.rng.restore();
         self.supersteps_done = snapshot.supersteps_done;
         self.config = snapshot.config();
         Ok(())
-    }
-}
-
-/// NetworKit-style ES-MC baseline: unsorted adjacency lists with linear-scan
-/// existence queries.
-pub struct AdjacencyListES {
-    inner: AdjacencyChain,
-}
-
-impl AdjacencyListES {
-    /// Create a baseline chain randomising `graph`.
-    pub fn new(graph: EdgeListGraph, config: SwitchingConfig) -> Self {
-        Self { inner: AdjacencyChain::new(graph, config, false) }
-    }
-
-    /// Apply one explicit switch request (testing hook).
-    pub fn apply(&mut self, request: SwitchRequest) -> bool {
-        self.inner.apply(request)
-    }
-}
-
-impl EdgeSwitching for AdjacencyListES {
-    fn name(&self) -> &'static str {
-        "AdjacencyListES"
-    }
-    fn num_edges(&self) -> usize {
-        self.inner.edges.len()
-    }
-    fn graph(&self) -> EdgeListGraph {
-        self.inner.graph()
-    }
-    fn superstep(&mut self) -> SuperstepStats {
-        self.inner.superstep()
-    }
-    fn snapshot(&self) -> Option<ChainSnapshot> {
-        Some(self.inner.snapshot(self.name()))
-    }
-    fn restore(&mut self, snapshot: &ChainSnapshot) -> Result<(), SnapshotError> {
-        self.inner.restore("AdjacencyListES", snapshot)
-    }
-}
-
-/// Gengraph-style ES-MC baseline: sorted adjacency vectors with binary-search
-/// existence queries and ordered insertion/removal.
-pub struct SortedAdjacencyES {
-    inner: AdjacencyChain,
-}
-
-impl SortedAdjacencyES {
-    /// Create a baseline chain randomising `graph`.
-    pub fn new(graph: EdgeListGraph, config: SwitchingConfig) -> Self {
-        Self { inner: AdjacencyChain::new(graph, config, true) }
-    }
-}
-
-impl EdgeSwitching for SortedAdjacencyES {
-    fn name(&self) -> &'static str {
-        "SortedAdjacencyES"
-    }
-    fn num_edges(&self) -> usize {
-        self.inner.edges.len()
-    }
-    fn graph(&self) -> EdgeListGraph {
-        self.inner.graph()
-    }
-    fn superstep(&mut self) -> SuperstepStats {
-        self.inner.superstep()
-    }
-    fn snapshot(&self) -> Option<ChainSnapshot> {
-        Some(self.inner.snapshot(self.name()))
-    }
-    fn restore(&mut self, snapshot: &ChainSnapshot) -> Result<(), SnapshotError> {
-        self.inner.restore("SortedAdjacencyES", snapshot)
     }
 }
 
@@ -337,7 +272,7 @@ mod tests {
             let snap = interrupted.snapshot().unwrap();
             assert_eq!(snap.supersteps_done, 3);
 
-            let mut resumed = make(test_graph(99));
+            let mut resumed = make(interrupted.graph());
             resumed.restore(&snap).unwrap();
             resumed.run_supersteps(4);
             assert_eq!(resumed.graph().canonical_edges(), uninterrupted.graph().canonical_edges());

@@ -116,25 +116,6 @@ impl GlobalCurveball {
             self.trade(pair[0] as Node, pair[1] as Node);
         }
     }
-
-    /// Total number of edges (recomputed from the adjacency sets).
-    fn edge_count(&self) -> usize {
-        self.neighbors.iter().map(|s| s.len()).sum::<usize>() / 2
-    }
-
-    /// The edge set in canonical order (by `u`, then `v`): a function of the
-    /// adjacency sets alone, never of the instance-specific hash-set
-    /// iteration order.
-    fn sorted_edges(&self) -> Vec<Edge> {
-        let mut edges = Vec::with_capacity(self.edge_count());
-        for (u, nbrs) in self.neighbors.iter().enumerate() {
-            let u = u as Node;
-            let mut out: Vec<Node> = nbrs.iter().copied().filter(|&v| u < v).collect();
-            out.sort_unstable();
-            edges.extend(out.into_iter().map(|v| Edge::new(u, v)));
-        }
-        edges
-    }
 }
 
 impl EdgeSwitching for GlobalCurveball {
@@ -142,12 +123,31 @@ impl EdgeSwitching for GlobalCurveball {
         "GlobalCurveball"
     }
 
+    fn num_nodes(&self) -> usize {
+        self.num_nodes
+    }
+
+    /// Recomputed from the adjacency sets.
     fn num_edges(&self) -> usize {
-        self.edge_count()
+        self.neighbors.iter().map(|s| s.len()).sum::<usize>() / 2
     }
 
     fn graph(&self) -> EdgeListGraph {
-        EdgeListGraph::from_edges_unchecked(self.num_nodes, self.sorted_edges())
+        let mut edges = Vec::with_capacity(self.num_edges());
+        self.for_each_edge(&mut |edge| edges.push(edge));
+        EdgeListGraph::from_edges_unchecked(self.num_nodes, edges)
+    }
+
+    /// Visits the edges in canonical order (by `u`, then `v`): a function of
+    /// the adjacency sets alone, never of the instance-specific hash-set
+    /// iteration order.
+    fn for_each_edge(&self, visit: &mut dyn FnMut(Edge)) {
+        for (u, nbrs) in self.neighbors.iter().enumerate() {
+            let u = u as Node;
+            let mut out: Vec<Node> = nbrs.iter().copied().filter(|&v| u < v).collect();
+            out.sort_unstable();
+            out.into_iter().for_each(|v| visit(Edge::new(u, v)));
+        }
     }
 
     fn superstep(&mut self) -> SuperstepStats {
@@ -155,38 +155,21 @@ impl EdgeSwitching for GlobalCurveball {
         let requested = self.num_nodes / 2;
         self.global_trade();
         self.supersteps_done += 1;
-        SuperstepStats {
-            requested,
-            legal: requested,
-            illegal: 0,
-            rounds: 1,
-            round_durations: vec![start.elapsed()],
-        }
+        SuperstepStats::one_round(requested, requested, start.elapsed())
     }
 
     /// The chain's trajectory is a function of the adjacency *sets* and the
     /// PRNG stream alone (each trade sorts the exclusive-neighbour lists
-    /// before shuffling), so the snapshot stores the canonical edge set — the
+    /// before shuffling), so a checkpoint stores the canonical edge set that
+    /// [`for_each_edge`](EdgeSwitching::for_each_edge) visits — the
     /// instance-specific hash-set iteration order need not be captured.
     fn snapshot(&self) -> Option<ChainSnapshot> {
-        Some(ChainSnapshot {
-            algorithm: self.name().to_string(),
-            num_nodes: self.num_nodes,
-            edges: self.sorted_edges(),
-            rng: RngState::capture(&self.rng),
-            aux_seed_state: 0,
-            supersteps_done: self.supersteps_done,
-            seed: self.config.seed,
-            loop_probability: self.config.loop_probability,
-            prefetch: self.config.prefetch,
-        })
+        let rng = RngState::capture(&self.rng);
+        Some(ChainSnapshot::new(self, rng, 0, self.supersteps_done, self.config))
     }
 
     fn restore(&mut self, snapshot: &ChainSnapshot) -> Result<(), SnapshotError> {
-        snapshot.check_algorithm(self.name())?;
-        snapshot.validate()?;
-        self.num_nodes = snapshot.num_nodes;
-        self.neighbors = Self::adjacency(snapshot.num_nodes, &snapshot.edges);
+        snapshot.check(self)?;
         self.rng = snapshot.rng.restore();
         self.supersteps_done = snapshot.supersteps_done;
         self.config = snapshot.config();
@@ -259,9 +242,9 @@ mod tests {
         let snap = interrupted.snapshot().unwrap();
         assert_eq!(snap.supersteps_done, 3);
 
-        // Restore into a chain built from an unrelated placeholder graph, as
-        // the engine's resume path does.
-        let mut resumed = GlobalCurveball::new(test_graph(99), SwitchingConfig::with_seed(1));
+        // Build from the captured graph and restore, as the engine's resume
+        // path does.
+        let mut resumed = GlobalCurveball::new(interrupted.graph(), SwitchingConfig::with_seed(1));
         resumed.restore(&snap).unwrap();
         resumed.run_supersteps(4);
         assert_eq!(resumed.graph().canonical_edges(), uninterrupted.graph().canonical_edges());
@@ -282,10 +265,17 @@ mod tests {
     #[test]
     fn snapshot_is_deterministic_and_restore_rejects_foreign_algorithms() {
         let chain = GlobalCurveball::new(test_graph(2), SwitchingConfig::with_seed(3));
-        // The hash-set iteration order must not leak into the snapshot bytes.
-        assert_eq!(chain.snapshot(), chain.snapshot());
-
         let mut other = GlobalCurveball::new(test_graph(2), SwitchingConfig::with_seed(3));
+        // The hash-set iteration order must not leak into the checkpoint
+        // bytes: two chains with their own hash keys capture the same edges.
+        assert_eq!(chain.snapshot(), other.snapshot());
+        let edges = |chain: &GlobalCurveball| {
+            let mut edges = Vec::new();
+            chain.for_each_edge(&mut |edge| edges.push(edge));
+            edges
+        };
+        assert_eq!(edges(&chain), edges(&other));
+
         let mut foreign = chain.snapshot().unwrap();
         foreign.algorithm = "SeqES".to_string();
         assert!(matches!(

@@ -28,6 +28,6 @@ pub mod adjacency_es;
 pub mod curveball;
 pub mod registry;
 
-pub use adjacency_es::{AdjacencyListES, SortedAdjacencyES};
+pub use adjacency_es::{AdjacencyES, AdjacencyListES, SortedAdjacencyES};
 pub use curveball::GlobalCurveball;
 pub use registry::register_baselines;

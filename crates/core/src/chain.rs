@@ -2,7 +2,7 @@
 
 use crate::snapshot::{ChainSnapshot, SnapshotError};
 use crate::stats::{ChainStats, SuperstepStats};
-use gesmc_graph::EdgeListGraph;
+use gesmc_graph::{Edge, EdgeListGraph, StoreIoStats};
 
 /// Configuration shared by every chain implementation.
 #[derive(Debug, Clone, Copy)]
@@ -65,15 +65,40 @@ impl Default for SwitchingConfig {
 /// `⌊m/2⌋` uniformly random edge switches for ES-MC style chains and one
 /// global switch for G-ES-MC style chains, so that one superstep of either
 /// family attempts a comparable amount of work.
+///
+/// A chain's state is its edge array, which [`for_each_edge`] reads in slot
+/// order, and the counters a [`ChainSnapshot`] records: the PRNG stream, the
+/// superstep count and the configuration.  The edges may live on the heap or
+/// in an external [`EdgeStore`](gesmc_graph::EdgeStore) (`seq-es-ext` runs
+/// out of core); [`flush`] and [`io_stats`] serve the latter.  A checkpoint
+/// (`gesmc_engine::Checkpoint`) stores both parts, and a resume builds the
+/// chain from the captured edges, exactly as a fresh run builds it from its
+/// input, then [`restore`]s the counters.
+///
+/// [`for_each_edge`]: Self::for_each_edge
+/// [`flush`]: Self::flush
+/// [`io_stats`]: Self::io_stats
+/// [`restore`]: Self::restore
 pub trait EdgeSwitching {
     /// Human-readable name of the algorithm (used by the benchmark tables).
     fn name(&self) -> &'static str;
 
+    /// Number of nodes `n` of the graph being randomised.
+    fn num_nodes(&self) -> usize;
+
     /// Number of edges `m` of the graph being randomised.
     fn num_edges(&self) -> usize;
 
-    /// Snapshot of the current graph.
+    /// The current graph, materialised.
     fn graph(&self) -> EdgeListGraph;
+
+    /// Visit the current edges in slot order (chains sample slot indices, so
+    /// the order is part of the state).  Defaults to reading
+    /// [`graph`](Self::graph); chains that can read their edge array in place
+    /// override it, so streaming a sample or a checkpoint copies nothing.
+    fn for_each_edge(&self, visit: &mut dyn FnMut(Edge)) {
+        self.graph().edges().iter().for_each(|&edge| visit(edge));
+    }
 
     /// Perform one superstep and report its statistics.
     fn superstep(&mut self) -> SuperstepStats;
@@ -87,13 +112,13 @@ pub trait EdgeSwitching {
         stats
     }
 
-    /// Capture the complete chain state for checkpoint/resume.
+    /// Capture the chain's counters for checkpoint/resume; the edges are
+    /// captured apart from them, through [`for_each_edge`](Self::for_each_edge).
     ///
-    /// Restoring the returned snapshot (into a chain of the same algorithm)
-    /// and continuing yields a run *bit-identical* to never having been
+    /// A chain built from those edges and [`restore`](Self::restore)d with the
+    /// returned snapshot continues *bit-identically* to never having been
     /// interrupted.  Returns `None` for implementations that do not support
-    /// snapshots; all five chains of `gesmc-core` and all three
-    /// `gesmc-baselines` chains do (a chain's
+    /// snapshots; every registered chain does (a chain's
     /// [`ChainInfo::snapshot`](crate::ChainInfo::snapshot) capability flag
     /// records it).
     ///
@@ -105,15 +130,29 @@ pub trait EdgeSwitching {
         None
     }
 
-    /// Replace this chain's state with `snapshot`, continuing its run.
+    /// Continue the run `snapshot` was taken of, on a chain built from the
+    /// edges captured with it.
     ///
-    /// The snapshot must come from the same algorithm
-    /// ([`SnapshotError::AlgorithmMismatch`] otherwise); the graph it carries
-    /// fully replaces the current one, so the chain being restored into may
-    /// have been constructed from any placeholder graph.
+    /// Checks that the snapshot comes from this algorithm
+    /// ([`SnapshotError::AlgorithmMismatch`]) and has this chain's node count
+    /// ([`SnapshotError::NodeCountMismatch`]), then sets the PRNG stream, the
+    /// auxiliary seed state, the superstep counter and the configuration.
+    /// The edges are left as they are.
     fn restore(&mut self, snapshot: &ChainSnapshot) -> Result<(), SnapshotError> {
         let _ = snapshot;
         Err(SnapshotError::Unsupported(self.name()))
+    }
+
+    /// Write edges buffered in memory to the chain's backing storage; a no-op
+    /// for chains that keep their edges on the heap.
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+
+    /// Cumulative I/O counters of the chain's edge storage (all zero for heap
+    /// chains); used to annotate trace spans with chunk traffic.
+    fn io_stats(&self) -> StoreIoStats {
+        StoreIoStats::default()
     }
 }
 

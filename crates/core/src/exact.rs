@@ -41,7 +41,7 @@ use crate::stats::SuperstepStats;
 use crate::superstep::{parallel_superstep, sequential_superstep, switches_in_order};
 use crate::switch::SwitchRequest;
 use gesmc_concurrent::{AtomicEdgeList, ConcurrentEdgeSet, DependencyTable};
-use gesmc_graph::EdgeListGraph;
+use gesmc_graph::{Edge, EdgeListGraph};
 use gesmc_randx::bounded::UniformIndex;
 use gesmc_randx::permutation::{parallel_permutation, random_permutation};
 use gesmc_randx::{rng_from_seed, sample_binomial, Rng, RngState, SeedSequence};
@@ -215,12 +215,21 @@ impl<const GLOBAL: bool, const PARALLEL: bool> EdgeSwitching for ExactChain<GLOB
         }
     }
 
+    fn num_nodes(&self) -> usize {
+        self.edges.num_nodes()
+    }
+
     fn num_edges(&self) -> usize {
         self.edges.len()
     }
 
     fn graph(&self) -> EdgeListGraph {
         self.edges.to_graph()
+    }
+
+    /// Reads the slots in place.
+    fn for_each_edge(&self, visit: &mut dyn FnMut(Edge)) {
+        (0..self.edges.len()).for_each(|i| visit(self.edges.get(i)));
     }
 
     /// One global switch, or `⌊m/2⌋` ES-MC switches (Sec. 6.1).  With fewer
@@ -260,28 +269,17 @@ impl<const GLOBAL: bool, const PARALLEL: bool> EdgeSwitching for ExactChain<GLOB
         let legal = parts.iter().map(|p| p.legal).sum();
         let rounds = parts.iter().map(|p| p.rounds).sum();
         let round_durations = parts.into_iter().flat_map(|p| p.round_durations).collect();
-        SuperstepStats { requested, legal, illegal: requested - legal, rounds, round_durations }
+        SuperstepStats { requested, legal, rounds, round_durations }
     }
 
     fn snapshot(&self) -> Option<ChainSnapshot> {
-        Some(ChainSnapshot {
-            algorithm: self.name().to_string(),
-            num_nodes: self.edges.num_nodes(),
-            edges: self.edges.snapshot_edges(),
-            rng: RngState::capture(&self.rng),
-            aux_seed_state: if GLOBAL && PARALLEL { self.seeds.raw_state() } else { 0 },
-            supersteps_done: self.supersteps_done,
-            seed: self.config.seed,
-            loop_probability: self.config.loop_probability,
-            prefetch: self.config.prefetch,
-        })
+        let aux_seed_state = if GLOBAL && PARALLEL { self.seeds.raw_state() } else { 0 };
+        let rng = RngState::capture(&self.rng);
+        Some(ChainSnapshot::new(self, rng, aux_seed_state, self.supersteps_done, self.config))
     }
 
     fn restore(&mut self, snapshot: &ChainSnapshot) -> Result<(), SnapshotError> {
-        snapshot.check_algorithm(self.name())?;
-        let graph = snapshot.graph()?;
-        self.edge_set = ConcurrentEdgeSet::for_graph(&graph);
-        self.edges = AtomicEdgeList::from_graph(&graph);
+        snapshot.check(self)?;
         self.rng = snapshot.rng.restore();
         self.seeds = SeedSequence::from_raw_state(snapshot.aux_seed_state);
         self.supersteps_done = snapshot.supersteps_done;

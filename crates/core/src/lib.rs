@@ -51,7 +51,6 @@ pub mod registry;
 pub mod snapshot;
 pub mod spec;
 pub mod stats;
-pub mod store_chain;
 pub mod superstep;
 pub mod switch;
 
@@ -64,5 +63,4 @@ pub use registry::{
 pub use snapshot::{ChainSnapshot, SnapshotError};
 pub use spec::{ChainError, ChainSpec, ParamValue};
 pub use stats::{ChainStats, SuperstepStats};
-pub use store_chain::StoreSwitching;
 pub use switch::{switch_targets, SwitchRequest};

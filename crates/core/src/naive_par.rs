@@ -19,7 +19,7 @@ use crate::snapshot::{ChainSnapshot, SnapshotError};
 use crate::stats::SuperstepStats;
 use crate::switch::{switch_targets, SwitchRequest};
 use gesmc_concurrent::{AtomicEdgeList, ConcurrentEdgeSet, LockOutcome};
-use gesmc_graph::EdgeListGraph;
+use gesmc_graph::{Edge, EdgeListGraph};
 use gesmc_randx::bounded::UniformIndex;
 use gesmc_randx::{RngState, SeedSequence};
 use rayon::prelude::*;
@@ -141,6 +141,10 @@ impl EdgeSwitching for NaiveParES {
         "NaiveParES"
     }
 
+    fn num_nodes(&self) -> usize {
+        self.edges.num_nodes()
+    }
+
     fn num_edges(&self) -> usize {
         self.edges.len()
     }
@@ -149,18 +153,17 @@ impl EdgeSwitching for NaiveParES {
         self.edges.to_graph()
     }
 
+    /// Reads the slots in place.
+    fn for_each_edge(&self, visit: &mut dyn FnMut(Edge)) {
+        (0..self.edges.len()).for_each(|i| visit(self.edges.get(i)));
+    }
+
     fn superstep(&mut self) -> SuperstepStats {
         let start = Instant::now();
         let requested = self.edges.len() / 2;
         let legal = self.run_switches(requested);
         self.maybe_rebuild();
-        SuperstepStats {
-            requested,
-            legal,
-            illegal: requested - legal,
-            rounds: 1,
-            round_durations: vec![start.elapsed()],
-        }
+        SuperstepStats::one_round(requested, legal, start.elapsed())
     }
 
     /// Capture the chain state — **with a caveat the other chains do not
@@ -174,17 +177,9 @@ impl EdgeSwitching for NaiveParES {
         // The per-chunk RNG streams are derived statelessly from
         // (seeds, supersteps_done), so those two values pin down all future
         // randomness.
-        Some(ChainSnapshot {
-            algorithm: self.name().to_string(),
-            num_nodes: self.edges.num_nodes(),
-            edges: self.edges.snapshot_edges(),
-            rng: RngState::default(),
-            aux_seed_state: self.seeds.raw_state(),
-            supersteps_done: self.supersteps_done,
-            seed: self.config.seed,
-            loop_probability: self.config.loop_probability,
-            prefetch: self.config.prefetch,
-        })
+        let aux_seed_state = self.seeds.raw_state();
+        let rng = RngState::default();
+        Some(ChainSnapshot::new(self, rng, aux_seed_state, self.supersteps_done, self.config))
     }
 
     /// Restore a [`NaiveParES::snapshot`] capture.  The same caveat applies:
@@ -192,10 +187,7 @@ impl EdgeSwitching for NaiveParES {
     /// single thread; otherwise the racy switch interleaving makes every
     /// resumed trajectory distinct (though still degree-preserving).
     fn restore(&mut self, snapshot: &ChainSnapshot) -> Result<(), SnapshotError> {
-        snapshot.check_algorithm(self.name())?;
-        let graph = snapshot.graph()?;
-        self.edge_set = ConcurrentEdgeSet::for_graph(&graph);
-        self.edges = AtomicEdgeList::from_graph(&graph);
+        snapshot.check(self)?;
         self.seeds = SeedSequence::from_raw_state(snapshot.aux_seed_state);
         self.supersteps_done = snapshot.supersteps_done;
         self.config = snapshot.config();

@@ -29,7 +29,6 @@
 
 use crate::chain::{EdgeSwitching, SwitchingConfig};
 use crate::spec::{ChainError, ChainSpec, ParamValue, PARAM_LOOP_PROBABILITY, PARAM_PREFETCH};
-use crate::store_chain::StoreSwitching;
 use crate::{NaiveParES, ParES, ParGlobalES, SeqES, SeqGlobalES};
 use gesmc_concurrent::ConcurrentEdgeSet;
 use gesmc_graph::{EdgeListGraph, EdgeStore};
@@ -50,7 +49,8 @@ pub type ChainFactory = fn(
 
 /// The factory signature of a chain that can run over any
 /// [`EdgeStore`] backend (in-memory or external) — the capability behind
-/// `--mmap` out-of-core execution.
+/// `--mmap` out-of-core execution.  It builds the same [`EdgeSwitching`]
+/// chain as a [`ChainFactory`], over `store` instead of a graph.
 ///
 /// Registered *in addition to* a chain's ordinary [`ChainFactory`] via
 /// [`ChainRegistry::register_store_factory`], so the engine's out-of-core jobs
@@ -60,7 +60,7 @@ pub type StoreChainFactory = fn(
     Box<dyn EdgeStore + Send>,
     SwitchingConfig,
     &ChainSpec,
-) -> Result<Box<dyn StoreSwitching + Send>, ChainError>;
+) -> Result<Box<dyn EdgeSwitching + Send>, ChainError>;
 
 /// The type of a chain parameter (see [`ParamInfo`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -285,9 +285,8 @@ impl ChainRegistry {
         graph: EdgeListGraph,
         seed: u64,
     ) -> Result<Box<dyn EdgeSwitching + Send>, ChainError> {
-        let info = self.validate(spec)?;
-        let config = spec.switching_config(seed)?;
-        (info.factory)(graph, config, spec)
+        self.validate(spec)?;
+        self.build_with_config(spec, graph, spec.switching_config(seed)?)
     }
 
     /// Build a chain from an explicit [`SwitchingConfig`], bypassing
@@ -350,7 +349,7 @@ impl ChainRegistry {
         spec: &ChainSpec,
         store: Box<dyn EdgeStore + Send>,
         seed: u64,
-    ) -> Result<Box<dyn StoreSwitching + Send>, ChainError> {
+    ) -> Result<Box<dyn EdgeSwitching + Send>, ChainError> {
         self.validate(spec)?;
         let config = spec.switching_config(seed)?;
         self.build_store_with_config(spec, store, config)
@@ -364,7 +363,7 @@ impl ChainRegistry {
         spec: &ChainSpec,
         store: Box<dyn EdgeStore + Send>,
         config: SwitchingConfig,
-    ) -> Result<Box<dyn StoreSwitching + Send>, ChainError> {
+    ) -> Result<Box<dyn EdgeSwitching + Send>, ChainError> {
         let info = self.resolve(&spec.name)?;
         let factory = self.store_factory(info.name).ok_or_else(|| ChainError::BadParam {
             chain: info.name.to_string(),
@@ -629,13 +628,14 @@ mod tests {
     /// real implementation lives in `gesmc-exmem`.
     struct StubStoreChain {
         store: std::sync::Mutex<Box<dyn EdgeStore + Send>>,
-        config: SwitchingConfig,
-        supersteps_done: u64,
     }
 
     impl EdgeSwitching for StubStoreChain {
         fn name(&self) -> &'static str {
             "StubStore"
+        }
+        fn num_nodes(&self) -> usize {
+            self.store.lock().unwrap().num_nodes()
         }
         fn num_edges(&self) -> usize {
             self.store.lock().unwrap().num_edges()
@@ -644,54 +644,16 @@ mod tests {
             self.store.lock().unwrap().materialize()
         }
         fn superstep(&mut self) -> crate::SuperstepStats {
-            self.supersteps_done += 1;
             crate::SuperstepStats::default()
-        }
-    }
-
-    impl crate::StoreSwitching for StubStoreChain {
-        fn store_num_nodes(&self) -> usize {
-            self.store.lock().unwrap().num_nodes()
-        }
-        fn stream_edges(&mut self, visit: &mut dyn FnMut(gesmc_graph::Edge)) {
-            self.store.get_mut().unwrap().for_each_edge(&mut |_, e| visit(e));
-        }
-        fn snapshot_meta(&self) -> crate::ChainSnapshot {
-            crate::ChainSnapshot {
-                algorithm: "StubStore".to_string(),
-                num_nodes: self.store_num_nodes(),
-                edges: Vec::new(),
-                rng: gesmc_randx::RngState::default(),
-                aux_seed_state: 0,
-                supersteps_done: self.supersteps_done,
-                seed: self.config.seed,
-                loop_probability: self.config.loop_probability,
-                prefetch: self.config.prefetch,
-            }
-        }
-        fn restore_meta(
-            &mut self,
-            snapshot: &crate::ChainSnapshot,
-        ) -> Result<(), crate::SnapshotError> {
-            snapshot.check_algorithm("StubStore")?;
-            self.supersteps_done = snapshot.supersteps_done;
-            Ok(())
-        }
-        fn flush_store(&mut self) -> std::io::Result<()> {
-            self.store.get_mut().unwrap().flush()
         }
     }
 
     fn stub_store_factory(
         store: Box<dyn EdgeStore + Send>,
-        config: SwitchingConfig,
+        _config: SwitchingConfig,
         _spec: &ChainSpec,
-    ) -> Result<Box<dyn crate::StoreSwitching + Send>, ChainError> {
-        Ok(Box::new(StubStoreChain {
-            store: std::sync::Mutex::new(store),
-            config,
-            supersteps_done: 0,
-        }))
+    ) -> Result<Box<dyn EdgeSwitching + Send>, ChainError> {
+        Ok(Box::new(StubStoreChain { store: std::sync::Mutex::new(store) }))
     }
 
     #[test]
@@ -708,11 +670,11 @@ mod tests {
 
         let graph = test_graph();
         let edges = graph.edges().to_vec();
-        let mut chain =
-            registry.build_store(&ChainSpec::new("seq-es"), Box::new(graph), 7).unwrap();
+        let chain = registry.build_store(&ChainSpec::new("seq-es"), Box::new(graph), 7).unwrap();
         let mut streamed = Vec::new();
-        chain.stream_edges(&mut |e| streamed.push(e));
+        chain.for_each_edge(&mut |e| streamed.push(e));
         assert_eq!(streamed, edges);
+        assert_eq!(chain.num_nodes(), test_graph().num_nodes());
     }
 
     #[test]

@@ -1,20 +1,21 @@
 //! Chain state snapshots: the foundation of checkpoint/resume.
 //!
-//! A [`ChainSnapshot`] captures everything a switching chain needs to
-//! continue *bit-identically* to an uninterrupted run: the edge array in slot
-//! order (slot indices are sampled by the chains, so order matters), the raw
-//! PRNG stream state, the auxiliary seed-derivation state of the parallel
-//! chains, the superstep counter, and the [`SwitchingConfig`].
+//! A [`ChainSnapshot`] captures the counters a switching chain needs, beside
+//! its edge array, to continue *bit-identically* to an uninterrupted run: the
+//! raw PRNG stream state, the auxiliary seed-derivation state of the parallel
+//! chains, the superstep counter, and the [`SwitchingConfig`].  The edge
+//! array itself, in slot order, is read through
+//! [`EdgeSwitching::for_each_edge`]; a resume builds the chain from those
+//! edges and then [`restore`](EdgeSwitching::restore)s the snapshot.
 //!
 //! Snapshots are plain in-memory values; the binary on-disk format lives in
-//! `gesmc-engine` (`gesmc_engine::Checkpoint`), which wraps a snapshot
-//! together with job-level metadata.
+//! `gesmc-engine` (`gesmc_engine::Checkpoint`), which stores a snapshot
+//! together with the edges and job-level metadata.
 
-use crate::chain::SwitchingConfig;
-use gesmc_graph::{Edge, EdgeListGraph, GraphError};
+use crate::chain::{EdgeSwitching, SwitchingConfig};
 use gesmc_randx::RngState;
 
-/// Errors raised by [`EdgeSwitching::restore`](crate::EdgeSwitching::restore).
+/// Errors raised by [`EdgeSwitching::restore`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum SnapshotError {
     /// The snapshot was taken from a different algorithm.
@@ -24,10 +25,16 @@ pub enum SnapshotError {
         /// Algorithm recorded in the snapshot.
         found: String,
     },
+    /// The snapshot was taken of a graph with another number of nodes than
+    /// the chain's.
+    NodeCountMismatch {
+        /// Node count of the chain being restored into.
+        expected: usize,
+        /// Node count recorded in the snapshot.
+        found: usize,
+    },
     /// The chain implementation does not support snapshots.
     Unsupported(&'static str),
-    /// The snapshot's edge list violates the simple-graph invariants.
-    InvalidGraph(GraphError),
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -36,23 +43,20 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::AlgorithmMismatch { expected, found } => {
                 write!(f, "snapshot of algorithm {found:?} cannot restore a {expected:?} chain")
             }
+            SnapshotError::NodeCountMismatch { expected, found } => {
+                write!(f, "snapshot of a {found}-node graph cannot restore a {expected}-node chain")
+            }
             SnapshotError::Unsupported(name) => {
                 write!(f, "algorithm {name:?} does not support snapshot/restore")
             }
-            SnapshotError::InvalidGraph(e) => write!(f, "snapshot graph is not simple: {e}"),
         }
     }
 }
 
 impl std::error::Error for SnapshotError {}
 
-impl From<GraphError> for SnapshotError {
-    fn from(e: GraphError) -> Self {
-        SnapshotError::InvalidGraph(e)
-    }
-}
-
-/// A complete, resumable capture of a switching chain's state.
+/// A resumable capture of a switching chain's counters (the edges travel
+/// beside it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChainSnapshot {
     /// Name of the algorithm the snapshot was taken from (must match the
@@ -60,9 +64,6 @@ pub struct ChainSnapshot {
     pub algorithm: String,
     /// Number of nodes `n` of the graph.
     pub num_nodes: usize,
-    /// The edge array **in slot order** — chains sample slot indices, so the
-    /// order is part of the chain state, unlike in a canonical edge set.
-    pub edges: Vec<Edge>,
     /// Raw state of the chain's main PRNG; the empty marker
     /// ([`RngState::is_empty`]) for chains that do not own one.
     pub rng: RngState,
@@ -80,6 +81,27 @@ pub struct ChainSnapshot {
 }
 
 impl ChainSnapshot {
+    /// The snapshot of `chain` (its name and node count) with the given
+    /// counters.
+    pub fn new(
+        chain: &dyn EdgeSwitching,
+        rng: RngState,
+        aux_seed_state: u64,
+        supersteps_done: u64,
+        config: SwitchingConfig,
+    ) -> Self {
+        Self {
+            algorithm: chain.name().to_string(),
+            num_nodes: chain.num_nodes(),
+            rng,
+            aux_seed_state,
+            supersteps_done,
+            seed: config.seed,
+            loop_probability: config.loop_probability,
+            prefetch: config.prefetch,
+        }
+    }
+
     /// Reconstruct the [`SwitchingConfig`] recorded in the snapshot.
     pub fn config(&self) -> SwitchingConfig {
         SwitchingConfig {
@@ -89,39 +111,36 @@ impl ChainSnapshot {
         }
     }
 
-    /// The captured graph (validating the simplicity invariants).
-    pub fn graph(&self) -> Result<EdgeListGraph, GraphError> {
-        EdgeListGraph::new(self.num_nodes, self.edges.clone())
-    }
-
-    /// Verify that the snapshot's edge list is a valid simple graph.
-    pub fn validate(&self) -> Result<(), GraphError> {
-        self.graph().map(|_| ())
-    }
-
-    /// Guard used by the chain `restore` implementations (also available to
-    /// chains implemented outside this crate, e.g. the baselines).
-    pub fn check_algorithm(&self, expected: &'static str) -> Result<(), SnapshotError> {
-        if self.algorithm == expected {
-            Ok(())
-        } else {
-            Err(SnapshotError::AlgorithmMismatch {
-                expected: expected.to_string(),
+    /// The guard every [`EdgeSwitching::restore`] starts with (also available
+    /// to chains implemented outside this crate, e.g. the baselines): the
+    /// snapshot must come from `chain`'s algorithm and have its node count.
+    pub fn check(&self, chain: &dyn EdgeSwitching) -> Result<(), SnapshotError> {
+        if self.algorithm != chain.name() {
+            return Err(SnapshotError::AlgorithmMismatch {
+                expected: chain.name().to_string(),
                 found: self.algorithm.clone(),
-            })
+            });
         }
+        if self.num_nodes != chain.num_nodes() {
+            return Err(SnapshotError::NodeCountMismatch {
+                expected: chain.num_nodes(),
+                found: self.num_nodes,
+            });
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SeqES;
+    use gesmc_graph::{Edge, EdgeListGraph};
 
     fn sample_snapshot() -> ChainSnapshot {
         ChainSnapshot {
             algorithm: "SeqES".to_string(),
             num_nodes: 4,
-            edges: vec![Edge::new(0, 1), Edge::new(2, 3)],
             rng: RngState::default(),
             aux_seed_state: 0,
             supersteps_done: 7,
@@ -141,20 +160,18 @@ mod tests {
     }
 
     #[test]
-    fn graph_is_validated() {
+    fn algorithm_and_node_count_guard() {
+        let graph = EdgeListGraph::new(4, vec![Edge::new(0, 1), Edge::new(2, 3)]).unwrap();
+        let chain = SeqES::new(graph, SwitchingConfig::with_seed(1));
         let mut snap = sample_snapshot();
-        assert!(snap.validate().is_ok());
-        snap.edges.push(Edge::new(0, 1));
-        assert!(matches!(snap.validate(), Err(GraphError::MultiEdge(_))));
-    }
-
-    #[test]
-    fn algorithm_guard() {
-        let snap = sample_snapshot();
-        assert!(snap.check_algorithm("SeqES").is_ok());
-        let err = snap.check_algorithm("ParES").unwrap_err();
+        assert!(snap.check(&chain).is_ok());
+        snap.num_nodes = 5;
+        let err = snap.check(&chain).unwrap_err();
+        assert_eq!(err, SnapshotError::NodeCountMismatch { expected: 4, found: 5 });
+        snap.algorithm = "ParES".to_string();
+        let err = snap.check(&chain).unwrap_err();
         assert!(matches!(err, SnapshotError::AlgorithmMismatch { .. }));
-        assert!(err.to_string().contains("SeqES"));
+        assert!(err.to_string().contains("ParES"));
     }
 }
 
@@ -172,7 +189,7 @@ mod chain_roundtrip_tests {
     }
 
     /// Run `total` supersteps uninterrupted; run `cut` supersteps, snapshot,
-    /// restore into a *fresh* chain built from a placeholder graph, run the
+    /// restore into a *fresh* chain built from the captured graph, run the
     /// remaining supersteps there.  Both must land on the identical edge set.
     fn assert_resume_bit_identical<C, F>(make: F, cut: usize, total: usize)
     where
@@ -188,10 +205,9 @@ mod chain_roundtrip_tests {
         let snap = interrupted.snapshot().expect("core chains must support snapshots");
         assert_eq!(snap.supersteps_done, cut as u64);
 
-        // Restore into a chain constructed from an unrelated placeholder
-        // graph, as the resume path of the engine does.
-        let placeholder = test_graph(99);
-        let mut resumed = make(placeholder);
+        // Build from the captured graph and restore, as the resume path of
+        // the engine does.
+        let mut resumed = make(interrupted.graph());
         resumed.restore(&snap).expect("restore must succeed");
         assert_eq!(resumed.graph().canonical_edges(), interrupted.graph().canonical_edges());
         resumed.run_supersteps(total - cut);

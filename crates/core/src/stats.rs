@@ -15,8 +15,6 @@ pub struct SuperstepStats {
     pub requested: usize,
     /// Number of switches that were legal (applied).
     pub legal: usize,
-    /// Number of switches that were rejected.
-    pub illegal: usize,
     /// Number of decision rounds `ParallelSuperstep` needed (1 for the
     /// sequential chains, and for the parallel chains' supersteps run in
     /// order at one thread).
@@ -30,13 +28,12 @@ impl SuperstepStats {
     /// A superstep of `requested` switches, `legal` of them applied, run as
     /// one round that lasted `duration`: how the in-order kernel reports.
     pub fn one_round(requested: usize, legal: usize, duration: Duration) -> Self {
-        Self {
-            requested,
-            legal,
-            illegal: requested - legal,
-            rounds: 1,
-            round_durations: vec![duration],
-        }
+        Self { requested, legal, rounds: 1, round_durations: vec![duration] }
+    }
+
+    /// Number of switches that were rejected.
+    pub fn illegal(&self) -> usize {
+        self.requested - self.legal
     }
 
     /// Time spent in rounds after the first one (Fig. 9's y-axis).
@@ -131,7 +128,6 @@ mod tests {
         SuperstepStats {
             requested,
             legal,
-            illegal: requested - legal,
             rounds,
             round_durations: durs_ms.iter().map(|&d| Duration::from_millis(d)).collect(),
         }
@@ -140,6 +136,7 @@ mod tests {
     #[test]
     fn superstep_derived_metrics() {
         let s = stats(100, 80, 3, &[90, 5, 5]);
+        assert_eq!(s.illegal(), 20);
         assert!((s.acceptance_rate() - 0.8).abs() < 1e-12);
         assert_eq!(s.time_after_first_round(), Duration::from_millis(10));
         assert!((s.fraction_after_first_round() - 0.1).abs() < 1e-12);

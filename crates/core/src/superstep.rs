@@ -177,13 +177,7 @@ pub fn parallel_superstep(
     assert_edge_count_kept(edge_set, edges_before);
 
     let legal = legal_count.load(Ordering::Relaxed);
-    SuperstepStats {
-        requested,
-        legal,
-        illegal: requested - legal,
-        rounds: round_durations.len(),
-        round_durations,
-    }
+    SuperstepStats { requested, legal, rounds: round_durations.len(), round_durations }
 }
 
 /// How many switches ahead of the one it decides the in-order kernel stages

@@ -1,17 +1,19 @@
 //! The binary checkpoint format.
 //!
-//! A checkpoint wraps a [`ChainSnapshot`] (edge array in slot order, raw PRNG
-//! stream state, superstep counter, chain configuration) together with the
-//! job-level progress needed to continue the *job* — total superstep target,
-//! thinning interval, and how many samples were already emitted — so that
-//! `resume` re-creates both the chain and the job bookkeeping exactly.
+//! A checkpoint holds a chain's edge array in slot order and its
+//! [`ChainSnapshot`] (raw PRNG stream state, superstep counter, chain
+//! configuration), together with the job-level progress needed to continue
+//! the *job* — total superstep target, thinning interval, and how many
+//! samples were already emitted — so that `resume` re-creates both the chain
+//! and the job bookkeeping exactly.
 //!
 //! One codec reads and writes the format: [`CheckpointWriter`] and
 //! [`CheckpointReader`] stream it over any [`Write`] / [`Read`] in bounded
 //! memory.  [`Checkpoint::to_bytes`] / [`Checkpoint::from_bytes`] are that
 //! pair over a `Vec` and a slice, [`Checkpoint::write_to_file`] /
-//! [`Checkpoint::read_from_file`] the same over a file, and out-of-core runs
-//! stream their edge stores through it directly.
+//! [`Checkpoint::read_from_file`] the same over a file, and
+//! [`run_job`](crate::run_job) streams a running chain's edges through it
+//! ([`EdgeSwitching::for_each_edge`]), on the heap and out of core alike.
 //!
 //! ## Layout (version 1, all integers little-endian)
 //!
@@ -42,7 +44,7 @@
 
 use crate::error::EngineError;
 use gesmc_core::{ChainSnapshot, ChainSpec, EdgeSwitching, SnapshotError};
-use gesmc_graph::Edge;
+use gesmc_graph::{Edge, EdgeListGraph, GraphError};
 use gesmc_randx::{Fnv1a64, RngState};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -73,8 +75,13 @@ pub trait CheckpointSink: Send {
 pub struct Checkpoint {
     /// Name of the checkpointed job.
     pub job_name: String,
-    /// The chain state.
+    /// The chain's counters.
     pub snapshot: ChainSnapshot,
+    /// The chain's edge array **in slot order** (chains sample slot indices,
+    /// so the order is part of the state, unlike in a canonical edge set).
+    /// The decoder checks the file's integrity, not that the edges form a
+    /// simple graph: [`graph`](Self::graph) validates them.
+    pub edges: Vec<Edge>,
     /// The job's full [`ChainSpec`], so chain-specific parameters reach the
     /// factory again on resume.  `None` for checkpoints written before the
     /// registry redesign (their chains take no parameters beyond the
@@ -89,11 +96,29 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Capture a running chain together with its job progress.
+    /// Capture a running chain together with its job progress: its
+    /// snapshot, and its edges read through
+    /// [`EdgeSwitching::for_each_edge`].
     ///
     /// Fails with [`SnapshotError::Unsupported`] (wrapped in
     /// [`EngineError::Snapshot`]) for chains that do not support snapshots.
     pub fn capture(
+        job_name: &str,
+        chain: &dyn EdgeSwitching,
+        algorithm: &ChainSpec,
+        total_supersteps: u64,
+        thinning: u64,
+        samples_emitted: u64,
+    ) -> Result<Self, EngineError> {
+        let mut checkpoint =
+            Self::header(job_name, chain, algorithm, total_supersteps, thinning, samples_emitted)?;
+        checkpoint.edges.reserve_exact(chain.num_edges());
+        chain.for_each_edge(&mut |edge| checkpoint.edges.push(edge));
+        Ok(checkpoint)
+    }
+
+    /// [`capture`](Self::capture) without the edges.
+    pub(crate) fn header(
         job_name: &str,
         chain: &dyn EdgeSwitching,
         algorithm: &ChainSpec,
@@ -107,11 +132,19 @@ impl Checkpoint {
         Ok(Self {
             job_name: job_name.to_string(),
             snapshot,
+            edges: Vec::new(),
             algorithm_spec: Some(algorithm.clone()),
             total_supersteps,
             thinning,
             samples_emitted,
         })
+    }
+
+    /// The captured graph, validated as a simple graph on
+    /// [`snapshot.num_nodes`](ChainSnapshot::num_nodes) nodes: the file is
+    /// outside input, and a chain is built from it only after this check.
+    pub fn graph(&self) -> Result<EdgeListGraph, GraphError> {
+        EdgeListGraph::new(self.snapshot.num_nodes, self.edges.clone())
     }
 
     /// The chain name recorded in the checkpoint header (e.g. `SeqES`,
@@ -158,19 +191,30 @@ impl Checkpoint {
         out
     }
 
-    /// Encode the whole checkpoint into `out` through a [`CheckpointWriter`].
-    fn encode<W: Write>(&self, out: W) -> Result<W, EngineError> {
-        let mut writer = CheckpointWriter::new(out, self, self.snapshot.edges.len() as u64)?;
-        for &edge in &self.snapshot.edges {
-            writer.push_edge(edge)?;
-        }
+    /// Encode this checkpoint's header and the `num_edges` edges that
+    /// `edges` visits into `out` through a [`CheckpointWriter`].
+    fn encode<W: Write>(
+        &self,
+        out: W,
+        num_edges: usize,
+        edges: impl FnOnce(&mut dyn FnMut(Edge)),
+    ) -> Result<W, EngineError> {
+        let mut writer = CheckpointWriter::new(out, self, num_edges as u64)?;
+        let mut pushed = Ok(());
+        edges(&mut |edge| {
+            if pushed.is_ok() {
+                pushed = writer.push_edge(edge);
+            }
+        });
+        pushed?;
         writer.finish()
     }
 
     /// Serialise to the binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let out = Vec::with_capacity(self.snapshot.edges.len() * 8 + 256);
-        self.encode(out).expect("encoding into a Vec cannot fail")
+        let out = Vec::with_capacity(self.edges.len() * 8 + 256);
+        self.encode(out, self.edges.len(), |visit| self.edges.iter().for_each(|&e| visit(e)))
+            .expect("encoding into a Vec cannot fail")
     }
 
     /// Parse the binary format, verifying magic, version and checksum.
@@ -183,7 +227,20 @@ impl Checkpoint {
     /// interruption mid-write never clobbers the previous checkpoint and an
     /// acknowledged one survives a power cut.
     pub fn write_to_file(&self, path: impl AsRef<Path>) -> Result<(), EngineError> {
-        publish(path.as_ref(), |out| self.encode(out).map(drop))
+        let edges = |visit: &mut dyn FnMut(Edge)| self.edges.iter().for_each(|&e| visit(e));
+        publish(path.as_ref(), |out| self.encode(out, self.edges.len(), edges).map(drop))
+    }
+
+    /// Write this checkpoint to a file like
+    /// [`write_to_file`](Self::write_to_file), with the edges streamed from
+    /// `chain` instead of [`edges`](Self::edges).
+    pub(crate) fn write_chain_to_file(
+        &self,
+        path: &Path,
+        chain: &dyn EdgeSwitching,
+    ) -> Result<(), EngineError> {
+        let edges = |visit: &mut dyn FnMut(Edge)| chain.for_each_edge(visit);
+        publish(path, |out| self.encode(out, chain.num_edges(), edges).map(drop))
     }
 
     /// Read and parse a checkpoint file.
@@ -227,7 +284,7 @@ pub(crate) fn publish(
 /// [`Checkpoint::write_to_file`] the same over a file; out-of-core runs
 /// stream the edges of graphs larger than their memory budget through it.
 ///
-/// Usage: [`new`](Self::new) with the metadata (`snapshot.edges` is ignored;
+/// Usage: [`new`](Self::new) with the metadata (its `edges` are ignored;
 /// pass the true count as `num_edges`), [`push_edge`](Self::push_edge) each
 /// edge in slot order, then [`finish`](Self::finish).
 #[derive(Debug)]
@@ -336,8 +393,8 @@ impl CheckpointReader<BufReader<File>> {
 impl<R: Read> CheckpointReader<R> {
     /// Parse the header fields of the `len`-byte checkpoint `input` holds.
     ///
-    /// The returned reader's [`meta`](Self::meta) has an **empty**
-    /// `snapshot.edges` and no `algorithm_spec` yet; stream the edges with
+    /// The returned reader's [`meta`](Self::meta) has **empty** `edges` and
+    /// no `algorithm_spec` yet; stream the edges with
     /// [`next_edge`](Self::next_edge) and obtain the completed metadata from
     /// [`finish`](Self::finish).
     pub fn new(input: R, len: u64) -> Result<Self, EngineError> {
@@ -354,7 +411,6 @@ impl<R: Read> CheckpointReader<R> {
                 snapshot: ChainSnapshot {
                     algorithm: String::new(),
                     num_nodes: 0,
-                    edges: Vec::new(),
                     rng: RngState::default(),
                     aux_seed_state: 0,
                     supersteps_done: 0,
@@ -362,6 +418,7 @@ impl<R: Read> CheckpointReader<R> {
                     loop_probability: 0.0,
                     prefetch: false,
                 },
+                edges: Vec::new(),
                 algorithm_spec: None,
                 total_supersteps: 0,
                 thinning: 0,
@@ -489,15 +546,15 @@ impl<R: Read> CheckpointReader<R> {
         Ok(self.meta)
     }
 
-    /// Read every remaining edge and finish: the whole, verified checkpoint.
+    /// Read every remaining edge and finish: the whole checkpoint, its
+    /// integrity verified.
     fn read_all(mut self) -> Result<Checkpoint, EngineError> {
         let mut edges = Vec::with_capacity((self.num_edges - self.edges_read) as usize);
         while self.edges_read < self.num_edges {
             edges.push(self.next_edge()?);
         }
         let mut checkpoint = self.finish()?;
-        checkpoint.snapshot.edges = edges;
-        checkpoint.snapshot.validate()?;
+        checkpoint.edges = edges;
         Ok(checkpoint)
     }
 
@@ -655,6 +712,9 @@ mod tests {
             fn name(&self) -> &'static str {
                 "NoSnapshot"
             }
+            fn num_nodes(&self) -> usize {
+                0
+            }
             fn num_edges(&self) -> usize {
                 0
             }
@@ -715,7 +775,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let ckpt = captured_checkpoint("seq-es");
-        let edge = ckpt.snapshot.edges[0];
+        let edge = ckpt.edges[0];
 
         let writer = CheckpointWriter::new(Vec::new(), &ckpt, 2).unwrap();
         assert!(writer.finish().is_err(), "finish before all edges must fail");
@@ -751,14 +811,14 @@ mod tests {
         assert_eq!(reader.meta().job_name, ckpt.job_name);
         assert_eq!(reader.meta().snapshot.algorithm, "SeqESExt");
         assert_eq!(reader.meta().snapshot.rng, ckpt.snapshot.rng);
-        assert_eq!(reader.num_edges(), ckpt.snapshot.edges.len() as u64);
+        assert_eq!(reader.num_edges(), ckpt.edges.len() as u64);
         let mut edges = Vec::new();
         for _ in 0..reader.num_edges() {
             edges.push(reader.next_edge().unwrap());
         }
         let mut meta = reader.finish().unwrap();
-        assert_eq!(edges, ckpt.snapshot.edges);
-        meta.snapshot.edges = edges;
+        assert_eq!(edges, ckpt.edges);
+        meta.edges = edges;
         assert_eq!(meta, ckpt, "streamed read reassembles the exact checkpoint");
 
         // A flipped payload bit parses field-by-field but fails at finish().
@@ -783,8 +843,28 @@ mod tests {
         assert_eq!(parsed.thinning, 3);
         assert_eq!(parsed.samples_emitted, 1);
         assert_eq!(parsed.snapshot.supersteps_done, 4);
-        // The snapshot graph is usable as a resume source.
-        let source = GraphSource::InMemory(parsed.snapshot.graph().unwrap());
+        // The checkpoint's graph is usable as a resume source.
+        let source = GraphSource::InMemory(parsed.graph().unwrap());
         assert!(source.load().is_ok());
+    }
+
+    #[test]
+    fn a_non_simple_edge_list_parses_but_never_resumes() {
+        // The decoder checks integrity; the edges are validated as a simple
+        // graph where a chain is built from them.
+        let mut ckpt = captured_checkpoint("seq-es");
+        ckpt.edges.push(ckpt.edges[0]);
+        let parsed = Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();
+        assert!(matches!(parsed.graph(), Err(GraphError::MultiEdge(_))));
+        let graph = gnp(&mut rng_from_seed(1), 60, 0.1);
+        let spec =
+            crate::JobSpec::new("demo", GraphSource::InMemory(graph), ChainSpec::new("seq-es"))
+                .supersteps(12);
+        let control = crate::JobControl::new();
+        let mut sink = crate::NullSink::default();
+        let err =
+            crate::run_job(default_registry(), &spec, &mut sink, Some(&parsed), &control, None)
+                .unwrap_err();
+        assert!(matches!(err, EngineError::Graph(_)), "{err}");
     }
 }

@@ -12,8 +12,8 @@
 //! * **streaming samples**: every `k`-th superstep the current state is
 //!   handed to a [`SampleSink`] as an independent thinned sample — to an
 //!   edge-list file, an in-memory store, or a user callback — instead of
-//!   keeping only the final state; a [`SampleView`] streams an out-of-core
-//!   sample from its store;
+//!   keeping only the final state; a [`SampleView`] streams the sample
+//!   straight from the chain, on the heap or out of core;
 //! * **checkpoint/resume**: a binary [`Checkpoint`] captures the edge array,
 //!   the exact PRNG stream state and the superstep counter, so interrupted
 //!   chains resume *bit-identically* to an uninterrupted run instead of

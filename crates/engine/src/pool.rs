@@ -1,17 +1,15 @@
 //! Job execution: the one driver every engine job runs through.
 
-use crate::checkpoint::{
-    self, publish, Checkpoint, CheckpointReader, CheckpointSink, CheckpointWriter,
-};
+use crate::checkpoint::{self, Checkpoint, CheckpointReader, CheckpointSink};
 use crate::control::JobControl;
 use crate::error::EngineError;
 use crate::job::{GraphSource, JobSpec};
 use crate::sink::{SampleContext, SampleSink, SampleView};
-use gesmc_core::{ChainRegistry, ChainSpec, EdgeSwitching, StoreSwitching, SuperstepStats};
+use gesmc_core::{ChainRegistry, EdgeSwitching};
 use gesmc_exmem::ExternalEdgeStore;
 use gesmc_graph::io::{BinaryEdgeListWriter, BINARY_MAGIC};
-use gesmc_graph::StoreIoStats;
 use gesmc_obs::Phase;
+use std::borrow::Cow;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -67,12 +65,14 @@ impl JobReport {
 /// sample into `sink` (or only the final one when `thinning` is 0),
 /// verifying that each emitted sample preserves the input degree sequence,
 /// and writing periodic checkpoints when the spec asks for them.  With
-/// `resume`, the chain named by the checkpoint header is rebuilt, its state
-/// restored, and the run continues at its superstep counter — bit-identically
-/// to a run that was never interrupted.
+/// `resume`, the chain named by the checkpoint header is built from the
+/// checkpoint's (validated) graph, its counters restored, and the run
+/// continues at its superstep counter — bit-identically to a run that was
+/// never interrupted.
 ///
-/// A [`GraphSource::OutOfCore`] job runs the same loop over a store chain
-/// from the registry's store factory, streaming samples and checkpoints.
+/// A [`GraphSource::OutOfCore`] job runs the same loop over a chain from the
+/// registry's store factory, which keeps its edges in a disk-backed store;
+/// samples and checkpoints stream from there, as they do from any chain.
 /// It resumes from the checkpoint its source names and checkpoints to
 /// [`JobSpec::checkpoint_dir`] only (a [`CheckpointSink`] would need the
 /// whole edge array), so it takes neither `resume` nor `checkpoints`.
@@ -117,14 +117,6 @@ pub fn run_job(
     })
 }
 
-/// The chain a job drives: on the heap, or over a disk-backed store.  The
-/// two differ only where the chain is opened, sampled, checkpointed and
-/// finished.
-enum JobChain {
-    Heap(Box<dyn EdgeSwitching + Send>),
-    Store { chain: Box<dyn StoreSwitching + Send>, _scratch: Scratch },
-}
-
 /// A store's scratch file, removed on drop, so it goes however the job ends
 /// (finished, failed, cancelled or panicked): a checkpoint, never the
 /// scratch, is what resumes a job.
@@ -133,37 +125,6 @@ struct Scratch(PathBuf);
 impl Drop for Scratch {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.0);
-    }
-}
-
-impl JobChain {
-    fn name(&self) -> &'static str {
-        match self {
-            JobChain::Heap(chain) => chain.name(),
-            JobChain::Store { chain, .. } => chain.name(),
-        }
-    }
-
-    fn superstep(&mut self) -> SuperstepStats {
-        match self {
-            JobChain::Heap(chain) => chain.superstep(),
-            JobChain::Store { chain, .. } => chain.superstep(),
-        }
-    }
-
-    fn io_stats(&self) -> Option<StoreIoStats> {
-        match self {
-            JobChain::Heap(_) => None,
-            JobChain::Store { chain, .. } => Some(chain.store_io_stats()),
-        }
-    }
-
-    /// Hand the current state to `f`: a heap chain's graph, or the store.
-    fn with_sample<R>(&mut self, f: impl FnOnce(&SampleView<'_>) -> R) -> R {
-        match self {
-            JobChain::Heap(chain) => f(&SampleView::from(&chain.graph())),
-            JobChain::Store { chain, .. } => f(&SampleView::store(chain.as_mut())),
-        }
     }
 }
 
@@ -179,32 +140,49 @@ fn degree_counts(sample: &SampleView<'_>) -> Vec<u32> {
     counts
 }
 
-/// Build the chain of `spec`, or rebuild it from `resume` or an out-of-core
-/// checkpoint: the chain, the spec it checkpoints under (a resumed run's is
-/// the checkpoint's own, which may carry chain-specific parameters the
-/// caller's [`JobSpec`] lacks), the superstep it starts after, and the
-/// samples emitted before that.
-fn open(
+/// A job's chain as [`open`] hands it to the superstep loop: the scratch
+/// copy an out-of-core chain randomizes (removed after the chain is
+/// dropped), the chain, and the checkpoint it was resumed from.
+type Opened<'a> = (Option<Scratch>, Box<dyn EdgeSwitching + Send>, Option<Cow<'a, Checkpoint>>);
+
+/// Build the chain of `spec`, or rebuild it from `resume` or from the
+/// out-of-core checkpoint its source names.  A resumed chain is built from
+/// the checkpoint's edges through the same factory call a fresh run makes,
+/// and then both kinds of resume end with the same
+/// [`restore`](EdgeSwitching::restore) of its counters.
+fn open<'a>(
     registry: &ChainRegistry,
     spec: &JobSpec,
-    resume: Option<&Checkpoint>,
-) -> Result<(JobChain, ChainSpec, u64, u64), EngineError> {
-    let GraphSource::OutOfCore { path, scratch, memory_budget } = &spec.source else {
-        return Ok(match resume {
-            Some(checkpoint) => {
-                let algorithm_spec = checkpoint.chain_spec();
-                let (graph, config) = (checkpoint.snapshot.graph()?, checkpoint.snapshot.config());
-                let mut chain = registry.build_with_config(&algorithm_spec, graph, config)?;
-                chain.restore(&checkpoint.snapshot)?;
-                let done = checkpoint.snapshot.supersteps_done;
-                (JobChain::Heap(chain), algorithm_spec, done, checkpoint.samples_emitted)
-            }
-            None => {
-                let chain = registry.build(&spec.algorithm, spec.source.load()?, spec.seed)?;
-                (JobChain::Heap(chain), spec.algorithm.clone(), 0, 0)
-            }
-        });
+    resume: Option<&'a Checkpoint>,
+) -> Result<Opened<'a>, EngineError> {
+    let (scratch, mut chain, resume) = match (&spec.source, resume) {
+        (GraphSource::OutOfCore { path, scratch, memory_budget }, _) => {
+            open_out_of_core(registry, spec, path, scratch, *memory_budget)?
+        }
+        (_, None) => (None, registry.build(&spec.algorithm, spec.source.load()?, spec.seed)?, None),
+        // The checkpoint is outside input, so its graph is validated, once.
+        (_, Some(checkpoint)) => {
+            let (spec, config) = (checkpoint.chain_spec(), checkpoint.snapshot.config());
+            let chain = registry.build_with_config(&spec, checkpoint.graph()?, config)?;
+            (None, chain, Some(Cow::Borrowed(checkpoint)))
+        }
     };
+    if let Some(checkpoint) = &resume {
+        chain.restore(&checkpoint.snapshot)?;
+    }
+    Ok((scratch, chain, resume))
+}
+
+/// The out-of-core half of [`open`]: a chain over a scratch copy of the
+/// `GESMCEL1` edge list at `path`, or of the edges of the `GESMCKP1`
+/// checkpoint there (returned with its metadata).
+fn open_out_of_core(
+    registry: &ChainRegistry,
+    spec: &JobSpec,
+    path: &Path,
+    scratch: &Path,
+    budget: usize,
+) -> Result<Opened<'static>, EngineError> {
     let mut file = std::fs::File::open(path)
         .map_err(|e| EngineError::Graph(format!("{}: {e}", path.display())))?;
     // A header too short to read matches neither magic.
@@ -213,8 +191,7 @@ fn open(
     drop(file);
     // The guard exists before the scratch does, so a failure anywhere below
     // leaves no scratch behind.
-    let guard = Scratch(scratch.clone());
-    let budget = *memory_budget;
+    let guard = Some(Scratch(scratch.to_path_buf()));
     if &magic == BINARY_MAGIC {
         let mut create_span = gesmc_obs::trace::child_of_current("store_create");
         let store = ExternalEdgeStore::create(path, scratch, budget).map_err(|e| {
@@ -230,7 +207,7 @@ fn open(
         }
         drop(create_span);
         let chain = registry.build_store(&spec.algorithm, Box::new(store), spec.seed)?;
-        return Ok((JobChain::Store { chain, _scratch: guard }, spec.algorithm.clone(), 0, 0));
+        return Ok((guard, chain, None));
     }
     if magic != *checkpoint::MAGIC {
         return Err(EngineError::Graph(format!(
@@ -248,17 +225,11 @@ fn open(
     }
     drop(restore_span);
     let meta = restored?;
-    let algorithm_spec = meta.chain_spec();
     let store = ExternalEdgeStore::adopt(scratch, budget)
         .map_err(|e| EngineError::Graph(format!("{}: {e}", scratch.display())))?;
-    let mut chain = registry.build_store_with_config(
-        &algorithm_spec,
-        Box::new(store),
-        meta.snapshot.config(),
-    )?;
-    chain.restore_meta(&meta.snapshot)?;
-    let done = meta.snapshot.supersteps_done;
-    Ok((JobChain::Store { chain, _scratch: guard }, algorithm_spec, done, meta.samples_emitted))
+    let (spec, config) = (meta.chain_spec(), meta.snapshot.config());
+    let chain = registry.build_store_with_config(&spec, Box::new(store), config)?;
+    Ok((guard, chain, Some(Cow::Owned(meta))))
 }
 
 /// Stream the edges of the checkpoint at `path` into a fresh `scratch` edge
@@ -297,8 +268,12 @@ fn drive(
             "an out-of-core job resumes from its source and checkpoints to its directory".into(),
         ));
     }
-    let (mut chain, algorithm_spec, resumed_from, mut samples_emitted) =
-        open(registry, spec, resume)?;
+    let (scratch, mut chain, resume) = open(registry, spec, resume)?;
+    // A resumed run checkpoints under the checkpoint's own spec, which may
+    // carry chain-specific parameters the caller's `JobSpec` lacks.
+    let algorithm_spec = resume.as_ref().map_or_else(|| spec.algorithm.clone(), |c| c.chain_spec());
+    let resumed_from = resume.as_ref().map_or(0, |c| c.snapshot.supersteps_done);
+    let mut samples_emitted = resume.as_ref().map_or(0, |c| c.samples_emitted);
 
     // Per-chain superstep latency plus workspace-wide emit/capture meters.
     // Resolved once per job; the per-superstep cost is two clock reads and
@@ -319,15 +294,14 @@ fn drive(
 
     // Every emitted sample must preserve the input's degree sequence; count
     // the reference once.
-    let reference = chain.with_sample(degree_counts);
-    let mut emit = |chain: &mut JobChain, superstep: u64, samples_emitted: &mut u64| {
+    let reference = degree_counts(&SampleView::chain(chain.as_ref()));
+    let mut emit = |chain: &dyn EdgeSwitching, superstep: u64, samples_emitted: &mut u64| {
         let ctx = SampleContext { job: &spec.name, superstep, sample_index: *samples_emitted };
-        chain.with_sample(|sample| {
-            if degree_counts(sample) != reference {
-                return Err(EngineError::DegreesViolated { job: spec.name.clone(), superstep });
-            }
-            sink.emit(&ctx, sample)
-        })?;
+        let sample = SampleView::chain(chain);
+        if degree_counts(&sample) != reference {
+            return Err(EngineError::DegreesViolated { job: spec.name.clone(), superstep });
+        }
+        sink.emit(&ctx, &sample)?;
         *samples_emitted += 1;
         samples_counter.inc();
         Ok::<(), EngineError>(())
@@ -358,7 +332,7 @@ fn drive(
     let loop_result = (|| -> Result<(), EngineError> {
         // A run without supersteps still emits its final (= initial) state.
         if spec.supersteps == 0 && spec.thinning == 0 {
-            emit(&mut chain, 0, &mut samples_emitted)?;
+            emit(chain.as_ref(), 0, &mut samples_emitted)?;
         }
         for step in resumed_from + 1..=spec.supersteps {
             if control.is_cancel_requested() {
@@ -378,7 +352,7 @@ fn drive(
                 step % spec.thinning == 0
             };
             if due_sample {
-                emit(&mut chain, step, &mut samples_emitted)?;
+                emit(chain.as_ref(), step, &mut samples_emitted)?;
             }
 
             let due = spec
@@ -390,52 +364,25 @@ fn drive(
                 if let Some(span) = phase.span_mut() {
                     span.annotate("superstep", step.to_string());
                 }
-                let file =
-                    spec.checkpoint_dir.as_ref().map(|dir| dir.join(format!("{}.ckpt", spec.name)));
+                // The edges stream from the chain into the file, and are
+                // collected only for a sink, which takes a whole checkpoint.
                 let captured = (|| -> Result<(), EngineError> {
-                    match &mut chain {
-                        JobChain::Heap(chain) => {
-                            let checkpoint = Checkpoint::capture(
-                                &spec.name,
-                                chain.as_ref(),
-                                &algorithm_spec,
-                                spec.supersteps,
-                                spec.thinning,
-                                samples_emitted,
-                            )?;
-                            if let Some(file) = &file {
-                                checkpoint.write_to_file(file)?;
-                            }
-                            if let Some(hook) = checkpoint_sink.as_deref_mut() {
-                                hook.store(&checkpoint)?;
-                            }
-                        }
-                        // The same bytes as the heap capture, streamed from
-                        // the store through the one codec.
-                        JobChain::Store { chain, .. } => {
-                            let meta = Checkpoint {
-                                job_name: spec.name.clone(),
-                                snapshot: chain.snapshot_meta(),
-                                algorithm_spec: Some(algorithm_spec.clone()),
-                                total_supersteps: spec.supersteps,
-                                thinning: spec.thinning,
-                                samples_emitted,
-                            };
-                            if let Some(file) = &file {
-                                publish(file, |out| {
-                                    let num_edges = chain.num_edges() as u64;
-                                    let mut writer = CheckpointWriter::new(out, &meta, num_edges)?;
-                                    let mut pushed = Ok(());
-                                    chain.stream_edges(&mut |edge| {
-                                        if pushed.is_ok() {
-                                            pushed = writer.push_edge(edge);
-                                        }
-                                    });
-                                    pushed?;
-                                    writer.finish().map(drop)
-                                })?;
-                            }
-                        }
+                    let mut checkpoint = Checkpoint::header(
+                        &spec.name,
+                        chain.as_ref(),
+                        &algorithm_spec,
+                        spec.supersteps,
+                        spec.thinning,
+                        samples_emitted,
+                    )?;
+                    if let Some(dir) = &spec.checkpoint_dir {
+                        let file = dir.join(format!("{}.ckpt", spec.name));
+                        checkpoint.write_chain_to_file(&file, chain.as_ref())?;
+                    }
+                    if let Some(hook) = checkpoint_sink.as_deref_mut() {
+                        checkpoint.edges.reserve_exact(chain.num_edges());
+                        chain.for_each_edge(&mut |edge| checkpoint.edges.push(edge));
+                        hook.store(&checkpoint)?;
                     }
                     Ok(())
                 })();
@@ -452,9 +399,10 @@ fn drive(
         Ok(())
     })();
     if let Some(span) = loop_span.as_mut() {
-        if let (Some(before), Some(after)) = (io_before, chain.io_stats()) {
-            let loaded = after.chunks_loaded.saturating_sub(before.chunks_loaded);
-            let written = after.chunks_written.saturating_sub(before.chunks_written);
+        if scratch.is_some() {
+            let after = chain.io_stats();
+            let loaded = after.chunks_loaded.saturating_sub(io_before.chunks_loaded);
+            let written = after.chunks_written.saturating_sub(io_before.chunks_written);
             span.annotate("chunks_loaded", loaded.to_string());
             span.annotate("chunks_written", written.to_string());
         }
@@ -465,9 +413,7 @@ fn drive(
     drop(loop_span);
     loop_result?;
 
-    if let JobChain::Store { chain, .. } = &mut chain {
-        chain.flush_store()?;
-    }
+    chain.flush()?;
     let report = JobReport {
         job: spec.name.clone(),
         algorithm: chain.name().to_string(),
@@ -500,6 +446,7 @@ mod tests {
     use crate::job::GraphSource;
     use crate::service::{JobState, QueuedJob, ServicePool};
     use crate::sink::{CallbackSink, EdgeListFileSink, MemorySink, NullSink};
+    use gesmc_core::ChainSpec;
     use gesmc_graph::gen::gnp;
     use gesmc_graph::io::{read_edge_list_binary_file, write_edge_list_binary_file};
     use gesmc_graph::EdgeListGraph;

@@ -5,15 +5,15 @@
 //! [`SampleSink`] receives those samples as the chain produces them, so a
 //! job's memory footprint stays one graph regardless of how many samples it
 //! emits (unless the sink itself chooses to retain them).  A [`SampleView`]
-//! streams an out-of-core sample from its disk-backed store.
+//! streams a sample from the chain that holds it, on the heap or out of
+//! core.
 
 use crate::error::EngineError;
 use crate::pool::JobReport;
-use gesmc_core::StoreSwitching;
+use gesmc_core::EdgeSwitching;
 use gesmc_graph::io::{write_edge_list_file, BinaryEdgeListWriter};
 use gesmc_graph::{Edge, EdgeListGraph};
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -28,45 +28,44 @@ pub struct SampleContext<'a> {
     pub sample_index: u64,
 }
 
-/// One emitted sample, borrowed from the chain that produced it: a heap
-/// chain's graph, or an out-of-core chain's disk-backed store.
-/// [`for_each_edge`](Self::for_each_edge) streams either one;
-/// [`graph`](Self::graph) borrows the first and materialises the second.
+/// One emitted sample, borrowed from the chain that produced it (or a graph).
+/// [`for_each_edge`](Self::for_each_edge) streams it, from the chain's edge
+/// array or its disk-backed store; [`graph`](Self::graph) borrows a graph and
+/// materialises a chain's state.
 pub struct SampleView<'a>(View<'a>);
 
 enum View<'a> {
     Graph(&'a EdgeListGraph),
-    Store(RefCell<&'a mut (dyn StoreSwitching + Send)>),
+    Chain(&'a dyn EdgeSwitching),
 }
 
 impl<'a> SampleView<'a> {
-    /// The current state of a store chain.
-    pub(crate) fn store(chain: &'a mut (dyn StoreSwitching + Send)) -> Self {
-        Self(View::Store(RefCell::new(chain)))
+    /// The current state of `chain`.
+    pub(crate) fn chain(chain: &'a dyn EdgeSwitching) -> Self {
+        Self(View::Chain(chain))
     }
 
     /// Number of nodes `n`.
     pub fn num_nodes(&self) -> usize {
-        match &self.0 {
+        match self.0 {
             View::Graph(graph) => graph.num_nodes(),
-            View::Store(chain) => chain.borrow().store_num_nodes(),
+            View::Chain(chain) => chain.num_nodes(),
         }
     }
 
     /// Visit every edge in slot order.
     pub fn for_each_edge(&self, visit: &mut dyn FnMut(Edge)) {
-        match &self.0 {
+        match self.0 {
             View::Graph(graph) => graph.edges().iter().for_each(|&edge| visit(edge)),
-            View::Store(chain) => chain.borrow_mut().stream_edges(visit),
+            View::Chain(chain) => chain.for_each_edge(visit),
         }
     }
 
-    /// The sample as a graph: borrowed from a heap chain, materialised from
-    /// an out-of-core one.
+    /// The sample as a graph: borrowed, or materialised from the chain.
     pub fn graph(&self) -> Cow<'_, EdgeListGraph> {
-        match &self.0 {
-            View::Graph(graph) => Cow::Borrowed(*graph),
-            View::Store(chain) => Cow::Owned(chain.borrow().graph()),
+        match self.0 {
+            View::Graph(graph) => Cow::Borrowed(graph),
+            View::Chain(chain) => Cow::Owned(chain.graph()),
         }
     }
 

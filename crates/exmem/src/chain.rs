@@ -39,10 +39,10 @@
 use crate::error::ExmemError;
 use crate::store::ExternalEdgeStore;
 use gesmc_core::{
-    switch_targets, ChainSnapshot, EdgeSwitching, SnapshotError, StoreSwitching, SuperstepStats,
-    SwitchRequest, SwitchingConfig,
+    switch_targets, ChainSnapshot, EdgeSwitching, SnapshotError, SuperstepStats, SwitchRequest,
+    SwitchingConfig,
 };
-use gesmc_graph::{Edge, EdgeListGraph, EdgeStore, PackedEdge};
+use gesmc_graph::{Edge, EdgeListGraph, EdgeStore, PackedEdge, StoreIoStats};
 use gesmc_randx::bounded::UniformIndex;
 use gesmc_randx::{rng_from_seed, Rng, RngState};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -56,7 +56,7 @@ pub const DEFAULT_BATCH_CAP: usize = 8192;
 /// Sequential ES-MC over a pluggable edge store (out-of-core capable).
 pub struct SeqESExt {
     /// The store behind a mutex only because [`EdgeSwitching::graph`] and
-    /// [`EdgeSwitching::snapshot`] take `&self` while store reads take
+    /// [`EdgeSwitching::for_each_edge`] take `&self` while store reads take
     /// `&mut self` (chunk-cache mutation); the hot paths go through
     /// `get_mut()` and never pay for a lock.
     store: Mutex<Box<dyn EdgeStore + Send>>,
@@ -242,6 +242,10 @@ impl EdgeSwitching for SeqESExt {
         "SeqESExt"
     }
 
+    fn num_nodes(&self) -> usize {
+        self.num_nodes
+    }
+
     fn num_edges(&self) -> usize {
         self.num_edges
     }
@@ -250,95 +254,40 @@ impl EdgeSwitching for SeqESExt {
         self.store.lock().expect("store mutex poisoned").materialize()
     }
 
+    /// Streams the store, including writes not flushed to its backing
+    /// storage yet, without materializing it.
+    fn for_each_edge(&self, visit: &mut dyn FnMut(Edge)) {
+        self.store.lock().expect("store mutex poisoned").for_each_edge(&mut |_, e| visit(e));
+    }
+
     fn superstep(&mut self) -> SuperstepStats {
         let start = Instant::now();
         let requested = self.num_edges / 2;
         let legal = self.run_switches(requested);
         self.supersteps_done += 1;
-        SuperstepStats {
-            requested,
-            legal,
-            illegal: requested - legal,
-            rounds: 1,
-            round_durations: vec![start.elapsed()],
-        }
+        SuperstepStats::one_round(requested, legal, start.elapsed())
     }
 
     fn snapshot(&self) -> Option<ChainSnapshot> {
-        // Materializes the full edge array — the generic checkpoint path.
-        // Out-of-core jobs use `snapshot_meta` + `stream_edges` instead.
-        let graph = self.graph();
-        Some(ChainSnapshot {
-            algorithm: self.name().to_string(),
-            num_nodes: self.num_nodes,
-            edges: graph.into_edges(),
-            rng: RngState::capture(&self.rng),
-            aux_seed_state: 0,
-            supersteps_done: self.supersteps_done,
-            seed: self.config.seed,
-            loop_probability: self.config.loop_probability,
-            prefetch: self.config.prefetch,
-        })
+        let rng = RngState::capture(&self.rng);
+        Some(ChainSnapshot::new(self, rng, 0, self.supersteps_done, self.config))
     }
 
+    /// Keeps the store: a resume loads the captured edges into it (a heap
+    /// graph, or an external scratch copy) before it builds the chain.
     fn restore(&mut self, snapshot: &ChainSnapshot) -> Result<(), SnapshotError> {
-        snapshot.check_algorithm(self.name())?;
-        // The generic restore path replaces whatever store the chain had
-        // with an in-memory one holding the snapshot's edges; resuming onto
-        // an *external* store goes through `restore_meta` after the engine
-        // has loaded the edge payload into the store.
-        let graph = snapshot.graph()?;
-        self.num_nodes = graph.num_nodes();
-        self.num_edges = graph.num_edges();
-        *self.store.get_mut().expect("store mutex poisoned") = Box::new(graph);
-        self.rng = snapshot.rng.restore();
-        self.supersteps_done = snapshot.supersteps_done;
-        self.config = snapshot.config();
-        Ok(())
-    }
-}
-
-impl StoreSwitching for SeqESExt {
-    fn store_num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    fn stream_edges(&mut self, visit: &mut dyn FnMut(Edge)) {
-        self.store.get_mut().expect("store mutex poisoned").for_each_edge(&mut |_, e| visit(e));
-    }
-
-    fn snapshot_meta(&self) -> ChainSnapshot {
-        ChainSnapshot {
-            algorithm: self.name().to_string(),
-            num_nodes: self.num_nodes,
-            edges: Vec::new(),
-            rng: RngState::capture(&self.rng),
-            aux_seed_state: 0,
-            supersteps_done: self.supersteps_done,
-            seed: self.config.seed,
-            loop_probability: self.config.loop_probability,
-            prefetch: self.config.prefetch,
-        }
-    }
-
-    fn restore_meta(&mut self, snapshot: &ChainSnapshot) -> Result<(), SnapshotError> {
-        snapshot.check_algorithm("SeqESExt")?;
-        if snapshot.num_nodes != self.num_nodes {
-            return Err(SnapshotError::Unsupported(
-                "checkpoint node count does not match the store contents",
-            ));
-        }
+        snapshot.check(self)?;
         self.rng = snapshot.rng.restore();
         self.supersteps_done = snapshot.supersteps_done;
         self.config = snapshot.config();
         Ok(())
     }
 
-    fn flush_store(&mut self) -> std::io::Result<()> {
+    fn flush(&mut self) -> std::io::Result<()> {
         self.store.get_mut().expect("store mutex poisoned").flush()
     }
 
-    fn store_io_stats(&self) -> gesmc_graph::StoreIoStats {
+    fn io_stats(&self) -> StoreIoStats {
         self.store.lock().expect("store mutex poisoned").io_stats()
     }
 }
@@ -405,7 +354,7 @@ mod tests {
         heap.run_supersteps(3);
         ext.run_supersteps(3);
         assert_eq!(heap.graph().edges(), ext.graph().edges());
-        ext.flush_store().unwrap();
+        ext.flush().unwrap();
         let on_disk = gesmc_graph::io::read_edge_list_binary_file(&scratch).unwrap();
         assert_eq!(on_disk.edges(), heap.graph().edges());
         let _ = std::fs::remove_file(&input);
@@ -429,37 +378,24 @@ mod tests {
         let mut uninterrupted = SeqESExt::from_graph(graph.clone(), SwitchingConfig::with_seed(4));
         uninterrupted.run_supersteps(6);
 
-        let mut interrupted = SeqESExt::from_graph(graph.clone(), SwitchingConfig::with_seed(4));
+        let mut interrupted = SeqESExt::from_graph(graph, SwitchingConfig::with_seed(4));
         interrupted.run_supersteps(2);
         let snap = interrupted.snapshot().unwrap();
-        let mut resumed = SeqESExt::from_graph(test_graph(99), SwitchingConfig::with_seed(1));
+        // Rebuild a chain over a store that holds the captured edges (the
+        // resume path: edges loaded first, then the counters restored).
+        let mut resumed = SeqESExt::from_graph(interrupted.graph(), SwitchingConfig::with_seed(1));
         resumed.restore(&snap).unwrap();
         resumed.run_supersteps(4);
-        assert_eq!(resumed.graph().edges(), uninterrupted.graph().edges());
-    }
-
-    #[test]
-    fn restore_meta_keeps_the_store_and_restores_the_counters() {
-        let graph = test_graph(13);
-        let mut uninterrupted = SeqESExt::from_graph(graph.clone(), SwitchingConfig::with_seed(8));
-        uninterrupted.run_supersteps(5);
-
-        let mut interrupted = SeqESExt::from_graph(graph, SwitchingConfig::with_seed(8));
-        interrupted.run_supersteps(2);
-        let meta = interrupted.snapshot_meta();
-        assert!(meta.edges.is_empty());
-        // Rebuild a chain over a store that already holds the right edges
-        // (the out-of-core resume path: payload loaded first, then meta).
-        let mut resumed = SeqESExt::from_graph(interrupted.graph(), SwitchingConfig::with_seed(0));
-        resumed.restore_meta(&meta).unwrap();
-        resumed.run_supersteps(3);
         assert_eq!(resumed.graph().edges(), uninterrupted.graph().edges());
 
         // Mismatched algorithm / node count are rejected.
         let mut wrong = SeqESExt::from_graph(test_graph(14), SwitchingConfig::with_seed(0));
-        let mut foreign = meta.clone();
+        let mut foreign = snap.clone();
         foreign.algorithm = "SeqES".to_string();
-        assert!(wrong.restore_meta(&foreign).is_err());
+        assert!(wrong.restore(&foreign).is_err());
+        let mut other_nodes = snap;
+        other_nodes.num_nodes += 1;
+        assert!(wrong.restore(&other_nodes).is_err());
     }
 
     #[test]

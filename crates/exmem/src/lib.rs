@@ -48,7 +48,7 @@ pub use store::{ExternalEdgeStore, CHUNK_BYTES, CHUNK_EDGES};
 use gesmc_core::registry::COMMON_PARAMS;
 use gesmc_core::{
     ChainError, ChainInfo, ChainRegistry, ChainSpec, EdgeSwitching, ParamInfo, ParamKind,
-    StoreSwitching, SwitchingConfig,
+    SwitchingConfig,
 };
 use gesmc_graph::{EdgeListGraph, EdgeStore};
 
@@ -102,7 +102,7 @@ fn seq_es_ext_store_factory(
     store: Box<dyn EdgeStore + Send>,
     config: SwitchingConfig,
     spec: &ChainSpec,
-) -> Result<Box<dyn StoreSwitching + Send>, ChainError> {
+) -> Result<Box<dyn EdgeSwitching + Send>, ChainError> {
     let cap = batch_cap_from_spec(spec)?;
     Ok(Box::new(SeqESExt::new(store, config).with_batch_cap(cap)))
 }

@@ -78,10 +78,10 @@ fn uninterrupted_vs_resumed(
     assert_eq!(roundtripped, checkpoint, "binary format must round-trip losslessly");
 
     // Resume exactly as the engine does: build from the checkpoint's graph
-    // and the chain name recorded in its header, then restore the full state.
+    // and the chain name recorded in its header, then restore the counters.
     let snapshot = &roundtripped.snapshot;
     let mut resumed =
-        build(roundtripped.chain_name(), snapshot.graph().unwrap(), snapshot.config());
+        build(roundtripped.chain_name(), roundtripped.graph().unwrap(), snapshot.config());
     resumed.restore(snapshot).unwrap();
     assert_eq!(snapshot.supersteps_done, cut as u64, "{algorithm}: checkpointed superstep");
     on_threads(resume_threads, || resumed.run_supersteps(total - cut));
@@ -229,12 +229,47 @@ fn resume_is_repeatable() {
 
     let run = |ckpt: &Checkpoint| {
         let snapshot = &ckpt.snapshot;
-        let mut resumed = build(ckpt.chain_name(), snapshot.graph().unwrap(), snapshot.config());
+        let mut resumed = build(ckpt.chain_name(), ckpt.graph().unwrap(), snapshot.config());
         resumed.restore(snapshot).unwrap();
         resumed.run_supersteps(5);
         resumed.graph().canonical_edges()
     };
     assert_eq!(run(&checkpoint), run(&checkpoint));
+}
+
+/// A snapshot carries no edges, so the chain it is restored into must hold
+/// the captured graph: for every chain that can be checkpointed, `restore`
+/// refuses a snapshot of another algorithm and one of a graph with another
+/// node count, and accepts its own.
+#[test]
+fn restore_refuses_foreign_algorithms_and_node_counts() {
+    use gesmc::chains::SnapshotError;
+    let graph = gnp(&mut rng_from_seed(5), 40, 0.1);
+    let larger = EdgeListGraph::new(41, graph.edges().to_vec()).unwrap();
+    let config = SwitchingConfig::with_seed(3);
+    let capable: Vec<_> = default_registry().infos().filter(|info| info.snapshot).collect();
+    for info in &capable {
+        let mut chain = build(info.name, graph.clone(), config);
+        for other in capable.iter().filter(|other| other.chain_name != info.chain_name) {
+            let foreign = build(other.name, graph.clone(), config).snapshot().unwrap();
+            let refused = chain.restore(&foreign);
+            assert!(
+                matches!(refused, Err(SnapshotError::AlgorithmMismatch { .. })),
+                "{} restored a {} snapshot: {refused:?}",
+                info.name,
+                other.name
+            );
+        }
+        let resized = build(info.name, larger.clone(), config).snapshot().unwrap();
+        assert_eq!(
+            chain.restore(&resized),
+            Err(SnapshotError::NodeCountMismatch { expected: 40, found: 41 }),
+            "{}",
+            info.name
+        );
+        let own = chain.snapshot().unwrap();
+        assert_eq!(chain.restore(&own), Ok(()), "{}", info.name);
+    }
 }
 
 /// The golden `GESMCKP1` file of chain `name` under `crates/engine/testdata/`.

@@ -120,7 +120,7 @@ fn par_global_es_superstep_statistics_are_consistent() {
     let mut chain = ParGlobalES::new(graph.clone(), SwitchingConfig::with_seed(9));
     let stats = chain.run_supersteps(6);
     for s in &stats.supersteps {
-        assert_eq!(s.legal + s.illegal, s.requested);
+        assert_eq!(s.legal + s.illegal(), s.requested);
         assert!(s.rounds >= 1);
         assert_eq!(s.round_durations.len(), s.rounds);
     }

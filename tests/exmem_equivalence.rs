@@ -51,7 +51,7 @@ fn external_edges(
         chain.superstep();
     }
     let mut edges = Vec::new();
-    chain.stream_edges(&mut |e| edges.push(e));
+    chain.for_each_edge(&mut |e| edges.push(e));
     edges
 }
 
