@@ -46,9 +46,7 @@
 
 use gesmc_analysis::mixing_profile;
 use gesmc_core::ChainSpec;
-use gesmc_datasets::{
-    netrep_like::family_graph, syn_gnp_graph, syn_pld_graph, write_syn_gnp_binary, GraphFamily,
-};
+use gesmc_datasets::write_syn_gnp_binary;
 use gesmc_engine::{
     default_registry, run_batch, run_job, Checkpoint, CheckpointReader, EdgeListFileSink,
     EngineError, GraphSource, JobControl, JobSpec, JobState, Manifest, SampleContext, SampleSink,
@@ -156,7 +154,7 @@ fn command_help(command: &str) -> Option<&'static str> {
                --edges M          target edge count\n\
                --output FILE      where the edge list goes (.el selects binary GESMCEL1)\n\
              Options:\n\
-               --nodes N          node count (default: family-specific from M)\n\
+               --nodes N          node count (default, or 0: family-specific from M)\n\
                --gamma G          power-law exponent > 1, pld only (default 2.5)\n\
                --seed S           generator seed (default 1)"
         }
@@ -485,7 +483,8 @@ fn cmd_generate(positional: &[String], flags: &HashMap<String, String>) -> Resul
     let seed: u64 = parse_flag_or(flags, "seed", 1)?;
     let gamma: f64 = parse_flag_or(flags, "gamma", 2.5)?;
     check_gamma(gamma)?;
-    let nodes: Option<usize> = parse_flag(flags, "nodes")?;
+    // 0 picks the family default, as in manifests and serve jobs.
+    let nodes: usize = parse_flag_or(flags, "nodes", 0)?;
 
     // A `.el` output selects the binary GESMCEL1 format.  For `gnp` the
     // edges stream straight from the generator to the file in bounded
@@ -493,7 +492,7 @@ fn cmd_generate(positional: &[String], flags: &HashMap<String, String>) -> Resul
     // is never materialised, so `--edges` can exceed RAM.
     let binary = std::path::Path::new(output.as_str()).extension().is_some_and(|ext| ext == "el");
     if binary && family == "gnp" {
-        let n = nodes.unwrap_or(edges / 8);
+        let n = if nodes == 0 { edges / 8 } else { nodes };
         let written = write_syn_gnp_binary(output, seed, n, edges).map_err(|e| format!("{e}"))?;
         gesmc_obs::info!(
             target: "gesmc::generate",
@@ -504,14 +503,8 @@ fn cmd_generate(positional: &[String], flags: &HashMap<String, String>) -> Resul
         return Ok(());
     }
 
-    let graph = match family.as_str() {
-        "gnp" => syn_gnp_graph(seed, nodes.unwrap_or(edges / 8), edges),
-        "pld" => syn_pld_graph(seed, nodes.unwrap_or(edges / 3), gamma),
-        "road" => family_graph(seed, GraphFamily::RoadLike, edges).graph,
-        "mesh" => family_graph(seed, GraphFamily::Mesh, edges).graph,
-        "dense" => family_graph(seed, GraphFamily::Dense, edges).graph,
-        other => return Err(format!("unknown family {other:?}")),
-    };
+    let source = GraphSource::Generated { family: family.clone(), nodes, edges, gamma, seed };
+    let graph = source.load().map_err(|e| format!("{e}"))?;
     if binary {
         write_edge_list_binary_file(output, &graph).map_err(|e| format!("{e}"))?;
     } else {

@@ -26,7 +26,9 @@ pub struct SuperstepStats {
 
 impl SuperstepStats {
     /// A superstep of `requested` switches, `legal` of them applied, run as
-    /// one round that lasted `duration`: how the in-order kernel reports.
+    /// one round that lasted `duration`: how the in-order kernel and the
+    /// chains without rounds (the baselines, `NaiveParES`, `SeqESExt`)
+    /// report.
     pub fn one_round(requested: usize, legal: usize, duration: Duration) -> Self {
         Self { requested, legal, rounds: 1, round_durations: vec![duration] }
     }

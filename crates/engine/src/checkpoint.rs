@@ -70,7 +70,12 @@ pub trait CheckpointSink: Send {
     fn store(&mut self, checkpoint: &Checkpoint) -> Result<(), EngineError>;
 }
 
-/// A resumable capture of a randomization job.
+/// A resumable capture of a randomization job: the chain's edges, its
+/// counter-only [`ChainSnapshot`], and the job's progress.
+///
+/// A resume builds the chain from [`graph`](Self::graph) through the
+/// registry factory a fresh run uses, then
+/// [`restore`](EdgeSwitching::restore)s the snapshot into it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// Name of the checkpointed job.
