@@ -1,23 +1,17 @@
 //! Criterion benchmark: the out-of-core cost model.
 //!
-//! Two questions, one group each:
-//!
-//! * `exmem_superstep` — what does a `seq-es-ext` superstep cost over the
-//!   heap store vs a budget-bound [`ExternalEdgeStore`] (64 KiB = one
-//!   pinned chunk, and 4 MiB = everything cached), with plain `SeqES` as
-//!   the reference?  All four produce bit-identical samples
-//!   (`tests/exmem_equivalence.rs`), so the deltas here are pure storage
-//!   cost.
-//! * `mapped_first_touch` — how long does `MappedEdgeList::open` plus one
-//!   full validating stream over a cold map take, against reading the same
-//!   file onto the heap?  This is the latency a rehydrated serve cache
-//!   entry or a `--mmap` job pays before its first switch.
+//! `exmem_superstep` — what does a `seq-es-ext` superstep cost over the
+//! heap store vs a budget-bound [`ExternalEdgeStore`] (64 KiB = one pinned
+//! chunk, and 4 MiB = everything cached), with plain `SeqES` as the
+//! reference?  All four produce bit-identical samples
+//! (`tests/exmem_equivalence.rs`), so the deltas here are pure storage
+//! cost.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use gesmc_core::{EdgeSwitching, SeqES, SwitchingConfig};
 use gesmc_datasets::{netrep_like::family_graph, GraphFamily};
-use gesmc_exmem::{ExternalEdgeStore, MappedEdgeList, SeqESExt};
-use gesmc_graph::io::{read_edge_list_binary_file, write_edge_list_binary_file};
+use gesmc_exmem::{ExternalEdgeStore, SeqESExt};
+use gesmc_graph::io::write_edge_list_binary_file;
 use gesmc_graph::EdgeListGraph;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -80,27 +74,6 @@ fn bench_superstep(c: &mut Criterion, graph: &EdgeListGraph, input: &PathBuf) {
     group.finish();
 }
 
-fn bench_first_touch(c: &mut Criterion, input: &PathBuf, m: usize) {
-    let mut group = c.benchmark_group("mapped_first_touch");
-    group.throughput(Throughput::Elements(m as u64));
-    group.sample_size(10);
-
-    // Map + one full validating stream; the map is created inside the timed
-    // closure, so every iteration pays the mmap setup and page faults.
-    group.bench_with_input(BenchmarkId::new("mmap-stream", m), input, |b, path| {
-        b.iter(|| {
-            let view = MappedEdgeList::open(path).expect("open");
-            let mut count = 0usize;
-            view.for_each_edge(&mut |_, _| count += 1).expect("stream");
-            count
-        });
-    });
-    group.bench_with_input(BenchmarkId::new("heap-read", m), input, |b, path| {
-        b.iter(|| read_edge_list_binary_file(path).expect("read").num_edges());
-    });
-    group.finish();
-}
-
 fn bench_exmem(c: &mut Criterion) {
     let corpus = family_graph(1, GraphFamily::Mesh, 20_000);
     let graph = corpus.graph;
@@ -109,7 +82,6 @@ fn bench_exmem(c: &mut Criterion) {
     write_edge_list_binary_file(&input, &graph).expect("write input");
 
     bench_superstep(c, &graph, &input);
-    bench_first_touch(c, &input, graph.num_edges());
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -44,6 +44,7 @@
 
 use crate::error::EngineError;
 use gesmc_core::{ChainSnapshot, ChainSpec, EdgeSwitching, SnapshotError};
+use gesmc_graph::io::EDGE_BYTES;
 use gesmc_graph::{Edge, EdgeListGraph, GraphError};
 use gesmc_randx::{Fnv1a64, RngState};
 use std::fs::File;
@@ -324,10 +325,7 @@ impl<W: Write> CheckpointWriter<W> {
                 self.declared_edges
             )));
         }
-        let mut buf = [0u8; 8];
-        buf[..4].copy_from_slice(&edge.u().to_le_bytes());
-        buf[4..].copy_from_slice(&edge.v().to_le_bytes());
-        self.put(&buf)?;
+        self.put(&edge.to_le_bytes())?;
         self.written_edges += 1;
         Ok(())
     }
@@ -475,7 +473,7 @@ impl<R: Read> CheckpointReader<R> {
         this.num_edges = this.u64()?;
         let fits = this
             .num_edges
-            .checked_mul(8)
+            .checked_mul(EDGE_BYTES as u64)
             .and_then(|b| this.pos.checked_add(b))
             .is_some_and(|end| end <= this.payload_len);
         if !fits {
@@ -506,12 +504,10 @@ impl<R: Read> CheckpointReader<R> {
                 self.num_edges
             )));
         }
-        let mut buf = [0u8; 8];
-        self.take_into(&mut buf)?;
+        let mut record = [0u8; EDGE_BYTES];
+        self.take_into(&mut record)?;
         self.edges_read += 1;
-        let u = u32::from_le_bytes(buf[..4].try_into().expect("length checked"));
-        let v = u32::from_le_bytes(buf[4..].try_into().expect("length checked"));
-        Ok(Edge::new(u, v))
+        Ok(Edge::from_le_bytes(record))
     }
 
     /// Read the optional chain-spec tail, verify the checksum, and return

@@ -7,10 +7,9 @@ use crate::job::{GraphSource, JobSpec};
 use crate::sink::{SampleContext, SampleSink, SampleView};
 use gesmc_core::{ChainRegistry, EdgeSwitching};
 use gesmc_exmem::ExternalEdgeStore;
-use gesmc_graph::io::{BinaryEdgeListWriter, BINARY_MAGIC};
+use gesmc_graph::io::{file_starts_with, is_binary_edge_list_file, BinaryEdgeListWriter};
 use gesmc_obs::Phase;
 use std::borrow::Cow;
-use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -183,16 +182,11 @@ fn open_out_of_core(
     scratch: &Path,
     budget: usize,
 ) -> Result<Opened<'static>, EngineError> {
-    let mut file = std::fs::File::open(path)
-        .map_err(|e| EngineError::Graph(format!("{}: {e}", path.display())))?;
-    // A header too short to read matches neither magic.
-    let mut magic = [0u8; 8];
-    let _ = file.read_exact(&mut magic);
-    drop(file);
+    let unreadable = |e| EngineError::Graph(format!("{}: {e}", path.display()));
     // The guard exists before the scratch does, so a failure anywhere below
     // leaves no scratch behind.
     let guard = Some(Scratch(scratch.to_path_buf()));
-    if &magic == BINARY_MAGIC {
+    if is_binary_edge_list_file(path).map_err(unreadable)? {
         let mut create_span = gesmc_obs::trace::child_of_current("store_create");
         let store = ExternalEdgeStore::create(path, scratch, budget).map_err(|e| {
             if let Some(span) = create_span.as_mut() {
@@ -209,7 +203,7 @@ fn open_out_of_core(
         let chain = registry.build_store(&spec.algorithm, Box::new(store), spec.seed)?;
         return Ok((guard, chain, None));
     }
-    if magic != *checkpoint::MAGIC {
+    if !file_starts_with(path, checkpoint::MAGIC).map_err(unreadable)? {
         return Err(EngineError::Graph(format!(
             "{}: an out-of-core source must be a binary GESMCEL1 edge list or a GESMCKP1 checkpoint",
             path.display()

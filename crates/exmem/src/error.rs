@@ -1,5 +1,6 @@
-//! Error type shared by the out-of-core views and stores.
+//! Error type of the out-of-core store.
 
+use gesmc_graph::io::IoError;
 use std::fmt;
 
 /// Errors surfaced by the `gesmc-exmem` crate.
@@ -21,3 +22,13 @@ impl fmt::Display for ExmemError {
 }
 
 impl std::error::Error for ExmemError {}
+
+impl From<IoError> for ExmemError {
+    fn from(e: IoError) -> Self {
+        match e {
+            IoError::Io(e) => ExmemError::Io(e.to_string()),
+            IoError::Binary(msg) => ExmemError::Format(msg),
+            other => ExmemError::Format(other.to_string()),
+        }
+    }
+}

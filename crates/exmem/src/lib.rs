@@ -1,17 +1,7 @@
 //! Out-of-core edge storage for graphs that do not fit in RAM.
 //!
-//! Here `unsafe` is confined to the [`mmap`] module's three syscall wrappers
-//! (see the safety argument there); elsewhere in the workspace only
-//! `gesmc-serve`'s `poll(2)` wrapper and `gesmc-concurrent`'s prefetch
-//! intrinsic use it.  Building blocks:
+//! Building blocks:
 //!
-//! * [`Mmap`] — a dependency-free read-only memory-map wrapper (no `libc`
-//!   crate; direct `extern "C"` declarations), with a pure-`std` positioned
-//!   read fallback selected automatically off Linux or under
-//!   `GESMC_EXMEM_NO_MMAP=1`.
-//! * [`MappedEdgeList`] — a zero-copy validated view of a `GESMCEL1` file;
-//!   header rules identical to the heap parser, per-slot bounds re-checked
-//!   on every access (corruption yields an error, never UB).
 //! * [`ExternalEdgeStore`] — a mutable, disk-backed
 //!   [`EdgeStore`] serving slot reads/writes through
 //!   a bounded LRU chunk cache with dirty-chunk writeback.
@@ -19,10 +9,12 @@
 //!   batches from the seeded PRNG, sorting them by slot locality, and
 //!   applying them in runs — **bit-identical to `seq-es` at the same seed**.
 //!
+//! The store reads and writes `GESMCEL1` files through `gesmc_graph::io`,
+//! which holds the format's header, record and rules.
+//!
 //! The cardinal invariant, property-tested in the workspace's
 //! `exmem_equivalence` suite: *the storage backend never changes the sample
-//! bytes.*  Budgets, batch caps, and mmap-vs-fallback only move memory
-//! traffic around.
+//! bytes.*  Budgets and batch caps only move memory traffic around.
 //!
 //! [`register`] plugs the `seq-es-ext` chain (plus its store-aware factory)
 //! into any [`ChainRegistry`], which is how `gesmc_engine::default_registry`
@@ -32,17 +24,14 @@
 //! job — the same job loop every in-memory job runs on.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod chain;
 pub mod error;
-pub mod mapped;
-pub mod mmap;
 pub mod store;
 
 pub use chain::{SeqESExt, DEFAULT_BATCH_CAP};
 pub use error::ExmemError;
-pub use mapped::MappedEdgeList;
-pub use mmap::{mmap_available, Advice, Mmap};
 pub use store::{ExternalEdgeStore, CHUNK_BYTES, CHUNK_EDGES};
 
 use gesmc_core::registry::COMMON_PARAMS;

@@ -20,25 +20,24 @@
 //! with the workspace's `write(tmp) → fsync → rename` discipline elsewhere.
 //!
 //! Validation: [`ExternalEdgeStore::create`] streams the input file through
-//! the same header and per-edge rules as the heap parser (magic, plausible
-//! counts, exact length, no self-loops, endpoints in range).  Duplicate-edge
-//! detection needs `O(m)` memory and is intentionally skipped — out-of-core
-//! inputs are produced by this workspace's own writers, which never emit
-//! duplicates, and the degree-sequence check downstream still holds.
+//! `gesmc_graph::io::BinaryEdgeListReader`, the decoder of the heap parser
+//! (magic, plausible counts, exact length, no self-loops, endpoints in
+//! range).  Duplicate-edge detection needs `O(m)` memory and is
+//! intentionally skipped — out-of-core inputs are produced by this
+//! workspace's own writers, which never emit duplicates, and the
+//! degree-sequence check downstream still holds.
 
 use crate::error::ExmemError;
-use crate::mapped::{EDGE_BYTES, HEADER_BYTES};
-use gesmc_graph::io::{BinaryEdgeListWriter, BINARY_MAGIC};
-use gesmc_graph::{Edge, EdgeStore, Node};
+use gesmc_graph::io::{BinaryEdgeListReader, BinaryEdgeListWriter, EDGE_BYTES, HEADER_BYTES};
+use gesmc_graph::{Edge, EdgeStore};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::Read;
 use std::path::{Path, PathBuf};
 
 /// Edges per cache chunk.
 pub const CHUNK_EDGES: usize = 8192;
 /// Bytes per cache chunk (64 KiB).
-pub const CHUNK_BYTES: usize = CHUNK_EDGES * EDGE_BYTES as usize;
+pub const CHUNK_BYTES: usize = CHUNK_EDGES * EDGE_BYTES;
 
 struct Chunk {
     data: Vec<u8>,
@@ -86,52 +85,15 @@ impl ExternalEdgeStore {
         scratch: Q,
         memory_budget: usize,
     ) -> Result<Self, ExmemError> {
-        let input = input.as_ref();
         let scratch = scratch.as_ref();
-        let mut src = File::open(input)
-            .map_err(|e| ExmemError::Io(format!("cannot open {}: {e}", input.display())))?;
-        let file_len = src
-            .metadata()
-            .map_err(|e| ExmemError::Io(format!("cannot stat {}: {e}", input.display())))?
-            .len();
-        let (num_nodes, num_edges) = read_and_check_header(&mut src, file_len)?;
-
-        let mut writer = BinaryEdgeListWriter::create(scratch, num_nodes)
-            .map_err(|e| ExmemError::Io(format!("cannot create scratch: {e}")))?;
-        let mut remaining = num_edges;
-        let mut buf = vec![0u8; CHUNK_BYTES];
-        let mut slot = 0u64;
-        while remaining > 0 {
-            let count = remaining.min(CHUNK_EDGES as u64);
-            let bytes = &mut buf[..(count * EDGE_BYTES) as usize];
-            src.read_exact(bytes).map_err(|e| {
-                ExmemError::Format(format!(
-                    "truncated payload: header claims {num_edges} edges, data ends at edge {slot}: {e}"
-                ))
-            })?;
-            for i in 0..count as usize {
-                let at = i * EDGE_BYTES as usize;
-                let u = Node::from_le_bytes(bytes[at..at + 4].try_into().expect("length checked"));
-                let v =
-                    Node::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("length checked"));
-                if u == v {
-                    return Err(ExmemError::Format(format!(
-                        "self-loop at node {u} (edge {})",
-                        slot + i as u64
-                    )));
-                }
-                let e = Edge::new(u, v);
-                if u64::from(e.v()) >= num_nodes {
-                    return Err(ExmemError::Format(format!(
-                        "edge {e} references a node outside [0, {num_nodes})"
-                    )));
-                }
-                writer.push(e).map_err(|e| ExmemError::Io(format!("scratch write: {e}")))?;
-            }
-            slot += count;
-            remaining -= count;
+        let scratch_failed = |e| ExmemError::Io(format!("scratch {}: {e}", scratch.display()));
+        let mut reader = BinaryEdgeListReader::open(input)?;
+        let mut writer =
+            BinaryEdgeListWriter::create(scratch, reader.num_nodes()).map_err(scratch_failed)?;
+        while let Some(edge) = reader.next_edge()? {
+            writer.push(edge).map_err(scratch_failed)?;
         }
-        writer.finish().map_err(|e| ExmemError::Io(format!("scratch finish: {e}")))?;
+        writer.finish().map_err(scratch_failed)?;
         Self::adopt(scratch, memory_budget)
     }
 
@@ -149,20 +111,21 @@ impl ExternalEdgeStore {
             .write(true)
             .open(&path)
             .map_err(|e| ExmemError::Io(format!("cannot open {}: {e}", path.display())))?;
-        let file_len = file
+        let len = file
             .metadata()
             .map_err(|e| ExmemError::Io(format!("cannot stat {}: {e}", path.display())))?
             .len();
-        let (num_nodes, num_edges) = read_and_check_header(&mut file, file_len)?;
-        if num_edges > usize::MAX as u64 || num_nodes > usize::MAX as u64 {
-            return Err(ExmemError::Format(format!("implausible edge count {num_edges}")));
-        }
+        let header = BinaryEdgeListReader::new(&mut file, Some(len))?;
+        let (n, m) = (header.num_nodes(), header.num_edges());
+        let (Ok(num_nodes), Ok(num_edges)) = (usize::try_from(n), usize::try_from(m)) else {
+            return Err(ExmemError::Format(format!("implausible edge count {m}")));
+        };
         let max_chunks = (memory_budget / CHUNK_BYTES).max(1);
         Ok(Self {
             file,
             path,
-            num_nodes: num_nodes as usize,
-            num_edges: num_edges as usize,
+            num_nodes,
+            num_edges,
             cache: HashMap::new(),
             max_chunks,
             clock: 0,
@@ -189,11 +152,11 @@ impl ExternalEdgeStore {
     fn chunk_len(&self, chunk: usize) -> usize {
         let start = chunk * CHUNK_EDGES;
         let edges = CHUNK_EDGES.min(self.num_edges - start);
-        edges * EDGE_BYTES as usize
+        edges * EDGE_BYTES
     }
 
     fn chunk_offset(chunk: usize) -> u64 {
-        HEADER_BYTES + (chunk * CHUNK_BYTES) as u64
+        (HEADER_BYTES + chunk * CHUNK_BYTES) as u64
     }
 
     /// Ensure `chunk` is resident, evicting the least-recently-used chunk
@@ -229,19 +192,16 @@ impl ExternalEdgeStore {
         let chunk = Self::chunk_of(slot);
         self.load_chunk(chunk)?;
         let data = &self.cache.get(&chunk).expect("just loaded").data;
-        let at = (slot - chunk * CHUNK_EDGES) * EDGE_BYTES as usize;
-        let u = Node::from_le_bytes(data[at..at + 4].try_into().expect("length checked"));
-        let v = Node::from_le_bytes(data[at + 4..at + 8].try_into().expect("length checked"));
-        Ok(Edge::new(u, v))
+        let at = (slot - chunk * CHUNK_EDGES) * EDGE_BYTES;
+        Ok(Edge::from_le_bytes(data[at..at + EDGE_BYTES].try_into().expect("length checked")))
     }
 
     fn write_slot(&mut self, slot: usize, edge: Edge) -> std::io::Result<()> {
         let chunk = Self::chunk_of(slot);
         self.load_chunk(chunk)?;
         let c = self.cache.get_mut(&chunk).expect("just loaded");
-        let at = (slot - chunk * CHUNK_EDGES) * EDGE_BYTES as usize;
-        c.data[at..at + 4].copy_from_slice(&edge.u().to_le_bytes());
-        c.data[at + 4..at + 8].copy_from_slice(&edge.v().to_le_bytes());
+        let at = (slot - chunk * CHUNK_EDGES) * EDGE_BYTES;
+        c.data[at..at + EDGE_BYTES].copy_from_slice(&edge.to_le_bytes());
         c.dirty = true;
         Ok(())
     }
@@ -306,12 +266,8 @@ impl EdgeStore for ExternalEdgeStore {
                 &buf[..len]
             };
             let base = chunk * CHUNK_EDGES;
-            for i in 0..len / EDGE_BYTES as usize {
-                let at = i * EDGE_BYTES as usize;
-                let u = Node::from_le_bytes(data[at..at + 4].try_into().expect("length checked"));
-                let v =
-                    Node::from_le_bytes(data[at + 4..at + 8].try_into().expect("length checked"));
-                visit(base + i, Edge::new(u, v));
+            for (i, record) in data.chunks_exact(EDGE_BYTES).enumerate() {
+                visit(base + i, Edge::from_le_bytes(record.try_into().expect("exact chunks")));
             }
         }
     }
@@ -326,43 +282,6 @@ impl EdgeStore for ExternalEdgeStore {
             chunks_written: self.chunks_written,
         }
     }
-}
-
-fn read_and_check_header(file: &mut File, file_len: u64) -> Result<(u64, u64), ExmemError> {
-    if file_len < HEADER_BYTES {
-        return Err(ExmemError::Format("truncated header (need 24 bytes)".to_string()));
-    }
-    let mut header = [0u8; HEADER_BYTES as usize];
-    file.read_exact(&mut header).map_err(|e| ExmemError::Io(format!("header read: {e}")))?;
-    if &header[0..8] != BINARY_MAGIC {
-        return Err(ExmemError::Format(format!(
-            "bad magic {:?} (expected {:?})",
-            &header[0..8],
-            BINARY_MAGIC
-        )));
-    }
-    let num_nodes = u64::from_le_bytes(header[8..16].try_into().expect("length checked"));
-    let num_edges = u64::from_le_bytes(header[16..24].try_into().expect("length checked"));
-    if num_nodes > u64::from(u32::MAX) + 1 {
-        return Err(ExmemError::Format(format!("implausible node count {num_nodes}")));
-    }
-    let expected = HEADER_BYTES
-        .checked_add(
-            num_edges
-                .checked_mul(EDGE_BYTES)
-                .ok_or_else(|| ExmemError::Format(format!("implausible edge count {num_edges}")))?,
-        )
-        .ok_or_else(|| ExmemError::Format(format!("implausible edge count {num_edges}")))?;
-    if file_len < expected {
-        let have = (file_len - HEADER_BYTES) / EDGE_BYTES;
-        return Err(ExmemError::Format(format!(
-            "truncated payload: header claims {num_edges} edges, data ends at edge {have}"
-        )));
-    }
-    if file_len > expected {
-        return Err(ExmemError::Format("trailing bytes after the edge payload".to_string()));
-    }
-    Ok((num_nodes, num_edges))
 }
 
 fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
@@ -396,7 +315,7 @@ fn write_all_at(file: &File, buf: &[u8], offset: u64) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gesmc_graph::io::write_edge_list_binary_file;
+    use gesmc_graph::io::{write_edge_list_binary_file, write_edges_binary};
     use gesmc_graph::EdgeListGraph;
     use rand::Rng;
 
@@ -461,13 +380,7 @@ mod tests {
         store.flush().unwrap();
         let bytes = std::fs::read(&scratch).unwrap();
         let mut expected = Vec::with_capacity(bytes.len());
-        expected.extend_from_slice(BINARY_MAGIC);
-        expected.extend_from_slice(&500u64.to_le_bytes());
-        expected.extend_from_slice(&(model.len() as u64).to_le_bytes());
-        for e in &model {
-            expected.extend_from_slice(&e.u().to_le_bytes());
-            expected.extend_from_slice(&e.v().to_le_bytes());
-        }
+        write_edges_binary(&mut expected, 500, &model).unwrap();
         assert_eq!(bytes, expected);
         let _ = std::fs::remove_file(&input);
         let _ = std::fs::remove_file(&scratch);

@@ -116,6 +116,21 @@ impl Edge {
     pub fn unpack56(packed: u64) -> Self {
         Self { u: ((packed >> 28) & 0x0FFF_FFFF) as Node, v: (packed & 0x0FFF_FFFF) as Node }
     }
+
+    /// The 8-byte record of the binary formats (`GESMCEL1` edge lists and
+    /// `GESMCKP1` checkpoints): `u32 u, u32 v`, little-endian.
+    #[inline]
+    pub fn to_le_bytes(self) -> [u8; 8] {
+        (u64::from(self.v) << 32 | u64::from(self.u)).to_le_bytes()
+    }
+
+    /// Decode a record of [`Edge::to_le_bytes`] through [`Edge::new`], so
+    /// either orientation reads as the canonical edge.
+    #[inline]
+    pub fn from_le_bytes(record: [u8; 8]) -> Self {
+        let word = u64::from_le_bytes(record);
+        Self::new(word as Node, (word >> 32) as Node)
+    }
 }
 
 impl fmt::Debug for Edge {
@@ -191,6 +206,14 @@ mod tests {
             let e = Edge::new(a, b);
             assert_eq!(Edge::unpack(e.pack()), e);
         }
+    }
+
+    #[test]
+    fn record_is_u_then_v_little_endian() {
+        let e = Edge::new(0x0102_0304, 7);
+        assert_eq!(e.to_le_bytes(), [7, 0, 0, 0, 4, 3, 2, 1]);
+        assert_eq!(Edge::from_le_bytes(e.to_le_bytes()), e);
+        assert_eq!(Edge::from_le_bytes([4, 3, 2, 1, 7, 0, 0, 0]), e, "either orientation");
     }
 
     #[test]

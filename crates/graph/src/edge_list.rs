@@ -59,19 +59,9 @@ pub struct EdgeListGraph {
 impl EdgeListGraph {
     /// Build a graph after validating simplicity.
     pub fn new(num_nodes: usize, edges: Vec<Edge>) -> Result<Self, GraphError> {
-        let mut seen: HashSet<PackedEdge> = HashSet::with_capacity(edges.len() * 2);
-        for &e in &edges {
-            if e.v() as usize >= num_nodes {
-                return Err(GraphError::NodeOutOfRange { edge: e, nodes: num_nodes });
-            }
-            if e.is_loop() {
-                return Err(GraphError::SelfLoop(e));
-            }
-            if !seen.insert(e.pack()) {
-                return Err(GraphError::MultiEdge(e));
-            }
-        }
-        Ok(Self { num_nodes, edges })
+        let graph = Self { num_nodes, edges };
+        graph.validate()?;
+        Ok(graph)
     }
 
     /// Build a graph without validating invariants.

@@ -7,17 +7,22 @@
 //! duplicates, self-loops and multi-edges are dropped.
 //!
 //! For machine-to-machine exchange — the `gesmc-serve` HTTP service under
-//! `Accept: application/octet-stream`, bulk sample archives — there is also a
-//! compact binary encoding ([`write_edge_list_binary`] /
-//! [`read_edge_list_binary`]): a magic header plus fixed-width little-endian
-//! words, 8 bytes per edge, no escaping and no parsing ambiguity.  The reader
-//! validates the simple-graph invariants and caps its allocations by the
-//! bytes actually present (like the engine's `GESMCKP1` checkpoint parser),
-//! so a forged edge count cannot trigger an out-of-memory abort.
+//! `Accept: application/octet-stream`, its disk spills, the out-of-core
+//! store, bulk sample archives — there is also a compact binary encoding,
+//! `GESMCEL1`: a magic header plus fixed-width little-endian words, 8 bytes
+//! per edge ([`Edge::to_le_bytes`]), no escaping and no parsing ambiguity.
+//! This module is the only code that knows its layout and its rules.
+//! [`BinaryEdgeListReader`] is its one decoder; [`write_edges_binary`] and
+//! [`BinaryEdgeListWriter`] are its encoders.  The reader validates the
+//! header and every edge, and [`read_edge_list_binary`] caps its
+//! allocations by the bytes actually present (like the engine's `GESMCKP1`
+//! checkpoint parser), so a forged edge count cannot trigger an
+//! out-of-memory abort.
 
 use crate::edge::{Edge, Node};
-use crate::edge_list::EdgeListGraph;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use crate::edge_list::{EdgeListGraph, GraphError};
+use std::fs::File;
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::path::Path;
 
 /// Errors raised while parsing an edge list.
@@ -94,14 +99,20 @@ pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<EdgeListGraph, IoE
     read_edge_list(file)
 }
 
-/// Write a graph as a plain edge list (`u v` per line).
-pub fn write_edge_list<W: Write>(writer: W, graph: &EdgeListGraph) -> std::io::Result<()> {
+/// Write the `edges` of a graph over `num_nodes` nodes as a plain edge list
+/// (`u v` per line, after a `# nodes n edges m` comment).
+pub fn write_edges<W: Write>(writer: W, num_nodes: usize, edges: &[Edge]) -> std::io::Result<()> {
     let mut w = BufWriter::new(writer);
-    writeln!(w, "# nodes {} edges {}", graph.num_nodes(), graph.num_edges())?;
-    for e in graph.edges() {
+    writeln!(w, "# nodes {num_nodes} edges {}", edges.len())?;
+    for e in edges {
         writeln!(w, "{} {}", e.u(), e.v())?;
     }
     w.flush()
+}
+
+/// Write a graph as a plain edge list ([`write_edges`]).
+pub fn write_edge_list<W: Write>(writer: W, graph: &EdgeListGraph) -> std::io::Result<()> {
+    write_edges(writer, graph.num_nodes(), graph.edges())
 }
 
 /// Write a graph to a file path.
@@ -112,8 +123,56 @@ pub fn write_edge_list_file<P: AsRef<Path>>(path: P, graph: &EdgeListGraph) -> s
 
 /// Magic header of the binary edge-list encoding (version 1).
 pub const BINARY_MAGIC: &[u8; 8] = b"GESMCEL1";
+/// Bytes of the binary encoding's header: magic, node count, edge count.
+pub const HEADER_BYTES: usize = 24;
+/// Bytes of one edge record of the binary encoding ([`Edge::to_le_bytes`]).
+pub const EDGE_BYTES: usize = 8;
 
-/// Write a graph in the compact binary encoding.
+/// The header of a binary edge list over `num_nodes` nodes and `num_edges`
+/// edges.
+fn binary_header(num_nodes: u64, num_edges: u64) -> [u8; HEADER_BYTES] {
+    let mut header = [0u8; HEADER_BYTES];
+    header[..8].copy_from_slice(BINARY_MAGIC);
+    header[8..16].copy_from_slice(&num_nodes.to_le_bytes());
+    header[16..].copy_from_slice(&num_edges.to_le_bytes());
+    header
+}
+
+/// The per-edge rules of the binary encoding: no self-loop, and both
+/// endpoints below the header's `num_nodes`.  `index` is the edge's slot.
+/// The reader and [`BinaryEdgeListWriter::push`] both apply them.
+#[inline]
+fn check_edge(edge: Edge, index: u64, num_nodes: u64) -> Result<(), IoError> {
+    let error = if edge.is_loop() {
+        GraphError::SelfLoop(edge)
+    } else if u64::from(edge.v()) >= num_nodes {
+        GraphError::NodeOutOfRange { edge, nodes: num_nodes as usize }
+    } else {
+        return Ok(());
+    };
+    Err(IoError::Binary(format!("invalid graph: {error} (edge {index})")))
+}
+
+/// The header's node count must fit `u32` node ids.
+fn check_node_count(num_nodes: u64) -> Result<(), IoError> {
+    if num_nodes > u64::from(u32::MAX) + 1 {
+        return Err(IoError::Binary(format!("implausible node count {num_nodes}")));
+    }
+    Ok(())
+}
+
+fn truncated_payload(num_edges: u64, have: u64) -> IoError {
+    IoError::Binary(format!(
+        "truncated payload: header claims {num_edges} edges, data ends at edge {have}"
+    ))
+}
+
+fn trailing_bytes() -> IoError {
+    IoError::Binary("trailing bytes after the edge payload".to_string())
+}
+
+/// Write the `edges` of a graph over `num_nodes` nodes in the compact
+/// binary encoding.
 ///
 /// Layout (all integers little-endian, no padding):
 ///
@@ -127,78 +186,176 @@ pub const BINARY_MAGIC: &[u8; 8] = b"GESMCEL1";
 /// The fixed-width layout makes the size exactly `24 + 8·m` bytes and keeps
 /// encoding/decoding allocation-free per edge (no varints to branch on); a
 /// graph round-trips through [`read_edge_list_binary`] with its edge *order*
-/// intact, not just its edge set.
-pub fn write_edge_list_binary<W: Write>(writer: W, graph: &EdgeListGraph) -> std::io::Result<()> {
+/// intact, not just its edge set.  The edges are written as given:
+/// [`BinaryEdgeListWriter`] is the encoder that checks them.
+pub fn write_edges_binary<W: Write>(
+    writer: W,
+    num_nodes: usize,
+    edges: &[Edge],
+) -> std::io::Result<()> {
     let mut w = BufWriter::new(writer);
-    w.write_all(BINARY_MAGIC)?;
-    w.write_all(&(graph.num_nodes() as u64).to_le_bytes())?;
-    w.write_all(&(graph.num_edges() as u64).to_le_bytes())?;
-    for e in graph.edges() {
-        w.write_all(&e.u().to_le_bytes())?;
-        w.write_all(&e.v().to_le_bytes())?;
+    w.write_all(&binary_header(num_nodes as u64, edges.len() as u64))?;
+    for e in edges {
+        w.write_all(&e.to_le_bytes())?;
     }
     w.flush()
+}
+
+/// Write a graph in the compact binary encoding ([`write_edges_binary`]).
+pub fn write_edge_list_binary<W: Write>(writer: W, graph: &EdgeListGraph) -> std::io::Result<()> {
+    write_edges_binary(writer, graph.num_nodes(), graph.edges())
+}
+
+/// The streaming decoder of the binary encoding, in three steps:
+/// [`new`](Self::new) checks the header, [`next_edge`](Self::next_edge)
+/// decodes and checks one edge at a time, and its `None` after the last
+/// edge comes only once the input is known to end there.
+///
+/// The edges are checked one by one (no self-loop, endpoints below the
+/// node count), so duplicates pass: [`read_edge_list_binary`] rejects them
+/// where it builds a graph.
+#[derive(Debug)]
+pub struct BinaryEdgeListReader<R> {
+    input: R,
+    num_nodes: u64,
+    num_edges: u64,
+    read: u64,
+    /// Whole records read ahead, and the offset of the next one.
+    chunk: Vec<u8>,
+    at: usize,
+}
+
+impl BinaryEdgeListReader<File> {
+    /// Open a binary edge-list file.  A regular file's length must be the
+    /// one its header declares.
+    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, IoError> {
+        let file = File::open(path)?;
+        let meta = file.metadata()?;
+        Self::new(file, meta.is_file().then_some(meta.len()))
+    }
+}
+
+impl<R: Read> BinaryEdgeListReader<R> {
+    /// Records read ahead at a time (64 KiB).
+    const CHUNK_EDGES: u64 = 1 << 13;
+
+    /// Read and check the header of `input`.  When the input's byte length
+    /// `len` is known, it must be exactly `24 + 8·m`: a truncated payload or
+    /// trailing bytes fail here, before any edge is read.
+    pub fn new(mut input: R, len: Option<u64>) -> Result<Self, IoError> {
+        let truncated_header = || IoError::Binary("truncated header (need 24 bytes)".to_string());
+        if len.is_some_and(|len| len < HEADER_BYTES as u64) {
+            return Err(truncated_header());
+        }
+        let mut header = [0u8; HEADER_BYTES];
+        input.read_exact(&mut header).map_err(|e| match e.kind() {
+            ErrorKind::UnexpectedEof => truncated_header(),
+            _ => IoError::Io(e),
+        })?;
+        if &header[..8] != BINARY_MAGIC {
+            return Err(IoError::Binary(format!(
+                "bad magic {:?} (expected {:?})",
+                &header[..8],
+                BINARY_MAGIC
+            )));
+        }
+        let num_nodes = u64::from_le_bytes(header[8..16].try_into().expect("length checked"));
+        let num_edges = u64::from_le_bytes(header[16..].try_into().expect("length checked"));
+        check_node_count(num_nodes)?;
+        if let Some(len) = len {
+            let expected = num_edges
+                .checked_mul(EDGE_BYTES as u64)
+                .and_then(|bytes| bytes.checked_add(HEADER_BYTES as u64))
+                .ok_or_else(|| IoError::Binary(format!("implausible edge count {num_edges}")))?;
+            if len < expected {
+                let have = (len - HEADER_BYTES as u64) / EDGE_BYTES as u64;
+                return Err(truncated_payload(num_edges, have));
+            }
+            if len > expected {
+                return Err(trailing_bytes());
+            }
+        }
+        Ok(Self { input, num_nodes, num_edges, read: 0, chunk: Vec::new(), at: 0 })
+    }
+
+    /// The node count of the header.
+    pub fn num_nodes(&self) -> u64 {
+        self.num_nodes
+    }
+
+    /// The edge count of the header.
+    pub fn num_edges(&self) -> u64 {
+        self.num_edges
+    }
+
+    /// The next edge in slot order, checked against the header; `None`
+    /// after the last one, once the input has ended there.
+    #[inline]
+    pub fn next_edge(&mut self) -> Result<Option<Edge>, IoError> {
+        if self.at == self.chunk.len() {
+            if self.read == self.num_edges {
+                return match self.input.read(&mut [0u8; 1])? {
+                    0 => Ok(None),
+                    _ => Err(trailing_bytes()),
+                };
+            }
+            self.refill()?;
+        }
+        let record = self.chunk[self.at..self.at + EDGE_BYTES].try_into().expect("whole records");
+        self.at += EDGE_BYTES;
+        let edge = Edge::from_le_bytes(record);
+        check_edge(edge, self.read, self.num_nodes)?;
+        self.read += 1;
+        Ok(Some(edge))
+    }
+
+    /// Read ahead the whole records of the next chunk; none left before the
+    /// header's count is reached is a truncated payload.
+    fn refill(&mut self) -> Result<(), IoError> {
+        let want = (self.num_edges - self.read).min(Self::CHUNK_EDGES) as usize * EDGE_BYTES;
+        self.chunk.resize(want, 0);
+        let mut filled = 0;
+        while filled < want {
+            match self.input.read(&mut self.chunk[filled..]) {
+                Ok(0) => break,
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(IoError::Io(e)),
+            }
+        }
+        self.chunk.truncate(filled - filled % EDGE_BYTES);
+        self.at = 0;
+        if self.chunk.is_empty() {
+            return Err(truncated_payload(self.num_edges, self.read));
+        }
+        Ok(())
+    }
+
+    /// Read the remaining edges.  The vector grows as the bytes arrive, so a
+    /// forged edge count cannot make it allocate more than the input backs.
+    pub fn read_edges(&mut self) -> Result<Vec<Edge>, IoError> {
+        let mut edges = Vec::with_capacity((self.num_edges - self.read).min(1 << 16) as usize);
+        while let Some(edge) = self.next_edge()? {
+            edges.push(edge);
+        }
+        Ok(edges)
+    }
+
+    /// Read the remaining edges into a graph, which rejects duplicates.
+    fn read_graph(mut self) -> Result<EdgeListGraph, IoError> {
+        let edges = self.read_edges()?;
+        EdgeListGraph::new(self.num_nodes as usize, edges)
+            .map_err(|e| IoError::Binary(format!("invalid graph: {e}")))
+    }
 }
 
 /// Read a graph from the binary encoding of [`write_edge_list_binary`].
 ///
 /// Fails with [`IoError::Binary`] on a bad magic, a truncated payload,
 /// trailing garbage, or edges violating the simple-graph invariants
-/// (self-loops, duplicates, endpoints `>= num_nodes`).  The edge vector is
-/// grown in bounded chunks while bytes actually arrive, so a forged
-/// `num_edges` field cannot make the reader allocate more than the input
-/// backs (the same defence as the engine's `GESMCKP1` checkpoint parser).
+/// (self-loops, duplicates, endpoints `>= num_nodes`).
 pub fn read_edge_list_binary<R: Read>(reader: R) -> Result<EdgeListGraph, IoError> {
-    let mut r = BufReader::new(reader);
-
-    let mut header = [0u8; 24];
-    r.read_exact(&mut header).map_err(|e| match e.kind() {
-        std::io::ErrorKind::UnexpectedEof => {
-            IoError::Binary("truncated header (need 24 bytes)".to_string())
-        }
-        _ => IoError::Io(e),
-    })?;
-    if &header[0..8] != BINARY_MAGIC {
-        return Err(IoError::Binary(format!(
-            "bad magic {:?} (expected {:?})",
-            &header[0..8],
-            BINARY_MAGIC
-        )));
-    }
-    let num_nodes = u64::from_le_bytes(header[8..16].try_into().expect("length checked"));
-    let num_edges = u64::from_le_bytes(header[16..24].try_into().expect("length checked"));
-    if num_nodes > u64::from(u32::MAX) + 1 {
-        return Err(IoError::Binary(format!("implausible node count {num_nodes}")));
-    }
-
-    // Cap the upfront reservation: each claimed edge must be backed by 8
-    // payload bytes, which we only trust as they arrive.
-    const CHUNK_EDGES: usize = 1 << 16;
-    let mut edges: Vec<Edge> = Vec::with_capacity((num_edges as usize).min(CHUNK_EDGES));
-    let mut buf = [0u8; 8];
-    for i in 0..num_edges {
-        r.read_exact(&mut buf).map_err(|e| match e.kind() {
-            std::io::ErrorKind::UnexpectedEof => IoError::Binary(format!(
-                "truncated payload: header claims {num_edges} edges, data ends at edge {i}"
-            )),
-            _ => IoError::Io(e),
-        })?;
-        let u = Node::from_le_bytes(buf[0..4].try_into().expect("length checked"));
-        let v = Node::from_le_bytes(buf[4..8].try_into().expect("length checked"));
-        if u == v {
-            return Err(IoError::Binary(format!("self-loop at node {u} (edge {i})")));
-        }
-        edges.push(Edge::new(u, v));
-    }
-    let mut trailing = [0u8; 1];
-    match r.read(&mut trailing) {
-        Ok(0) => {}
-        Ok(_) => return Err(IoError::Binary("trailing bytes after the edge payload".to_string())),
-        Err(e) => return Err(IoError::Io(e)),
-    }
-
-    EdgeListGraph::new(num_nodes as usize, edges)
-        .map_err(|e| IoError::Binary(format!("invalid graph: {e}")))
+    BinaryEdgeListReader::new(reader, None)?.read_graph()
 }
 
 /// Write a graph to a file in the binary encoding.
@@ -210,22 +367,26 @@ pub fn write_edge_list_binary_file<P: AsRef<Path>>(
     write_edge_list_binary(file, graph)
 }
 
-/// Read a binary edge-list file.
+/// Read a binary edge-list file ([`BinaryEdgeListReader::open`], then as
+/// [`read_edge_list_binary`]).
 pub fn read_edge_list_binary_file<P: AsRef<Path>>(path: P) -> Result<EdgeListGraph, IoError> {
-    let file = std::fs::File::open(path)?;
-    read_edge_list_binary(file)
+    BinaryEdgeListReader::open(path)?.read_graph()
+}
+
+/// Whether a file starts with `magic`; a shorter file does not.
+pub fn file_starts_with<P: AsRef<Path>>(path: P, magic: &[u8; 8]) -> std::io::Result<bool> {
+    let mut head = [0u8; 8];
+    match File::open(path)?.read_exact(&mut head) {
+        Ok(()) => Ok(&head == magic),
+        Err(e) if e.kind() == ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(e),
+    }
 }
 
 /// Whether a file starts with the [`BINARY_MAGIC`] header (i.e. is a
 /// `GESMCEL1` binary edge list rather than a plain-text one).
 pub fn is_binary_edge_list_file<P: AsRef<Path>>(path: P) -> std::io::Result<bool> {
-    let mut file = std::fs::File::open(path)?;
-    let mut magic = [0u8; 8];
-    match std::io::Read::read_exact(&mut file, &mut magic) {
-        Ok(()) => Ok(&magic == BINARY_MAGIC),
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
-        Err(e) => Err(e),
-    }
+    file_starts_with(path, BINARY_MAGIC)
 }
 
 /// Incremental writer of the binary `GESMCEL1` encoding.
@@ -259,9 +420,7 @@ impl BinaryEdgeListWriter {
     /// count is patched by [`BinaryEdgeListWriter::finish`].
     pub fn create<P: AsRef<Path>>(path: P, num_nodes: u64) -> Result<Self, IoError> {
         let path = path.as_ref().to_path_buf();
-        if num_nodes > u64::from(u32::MAX) + 1 {
-            return Err(IoError::Binary(format!("implausible node count {num_nodes}")));
-        }
+        check_node_count(num_nodes)?;
         let file_name = path
             .file_name()
             .ok_or_else(|| IoError::Binary(format!("{} has no file name", path.display())))?;
@@ -269,11 +428,7 @@ impl BinaryEdgeListWriter {
         tmp_name.push(".tmp");
         let tmp = path.with_file_name(tmp_name);
         let mut file = std::fs::File::create(&tmp)?;
-        let mut header = Vec::with_capacity(24);
-        header.extend_from_slice(BINARY_MAGIC);
-        header.extend_from_slice(&num_nodes.to_le_bytes());
-        header.extend_from_slice(&0u64.to_le_bytes());
-        file.write_all(&header)?;
+        file.write_all(&binary_header(num_nodes, 0))?;
         Ok(Self {
             file: Some(file),
             buf: Vec::with_capacity(Self::BUF_BYTES),
@@ -291,21 +446,8 @@ impl BinaryEdgeListWriter {
 
     /// Append one edge (validated against self-loops and the node range).
     pub fn push(&mut self, edge: Edge) -> Result<(), IoError> {
-        if edge.is_loop() {
-            return Err(IoError::Binary(format!(
-                "self-loop at node {} (edge {})",
-                edge.u(),
-                self.written
-            )));
-        }
-        if u64::from(edge.v()) >= self.num_nodes {
-            return Err(IoError::Binary(format!(
-                "edge {edge} references a node outside [0, {})",
-                self.num_nodes
-            )));
-        }
-        self.buf.extend_from_slice(&edge.u().to_le_bytes());
-        self.buf.extend_from_slice(&edge.v().to_le_bytes());
+        check_edge(edge, self.written, self.num_nodes)?;
+        self.buf.extend_from_slice(&edge.to_le_bytes());
         self.written += 1;
         if self.buf.len() >= Self::BUF_BYTES {
             self.flush_buf()?;
@@ -408,6 +550,18 @@ mod tests {
         assert_eq!(parsed.num_nodes(), 6);
         // Slot order survives, not just the canonical set.
         assert_eq!(parsed.edges(), g.edges());
+        // Reads that return 3 bytes at a time decode the same.
+        struct Dribble<'a>(&'a [u8]);
+        impl Read for Dribble<'_> {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                let n = out.len().min(3);
+                self.0.read(&mut out[..n])
+            }
+        }
+        assert_eq!(read_edge_list_binary(Dribble(&buf)).unwrap().edges(), g.edges());
+        let cut = &buf[..buf.len() - 4];
+        assert!(matches!(read_edge_list_binary(Dribble(cut)),
+            Err(IoError::Binary(m)) if m.ends_with("data ends at edge 2")));
     }
 
     #[test]
@@ -443,6 +597,16 @@ mod tests {
         let mut forged = good.clone();
         forged[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
         expect_binary_err(&forged, "truncated payload");
+        // Where the length is known (files, the out-of-core store), the
+        // same count fails up front: its byte length overflows.
+        match BinaryEdgeListReader::new(&forged[..], Some(forged.len() as u64)) {
+            Err(IoError::Binary(msg)) => assert!(msg.contains("implausible edge count"), "{msg}"),
+            other => panic!("expected an implausible edge count, got {other:?}"),
+        }
+        // A node count beyond u32 node ids.
+        let mut big_n = good.clone();
+        big_n[8..16].copy_from_slice(&(u64::from(u32::MAX) + 2).to_le_bytes());
+        expect_binary_err(&big_n, "implausible node count");
         // A self-loop in the payload.
         let mut looped = good.clone();
         looped[24..32].copy_from_slice(&[2, 0, 0, 0, 2, 0, 0, 0]);

@@ -12,8 +12,11 @@
 //!
 //! Both encodings of a sample (plain text and the binary edge list) are
 //! stored behind `Arc`s, so a hit is one map lookup plus two atomic
-//! increments — no copying, no re-encoding.
+//! increments — no copying, no re-encoding.  `encode_bodies` makes them,
+//! for one-shot samples, job samples and samples rehydrated from disk alike.
 
+use gesmc_graph::io::{write_edges, write_edges_binary, EDGE_BYTES, HEADER_BYTES};
+use gesmc_graph::Edge;
 use gesmc_obs::{Histogram, Phase, Span};
 use gesmc_randx::{fnv1a_64, mix64};
 use std::collections::HashMap;
@@ -37,6 +40,20 @@ pub struct CacheKey {
 pub fn derive_sample_seed(key: &CacheKey) -> u64 {
     let slug_hash = fnv1a_64(key.chain_slug.as_bytes());
     mix64(key.fingerprint ^ mix64(slug_hash) ^ mix64(key.supersteps))
+}
+
+/// The two response bodies of a sample: its plain text and its binary
+/// (`GESMCEL1`) edge list.
+pub(crate) type Bodies = (Arc<Vec<u8>>, Arc<Vec<u8>>);
+
+/// The [`Bodies`] of a sample over `num_nodes` nodes, both as
+/// `gesmc_graph::io` writes them.
+pub(crate) fn encode_bodies(num_nodes: usize, edges: &[Edge]) -> Bodies {
+    let mut text = Vec::new();
+    write_edges(&mut text, num_nodes, edges).expect("writing to a Vec cannot fail");
+    let mut binary = Vec::with_capacity(HEADER_BYTES + EDGE_BYTES * edges.len());
+    write_edges_binary(&mut binary, num_nodes, edges).expect("writing to a Vec cannot fail");
+    (Arc::new(text), Arc::new(binary))
 }
 
 /// One cached sample, pre-encoded in both response formats.

@@ -66,9 +66,9 @@
 //! The crate denies `unsafe` with exactly one exception: the private Linux
 //! wrapper around `poll(2)` that the acceptor waits in.  `std` offers no
 //! readiness wait on a listener and the workspace links no `libc` crate, so
-//! the call is declared directly, as `gesmc-exmem` declares `mmap`; its
-//! `// SAFETY:` comment states why the call is sound.  Off Linux the acceptor
-//! sleeps between non-blocking accepts instead.
+//! the call is declared directly, the workspace's only foreign function;
+//! its `// SAFETY:` comment states why the call is sound.  Off Linux the
+//! acceptor sleeps between non-blocking accepts instead.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

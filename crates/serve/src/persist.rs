@@ -40,7 +40,7 @@
 //!   refuse the acknowledgement (`503`) instead of acking work that could
 //!   be lost.
 
-use crate::cache::{derive_sample_seed, CacheKey, CachedSample};
+use crate::cache::{derive_sample_seed, encode_bodies, Bodies, CacheKey, CachedSample};
 use crate::fsio::PersistIo;
 use crate::jobstore::{JobRecord, SharedSamples, StoredSample};
 use crate::server::ServerState;
@@ -49,9 +49,8 @@ use gesmc_engine::{
     CallbackSink, Checkpoint, CheckpointSink, EngineError, GraphSource, JobHandle, JobReport,
     JobSpec, JobState, QueuedJob, SampleContext, SampleSink,
 };
-use gesmc_exmem::{ExmemError, MappedEdgeList};
 use gesmc_graph::io::{
-    read_edge_list_binary_file, write_edge_list, write_edge_list_binary, BINARY_MAGIC,
+    read_edge_list_binary_file, write_edge_list_binary, BinaryEdgeListReader, IoError,
 };
 use gesmc_graph::EdgeListGraph;
 use gesmc_obs::Phase;
@@ -252,29 +251,16 @@ fn warn(what: &str, err: &dyn std::fmt::Display) {
     gesmc_obs::warn!(target: "gesmc_serve::persist", "{what}: {err}");
 }
 
-/// Re-encode a spilled `GESMCEL1` sample through a zero-copy
-/// [`MappedEdgeList`] view: edges stream straight off the mapped pages (or
-/// the positioned-read fallback) into the text and binary response
-/// encodings, never materialising a heap edge vector on top of the file
-/// bytes.  Validation is the mapped view's — header rules identical to the
-/// heap parser, per-edge checks during the stream — so a corrupt spill
-/// yields `Err`, never wrong bytes.  Because spills are written from the
-/// canonical binary encoding (`u ≤ v`, slot order preserved), the
-/// re-encoded bytes are bit-identical to the originals.
-fn rehydrate_spill(path: &Path) -> Result<(Vec<u8>, Vec<u8>), ExmemError> {
-    let view = MappedEdgeList::open(path)?;
-    let mut text =
-        format!("# nodes {} edges {}\n", view.num_nodes(), view.num_edges()).into_bytes();
-    let mut binary = Vec::with_capacity(24 + 8 * view.num_edges());
-    binary.extend_from_slice(BINARY_MAGIC);
-    binary.extend_from_slice(&(view.num_nodes() as u64).to_le_bytes());
-    binary.extend_from_slice(&(view.num_edges() as u64).to_le_bytes());
-    view.for_each_edge(&mut |_, e| {
-        text.extend_from_slice(format!("{} {}\n", e.u(), e.v()).as_bytes());
-        binary.extend_from_slice(&e.u().to_le_bytes());
-        binary.extend_from_slice(&e.v().to_le_bytes());
-    })?;
-    Ok((text, binary))
+/// Re-encode a spilled `GESMCEL1` sample into its two bodies.  The reader
+/// checks the header, the file's exact length and every edge, so a corrupt
+/// spill yields `Err`, never wrong bytes; no graph is built and duplicates
+/// are not looked for.  Spills are written from the canonical binary
+/// encoding (`u ≤ v`, slot order preserved), so the re-encoded bytes are
+/// bit-identical to the originals.
+fn rehydrate_spill(path: &Path) -> Result<Bodies, IoError> {
+    let mut reader = BinaryEdgeListReader::open(path)?;
+    let edges = reader.read_edges()?;
+    Ok(encode_bodies(reader.num_nodes() as usize, &edges))
 }
 
 impl Persistence {
@@ -453,11 +439,9 @@ impl Persistence {
         }
     }
 
-    /// Rehydrate a spilled cache entry through a zero-copy
-    /// [`MappedEdgeList`] view.  A missing file is a plain miss; a corrupt
-    /// file is metered and treated as a miss (never a wrong sample — the
-    /// mapped view applies the same `GESMCEL1` validation rules as the
-    /// heap parser and re-checks bounds on every access).
+    /// Rehydrate a spilled cache entry.  A missing file is a plain miss; a
+    /// corrupt file is metered and treated as a miss (never a wrong sample:
+    /// the spill is read through the validating `GESMCEL1` reader).
     pub(crate) fn load_cached(&self, key: &CacheKey) -> Option<CachedSample> {
         let path = self.cache_path(key);
         if !path.exists() {
@@ -466,11 +450,7 @@ impl Persistence {
         match rehydrate_spill(&path) {
             Ok((text, binary)) => {
                 self.metrics.cache_rehydrated.fetch_add(1, Ordering::Relaxed);
-                Some(CachedSample {
-                    text: Arc::new(text),
-                    binary: Arc::new(binary),
-                    seed: derive_sample_seed(key),
-                })
+                Some(CachedSample { text, binary, seed: derive_sample_seed(key) })
             }
             Err(e) => {
                 self.metrics.count_error();
@@ -505,13 +485,7 @@ impl Persistence {
                 break; // gap: everything past it is unusable
             }
             match rehydrate_spill(&path) {
-                Ok((text, binary)) => {
-                    samples.push(StoredSample {
-                        superstep,
-                        text: Arc::new(text),
-                        binary: Arc::new(binary),
-                    });
-                }
+                Ok((text, binary)) => samples.push(StoredSample { superstep, text, binary }),
                 Err(e) => {
                     self.metrics.count_error();
                     warn("corrupt job sample skipped", &e);
@@ -710,18 +684,11 @@ pub(crate) fn make_job_sink(
 ) -> Box<dyn SampleSink> {
     Box::new(CallbackSink::new(
         move |ctx: &SampleContext<'_>, graph: &EdgeListGraph| -> Result<(), EngineError> {
-            let mut text = Vec::new();
-            write_edge_list(&mut text, graph).expect("writing to a Vec cannot fail");
-            let mut binary = Vec::new();
-            write_edge_list_binary(&mut binary, graph).expect("writing to a Vec cannot fail");
+            let (text, binary) = encode_bodies(graph.num_nodes(), graph.edges());
             if let Some(persist) = &persist {
                 persist.spill_job_sample(id, ctx.sample_index, ctx.superstep, &binary);
             }
-            let stored = StoredSample {
-                superstep: ctx.superstep,
-                text: Arc::new(text),
-                binary: Arc::new(binary),
-            };
+            let stored = StoredSample { superstep: ctx.superstep, text, binary };
             let mut vec = samples.lock().expect("samples mutex poisoned");
             let index = ctx.sample_index as usize;
             if index < vec.len() {
@@ -965,6 +932,7 @@ mod tests {
     use super::*;
     use crate::fsio::StdFs;
     use gesmc_graph::gen::gnp;
+    use gesmc_graph::io::write_edge_list;
     use gesmc_randx::rng_from_seed;
 
     fn temp_persistence(tag: &str) -> Persistence {

@@ -5,7 +5,7 @@
 //! called in, and every chain execution goes through the engine pool's
 //! bounded admission queue — a handler never runs a chain inline.
 
-use crate::cache::{derive_sample_seed, CacheKey, CachedSample};
+use crate::cache::{derive_sample_seed, encode_bodies, CacheKey, CachedSample};
 use crate::cluster::FORWARDED_HEADER;
 use crate::http::{Method, Request, Response};
 use crate::jobstore::JobRecord;
@@ -18,21 +18,11 @@ use gesmc_core::{ChainRegistry, ChainSpec};
 use gesmc_engine::{
     GraphSource, JobSpec, JobState, MemorySink, QueuedJob, SubmitError, GRAPH_FAMILIES,
 };
-use gesmc_graph::io::{write_edge_list, write_edge_list_binary};
 use gesmc_graph::EdgeListGraph;
 use gesmc_obs::Phase;
 use gesmc_randx::fnv1a_64;
 use serde_json::{Map, Value};
 use std::sync::Arc;
-
-/// Encode a sample graph in both response formats.
-fn encode_sample(graph: &EdgeListGraph, seed: u64) -> CachedSample {
-    let mut text = Vec::new();
-    write_edge_list(&mut text, graph).expect("writing to a Vec cannot fail");
-    let mut binary = Vec::new();
-    write_edge_list_binary(&mut binary, graph).expect("writing to a Vec cannot fail");
-    CachedSample { text: Arc::new(text), binary: Arc::new(binary), seed }
-}
 
 fn json_object(entries: Vec<(&str, Value)>) -> Value {
     let mut map = Map::new();
@@ -254,7 +244,8 @@ fn generate_into_cache(
             let (_, graph) = samples
                 .last()
                 .ok_or_else(|| ColdError::Failed("job emitted no sample".to_string()))?;
-            let sample = encode_sample(graph, seed);
+            let (text, binary) = encode_bodies(graph.num_nodes(), graph.edges());
+            let sample = CachedSample { text, binary, seed };
             state.cache.insert(key.clone(), sample.clone());
             if let Some(persist) = &state.persist {
                 // Write-through spill: the key survives both LRU eviction

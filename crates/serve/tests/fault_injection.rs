@@ -214,9 +214,11 @@ fn durable_server_at(dir: &Path, io: Arc<FaultIo>) -> Server {
 #[test]
 fn corrupt_cache_spills_rehydrate_as_misses_never_as_wrong_bytes() {
     // The cache rehydration path streams spilled samples through the
-    // zero-copy mapped GESMCEL1 view; every kind of damage to the spilled
-    // file must surface as a recompute-miss with the identical bytes (seeds
-    // derive from the cache key), never as a served wrong sample.
+    // validating GESMCEL1 reader.  Damage that breaks the format's rules
+    // (below) must surface as a recompute-miss with the identical bytes
+    // (seeds derive from the cache key), never as a served wrong sample.
+    // The format has no checksum: an edit that keeps every rule, such as
+    // an endpoint changed to another node below n, is not detected.
     let io = Arc::new(FaultIo::new());
     let (server, dir) = durable_server("corrupt-spill", Arc::clone(&io));
     let addr = server.local_addr();
@@ -249,24 +251,35 @@ fn corrupt_cache_spills_rehydrate_as_misses_never_as_wrong_bytes() {
     assert_eq!(metric(addr, "gesmc_cache_misses_total"), 0, "a rehydrated sample is a hit");
     server.shutdown();
 
-    // Three damage modes against the mapped view: bad magic (rejected at
-    // open), truncation (rejected at open), and a self-loop edge (rejected
-    // during the validating stream).
+    // Five damage modes: bad magic, truncation and trailing bytes
+    // (rejected with the header), a self-loop and an endpoint >= n
+    // (rejected during the validating stream).
     let bad_magic = {
         let mut b = pristine.clone();
         b[0..8].copy_from_slice(b"NOTMAGIC");
         b
     };
     let truncated = pristine[..pristine.len() - 4].to_vec();
+    let trailing = [&pristine[..], &[0]].concat();
     let self_loop = {
         let mut b = pristine.clone();
         b[24..28].copy_from_slice(&1u32.to_le_bytes());
         b[28..32].copy_from_slice(&1u32.to_le_bytes());
         b
     };
-    for (mode, bytes) in
-        [("bad magic", bad_magic), ("truncated", truncated), ("self-loop", self_loop)]
-    {
+    let out_of_range = {
+        let mut b = pristine.clone();
+        let n = u32::from_le_bytes(b[8..12].try_into().unwrap());
+        b[28..32].copy_from_slice(&n.to_le_bytes());
+        b
+    };
+    for (mode, bytes) in [
+        ("bad magic", bad_magic),
+        ("truncated", truncated),
+        ("trailing bytes", trailing),
+        ("self-loop", self_loop),
+        ("endpoint >= n", out_of_range),
+    ] {
         std::fs::write(&spill, &bytes).unwrap();
         let server = durable_server_at(&dir, Arc::new(FaultIo::new()));
         let addr = server.local_addr();

@@ -14,8 +14,7 @@
 //! * [`analysis`] — autocorrelation-based mixing-time analysis and proxies;
 //! * [`datasets`] — the SynGnp / SynPld / NetRep-like dataset families;
 //! * [`concurrent`] — the edge hash set and the dependency table;
-//! * [`exmem`] — out-of-core edge storage: a dependency-free mmap wrapper,
-//!   the zero-copy `MappedEdgeList` view, the disk-backed
+//! * [`exmem`] — out-of-core edge storage: the disk-backed
 //!   `ExternalEdgeStore`, and the `seq-es-ext` chain (bit-identical to
 //!   `seq-es`; `gesmc randomize --mmap` on the command line);
 //! * [`randx`] — randomness utilities (bounded sampling, permutations);
@@ -92,7 +91,7 @@ pub mod prelude {
         JobHandle, JobSpec, JobState, Manifest, MemorySink, QueuedJob, SampleSink, SampleView,
         ServicePool,
     };
-    pub use gesmc_exmem::{ExternalEdgeStore, MappedEdgeList, SeqESExt};
+    pub use gesmc_exmem::{ExternalEdgeStore, SeqESExt};
     pub use gesmc_graph::{DegreeSequence, Edge, EdgeListGraph, EdgeStore};
     pub use gesmc_serve::{ClusterConfig, PersistIo, ServeConfig, Server, StdFs};
     pub use gesmc_study::{run_study, MetricsSink, StudyOptions, StudyReport, StudySpec};

@@ -6,8 +6,7 @@
 //! edge arrays at equal seeds, whatever the batch cap.  Checkpoints taken
 //! by an in-memory and an out-of-core engine job must be byte-equal, and a
 //! checkpoint written by one backend must resume bit-identically through
-//! the other.  The `GESMC_EXMEM_NO_MMAP` fallback and corrupt
-//! mapped files round out the matrix.
+//! the other.
 
 use gesmc::datasets::syn_gnp_graph;
 use gesmc::prelude::*;
@@ -128,7 +127,7 @@ fn checkpoints_are_byte_equal_across_backends_and_resume_crosses_them() {
         "in-memory and external checkpoints of the same job must be byte-equal"
     );
 
-    // Resume the *in-memory* checkpoint through an *out-of-core* (mmap-path)
+    // Resume the *in-memory* checkpoint through an *out-of-core* (`--mmap`)
     // job: the final sample must match the uninterrupted in-memory run bit
     // for bit.
     let handoff = dir.join("handoff.ckpt");
@@ -162,59 +161,5 @@ fn checkpoints_are_byte_equal_across_backends_and_resume_crosses_them() {
         expected,
         "the uninterrupted external run must also match"
     );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn no_mmap_fallback_reads_the_same_bytes() {
-    let dir = temp_dir("fallback");
-    let graph = syn_gnp_graph(21, 80, 300);
-    let path = dir.join("view.el");
-    write_edge_list_binary_file(&path, &graph).unwrap();
-
-    std::env::set_var("GESMC_EXMEM_NO_MMAP", "1");
-    let fallback = MappedEdgeList::open(&path).unwrap();
-    assert!(!fallback.is_mapped(), "the env override must force positioned reads");
-    let mut via_fallback = Vec::new();
-    fallback.for_each_edge(&mut |_, e| via_fallback.push(e)).unwrap();
-    std::env::remove_var("GESMC_EXMEM_NO_MMAP");
-
-    let mapped = MappedEdgeList::open(&path).unwrap();
-    let mut via_map = Vec::new();
-    mapped.for_each_edge(&mut |_, e| via_map.push(e)).unwrap();
-
-    assert_eq!(via_fallback, graph.edges());
-    assert_eq!(via_map, graph.edges());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn corrupt_mapped_files_error_and_never_misreport() {
-    let dir = temp_dir("corrupt");
-    let graph = syn_gnp_graph(31, 50, 120);
-    let path = dir.join("bad.el");
-    let mut pristine = Vec::new();
-    write_edge_list_binary(&mut pristine, &graph).unwrap();
-
-    let expect = |bytes: &[u8], needle: &str| {
-        std::fs::write(&path, bytes).unwrap();
-        match MappedEdgeList::open(&path) {
-            Err(e) => assert!(e.to_string().contains(needle), "{e} lacks {needle:?}"),
-            Ok(_) => panic!("expected open to fail with {needle:?}"),
-        }
-    };
-    expect(&pristine[..10], "truncated header");
-    let mut magic = pristine.clone();
-    magic[0..8].copy_from_slice(b"NOTMAGIC");
-    expect(&magic, "bad magic");
-    expect(&pristine[..pristine.len() - 3], "truncated payload");
-
-    // Per-edge damage surfaces during the validating stream, as an error.
-    let mut looped = pristine.clone();
-    looped[24..32].copy_from_slice(&[5, 0, 0, 0, 5, 0, 0, 0]);
-    std::fs::write(&path, &looped).unwrap();
-    let view = MappedEdgeList::open(&path).unwrap();
-    let err = view.for_each_edge(&mut |_, _| {}).unwrap_err();
-    assert!(err.to_string().contains("self-loop"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
