@@ -11,14 +11,18 @@
 //!   a given edge per superstep, so one slot per edge suffices;
 //! * [`DependencyTable::inserters`] — which switches try to insert it?
 //!
-//! **Layout.**  Buckets are found by open addressing on the packed edge and
-//! claimed with a compare-and-swap on the key.  A bucket holds the edge, its
-//! single eraser, and the head of an index-linked list of inserters.  The
-//! list links live in a dense array with one `next` slot per switch target
-//! (slot `2k + t` for target `t` of switch `k`), so pushing an inserter is
-//! one atomic swap of the head plus one store, and no bucket owns a heap
-//! allocation.  Switch states live in a dense array of one `AtomicU8` per
-//! switch, so deciding a switch is one store.  Nothing takes a lock.
+//! **Layout.**  Buckets are found by open addressing from the key's
+//! [`fibonacci_hash`] and claimed with a compare-and-swap on the key.
+//! Algorithm 1 keys the table by the edge set's 56-bit packing
+//! (`Edge::pack56`): with the 64-bit `Edge::pack`, `u << 32 | v`, the keys
+//! of a path's global switch probed 2.7 times as far as uniform hashing
+//! would.  A bucket holds the edge, its single eraser, and the head of an
+//! index-linked list of inserters.  The list links live in a dense array
+//! with one `next` slot per switch target (slot `2k + t` for target `t` of
+//! switch `k`), so pushing an inserter is one atomic swap of the head plus
+//! one store, and no bucket owns a heap allocation.  Switch states live in a
+//! dense array of one `AtomicU8` per switch, so deciding a switch is one
+//! store.  Nothing takes a lock.
 //!
 //! **Lifecycle.**  A chain owns one table and reuses it for every superstep.
 //! [`DependencyTable::prepare`] grows it to fit the superstep (it never
@@ -31,7 +35,7 @@
 //! buckets and its state.  Clearing therefore costs the buckets used, not
 //! the table's capacity.
 
-use crate::hash_edge;
+use crate::{fibonacci_hash, home_shift};
 use gesmc_graph::PackedEdge;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
@@ -86,6 +90,8 @@ impl Bucket {
 #[derive(Debug, Default)]
 pub struct DependencyTable {
     buckets: Vec<Bucket>,
+    /// [`home_shift`] of the bucket count.
+    shift: u32,
     states: Vec<AtomicU8>,
     next: Vec<AtomicU32>,
 }
@@ -118,6 +124,7 @@ impl DependencyTable {
         let buckets = (num_switches.max(1) * 8).next_power_of_two();
         if buckets > self.buckets.len() {
             self.buckets = (0..buckets).map(|_| Bucket::empty()).collect();
+            self.shift = home_shift(buckets);
         }
         if num_switches > self.states.len() {
             self.states.resize_with(num_switches, || AtomicU8::new(SwitchState::Undecided as u8));
@@ -129,7 +136,7 @@ impl DependencyTable {
     fn claim(&self, key: PackedEdge) -> usize {
         debug_assert_ne!(key, KEY_EMPTY);
         let mask = self.buckets.len() - 1;
-        let mut idx = (hash_edge(key) as usize) & mask;
+        let mut idx = (fibonacci_hash(key) >> self.shift) as usize;
         loop {
             let bucket = &self.buckets[idx];
             let current = bucket.key.load(Ordering::Acquire);
@@ -237,6 +244,24 @@ impl DependencyTable {
             bucket.inserters.store(NONE, Ordering::Relaxed);
         }
         self.states[k as usize].store(SwitchState::Undecided as u8, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+impl DependencyTable {
+    /// Mean distance of the claimed buckets from their keys' home buckets,
+    /// and how many buckets are claimed.
+    pub(crate) fn mean_displacement(&self) -> (f64, usize) {
+        let mask = self.buckets.len() - 1;
+        let (mut total, mut claimed) = (0, 0);
+        for (b, bucket) in self.buckets.iter().enumerate() {
+            let key = bucket.key.load(Ordering::Relaxed);
+            if key != KEY_EMPTY {
+                total += b.wrapping_sub((fibonacci_hash(key) >> self.shift) as usize) & mask;
+                claimed += 1;
+            }
+        }
+        (total as f64 / claimed as f64, claimed)
     }
 }
 

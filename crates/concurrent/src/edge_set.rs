@@ -17,9 +17,10 @@
 //!   by at most one legal switch per superstep).  The sequential chains, and
 //!   the parallel ones at one thread, run their switches in order and write
 //!   through [`ConcurrentEdgeSet::insert_mut`] /
-//!   [`ConcurrentEdgeSet::erase_mut`]: the `&mut` borrow proves that no
-//!   other thread can probe the set, so a plain store replaces the
-//!   compare-and-swap and the atomic counter updates;
+//!   [`ConcurrentEdgeSet::erase_mut`] / [`ConcurrentEdgeSet::switch_mut`]:
+//!   the `&mut` borrow proves that no other thread can probe the set, so
+//!   plain loads and stores replace the atomic loads, the compare-and-swap
+//!   and the atomic counter updates;
 //! * **`NaiveParES`** uses the ticket semantics — lock an existing edge or
 //!   insert-and-lock a new one — to prevent concurrent updates of the same
 //!   edge while deliberately ignoring switch dependencies.
@@ -36,18 +37,23 @@
 //! ([`ConcurrentEdgeSet::needs_rebuild`] / [`ConcurrentEdgeSet::rebuild`]);
 //! in-order supersteps add none, so they never trigger a rebuild.
 //!
-//! The exclusive operations and [`ConcurrentEdgeSet::contains`] also take an
+//! A key's home bucket is the top bits of its [`fibonacci_hash`].  The
+//! exclusive operations and [`ConcurrentEdgeSet::contains`] also take an
 //! [`EdgeProbe`], an edge hashed once; the `Edge` forms hash and then
-//! delegate to the probe forms, so every lookup walks one probe loop.  The
-//! in-order kernel probes each edge of a switch when it stages the switch,
-//! prefetches the probe's home bucket ([`ConcurrentEdgeSet::prefetch`]) and
-//! decides the switch some switches later with the same probes (Sec. 5.4),
-//! in one [`ConcurrentEdgeSet::switch_mut`]: Def. 1's existence test and
-//! set update, which inserts the targets into the empty buckets the test
-//! found.
+//! delegate to the probe forms.  Every lookup walks one probe loop, which
+//! reads a bucket with an atomic load under shared access and with a plain
+//! one under exclusive access.  The in-order kernel probes each edge of a
+//! switch when it stages the switch, prefetches the probe's home bucket
+//! ([`ConcurrentEdgeSet::prefetch`]) and decides the switch some switches
+//! later with the same probes (Sec. 5.4), in one inlined
+//! [`ConcurrentEdgeSet::switch_mut`]: Def. 1's existence test and set
+//! update, which inserts the targets into the empty buckets the test found.
+//! A legal switch keeps the number of edges, so `switch_mut` counts nothing
+//! and the kernel checks once per superstep that the set has room
+//! ([`ConcurrentEdgeSet::assert_room_for_switches`]).
 
-use crate::hash_edge;
 use crate::prefetch::prefetch_read;
+use crate::{fibonacci_hash, home_shift};
 use gesmc_graph::edge::MAX_NODE_56;
 use gesmc_graph::{Edge, EdgeListGraph};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -69,8 +75,8 @@ pub enum LockOutcome {
     AlreadyPresent,
 }
 
-/// An edge's bucket key and hash, computed once: where every probe of that
-/// edge starts, in a set of any capacity.
+/// An edge's bucket key and [`fibonacci_hash`], computed once: where every
+/// probe of that edge starts, in a set of any capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeProbe {
     key: u64,
@@ -86,7 +92,7 @@ impl EdgeProbe {
 
     #[inline]
     fn of_key(key: u64) -> Self {
-        Self { key, hash: hash_edge(key) }
+        Self { key, hash: fibonacci_hash(key) }
     }
 }
 
@@ -95,6 +101,8 @@ impl EdgeProbe {
 pub struct ConcurrentEdgeSet {
     buckets: Vec<AtomicU64>,
     mask: usize,
+    /// [`home_shift`] of the bucket count.
+    shift: u32,
     live: AtomicUsize,
     tombstones: AtomicUsize,
 }
@@ -124,6 +132,7 @@ impl ConcurrentEdgeSet {
         Self {
             buckets: (0..buckets).map(|_| AtomicU64::new(EMPTY)).collect(),
             mask: buckets - 1,
+            shift: home_shift(buckets),
             live: AtomicUsize::new(0),
             tombstones: AtomicUsize::new(0),
         }
@@ -163,9 +172,9 @@ impl ConcurrentEdgeSet {
         ((lock as u64) << 56) | key
     }
 
-    #[inline]
+    #[inline(always)]
     fn home(&self, probe: EdgeProbe) -> usize {
-        probe.hash as usize & self.mask
+        (probe.hash >> self.shift) as usize
     }
 
     #[inline]
@@ -184,28 +193,37 @@ impl ConcurrentEdgeSet {
     /// not), else `Err` with the first empty bucket on its probe path.
     #[inline]
     fn find(&self, probe: EdgeProbe) -> Result<usize, usize> {
-        let mut idx = self.home(probe);
-        loop {
-            let slot = self.buckets[idx].load(Ordering::Acquire);
-            if slot == EMPTY {
-                return Err(idx);
-            }
-            if slot != TOMBSTONE && (slot & EDGE_MASK) == probe.key {
-                return Ok(idx);
-            }
-            idx = (idx + 1) & self.mask;
-        }
+        let load = |idx: usize| self.buckets[idx].load(Ordering::Acquire);
+        walk(self.home(probe), self.mask, probe.key, load)
     }
 
-    /// Panic unless one more bucket can be filled with an empty one to spare,
-    /// which every probe loop needs to terminate.
-    fn assert_not_overfull(&self) {
+    /// [`find`](Self::find) through exclusive access, with plain loads: no
+    /// other thread can write a bucket, so the set's length and mask stay in
+    /// registers.
+    #[inline(always)]
+    fn find_mut(&mut self, probe: EdgeProbe) -> Result<usize, usize> {
+        let (home, mask) = (self.home(probe), self.mask);
+        let buckets = &mut self.buckets[..];
+        walk(home, mask, probe.key, |idx| *buckets[idx].get_mut())
+    }
+
+    /// Panic unless `entries` more buckets can be filled with an empty one
+    /// to spare, which every probe loop needs to terminate.
+    fn assert_room(&self, entries: usize) {
         assert!(
-            self.live.load(Ordering::Relaxed) + self.tombstones.load(Ordering::Relaxed)
-                < self.buckets.len() - 1,
+            self.live.load(Ordering::Relaxed) + self.tombstones.load(Ordering::Relaxed) + entries
+                < self.buckets.len(),
             "ConcurrentEdgeSet is overfull: size it for the graph's edge count and rebuild \
              between supersteps to reclaim tombstones"
         );
+    }
+
+    /// Panic unless the set has room for [`switch_mut`](Self::switch_mut),
+    /// which stores a switch's two targets before it erases its sources and
+    /// checks no room itself.  A legal switch keeps the number of edges, so
+    /// one check covers any run of switches.
+    pub fn assert_room_for_switches(&self) {
+        self.assert_room(2);
     }
 
     /// Whether `edge` is in the set (locked or not).
@@ -231,19 +249,19 @@ impl ConcurrentEdgeSet {
     /// [`insert_mut`](Self::insert_mut) of `probe`'s edge.
     #[inline]
     pub fn insert_mut_probe(&mut self, probe: EdgeProbe) -> bool {
-        let Err(idx) = self.find(probe) else {
+        let Err(idx) = self.find_mut(probe) else {
             return false;
         };
+        self.assert_room(1);
         self.fill(idx, probe);
+        *self.live.get_mut() += 1;
         true
     }
 
     /// Store `probe`'s edge, unlocked, in the empty bucket `idx`.
-    #[inline]
+    #[inline(always)]
     fn fill(&mut self, idx: usize, probe: EdgeProbe) {
-        self.assert_not_overfull();
         *self.buckets[idx].get_mut() = Self::entry(probe.key, 0);
-        *self.live.get_mut() += 1;
     }
 
     /// Def. 1's update for one switch, through exclusive access: unless an
@@ -254,14 +272,20 @@ impl ConcurrentEdgeSet {
     /// The targets go into the empty buckets the existence test found,
     /// before the erases can move entries, so each probe path is walked
     /// once.  The contents are those of erasing first and inserting after;
-    /// the layout may differ.  `sources` must be present and `targets` must
-    /// be two different edges, as a switch's are.
-    #[inline]
+    /// the layout may differ.  `targets` must be two different edges, as a
+    /// switch's are.  The number of edges does not change, so nothing is
+    /// counted, and the caller checks room once for a run of switches
+    /// ([`assert_room_for_switches`](Self::assert_room_for_switches)).
+    ///
+    /// # Panics
+    /// If a source is missing, which means the caller's edge array and the
+    /// set disagree; the targets are then inserted already.
+    #[inline(always)]
     pub fn switch_mut(&mut self, sources: [EdgeProbe; 2], targets: [EdgeProbe; 2]) -> bool {
-        let Err(first) = self.find(targets[0]) else {
+        let Err(first) = self.find_mut(targets[0]) else {
             return false;
         };
-        let Err(second) = self.find(targets[1]) else {
+        let Err(second) = self.find_mut(targets[1]) else {
             return false;
         };
         debug_assert_ne!(targets[0], targets[1], "a switch has two different targets");
@@ -269,13 +293,15 @@ impl ConcurrentEdgeSet {
         // `first` was empty, so it is not on the second target's path before
         // `second`, the first empty bucket there; unless it is `second`,
         // that bucket is still the second target's.
-        if second == first {
-            self.insert_mut_probe(targets[1]);
+        let second = if second == first {
+            let (Ok(next) | Err(next)) = self.find_mut(targets[1]);
+            next
         } else {
-            self.fill(second, targets[1]);
-        }
-        let erased = self.erase_mut_probe(sources[0]) & self.erase_mut_probe(sources[1]);
-        debug_assert!(erased, "a switch erases two present edges");
+            second
+        };
+        self.fill(second, targets[1]);
+        let erased = self.shift_out(sources[0]) & self.shift_out(sources[1]);
+        assert!(erased, "a legal switch's source is missing from the edge set");
         true
     }
 
@@ -293,28 +319,38 @@ impl ConcurrentEdgeSet {
     /// [`erase_mut`](Self::erase_mut) of `probe`'s edge.
     #[inline]
     pub fn erase_mut_probe(&mut self, probe: EdgeProbe) -> bool {
-        let Ok(mut hole) = self.find(probe) else {
+        let erased = self.shift_out(probe);
+        *self.live.get_mut() -= erased as usize;
+        erased
+    }
+
+    /// Erase `probe`'s edge by backward shift, without counting it; returns
+    /// whether it was present.
+    #[inline(always)]
+    fn shift_out(&mut self, probe: EdgeProbe) -> bool {
+        let Ok(mut hole) = self.find_mut(probe) else {
             return false;
         };
-        let mut next = (hole + 1) & self.mask;
+        let (mask, shift) = (self.mask, self.shift);
+        let buckets = &mut self.buckets[..];
+        let mut next = (hole + 1) & mask;
         loop {
-            let slot = *self.buckets[next].get_mut();
+            let slot = *buckets[next].get_mut();
             if slot == EMPTY {
                 break;
             }
             if slot != TOMBSTONE {
                 // The entry may fill the gap iff the gap lies on its probe
                 // path, from its home bucket up to `next`.
-                let home = self.home_bucket(slot & EDGE_MASK);
-                if next.wrapping_sub(home) & self.mask >= next.wrapping_sub(hole) & self.mask {
-                    *self.buckets[hole].get_mut() = slot;
+                let home = (fibonacci_hash(slot & EDGE_MASK) >> shift) as usize;
+                if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                    *buckets[hole].get_mut() = slot;
                     hole = next;
                 }
             }
-            next = (next + 1) & self.mask;
+            next = (next + 1) & mask;
         }
-        *self.buckets[hole].get_mut() = EMPTY;
-        *self.live.get_mut() -= 1;
+        *buckets[hole].get_mut() = EMPTY;
         true
     }
 
@@ -334,7 +370,7 @@ impl ConcurrentEdgeSet {
     /// other threads can probe, so the retry passes the same buckets and
     /// then examines the one that was just taken.
     fn insert_entry(&self, edge: Edge, lock: u8) -> bool {
-        self.assert_not_overfull();
+        self.assert_room(1);
         let probe = EdgeProbe::new(edge);
         loop {
             let Err(idx) = self.find(probe) else {
@@ -523,8 +559,48 @@ impl ConcurrentEdgeSet {
 }
 
 #[cfg(test)]
+impl ConcurrentEdgeSet {
+    /// Mean distance of the live entries from their home buckets.
+    pub(crate) fn mean_displacement(&self) -> f64 {
+        let (mut total, mut live) = (0, 0);
+        for (b, bucket) in self.buckets.iter().enumerate() {
+            let slot = bucket.load(Ordering::Relaxed);
+            if slot != EMPTY && slot != TOMBSTONE {
+                total += b.wrapping_sub(self.home_bucket(slot & EDGE_MASK)) & self.mask;
+                live += 1;
+            }
+        }
+        total as f64 / live as f64
+    }
+}
+
+/// The one probe loop of the set: walk from bucket `home`, reading bucket
+/// `idx` with `load`, to the bucket holding `key` (`Ok`, locked or not) or
+/// to the first empty bucket (`Err`).
+#[inline(always)]
+fn walk(
+    home: usize,
+    mask: usize,
+    key: u64,
+    mut load: impl FnMut(usize) -> u64,
+) -> Result<usize, usize> {
+    let mut idx = home;
+    loop {
+        let slot = load(idx);
+        if slot == EMPTY {
+            return Err(idx);
+        }
+        if slot != TOMBSTONE && (slot & EDGE_MASK) == key {
+            return Ok(idx);
+        }
+        idx = (idx + 1) & mask;
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use gesmc_randx::mix64;
     use rayon::prelude::*;
 
     #[test]
@@ -660,11 +736,11 @@ mod tests {
         let mut model = std::collections::HashSet::new();
         // Start from tombstones that the atomic erase left behind.
         for r in 0..100u64 {
-            let e = edge(hash_edge(r));
+            let e = edge(mix64(r));
             assert_eq!(set.insert(e), model.insert(e));
         }
         for r in 0..100u64 {
-            let e = edge(hash_edge(r));
+            let e = edge(mix64(r));
             if r % 2 == 0 {
                 assert_eq!(set.erase(e), model.remove(&e));
             }
@@ -672,8 +748,8 @@ mod tests {
         assert!(set.tombstones.load(Ordering::Relaxed) > 0);
         let mut rebuilds = 0;
         for r in 100..3_000u64 {
-            let e = edge(hash_edge(r));
-            if hash_edge(!r) % 2 == 0 {
+            let e = edge(mix64(r));
+            if mix64(!r) % 2 == 0 {
                 assert_eq!(set.insert_mut(e), model.insert(e), "insert {e:?} at step {r}");
             } else {
                 assert_eq!(set.erase_mut(e), model.remove(&e), "erase {e:?} at step {r}");
@@ -691,7 +767,7 @@ mod tests {
         from_model.sort();
         assert_eq!(from_set, from_model);
         for r in 0..1_000u64 {
-            let e = edge(hash_edge(r ^ 0x5555));
+            let e = edge(mix64(r ^ 0x5555));
             assert_eq!(set.contains(e), from_model.binary_search(&e).is_ok());
         }
     }
@@ -732,10 +808,10 @@ mod tests {
         assert_eq!(set.tombstones.load(Ordering::Relaxed), 4);
         let mut wrapped = 0;
         for r in 0..5_000u64 {
-            let e = edge(hash_edge(r));
+            let e = edge(mix64(r));
             let last = set.buckets[set.mask].load(Ordering::Relaxed);
             let first = set.buckets[0].load(Ordering::Relaxed);
-            if hash_edge(!r) % 2 == 0 {
+            if mix64(!r) % 2 == 0 {
                 assert_eq!(set.insert_mut(e), model.insert(e), "insert {e:?} at step {r}");
             } else {
                 wrapped += (last != EMPTY && first != EMPTY) as usize;
@@ -764,8 +840,8 @@ mod tests {
             assert!(set.insert_mut(e));
         }
         for r in 0..10_000u64 {
-            let slot = (hash_edge(r) % 64) as usize;
-            let fresh = Edge::new((hash_edge(!r) % 1000) as u32, 1000 + r as u32);
+            let slot = (mix64(r) % 64) as usize;
+            let fresh = Edge::new((mix64(!r) % 1000) as u32, 1000 + r as u32);
             assert!(set.erase_mut(live[slot]));
             assert!(set.insert_mut(fresh));
             live[slot] = fresh;
@@ -843,7 +919,7 @@ mod tests {
         let mut model = std::collections::HashSet::new();
         let mut live = Vec::new();
         for r in 0..200u64 {
-            let e = edge(hash_edge(r));
+            let e = edge(mix64(r));
             if live.len() < 30 && model.insert(e) {
                 assert!(set.insert_mut(e));
                 live.push(e);
@@ -852,9 +928,9 @@ mod tests {
         let probe = EdgeProbe::new;
         let (mut legal, mut illegal) = (0, 0);
         for r in 0..20_000u64 {
-            let (i, j) = ((hash_edge(r) % 30) as usize, (hash_edge(!r) % 29) as usize);
+            let (i, j) = ((mix64(r) % 30) as usize, (mix64(!r) % 29) as usize);
             let j = if j >= i { j + 1 } else { j };
-            let targets = [edge(hash_edge(r ^ 0xA5A5)), edge(hash_edge(r ^ 0x5A5A))];
+            let targets = [edge(mix64(r ^ 0xA5A5)), edge(mix64(r ^ 0x5A5A))];
             if targets[0] == targets[1] {
                 continue;
             }
@@ -923,6 +999,20 @@ mod tests {
         assert_eq!(layout(&by_edge), layout(&by_probe));
         assert!(by_edge.len() > 100, "only {} edges live", by_edge.len());
         assert_probe_paths_unbroken(&by_probe);
+    }
+
+    #[test]
+    #[should_panic(expected = "overfull")]
+    fn a_set_without_room_for_two_more_edges_refuses_switches() {
+        // 8 buckets: 5 edges leave room for a switch's two targets and an
+        // empty bucket, 6 do not.
+        let mut set = ConcurrentEdgeSet::with_capacity(4);
+        for i in 0..5u32 {
+            set.insert_mut(Edge::new(i, i + 1));
+        }
+        set.assert_room_for_switches();
+        set.insert_mut(Edge::new(7, 8));
+        set.assert_room_for_switches();
     }
 
     #[test]

@@ -392,10 +392,11 @@ mod tests {
     fn prefetch_and_plain_variants_agree() {
         // With the same seed, pipelined and non-pipelined execution must visit
         // the same chain states (the pipeline only reorders memory accesses).
-        // About 20k edges make an edge set large enough to pipeline, and one
+        // About 40k edges make an edge set large enough to pipeline, and one
         // thread runs every chain in order.
-        let graph = gnp_graph(5, 2500, 0.0064);
-        assert!(ConcurrentEdgeSet::for_graph(&graph).capacity() >= 1 << 17);
+        let graph = gnp_graph(5, 5000, 0.0032);
+        let buckets = ConcurrentEdgeSet::for_graph(&graph).capacity();
+        assert!(buckets >= crate::superstep::PREFETCH_MIN_BUCKETS);
         for build in CHAINS {
             let mut with_pf = build(graph.clone(), SwitchingConfig::with_seed(6).prefetch(true));
             let mut without_pf =

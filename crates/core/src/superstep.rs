@@ -3,8 +3,9 @@
 //! switches in parallel while preserving the sequential outcome, and the
 //! one in-order Def. 1 kernel.
 //!
-//! [`sequential_superstep`] applies a batch strictly in order and writes the
-//! chain's edge set through exclusive access, with plain stores.  Its erases
+//! [`sequential_superstep`] applies a batch strictly in order and reads and
+//! writes the chain's edge set through exclusive access, with plain loads and
+//! stores, in one inlined `switch_mut` per switch.  Its erases
 //! move later entries of the probe cluster back into the gap instead of
 //! leaving tombstones, so the set never needs a rebuild after it.  With the
 //! chain's `prefetch` flag, on by default, and on an edge set large enough
@@ -117,7 +118,8 @@ pub fn parallel_superstep(
             let e1 = edges.get(request.i);
             let e2 = edges.get(request.j);
             let (e3, e4) = switch_targets(e1, e2, request.g);
-            let buckets = table.register(k as u32, [e1.pack(), e2.pack()], [e3.pack(), e4.pack()]);
+            let (sources, targets) = ([e1.pack56(), e2.pack56()], [e3.pack56(), e4.pack56()]);
+            let buckets = table.register(k as u32, sources, targets);
             SwitchWork { request, e1, e2, e3, e4, buckets }
         })
         .collect();
@@ -174,7 +176,12 @@ pub fn parallel_superstep(
         }
         table.release(k as u32, w.buckets);
     });
-    assert_edge_count_kept(edge_set, edges_before);
+    assert_eq!(
+        edge_set.len(),
+        edges_before,
+        "a superstep must keep the number of edges: a legal switch erased a missing edge \
+         or inserted an existing one"
+    );
 
     let legal = legal_count.load(Ordering::Relaxed);
     SuperstepStats { requested, legal, rounds: round_durations.len(), round_durations }
@@ -186,12 +193,15 @@ pub fn parallel_superstep(
 const PREFETCH_DISTANCE: usize = 16;
 
 /// Smallest edge set, in buckets (8 bytes each), on which the in-order
-/// kernel prefetches.  On smaller tables its probes hit cache anyway, and
-/// staging only adds work: on a 2-vCPU Xeon the pipelined loop took
-/// 1.3× the unpipelined one with 2^12 buckets and 1.01–1.20× with 2^15 and
-/// 2^16, but 0.85–0.96× with 2^17, 0.83–0.87× with 2^18 and 0.54–0.58× with
-/// 2^20 and 2^21 (medians of 250–500 supersteps on G(m/8, m)).
-const PREFETCH_MIN_BUCKETS: usize = 1 << 17;
+/// kernel prefetches.  On smaller tables its probes mostly hit cache, and
+/// staging only adds work.  On a 2-vCPU Xeon, `ParES` supersteps on
+/// G(m/8, m) at one thread took, pipelined against unpipelined (medians of
+/// 11 alternating rounds, two runs): 1.13–1.16× with 2^15, 2^16 and 2^17
+/// buckets (faster in 0–2 of 11 rounds), 1.06–1.07× with 2^18 (faster in 2
+/// and 3 of 11), 0.90–0.93× with 2^19, 0.85–0.86× with 2^20 and 0.74–0.76×
+/// with 2^21.  Global switches read 1.08× with 2^17 buckets (faster in 0 of
+/// 11) and 0.98× with 2^18 (faster in 8 of 11).
+pub(crate) const PREFETCH_MIN_BUCKETS: usize = 1 << 18;
 
 /// Entries of the in-order kernel's ring of staged switches: a power of two
 /// above [`PREFETCH_DISTANCE`], so that staging switch `k + D` never
@@ -216,7 +226,7 @@ const REQUEST_CHUNK: usize = 1024;
 /// since this path's erases leave no tombstones.  It reports one round that
 /// lasts the whole superstep.
 ///
-/// With `prefetch`, on an edge set of at least 2^17 buckets, the kernel is
+/// With `prefetch`, on an edge set of at least 2^18 buckets, the kernel is
 /// software-pipelined (Sec. 5.4): it stages each switch 16 switches before
 /// it decides it, hashing its four edges once and prefetching their
 /// buckets, and prefetches the edge-array slots of each switch twice that
@@ -228,8 +238,9 @@ const REQUEST_CHUNK: usize = 1024;
 /// on by default.
 ///
 /// # Panics
-/// If the edge set does not hold as many edges after the superstep as before
-/// it.  Debug builds also assert every erase and insert.
+/// If a legal switch's source is missing from the edge set, which means the
+/// edge array and the set disagree, and if the set has no room for a
+/// switch's targets before its erases.
 pub fn sequential_superstep(
     edges: &AtomicEdgeList,
     edge_set: &mut ConcurrentEdgeSet,
@@ -258,7 +269,7 @@ pub(crate) fn switches_in_order(
     if count == 0 {
         return SuperstepStats::default();
     }
-    let edges_before = edge_set.len();
+    edge_set.assert_room_for_switches();
     let mut chunk = Vec::with_capacity(count.min(REQUEST_CHUNK));
     let mut legal = 0;
     for first in (0..count).step_by(REQUEST_CHUNK) {
@@ -271,18 +282,7 @@ pub(crate) fn switches_in_order(
         }
         legal += switch_in_order(edges, edge_set, &chunk, prefetch);
     }
-    assert_edge_count_kept(edge_set, edges_before);
     SuperstepStats::one_round(count, legal, start.elapsed())
-}
-
-/// Panic unless a superstep left the edge set with as many edges as it had.
-fn assert_edge_count_kept(edge_set: &ConcurrentEdgeSet, edges_before: usize) {
-    assert_eq!(
-        edge_set.len(),
-        edges_before,
-        "a superstep must keep the number of edges: a legal switch erased a missing edge \
-         or inserted an existing one"
-    );
 }
 
 /// Decide and apply `switches` one after another with Def. 1, pipelined when
@@ -749,6 +749,19 @@ mod tests {
             assert_eq!(on_edges.snapshot_edges(), off_edges.snapshot_edges(), "{len} switches");
             assert_eq!(sorted_edges(&on_set), sorted_edges(&off_set), "{len} switches");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "source is missing from the edge set")]
+    fn a_legal_switch_through_a_slot_missing_from_the_edge_set_panics() {
+        // Slot 0 is rewired to {6, 7}, which the set lacks.  Switch (0, 1)
+        // turns {6, 7} and {2, 3} into {2, 6} and {3, 7}: no loop and
+        // neither present, so it is legal and erases {6, 7}.
+        let graph =
+            EdgeListGraph::new(8, vec![Edge::new(0, 1), Edge::new(2, 3), Edge::new(4, 5)]).unwrap();
+        let (edges, mut set) = in_order_state(&graph);
+        edges.set(0, Edge::new(6, 7));
+        sequential_superstep(&edges, &mut set, &[SwitchRequest::new(0, 1, false)], false);
     }
 
     #[test]

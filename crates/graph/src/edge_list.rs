@@ -185,8 +185,25 @@ impl EdgeListGraph {
         self.edges.contains(&e)
     }
 
-    /// Verify the simplicity invariants; returns the first violation found.
+    /// Verify the simplicity invariants; returns the first violation in slot
+    /// order.
+    ///
+    /// One pass checks node ranges and loops, and sorting the packed edges
+    /// finds duplicates.  Only a graph that fails either is scanned again in
+    /// slot order for its first violation.
     pub fn validate(&self) -> Result<(), GraphError> {
+        let simple = self.edges.iter().all(|e| (e.v() as usize) < self.num_nodes && !e.is_loop())
+            && self.canonical_edges().windows(2).all(|pair| pair[0] != pair[1]);
+        if simple {
+            Ok(())
+        } else {
+            self.first_violation()
+        }
+    }
+
+    /// The first edge, in slot order, out of range, a loop, or equal to an
+    /// earlier edge.
+    fn first_violation(&self) -> Result<(), GraphError> {
         let mut seen: HashSet<PackedEdge> = HashSet::with_capacity(self.edges.len() * 2);
         for &e in &self.edges {
             if e.v() as usize >= self.num_nodes {
@@ -270,6 +287,27 @@ mod tests {
             EdgeListGraph::new(3, vec![Edge::new(0, 3)]),
             Err(GraphError::NodeOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn validate_reports_the_first_violation_in_slot_order() {
+        // Each list breaks two rules; the violation at the lower slot wins,
+        // whichever check would find the other one first.
+        let (a, b, c) = (Edge::new(0, 1), Edge::new(1, 2), Edge::new(2, 3));
+        let cases = [
+            (vec![a, b, a, Edge::new(0, 9)], GraphError::MultiEdge(a)),
+            (
+                vec![a, Edge::new(0, 9), b, a],
+                GraphError::NodeOutOfRange { edge: Edge::new(0, 9), nodes: 4 },
+            ),
+            (vec![b, c, c, Edge::new(2, 2)], GraphError::MultiEdge(c)),
+            (vec![b, Edge::new(2, 2), c, c], GraphError::SelfLoop(Edge::new(2, 2))),
+            (vec![c, a, b, a, c], GraphError::MultiEdge(a)),
+        ];
+        for (edges, first) in cases {
+            let graph = EdgeListGraph { num_nodes: 4, edges: edges.clone() };
+            assert_eq!(graph.validate(), Err(first), "{edges:?}");
+        }
     }
 
     #[test]

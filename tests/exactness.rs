@@ -335,3 +335,62 @@ fn parallel_chains_are_independent_of_the_thread_count() {
         }
     }
 }
+
+/// The FNV-1a of `chain`'s edge array in slot order, as `GESMCEL1` records.
+fn edge_array_fingerprint(chain: &dyn EdgeSwitching) -> u64 {
+    let mut bytes = Vec::with_capacity(8 * chain.num_edges());
+    chain.for_each_edge(&mut |e| bytes.extend_from_slice(&e.to_le_bytes()));
+    gesmc::randx::fnv1a_64(&bytes)
+}
+
+/// The four exact chains leave pinned bytes: after 6 supersteps (seed 5),
+/// the FNV-1a of the edge array in slot order, and every superstep's legal
+/// count.  The edge set of the 40k-edge G(n, m) graph has 2^18 buckets, on
+/// which the in-order kernel is staged and prefetches; those of the 20k-edge
+/// G(n, m) graph (2^17 buckets) and of the power-law graph are not.  At two
+/// or more threads the parallel chains must reach the same values through
+/// Algorithm 1.
+#[test]
+fn exact_chains_leave_pinned_bytes() {
+    use gesmc::datasets::{syn_gnp_graph, syn_pld_graph};
+    let graphs = [
+        ("gnp 20k", syn_gnp_graph(1, 2500, 20000), 1 << 17),
+        ("gnp 40k", syn_gnp_graph(1, 5000, 40000), 1 << 18),
+        ("pld", syn_pld_graph(5, 700, 2.5), 1 << 12),
+    ];
+    let expected: [(&str, &str, u64, [usize; 6]); 12] = [
+        ("gnp 20k", "seq-es", 0x70e7_d598_50ed_2bbf, [9874, 9887, 9877, 9880, 9869, 9899]),
+        ("gnp 20k", "par-es", 0x70e7_d598_50ed_2bbf, [9874, 9887, 9877, 9880, 9869, 9899]),
+        ("gnp 20k", "seq-global-es", 0xcaad_7e95_7e12_d237, [9758, 9793, 9774, 9800, 9811, 9756]),
+        ("gnp 20k", "par-global-es", 0x22a9_1c9c_7c5d_32c7, [9778, 9778, 9793, 9769, 9784, 9771]),
+        ("gnp 40k", "seq-es", 0xb100_a633_eebb_faaf, [19812, 19789, 19774, 19805, 19796, 19787]),
+        ("gnp 40k", "par-es", 0xb100_a633_eebb_faaf, [19812, 19789, 19774, 19805, 19796, 19787]),
+        (
+            "gnp 40k",
+            "seq-global-es",
+            0x3442_2fdf_a4c4_9737,
+            [19601, 19624, 19601, 19612, 19607, 19582],
+        ),
+        (
+            "gnp 40k",
+            "par-global-es",
+            0x804d_0e5f_13f6_d3c3,
+            [19601, 19609, 19617, 19602, 19604, 19598],
+        ),
+        ("pld", "seq-es", 0xcd2a_379e_db25_49ac, [305, 312, 308, 324, 324, 313]),
+        ("pld", "par-es", 0xcd2a_379e_db25_49ac, [305, 312, 308, 324, 324, 313]),
+        ("pld", "seq-global-es", 0x9b4d_d8a3_c07d_e14c, [305, 313, 312, 311, 313, 312]),
+        ("pld", "par-global-es", 0xb730_2673_2fe7_e560, [318, 317, 318, 308, 312, 306]),
+    ];
+    for (name, graph, buckets) in &graphs {
+        assert_eq!(ConcurrentEdgeSet::for_graph(graph).capacity(), *buckets, "{name}");
+    }
+    let registry = default_registry();
+    for (graph_name, algo, fingerprint, legal) in expected {
+        let graph = &graphs.iter().find(|(name, ..)| *name == graph_name).unwrap().1;
+        let mut chain = registry.build(&ChainSpec::new(algo), graph.clone(), 5).unwrap();
+        let counts: Vec<usize> = (0..6).map(|_| chain.superstep().legal).collect();
+        let got = edge_array_fingerprint(chain.as_ref());
+        assert_eq!((got, counts.as_slice()), (fingerprint, &legal[..]), "{algo} on {graph_name}");
+    }
+}
