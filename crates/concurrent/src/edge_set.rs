@@ -177,11 +177,6 @@ impl ConcurrentEdgeSet {
         (probe.hash >> self.shift) as usize
     }
 
-    #[inline]
-    fn home_bucket(&self, key: u64) -> usize {
-        self.home(EdgeProbe::of_key(key))
-    }
-
     /// Hint the CPU to fetch the home bucket of `probe` (Sec. 5.4); changes
     /// nothing.
     #[inline]
@@ -376,13 +371,7 @@ impl ConcurrentEdgeSet {
             let Err(idx) = self.find(probe) else {
                 return false;
             };
-            let taken = self.buckets[idx].compare_exchange(
-                EMPTY,
-                Self::entry(probe.key, lock),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            );
-            if taken.is_ok() {
+            if self.replace(idx, EMPTY, Self::entry(probe.key, lock)) {
                 self.live.fetch_add(1, Ordering::Relaxed);
                 return true;
             }
@@ -391,30 +380,21 @@ impl ConcurrentEdgeSet {
 
     /// Erase `edge` (regardless of its lock state); returns whether it was
     /// present.
+    ///
+    /// Under shared access a bucket keeps its edge, in some lock state, until
+    /// an erase leaves a tombstone there, and no insert reuses a tombstone.
+    /// So the erase swaps a tombstone in; if another erase was first, the
+    /// probe starts again and passes that tombstone.
     pub fn erase(&self, edge: Edge) -> bool {
-        let key = Self::key_of(edge);
-        let mut idx = self.home_bucket(key);
+        let probe = EdgeProbe::new(edge);
         loop {
-            let slot = self.buckets[idx].load(Ordering::Acquire);
-            if slot == EMPTY {
+            let Ok(idx) = self.find(probe) else {
                 return false;
+            };
+            if self.buckets[idx].swap(TOMBSTONE, Ordering::AcqRel) != TOMBSTONE {
+                self.count_tombstone();
+                return true;
             }
-            if slot != TOMBSTONE && (slot & EDGE_MASK) == key {
-                match self.buckets[idx].compare_exchange(
-                    slot,
-                    TOMBSTONE,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        self.live.fetch_sub(1, Ordering::Relaxed);
-                        self.tombstones.fetch_add(1, Ordering::Relaxed);
-                        return true;
-                    }
-                    Err(_) => continue,
-                }
-            }
-            idx = (idx + 1) & self.mask;
         }
     }
 
@@ -422,28 +402,15 @@ impl ConcurrentEdgeSet {
     /// into the lock byte).  `owner` must be non-zero.
     pub fn try_lock_existing(&self, edge: Edge, owner: u8) -> LockOutcome {
         debug_assert!(owner != 0, "owner id 0 denotes the unlocked state");
-        let key = Self::key_of(edge);
-        let mut idx = self.home_bucket(key);
-        loop {
-            let slot = self.buckets[idx].load(Ordering::Acquire);
-            if slot == EMPTY {
-                return LockOutcome::NotFound;
-            }
-            if slot != TOMBSTONE && (slot & EDGE_MASK) == key {
-                if slot >> 56 != 0 {
-                    return LockOutcome::Busy;
-                }
-                return match self.buckets[idx].compare_exchange(
-                    slot,
-                    Self::entry(key, owner),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => LockOutcome::Acquired,
-                    Err(_) => LockOutcome::Busy,
-                };
-            }
-            idx = (idx + 1) & self.mask;
+        let probe = EdgeProbe::new(edge);
+        let Ok(idx) = self.find(probe) else {
+            return LockOutcome::NotFound;
+        };
+        // Fails if the edge is locked, or erased since the probe.
+        if self.replace(idx, Self::entry(probe.key, 0), Self::entry(probe.key, owner)) {
+            LockOutcome::Acquired
+        } else {
+            LockOutcome::Busy
         }
     }
 
@@ -466,52 +433,35 @@ impl ConcurrentEdgeSet {
     /// Returns whether the unlock happened (i.e. the edge was present and
     /// locked by `owner`).
     pub fn unlock(&self, edge: Edge, owner: u8) -> bool {
-        let key = Self::key_of(edge);
-        let locked = Self::entry(key, owner);
-        let mut idx = self.home_bucket(key);
-        loop {
-            let slot = self.buckets[idx].load(Ordering::Acquire);
-            if slot == EMPTY {
-                return false;
-            }
-            if slot != TOMBSTONE && (slot & EDGE_MASK) == key {
-                return self.buckets[idx]
-                    .compare_exchange(
-                        locked,
-                        Self::entry(key, 0),
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    )
-                    .is_ok();
-            }
-            idx = (idx + 1) & self.mask;
-        }
+        let probe = EdgeProbe::new(edge);
+        let locked = Self::entry(probe.key, owner);
+        self.find(probe).is_ok_and(|idx| self.replace(idx, locked, Self::entry(probe.key, 0)))
     }
 
     /// Erase an edge whose ticket is held by `owner`.
     ///
     /// Returns whether the erase happened.
     pub fn erase_locked(&self, edge: Edge, owner: u8) -> bool {
-        let key = Self::key_of(edge);
-        let locked = Self::entry(key, owner);
-        let mut idx = self.home_bucket(key);
-        loop {
-            let slot = self.buckets[idx].load(Ordering::Acquire);
-            if slot == EMPTY {
-                return false;
-            }
-            if slot != TOMBSTONE && (slot & EDGE_MASK) == key {
-                let ok = self.buckets[idx]
-                    .compare_exchange(locked, TOMBSTONE, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok();
-                if ok {
-                    self.live.fetch_sub(1, Ordering::Relaxed);
-                    self.tombstones.fetch_add(1, Ordering::Relaxed);
-                }
-                return ok;
-            }
-            idx = (idx + 1) & self.mask;
+        let probe = EdgeProbe::new(edge);
+        let locked = Self::entry(probe.key, owner);
+        let erased = self.find(probe).is_ok_and(|idx| self.replace(idx, locked, TOMBSTONE));
+        if erased {
+            self.count_tombstone();
         }
+        erased
+    }
+
+    /// Compare-and-swap bucket `idx` from `current` to `new`; returns whether
+    /// it held `current`.
+    fn replace(&self, idx: usize, current: u64, new: u64) -> bool {
+        let bucket = &self.buckets[idx];
+        bucket.compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire).is_ok()
+    }
+
+    /// Count an atomic erase: one live edge fewer, one tombstone more.
+    fn count_tombstone(&self) {
+        self.live.fetch_sub(1, Ordering::Relaxed);
+        self.tombstones.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Whether accumulated tombstones warrant a rebuild (live + tombstones
@@ -566,7 +516,7 @@ impl ConcurrentEdgeSet {
         for (b, bucket) in self.buckets.iter().enumerate() {
             let slot = bucket.load(Ordering::Relaxed);
             if slot != EMPTY && slot != TOMBSTONE {
-                total += b.wrapping_sub(self.home_bucket(slot & EDGE_MASK)) & self.mask;
+                total += b.wrapping_sub(self.home(EdgeProbe::of_key(slot & EDGE_MASK))) & self.mask;
                 live += 1;
             }
         }
@@ -780,7 +730,7 @@ mod tests {
             if slot == EMPTY || slot == TOMBSTONE {
                 continue;
             }
-            let mut idx = set.home_bucket(slot & EDGE_MASK);
+            let mut idx = set.home(EdgeProbe::of_key(slot & EDGE_MASK));
             while idx != b {
                 assert_ne!(set.buckets[idx].load(Ordering::Relaxed), EMPTY, "bucket {b}");
                 idx = (idx + 1) & set.mask;
@@ -858,7 +808,7 @@ mod tests {
         let mut set = ConcurrentEdgeSet::with_capacity(8);
         // Two edges with the same home bucket: the second lands one bucket
         // later, locked, and the exclusive erase of the first shifts it home.
-        let home_of = |e: Edge| set.home_bucket(ConcurrentEdgeSet::key_of(e));
+        let home_of = |e: Edge| set.home(EdgeProbe::new(e));
         let first = Edge::new(0, 1);
         let home = home_of(first);
         let second = (2..1000u32).map(|v| Edge::new(0, v)).find(|&e| home_of(e) == home).unwrap();
