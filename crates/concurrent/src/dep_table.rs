@@ -35,7 +35,7 @@
 //! buckets and its state.  Clearing therefore costs the buckets used, not
 //! the table's capacity.
 
-use crate::{fibonacci_hash, home_shift};
+use crate::fibonacci_hash;
 use gesmc_graph::PackedEdge;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
@@ -90,7 +90,7 @@ impl Bucket {
 #[derive(Debug, Default)]
 pub struct DependencyTable {
     buckets: Vec<Bucket>,
-    /// [`home_shift`] of the bucket count.
+    /// 64 − log2 of the bucket count: a hash's top bits index a bucket.
     shift: u32,
     states: Vec<AtomicU8>,
     next: Vec<AtomicU32>,
@@ -124,7 +124,7 @@ impl DependencyTable {
         let buckets = (num_switches.max(1) * 8).next_power_of_two();
         if buckets > self.buckets.len() {
             self.buckets = (0..buckets).map(|_| Bucket::empty()).collect();
-            self.shift = home_shift(buckets);
+            self.shift = 64 - buckets.trailing_zeros();
         }
         if num_switches > self.states.len() {
             self.states.resize_with(num_switches, || AtomicU8::new(SwitchState::Undecided as u8));

@@ -37,13 +37,11 @@
 //! ([`ConcurrentEdgeSet::needs_rebuild`] / [`ConcurrentEdgeSet::rebuild`]);
 //! in-order supersteps add none, so they never trigger a rebuild.
 //!
-//! A key's home bucket is the top bits of its [`fibonacci_hash`].  The
-//! exclusive operations and [`ConcurrentEdgeSet::contains`] also take an
-//! [`EdgeProbe`], an edge hashed once; the `Edge` forms hash and then
-//! delegate to the probe forms.  Every lookup walks one probe loop, which
-//! reads a bucket with an atomic load under shared access and with a plain
-//! one under exclusive access.  The in-order kernel probes each edge of a
-//! switch when it stages the switch, prefetches the probe's home bucket
+//! A key's home bucket is the top bits of its [`fibonacci_hash`].  Every
+//! lookup walks one probe loop, which reads a bucket with an atomic load
+//! under shared access and with a plain one under exclusive access.  The
+//! in-order kernel hashes each edge of a switch once into an [`EdgeProbe`]
+//! when it stages the switch, prefetches the probe's home bucket
 //! ([`ConcurrentEdgeSet::prefetch`]) and decides the switch some switches
 //! later with the same probes (Sec. 5.4), in one inlined
 //! [`ConcurrentEdgeSet::switch_mut`]: Def. 1's existence test and set
@@ -52,8 +50,8 @@
 //! and the kernel checks once per superstep that the set has room
 //! ([`ConcurrentEdgeSet::assert_room_for_switches`]).
 
+use crate::fibonacci_hash;
 use crate::prefetch::prefetch_read;
-use crate::{fibonacci_hash, home_shift};
 use gesmc_graph::edge::MAX_NODE_56;
 use gesmc_graph::{Edge, EdgeListGraph};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -101,7 +99,7 @@ impl EdgeProbe {
 pub struct ConcurrentEdgeSet {
     buckets: Vec<AtomicU64>,
     mask: usize,
-    /// [`home_shift`] of the bucket count.
+    /// 64 − log2 of the bucket count: a hash's top bits index a bucket.
     shift: u32,
     live: AtomicUsize,
     tombstones: AtomicUsize,
@@ -132,7 +130,7 @@ impl ConcurrentEdgeSet {
         Self {
             buckets: (0..buckets).map(|_| AtomicU64::new(EMPTY)).collect(),
             mask: buckets - 1,
-            shift: home_shift(buckets),
+            shift: 64 - buckets.trailing_zeros(),
             live: AtomicUsize::new(0),
             tombstones: AtomicUsize::new(0),
         }
@@ -223,13 +221,7 @@ impl ConcurrentEdgeSet {
 
     /// Whether `edge` is in the set (locked or not).
     pub fn contains(&self, edge: Edge) -> bool {
-        self.contains_probe(EdgeProbe::new(edge))
-    }
-
-    /// Whether `probe`'s edge is in the set (locked or not).
-    #[inline]
-    pub fn contains_probe(&self, probe: EdgeProbe) -> bool {
-        self.find(probe).is_ok()
+        self.find(EdgeProbe::new(edge)).is_ok()
     }
 
     /// Insert `edge` unlocked through exclusive access; returns `false` if it
@@ -237,13 +229,9 @@ impl ConcurrentEdgeSet {
     ///
     /// Leaves the same bucket layout as [`insert`](Self::insert) without its
     /// compare-and-swap and atomic counter update.
-    pub fn insert_mut(&mut self, edge: Edge) -> bool {
-        self.insert_mut_probe(EdgeProbe::new(edge))
-    }
-
-    /// [`insert_mut`](Self::insert_mut) of `probe`'s edge.
     #[inline]
-    pub fn insert_mut_probe(&mut self, probe: EdgeProbe) -> bool {
+    pub fn insert_mut(&mut self, edge: Edge) -> bool {
+        let probe = EdgeProbe::new(edge);
         let Err(idx) = self.find_mut(probe) else {
             return false;
         };
@@ -308,13 +296,7 @@ impl ConcurrentEdgeSet {
     /// leaves a gap of its own; the last gap becomes empty.  Tombstones of
     /// atomic erases stay where they are.
     pub fn erase_mut(&mut self, edge: Edge) -> bool {
-        self.erase_mut_probe(EdgeProbe::new(edge))
-    }
-
-    /// [`erase_mut`](Self::erase_mut) of `probe`'s edge.
-    #[inline]
-    pub fn erase_mut_probe(&mut self, probe: EdgeProbe) -> bool {
-        let erased = self.shift_out(probe);
+        let erased = self.shift_out(EdgeProbe::new(edge));
         *self.live.get_mut() -= erased as usize;
         erased
     }
@@ -906,49 +888,15 @@ mod tests {
     #[test]
     fn prefetch_has_no_semantic_effect() {
         let mut set = ConcurrentEdgeSet::with_capacity(8);
-        let (present, absent) = (EdgeProbe::new(Edge::new(3, 9)), EdgeProbe::new(Edge::new(4, 5)));
-        assert!(set.insert_mut_probe(present));
+        let (present, absent) = (Edge::new(3, 9), Edge::new(4, 5));
+        assert!(set.insert_mut(present));
         let buckets: Vec<u64> = set.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        set.prefetch(present);
-        set.prefetch(absent);
-        assert!(set.contains_probe(present));
-        assert!(!set.contains_probe(absent));
+        set.prefetch(EdgeProbe::new(present));
+        set.prefetch(EdgeProbe::new(absent));
+        assert!(set.contains(present));
+        assert!(!set.contains(absent));
         assert_eq!(set.len(), 1);
         assert!(set.buckets.iter().map(|b| b.load(Ordering::Relaxed)).eq(buckets));
-    }
-
-    #[test]
-    fn probe_forms_match_the_edge_forms() {
-        // The same operations, by edge on one set and by probe on another,
-        // over the edges of 40 nodes at up to 3/4 load: the same answers and
-        // the same bucket layout at every step.
-        let mut by_edge = ConcurrentEdgeSet::with_capacity(256);
-        let mut by_probe = ConcurrentEdgeSet::with_capacity(256);
-        let mut state = 99u64;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            state >> 16
-        };
-        for step in 0..20_000 {
-            let (u, v) = ((next() % 40) as u32, (next() % 40) as u32);
-            let e = Edge::new(u, v);
-            let p = EdgeProbe::new(e);
-            let (a, b) = match next() % 3 {
-                0 if by_edge.len() < 3 * by_edge.capacity() / 4 => {
-                    (by_edge.insert_mut(e), by_probe.insert_mut_probe(p))
-                }
-                0 | 1 => (by_edge.erase_mut(e), by_probe.erase_mut_probe(p)),
-                _ => (by_edge.contains(e), by_probe.contains_probe(p)),
-            };
-            assert_eq!(a, b, "{e:?} at step {step}");
-            assert_eq!(by_edge.len(), by_probe.len());
-        }
-        let layout = |set: &ConcurrentEdgeSet| {
-            set.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect::<Vec<_>>()
-        };
-        assert_eq!(layout(&by_edge), layout(&by_probe));
-        assert!(by_edge.len() > 100, "only {} edges live", by_edge.len());
-        assert_probe_paths_unbroken(&by_probe);
     }
 
     #[test]

@@ -47,22 +47,12 @@ pub use edge_set::{ConcurrentEdgeSet, EdgeProbe, LockOutcome};
 
 /// The bucket function of both hash tables, Fibonacci hashing (Knuth, TAOCP
 /// Vol. 3, §6.4): `key × ⌊2^64/φ⌋`, whose top `b` bits are the key's home
-/// bucket in a table of `2^b` buckets.
-///
-/// The paper hashes with the hardware `crc32` instruction.  One multiply is
-/// portable, needs no feature detection, and spreads the keys the tables
-/// see: packed edges, whose runs of consecutive ids land a golden-ratio step
-/// apart (the probe-length tests of both tables measure this).
+/// bucket in a table of `2^b` buckets.  One multiply, portable, where the
+/// paper uses the hardware `crc32` instruction; the probe-length tests of
+/// both tables check that it spreads the keys they see.
 #[inline(always)]
 pub fn fibonacci_hash(key: u64) -> u64 {
     key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// The shift that takes a [`fibonacci_hash`] to a bucket of a table of
-/// `buckets` buckets, a power of two.
-pub(crate) fn home_shift(buckets: usize) -> u32 {
-    debug_assert!(buckets.is_power_of_two());
-    64 - buckets.trailing_zeros()
 }
 
 #[cfg(test)]

@@ -189,21 +189,14 @@ impl EdgeListGraph {
     /// order.
     ///
     /// One pass checks node ranges and loops, and sorting the packed edges
-    /// finds duplicates.  Only a graph that fails either is scanned again in
-    /// slot order for its first violation.
+    /// finds duplicates; only a graph that fails either is scanned again, in
+    /// slot order, for its first violation.
     pub fn validate(&self) -> Result<(), GraphError> {
         let simple = self.edges.iter().all(|e| (e.v() as usize) < self.num_nodes && !e.is_loop())
             && self.canonical_edges().windows(2).all(|pair| pair[0] != pair[1]);
         if simple {
-            Ok(())
-        } else {
-            self.first_violation()
+            return Ok(());
         }
-    }
-
-    /// The first edge, in slot order, out of range, a loop, or equal to an
-    /// earlier edge.
-    fn first_violation(&self) -> Result<(), GraphError> {
         let mut seen: HashSet<PackedEdge> = HashSet::with_capacity(self.edges.len() * 2);
         for &e in &self.edges {
             if e.v() as usize >= self.num_nodes {
