@@ -85,7 +85,7 @@ impl EdgeProbe {
     /// Hash `edge`.
     #[inline]
     pub fn new(edge: Edge) -> Self {
-        Self::of_key(ConcurrentEdgeSet::key_of(edge))
+        Self::of_key(edge.pack56())
     }
 
     #[inline]
@@ -158,11 +158,6 @@ impl ConcurrentEdgeSet {
     /// Number of buckets.
     pub fn capacity(&self) -> usize {
         self.buckets.len()
-    }
-
-    #[inline]
-    fn key_of(edge: Edge) -> u64 {
-        edge.pack56()
     }
 
     #[inline]
