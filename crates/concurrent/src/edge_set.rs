@@ -37,6 +37,12 @@
 //! ([`ConcurrentEdgeSet::needs_rebuild`] / [`ConcurrentEdgeSet::rebuild`]);
 //! in-order supersteps add none, so they never trigger a rebuild.
 //!
+//! [`ConcurrentEdgeSet::for_graph`] sizes a chain's set at a load of at most
+//! 1/4, which leaves Algorithm 1's tombstones room between rebuilds, and at
+//! most 1/32 where that takes no more than 2^17 buckets (1 MiB): the
+//! in-order kernel's probes, and so its switches, get cheaper as the load
+//! falls.
+//!
 //! A key's home bucket is the top bits of its [`fibonacci_hash`].  Every
 //! lookup walks one probe loop, which reads a bucket with an atomic load
 //! under shared access and with a plain one under exclusive access.  The
@@ -59,6 +65,21 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 const EMPTY: u64 = 0;
 const TOMBSTONE: u64 = 0xFF00_0000_0000_0000;
 const EDGE_MASK: u64 = (1 << 56) - 1;
+
+/// Most buckets (8 bytes each, so 1 MiB) that [`ConcurrentEdgeSet::for_graph`]
+/// spends to keep a set at most 1/32 full; beyond that a set is at most 1/4
+/// full, as Algorithm 1's tombstones need.  The in-order kernel's cost
+/// follows the load, since a lookup walks on from a taken home bucket.  On a
+/// 2-vCPU Xeon (2 MiB L2 per core), building a set and running 20 in-order
+/// global switches on it took, against a set 1/8–1/4 full (medians of 11
+/// alternating rounds): 0.53× and 0.81× at 117 and 194 edges, 0.61× for
+/// SynPld n = 700 (673 edges, 2^15 buckets), 0.51–0.67× at n = 2^10, 0.57×
+/// and 0.76× at n = 2^13 (γ = 2.5 and 2.2, 2^17), 0.49–0.74× for G(n, m) at
+/// 1k–2k edges and 0.68–0.82× at 5k–10k (2^17).  At 20k edges 2^18 buckets
+/// read 0.91× but took 1.32× as long to build, and from 2^18 buckets on the
+/// kernel is pipelined, so the cap leaves every graph of 2^15 or more edges
+/// at a load of 1/8–1/4.
+const SPARSE_MAX_BUCKETS: usize = 1 << 17;
 
 /// Outcome of a ticket-acquisition operation used by `NaiveParES`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,8 +130,12 @@ impl ConcurrentEdgeSet {
     /// Largest node count whose ids fit the 28-bit halves of a bucket's key.
     pub const MAX_NODES: usize = MAX_NODE_56 as usize + 1;
 
-    /// Build the set of `graph`'s edges, sized for twice its edge count so
-    /// that the tombstones of Algorithm 1 supersteps fit between rebuilds.
+    /// Build the set of `graph`'s edges at a load of at most 1/32 while that
+    /// takes no more than 2^17 buckets (1 MiB), and of at most 1/4 always,
+    /// so that the tombstones of Algorithm 1 supersteps fit between
+    /// rebuilds.  Graphs of up to 2^14 edges so get a sparser table than the
+    /// 1/4 bound alone would give, which shortens the in-order kernel's
+    /// probes.
     ///
     /// # Panics
     /// If `graph` has more than [`MAX_NODES`](Self::MAX_NODES) nodes: two of
@@ -121,12 +146,14 @@ impl ConcurrentEdgeSet {
             "ConcurrentEdgeSet holds node ids below 2^28, but the graph has {} nodes",
             graph.num_nodes()
         );
-        Self::from_edges(graph.edges().iter(), graph.num_edges() * 2)
+        Self::from_edges(graph.edges().iter(), graph_capacity_hint(graph.num_edges()))
     }
 
-    /// Create a set able to hold `capacity_hint` edges at load factor ≤ 1/2.
+    /// Create a set able to hold `capacity_hint` edges at load factor ≤ 1/2:
+    /// the smallest power of two of at least `2 × capacity_hint` buckets, and
+    /// at least 8.
     pub fn with_capacity(capacity_hint: usize) -> Self {
-        let buckets = (capacity_hint.max(4) * 2).next_power_of_two();
+        let buckets = buckets_for(capacity_hint);
         Self {
             buckets: (0..buckets).map(|_| AtomicU64::new(EMPTY)).collect(),
             mask: buckets - 1,
@@ -448,9 +475,11 @@ impl ConcurrentEdgeSet {
     /// between supersteps, and a single Algorithm 1 superstep can add up to
     /// `2m` new slots (tombstones for erased edges plus freshly inserted
     /// ones), so the table must never enter a superstep more than half full.
-    /// Only atomic erases leave tombstones, so a set sized by
-    /// [`for_graph`](Self::for_graph) that only in-order supersteps write
-    /// never needs a rebuild.
+    /// A set sized by [`for_graph`](Self::for_graph) starts at most a
+    /// quarter full, and one of up to 2^17 buckets at most 1/32 full, which
+    /// lasts proportionally more Algorithm 1 supersteps.  Only atomic erases
+    /// leave tombstones, so a set that only in-order supersteps write never
+    /// needs a rebuild.
     pub fn needs_rebuild(&self) -> bool {
         let used = self.live.load(Ordering::Relaxed) + self.tombstones.load(Ordering::Relaxed);
         2 * used > self.buckets.len()
@@ -499,6 +528,18 @@ impl ConcurrentEdgeSet {
         }
         total as f64 / live as f64
     }
+}
+
+/// The capacity hint of [`ConcurrentEdgeSet::for_graph`] for `m` edges: room
+/// for `16m` edges at load ≤ 1/2 up to [`SPARSE_MAX_BUCKETS`], and for `2m`
+/// always.
+fn graph_capacity_hint(m: usize) -> usize {
+    (2 * m).max((16 * m).min(SPARSE_MAX_BUCKETS / 2))
+}
+
+/// Buckets of [`ConcurrentEdgeSet::with_capacity`]`(capacity_hint)`.
+fn buckets_for(capacity_hint: usize) -> usize {
+    (capacity_hint.max(4) * 2).next_power_of_two()
 }
 
 /// The one probe loop of the set: walk from bucket `home`, reading bucket
@@ -923,8 +964,26 @@ mod tests {
         let graph = EdgeListGraph::new(ConcurrentEdgeSet::MAX_NODES, edges).unwrap();
         let set = ConcurrentEdgeSet::for_graph(&graph);
         assert_eq!(set.len(), 3);
-        assert_eq!(set.capacity(), 16);
+        assert_eq!(set.capacity(), 128);
         assert!(graph.edges().iter().all(|&e| set.contains(e)));
+    }
+
+    #[test]
+    fn for_graph_sizes_sparse_up_to_the_cap_and_at_most_a_quarter_full() {
+        for m in 0..=1usize << 20 {
+            let buckets = buckets_for(graph_capacity_hint(m));
+            assert!(4 * m <= buckets, "{m} edges in {buckets} buckets: over a load of 1/4");
+            let quarter = (4 * m).next_power_of_two();
+            assert!(buckets <= SPARSE_MAX_BUCKETS.max(quarter), "{m} edges in {buckets} buckets");
+            if 32 * m <= SPARSE_MAX_BUCKETS {
+                assert!(32 * m <= buckets, "{m} edges in {buckets} buckets: over a load of 1/32");
+            }
+        }
+        // es-small's graph keeps the size it had at a load of at most 1/4.
+        assert_eq!(buckets_for(graph_capacity_hint(19_838)), 1 << 17);
+        let edges = (0..1000u32).map(|v| Edge::new(v, v + 1)).collect();
+        let set = ConcurrentEdgeSet::for_graph(&EdgeListGraph::new(1001, edges).unwrap());
+        assert_eq!(set.capacity(), 1 << 15);
     }
 
     #[test]

@@ -79,9 +79,11 @@ pub struct ExactChain<const GLOBAL: bool, const PARALLEL: bool> {
 impl<const GLOBAL: bool, const PARALLEL: bool> ExactChain<GLOBAL, PARALLEL> {
     /// Create a chain randomising `graph`.
     ///
-    /// The edge set is sized for the graph's (constant) number of edges plus
-    /// the tombstones of a few Algorithm 1 supersteps, and rebuilt after one
-    /// that left too many; in-order supersteps leave none.
+    /// The edge set ([`ConcurrentEdgeSet::for_graph`]) is at most 1/32 full
+    /// on graphs of up to 4096 edges, which keeps the in-order kernel's
+    /// probes short, and at most 1/4 full on any graph, which leaves room for
+    /// the tombstones of a few Algorithm 1 supersteps.  It is rebuilt after a
+    /// superstep that left too many; in-order supersteps leave none.
     ///
     /// # Panics
     /// If `graph` has more nodes than [`ConcurrentEdgeSet::MAX_NODES`].
@@ -614,12 +616,23 @@ mod tests {
 
     #[test]
     fn repeated_supersteps_keep_edge_set_consistent() {
-        // Run enough supersteps to force at least one rebuild of the edge set.
-        // Only Algorithm 1 leaves tombstones, and it runs at two threads.
+        // Only Algorithm 1 leaves tombstones, and it runs at two threads:
+        // each legal switch erases two edges into tombstones and inserts two
+        // into empty buckets.  Run until, without a rebuild, the set would
+        // be more than half full, so the chain must have rebuilt it.
         let graph = gnp_graph(5, 150, 0.08);
         let m = graph.num_edges();
         let mut chain = ParGlobalES::new(graph, SwitchingConfig::with_seed(6));
-        on_threads(2, || chain.run_supersteps(20));
+        let capacity = chain.edge_set.capacity();
+        let mut used = m;
+        let filled = on_threads(2, || {
+            (1..=200).find(|step| {
+                used += 2 * chain.superstep().legal;
+                assert!(!chain.edge_set.needs_rebuild(), "superstep {step} skipped a rebuild");
+                2 * used > capacity
+            })
+        });
+        assert!(filled.is_some(), "200 supersteps left {used} of {capacity} buckets used");
         let result = chain.graph();
         assert_eq!(result.num_edges(), m);
         assert!(result.validate().is_ok());

@@ -347,16 +347,16 @@ fn edge_array_fingerprint(chain: &dyn EdgeSwitching) -> u64 {
 /// the FNV-1a of the edge array in slot order, and every superstep's legal
 /// count.  The edge set of the 40k-edge G(n, m) graph has 2^18 buckets, on
 /// which the in-order kernel is staged and prefetches; those of the 20k-edge
-/// G(n, m) graph (2^17 buckets) and of the power-law graph are not.  At two
-/// or more threads the parallel chains must reach the same values through
-/// Algorithm 1.
+/// G(n, m) graph (2^17 buckets) and of the power-law graph (2^15) are not.
+/// At two or more threads the parallel chains must reach the same values
+/// through Algorithm 1.
 #[test]
 fn exact_chains_leave_pinned_bytes() {
     use gesmc::datasets::{syn_gnp_graph, syn_pld_graph};
     let graphs = [
         ("gnp 20k", syn_gnp_graph(1, 2500, 20000), 1 << 17),
         ("gnp 40k", syn_gnp_graph(1, 5000, 40000), 1 << 18),
-        ("pld", syn_pld_graph(5, 700, 2.5), 1 << 12),
+        ("pld", syn_pld_graph(5, 700, 2.5), 1 << 15),
     ];
     let expected: [(&str, &str, u64, [usize; 6]); 12] = [
         ("gnp 20k", "seq-es", 0x70e7_d598_50ed_2bbf, [9874, 9887, 9877, 9880, 9869, 9899]),
