@@ -104,10 +104,30 @@ pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<EdgeListGraph, IoE
 pub fn write_edges<W: Write>(writer: W, num_nodes: usize, edges: &[Edge]) -> std::io::Result<()> {
     let mut w = BufWriter::new(writer);
     writeln!(w, "# nodes {num_nodes} edges {}", edges.len())?;
+    // Each line is formatted backwards into a buffer that holds two `u32`s,
+    // a space and a newline, without `writeln!`'s formatting machinery.
+    let mut line = [0u8; 22];
+    line[21] = b'\n';
     for e in edges {
-        writeln!(w, "{} {}", e.u(), e.v())?;
+        let space = put_decimal(&mut line[..21], e.v()) - 1;
+        line[space] = b' ';
+        let start = put_decimal(&mut line[..space], e.u());
+        w.write_all(&line[start..])?;
     }
     w.flush()
+}
+
+/// Write `x` in decimal at the end of `buf`; returns where its digits start.
+fn put_decimal(buf: &mut [u8], mut x: u32) -> usize {
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            return start;
+        }
+    }
 }
 
 /// Write a graph as a plain edge list ([`write_edges`]).
@@ -505,6 +525,22 @@ mod tests {
         let parsed = read_edge_list(&buf[..]).unwrap();
         assert_eq!(parsed.canonical_edges(), g.canonical_edges());
         assert_eq!(parsed.num_nodes(), 5);
+    }
+
+    #[test]
+    fn text_lines_match_a_format_reference_byte_for_byte() {
+        let ends = [0, 1, 9, 10, 99, 100, 12_345, 1 << 28, u32::MAX - 1, u32::MAX];
+        let edges: Vec<Edge> = ends
+            .iter()
+            .flat_map(|&u| ends.iter().filter(move |&&v| v != u).map(move |&v| Edge::new(u, v)))
+            .collect();
+        let mut written = Vec::new();
+        write_edges(&mut written, 7, &edges).unwrap();
+        let mut expected = format!("# nodes 7 edges {}\n", edges.len());
+        for e in &edges {
+            expected += &format!("{} {}\n", e.u(), e.v());
+        }
+        assert_eq!(String::from_utf8(written).unwrap(), expected);
     }
 
     #[test]
