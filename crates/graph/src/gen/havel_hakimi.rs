@@ -58,27 +58,26 @@ pub fn havel_hakimi(seq: &DegreeSequence) -> Result<EdgeListGraph, HavelHakimiEr
     // Max-heap of (residual degree, node) with lazy deletion: an entry is
     // stale iff its key no longer equals the node's current residual degree.
     // Keys strictly decrease per node, so freshness is unambiguous.  Ties are
-    // broken towards the smaller node id for determinism.
-    use std::cmp::Reverse;
+    // broken towards the smaller node id for determinism.  An entry is packed
+    // into one `u64`, `residual << 32 | !node`, which orders as
+    // `(residual, Reverse(node))` does.
     use std::collections::BinaryHeap;
+    let entry = |key: u32, v: Node| u64::from(key) << 32 | u64::from(!v);
 
     let mut residual: Vec<u32> = degrees.to_vec();
     let mut edges: Vec<Edge> = Vec::with_capacity((seq.degree_sum() / 2) as usize);
-    let mut heap: BinaryHeap<(u32, Reverse<Node>)> = (0..n as Node)
+    let mut heap: BinaryHeap<u64> = (0..n as Node)
         .filter(|&v| residual[v as usize] > 0)
-        .map(|v| (residual[v as usize], Reverse(v)))
+        .map(|v| entry(residual[v as usize], v))
         .collect();
     let mut scratch: Vec<Node> = Vec::new();
 
     // Pop the freshest maximum-residual node.
-    let pop_fresh = |heap: &mut BinaryHeap<(u32, Reverse<Node>)>, residual: &[u32]| loop {
-        match heap.pop() {
-            None => return None,
-            Some((key, Reverse(v))) => {
-                if residual[v as usize] == key && key > 0 {
-                    return Some(v);
-                }
-            }
+    let pop_fresh = |heap: &mut BinaryHeap<u64>, residual: &[u32]| loop {
+        let packed = heap.pop()?;
+        let (key, v) = ((packed >> 32) as u32, !(packed as u32));
+        if residual[v as usize] == key && key > 0 {
+            return Some(v);
         }
     };
 
@@ -99,7 +98,7 @@ pub fn havel_hakimi(seq: &DegreeSequence) -> Result<EdgeListGraph, HavelHakimiEr
             edges.push(Edge::new(v, u));
             residual[u as usize] -= 1;
             if residual[u as usize] > 0 {
-                heap.push((residual[u as usize], Reverse(u)));
+                heap.push(entry(residual[u as usize], u));
             }
         }
     }
