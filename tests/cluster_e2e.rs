@@ -83,6 +83,21 @@ impl Drop for ClusterNode {
     }
 }
 
+/// A running cluster: its nodes and the temp dir that holds their data dirs.
+/// Dropping it, also when a test panics, kills and reaps every node that is
+/// left and then removes the dir.
+struct Cluster {
+    nodes: Vec<ClusterNode>,
+    base: PathBuf,
+}
+
+impl Drop for Cluster {
+    fn drop(&mut self) {
+        self.nodes.clear();
+        let _ = std::fs::remove_dir_all(&self.base);
+    }
+}
+
 /// Reserve `n` distinct loopback ports by binding them all at once and then
 /// dropping the listeners.  The peers list must be known *before* any node
 /// boots, so the publish-an-ephemeral-port trick of the durability tests
@@ -94,14 +109,14 @@ fn free_ports(n: usize) -> Vec<u16> {
 }
 
 /// Spawn an `n`-node cluster, each node its own process with its own data
-/// dir, and wait until every node answers `/healthz`.
-fn spawn_cluster(tag: &str, n: usize) -> Vec<ClusterNode> {
+/// dir under one temp dir, and wait until every node answers `/healthz`.
+fn spawn_cluster(tag: &str, n: usize) -> Cluster {
     let base = std::env::temp_dir().join(format!("gesmc-cluster-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let endpoints: Vec<String> =
         free_ports(n).into_iter().map(|port| format!("127.0.0.1:{port}")).collect();
     let peers = endpoints.join(",");
-    let nodes: Vec<ClusterNode> = endpoints
+    let nodes = endpoints
         .iter()
         .enumerate()
         .map(|(i, endpoint)| {
@@ -119,8 +134,9 @@ fn spawn_cluster(tag: &str, n: usize) -> Vec<ClusterNode> {
             ClusterNode { child, addr: endpoint.parse().expect("addr"), endpoint: endpoint.clone() }
         })
         .collect();
+    let cluster = Cluster { nodes, base };
     let deadline = Instant::now() + Duration::from_secs(60);
-    for node in &nodes {
+    for node in &cluster.nodes {
         loop {
             if wire::request(&node.endpoint, "GET", "/healthz", &[], b"")
                 .is_ok_and(|r| r.status == 200)
@@ -131,7 +147,7 @@ fn spawn_cluster(tag: &str, n: usize) -> Vec<ClusterNode> {
             std::thread::sleep(Duration::from_millis(20));
         }
     }
-    nodes
+    cluster
 }
 
 /// The workload: a spread of small power-law specs, distinct keys.
@@ -169,8 +185,8 @@ fn reference_bytes(specs: &[SampleSpec]) -> Vec<Vec<u8>> {
 
 #[test]
 fn misrouted_requests_forward_to_the_owner_and_match_a_single_node_bit_for_bit() {
-    let nodes = spawn_cluster("forward", 3);
-    let endpoints: Vec<String> = nodes.iter().map(|n| n.endpoint.clone()).collect();
+    let cluster = spawn_cluster("forward", 3);
+    let endpoints: Vec<String> = cluster.nodes.iter().map(|n| n.endpoint.clone()).collect();
     let specs = workload_specs();
     let reference = reference_bytes(&specs);
 
@@ -200,8 +216,8 @@ fn misrouted_requests_forward_to_the_owner_and_match_a_single_node_bit_for_bit()
     for (spec, expected) in specs.iter().zip(&reference) {
         let key = spec.key().expect("key");
         let owner = ring.owner(key.ring_hash()).to_string();
-        let wrong = nodes.iter().find(|n| n.endpoint != owner).expect("non-owner");
-        let owner_node = nodes.iter().find(|n| n.endpoint == owner).expect("owner node");
+        let wrong = cluster.nodes.iter().find(|n| n.endpoint != owner).expect("non-owner");
+        let owner_node = cluster.nodes.iter().find(|n| n.endpoint == owner).expect("owner node");
         let received_before = metric(owner_node.addr, "gesmc_cluster_forwards_received_total");
 
         let response = http(wrong.addr, "GET", &sample_path(spec), BINARY, "");
@@ -223,7 +239,7 @@ fn misrouted_requests_forward_to_the_owner_and_match_a_single_node_bit_for_bit()
     }
 
     // The ring status endpoint agrees: every node sees 3 peers, all healthy.
-    for node in &nodes {
+    for node in &cluster.nodes {
         let response = http(node.addr, "GET", "/v1/cluster", &[], "");
         assert_eq!(response.status, 200);
         let text = String::from_utf8_lossy(&response.body).to_string();
@@ -231,24 +247,20 @@ fn misrouted_requests_forward_to_the_owner_and_match_a_single_node_bit_for_bit()
         assert!(!text.contains("ejected"), "no peer may be ejected yet: {text}");
         assert_eq!(metric(node.addr, "gesmc_cluster_peers"), 3);
     }
-
-    for node in nodes {
-        node.kill();
-    }
 }
 
 #[test]
 fn a_misrouted_traced_request_yields_one_span_tree_across_both_processes() {
-    let nodes = spawn_cluster("trace", 3);
-    let endpoints: Vec<String> = nodes.iter().map(|n| n.endpoint.clone()).collect();
+    let cluster = spawn_cluster("trace", 3);
+    let endpoints: Vec<String> = cluster.nodes.iter().map(|n| n.endpoint.clone()).collect();
     let ring = HashRing::new(endpoints).expect("ring");
 
     // A spec nothing has warmed: the owner must actually compute, so the
     // engine-side phases (queue_wait / compute / supersteps) appear.
     let spec = SampleSpec::new("pld:m=120,seed=42").supersteps(10);
     let owner = ring.owner(spec.key().expect("key").ring_hash()).to_string();
-    let wrong = nodes.iter().find(|n| n.endpoint != owner).expect("non-owner");
-    let owner_node = nodes.iter().find(|n| n.endpoint == owner).expect("owner node");
+    let wrong = cluster.nodes.iter().find(|n| n.endpoint != owner).expect("non-owner");
+    let owner_node = cluster.nodes.iter().find(|n| n.endpoint == owner).expect("owner node");
 
     // Originate the trace ourselves, exactly as the client SDK does: the
     // sampled flag (…-01) forces every hop to keep its spans.
@@ -332,16 +344,12 @@ fn a_misrouted_traced_request_yields_one_span_tree_across_both_processes() {
         }
     }
     assert_eq!(roots, 1, "exactly one span may hang off the originated context");
-
-    for node in nodes {
-        node.kill();
-    }
 }
 
 #[test]
 fn killing_one_node_loses_no_requests_and_survivors_eject_it() {
-    let nodes = spawn_cluster("failover", 3);
-    let endpoints: Vec<String> = nodes.iter().map(|n| n.endpoint.clone()).collect();
+    let mut cluster = spawn_cluster("failover", 3);
+    let endpoints: Vec<String> = cluster.nodes.iter().map(|n| n.endpoint.clone()).collect();
     let specs = workload_specs();
     let reference = reference_bytes(&specs);
     let ring = HashRing::new(endpoints.clone()).expect("ring");
@@ -360,9 +368,8 @@ fn killing_one_node_loses_no_requests_and_survivors_eject_it() {
 
     // Kill the owner of the first spec — guaranteed to own at least one key.
     let victim_endpoint = ring.owner(specs[0].key().expect("key").ring_hash()).to_string();
-    let (mut victims, survivors): (Vec<ClusterNode>, Vec<ClusterNode>) =
-        nodes.into_iter().partition(|n| n.endpoint == victim_endpoint);
-    victims.pop().expect("victim").kill();
+    let victim = cluster.nodes.iter().position(|n| n.endpoint == victim_endpoint).expect("victim");
+    cluster.nodes.remove(victim).kill();
 
     // Three full passes over the whole workload.  Every request must
     // succeed: survivor-owned keys go straight to their live owner;
@@ -409,7 +416,8 @@ fn killing_one_node_loses_no_requests_and_survivors_eject_it() {
     for _ in 0..4 {
         client.samples().get(victim_spec).expect("hammer fetch");
     }
-    let fallback_survivor = survivors
+    let fallback_survivor = cluster
+        .nodes
         .iter()
         .find(|survivor| metric(survivor.addr, "gesmc_cluster_forward_fallbacks_total") > 0)
         .expect("some survivor must have fallen back from the dead owner");
@@ -432,8 +440,4 @@ fn killing_one_node_loses_no_requests_and_survivors_eject_it() {
         "client pool must eject the dead endpoint: {:?}",
         client.health()
     );
-
-    for node in survivors {
-        node.kill();
-    }
 }
