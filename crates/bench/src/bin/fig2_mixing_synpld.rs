@@ -26,6 +26,7 @@ fn main() {
         (0..).map(|i| 1usize << i).take_while(|&k| k <= supersteps).collect();
 
     let mut writer = BenchWriter::new(
+        "results",
         "fig2_mixing_synpld",
         &["n", "gamma", "algorithm", "thinning", "mean_non_independent", "repetitions"],
     );

@@ -18,6 +18,7 @@ fn main() {
     let thresholds = [1e-2f64, 1e-3];
 
     let mut writer = BenchWriter::new(
+        "results",
         "fig3_mixing_netrep",
         &["graph", "family", "edges", "density", "algorithm", "threshold", "first_superstep"],
     );

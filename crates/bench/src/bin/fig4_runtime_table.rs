@@ -38,6 +38,7 @@ fn main() {
     let seed = args.seed;
 
     let mut writer = BenchWriter::new(
+        "results",
         "fig4_runtime_table",
         &[
             "graph",

@@ -24,6 +24,7 @@ fn main() {
     let max_threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
 
     let mut writer = BenchWriter::new(
+        "results",
         "fig5_speedup_scatter",
         &[
             "graph",

@@ -33,6 +33,7 @@ fn main() {
     };
 
     let mut writer = BenchWriter::new(
+        "results",
         "fig6_strong_scaling",
         &["graph", "edges", "threads", "seconds", "self_speedup"],
     );

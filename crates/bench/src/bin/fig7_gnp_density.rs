@@ -28,6 +28,7 @@ fn main() {
     );
 
     let mut writer = BenchWriter::new(
+        "results",
         "fig7_gnp_density",
         &["edges_target", "edges_actual", "nodes", "avg_degree", "threads", "seconds"],
     );

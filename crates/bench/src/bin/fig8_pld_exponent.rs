@@ -21,6 +21,7 @@ fn main() {
     let gammas: Vec<f64> = vec![2.01, 2.2, 2.4, 2.6, 2.8, 3.0];
 
     let mut writer = BenchWriter::new(
+        "results",
         "fig8_pld_exponent",
         &[
             "nodes",

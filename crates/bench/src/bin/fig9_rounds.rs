@@ -16,6 +16,7 @@ fn main() {
         args.scale.pick((4_000, 16_000), (4_000, 128_000), (10_000, 8_000_000));
 
     let mut writer = BenchWriter::new(
+        "results",
         "fig9_rounds",
         &[
             "graph",

@@ -6,7 +6,8 @@
 //! * [`Scale`] — the `--scale {smoke,small,paper}` knob trading fidelity for
 //!   runtime.  `smoke` finishes in seconds on a laptop, `small` in minutes,
 //!   `paper` approaches the parameter ranges of the publication (hours).
-//! * [`BenchWriter`] — CSV + JSON result emission into `results/`.
+//! * [`BenchWriter`] — CSV + JSON result emission into a directory (the
+//!   figure binaries use `results/`).
 //! * [`time_supersteps`] — the common timing loop (initialise data structures
 //!   and perform `k` supersteps, as in Sec. 6.2).
 
@@ -107,17 +108,20 @@ pub struct Row {
     pub values: Vec<String>,
 }
 
-/// Collects rows and writes them to `results/<name>.csv` and `.json`.
+/// Collects rows and writes them to `<dir>/<name>.csv` and `.json`.
 pub struct BenchWriter {
+    dir: PathBuf,
     name: String,
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl BenchWriter {
-    /// Create a writer for experiment `name` with the given CSV header.
-    pub fn new(name: &str, header: &[&str]) -> Self {
+    /// Create a writer for experiment `name` with the given CSV header,
+    /// writing into `dir`.
+    pub fn new(dir: impl Into<PathBuf>, name: &str, header: &[&str]) -> Self {
         Self {
+            dir: dir.into(),
             name: name.to_string(),
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
@@ -132,17 +136,16 @@ impl BenchWriter {
         println!("{}", values.join(","));
     }
 
-    /// Write the collected rows to `results/`.
+    /// Write the collected rows into the writer's directory, creating it.
     pub fn finish(&self) -> std::io::Result<PathBuf> {
-        let dir = PathBuf::from("results");
-        fs::create_dir_all(&dir)?;
-        let csv_path = dir.join(format!("{}.csv", self.name));
+        fs::create_dir_all(&self.dir)?;
+        let csv_path = self.dir.join(format!("{}.csv", self.name));
         let mut csv = fs::File::create(&csv_path)?;
         writeln!(csv, "{}", self.header.join(","))?;
         for row in &self.rows {
             writeln!(csv, "{}", row.join(","))?;
         }
-        let json_path = dir.join(format!("{}.json", self.name));
+        let json_path = self.dir.join(format!("{}.json", self.name));
         let json_rows: Vec<serde_json::Value> = self
             .rows
             .iter()
@@ -215,22 +218,20 @@ mod tests {
 
     #[test]
     fn writer_produces_csv_and_json() {
-        let dir = std::env::temp_dir().join("gesmc-bench-test");
+        let dir = std::env::temp_dir().join(format!("gesmc-bench-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let old = std::env::current_dir().unwrap();
-        std::env::set_current_dir(&dir).unwrap();
 
-        let mut w = BenchWriter::new("unit_test_rows", &["a", "b"]);
+        let mut w = BenchWriter::new(&dir, "unit_test_rows", &["a", "b"]);
         w.row(&["1".into(), "x".into()]);
         w.row(&["2".into(), "y".into()]);
         let path = w.finish().unwrap();
+        assert_eq!(path, dir.join("unit_test_rows.csv"));
         let contents = std::fs::read_to_string(&path).unwrap();
         assert!(contents.starts_with("a,b\n1,x\n2,y"));
         let json = std::fs::read_to_string(path.with_extension("json")).unwrap();
         assert!(json.contains("\"a\": \"1\""));
 
-        std::env::set_current_dir(old).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -91,11 +91,12 @@ struct SwitchWork {
 /// the original (sequential) switch sequence.
 ///
 /// # Panics
-/// If the edge set does not hold as many edges after the superstep as before
-/// it, which would mean a legal switch erased a missing edge or inserted an
-/// existing one; if registration finds an edge erased twice, i.e. a batch
-/// with source dependencies, which is a caller bug; and if a decision round
-/// decides nothing, which would otherwise loop forever.
+/// If a legal switch erases an edge missing from the edge set or inserts
+/// one already in it, which means the edge array and the set disagree, and
+/// if the set does not hold as many edges after the superstep as before it,
+/// in release builds too; if registration finds an edge erased twice, i.e.
+/// a batch with source dependencies, which is a caller bug; and if a
+/// decision round decides nothing, which would otherwise loop forever.
 pub fn parallel_superstep(
     table: &mut DependencyTable,
     edges: &AtomicEdgeList,
@@ -165,14 +166,14 @@ pub fn parallel_superstep(
         if table.state(k as u32) == SwitchState::Legal {
             let erased1 = edge_set.erase(w.e1);
             let erased2 = edge_set.erase(w.e2);
-            debug_assert!(erased1 && erased2, "legal switch must erase existing edges");
+            assert!(erased1 && erased2, "legal switch must erase existing edges");
         }
     });
     work.par_iter().enumerate().for_each(|(k, w)| {
         if table.state(k as u32) == SwitchState::Legal {
             let inserted1 = edge_set.insert(w.e3);
             let inserted2 = edge_set.insert(w.e4);
-            debug_assert!(inserted1 && inserted2, "legal switch must insert fresh edges");
+            assert!(inserted1 && inserted2, "legal switch must insert fresh edges");
         }
         table.release(k as u32, w.buckets);
     });
@@ -762,6 +763,23 @@ mod tests {
         let (edges, mut set) = in_order_state(&graph);
         edges.set(0, Edge::new(6, 7));
         sequential_superstep(&edges, &mut set, &[SwitchRequest::new(0, 1, false)], false);
+    }
+
+    #[test]
+    #[should_panic(expected = "legal switch must erase existing edges")]
+    fn algorithm_1_panics_at_the_erase_of_a_slot_missing_from_the_edge_set() {
+        // As above, through Algorithm 1: the erase's own check fires, in
+        // release builds too, before the edge-count check could.  One
+        // thread makes the panicking pass deterministic.
+        let graph =
+            EdgeListGraph::new(8, vec![Edge::new(0, 1), Edge::new(2, 3), Edge::new(4, 5)]).unwrap();
+        let (edges, set) = in_order_state(&graph);
+        edges.set(0, Edge::new(6, 7));
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        let switches = [SwitchRequest::new(0, 1, false)];
+        pool.install(|| {
+            parallel_superstep(&mut DependencyTable::default(), &edges, &set, &switches)
+        });
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub use gesmc_core::{ChainError, ChainInfo, ChainRegistry, ChainSpec, ParamValue
 pub use job::{GraphSource, JobSpec, GRAPH_FAMILIES};
 pub use manifest::Manifest;
 pub use pool::{run_job, JobReport};
-pub use service::{JobHandle, JobState, QueuedJob, ServicePool, SubmitError};
+pub use service::{Completion, JobHandle, JobState, QueuedJob, ServicePool, SubmitError};
 pub use sink::{
     CallbackSink, EdgeListFileSink, MemorySink, NullSink, SampleContext, SampleSink, SampleView,
 };

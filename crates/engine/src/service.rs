@@ -16,6 +16,16 @@
 //!   further submissions fail fast with [`SubmitError::Saturated`] (the
 //!   server layer turns this into `429 Retry-After`) instead of growing an
 //!   unbounded backlog;
+//! * [`ServicePool::readmit`] enqueues past that bound, for work acknowledged
+//!   before the pool existed (a journaled job resumed on boot);
+//! * every accepted job ends exactly once, done, failed, panicked, cancelled
+//!   or drained by [`ServicePool::shutdown_now`]: its worker (for a drained
+//!   job, the thread in `shutdown_now`) counts the terminal state, runs the
+//!   job's [`QueuedJob::completion`] with it and the last [`JobProgress`],
+//!   and only then publishes it, so a terminal [`JobHandle::state`] means
+//!   the completion has returned.  A refused submission never runs its
+//!   completion; a completion that panics is logged and costs neither the
+//!   worker nor the published state;
 //! * [`ServicePool::shutdown`] is the graceful path: new submissions are
 //!   rejected with [`SubmitError::ShuttingDown`], already-accepted jobs are
 //!   drained to completion, and the worker threads are joined.
@@ -34,8 +44,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// One unit of work for a [`ServicePool`]: a spec, its sink, and an optional
-/// checkpoint to resume from.
+/// What a [`QueuedJob`] runs when it ends: it receives the terminal
+/// [`JobState`] and the job's last [`JobProgress`] (see the
+/// [module docs](crate::service) for when it runs).
+pub type Completion = Box<dyn FnOnce(&JobState, JobProgress) + Send>;
+
+/// One unit of work for a [`ServicePool`]: a spec, its sink, an optional
+/// checkpoint to resume from, and an optional completion.
 pub struct QueuedJob {
     /// What to run.
     pub spec: JobSpec,
@@ -49,30 +64,30 @@ pub struct QueuedJob {
     /// Trace context of the submitting request, if it was traced: the worker
     /// installs it so engine-side spans join the submitter's trace.
     pub trace: Option<gesmc_obs::SpanContext>,
+    /// Run exactly once when the accepted job ends, before its state is
+    /// published (`None` = nothing to run).
+    pub completion: Option<Completion>,
 }
 
 impl QueuedJob {
     /// A job starting from scratch.
     pub fn new(spec: JobSpec, sink: Box<dyn SampleSink>) -> Self {
-        Self { spec, sink, resume: None, checkpoints: None, trace: None }
-    }
-
-    /// A job continuing from `checkpoint`.
-    pub fn resuming(spec: JobSpec, sink: Box<dyn SampleSink>, checkpoint: Checkpoint) -> Self {
-        Self { spec, sink, resume: Some(checkpoint), checkpoints: None, trace: None }
-    }
-
-    /// Builder-style attachment of a [`CheckpointSink`] receiving this job's
-    /// periodic checkpoints.
-    pub fn with_checkpoint_sink(mut self, sink: Box<dyn CheckpointSink>) -> Self {
-        self.checkpoints = Some(sink);
-        self
+        Self { spec, sink, resume: None, checkpoints: None, trace: None, completion: None }
     }
 
     /// Builder-style attachment of the submitter's
     /// [`gesmc_obs::SpanContext`] so engine spans join its trace.
     pub fn with_trace(mut self, trace: Option<gesmc_obs::SpanContext>) -> Self {
         self.trace = trace;
+        self
+    }
+
+    /// Builder-style attachment of the [`Completion`] run when the job ends.
+    pub fn on_completion(
+        mut self,
+        completion: impl FnOnce(&JobState, JobProgress) + Send + 'static,
+    ) -> Self {
+        self.completion = Some(Box::new(completion));
         self
     }
 }
@@ -307,13 +322,13 @@ impl ServicePool {
                     queue = inner.work_available.wait(queue).expect("service queue mutex poisoned");
                 }
             };
-            let Some(ServiceJob { mut job, control, slot }) = next else {
+            let Some(mut work) = next else {
                 // Shutdown with an empty queue: wake siblings and exit.
                 inner.work_available.notify_all();
                 return;
             };
 
-            Self::publish(&slot, JobState::Running);
+            Self::publish(&work.slot, JobState::Running);
             inner.running.fetch_add(1, Ordering::Release);
             // A panicking job (a generator assert, a poisoned sink) must
             // cost one Failed state, not this worker thread: without the
@@ -321,13 +336,14 @@ impl ServicePool {
             // forever) and the pool would lose a worker for the process
             // lifetime.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let job = &mut work.job;
                 gesmc_obs::trace::with_context_opt(job.trace, || {
                     run_job(
                         inner.registry,
                         &job.spec,
                         job.sink.as_mut(),
                         job.resume.as_ref(),
-                        &control,
+                        &work.control,
                         job.checkpoints.as_deref_mut(),
                     )
                 })
@@ -335,30 +351,39 @@ impl ServicePool {
             inner.running.fetch_sub(1, Ordering::Release);
 
             let state = match result {
-                Ok(Ok(report)) => {
-                    inner.completed.fetch_add(1, Ordering::Relaxed);
-                    JobState::Done(report)
-                }
-                Ok(Err(EngineError::Cancelled { superstep, .. })) => {
-                    inner.cancelled.fetch_add(1, Ordering::Relaxed);
-                    JobState::Cancelled(superstep)
-                }
-                Ok(Err(e)) => {
-                    inner.failed.fetch_add(1, Ordering::Relaxed);
-                    JobState::Failed(e.to_string())
-                }
-                Err(panic) => {
-                    inner.failed.fetch_add(1, Ordering::Relaxed);
-                    let message = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    JobState::Failed(format!("job panicked: {message}"))
-                }
+                Ok(Ok(report)) => JobState::Done(report),
+                Ok(Err(EngineError::Cancelled { superstep, .. })) => JobState::Cancelled(superstep),
+                Ok(Err(e)) => JobState::Failed(e.to_string()),
+                Err(panic) => JobState::Failed(format!("job panicked: {}", panic_message(&*panic))),
             };
-            Self::publish(&slot, state);
+            Self::finish(inner, work, state);
         }
+    }
+
+    /// End an accepted job: count its terminal `state`, run its completion
+    /// (a panic there is logged and absorbed), then publish the state.
+    fn finish(inner: &ServiceInner, work: ServiceJob, state: JobState) {
+        let counter = match &state {
+            JobState::Done(_) => &inner.completed,
+            JobState::Failed(_) => &inner.failed,
+            _ => &inner.cancelled,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if let Some(completion) = work.job.completion {
+            let progress = work.control.progress();
+            let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                completion(&state, progress);
+            }));
+            if let Err(panic) = ran {
+                gesmc_obs::warn!(
+                    target: "gesmc_engine",
+                    id: work.job.spec.name,
+                    "job completion panicked: {}",
+                    panic_message(&*panic)
+                );
+            }
+        }
+        Self::publish(&work.slot, state);
     }
 
     fn publish(slot: &JobSlot, state: JobState) {
@@ -372,6 +397,17 @@ impl ServicePool {
     /// [`shutdown`](ServicePool::shutdown) began, and with
     /// [`SubmitError::Saturated`] when `max_pending` jobs already wait.
     pub fn submit(&self, job: QueuedJob) -> Result<JobHandle, SubmitError> {
+        self.enqueue(job, true)
+    }
+
+    /// Like [`submit`](ServicePool::submit), but past the `max_pending`
+    /// bound, so it fails only with [`SubmitError::ShuttingDown`]; `submit`
+    /// sheds until the queue drains below the bound again.
+    pub fn readmit(&self, job: QueuedJob) -> Result<JobHandle, SubmitError> {
+        self.enqueue(job, false)
+    }
+
+    fn enqueue(&self, job: QueuedJob, bounded: bool) -> Result<JobHandle, SubmitError> {
         if !self.inner.accepting.load(Ordering::Acquire) {
             return Err(SubmitError::ShuttingDown);
         }
@@ -389,7 +425,7 @@ impl ServicePool {
             if !self.inner.accepting.load(Ordering::Acquire) {
                 return Err(SubmitError::ShuttingDown);
             }
-            if self.inner.max_pending > 0 && queue.len() >= self.inner.max_pending {
+            if bounded && self.inner.max_pending > 0 && queue.len() >= self.inner.max_pending {
                 return Err(SubmitError::Saturated { pending: queue.len() });
             }
             queue.push_back(ServiceJob { job, control, slot });
@@ -459,15 +495,17 @@ impl ServicePool {
         // In-flight jobs hold clones of their controls, so cancelling the
         // queued jobs here plus the submitters' own handles covers
         // everything.  Notifying under the queue mutex prevents a lost
-        // wakeup (see `shutdown`).
-        {
+        // wakeup (see `shutdown`); the drained jobs end outside it, so their
+        // completions never hold up a worker's next claim.
+        let drained: Vec<ServiceJob> = {
             let mut queue = self.inner.queue.lock().expect("service queue mutex poisoned");
-            for job in queue.drain(..) {
-                self.inner.cancelled.fetch_add(1, Ordering::Relaxed);
-                job.control.request_cancel();
-                Self::publish(&job.slot, JobState::Cancelled(job.control.progress().superstep));
-            }
             self.inner.work_available.notify_all();
+            queue.drain(..).collect()
+        };
+        for work in drained {
+            work.control.request_cancel();
+            let superstep = work.control.progress().superstep;
+            Self::finish(&self.inner, work, JobState::Cancelled(superstep));
         }
         let handles =
             std::mem::take(&mut *self.workers.lock().expect("worker handles mutex poisoned"));
@@ -481,6 +519,15 @@ impl Drop for ServicePool {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// The text of a panic payload (`&str` or `String`).
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+    panic
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 #[cfg(test)]
@@ -502,6 +549,47 @@ mod tests {
 
     fn queued(name: &str, supersteps: u64) -> QueuedJob {
         QueuedJob::new(spec(name, supersteps), Box::new(NullSink::default()))
+    }
+
+    /// Each completion call: the state's label, the progress superstep, and
+    /// whether the job's handle already read terminal.
+    type Calls = Arc<Mutex<Vec<(&'static str, u64, bool)>>>;
+
+    /// Submit `job` with a completion that records its call into `calls`.
+    fn submit_recorded(
+        pool: &ServicePool,
+        job: QueuedJob,
+        calls: &Calls,
+    ) -> Result<JobHandle, SubmitError> {
+        let (handle_tx, handle_rx) = std::sync::mpsc::channel::<JobHandle>();
+        let calls = Arc::clone(calls);
+        let handle = pool.submit(job.on_completion(move |state, progress| {
+            let handle = handle_rx.recv().expect("the handle is sent right after submit");
+            let terminal = handle.state().is_terminal();
+            calls.lock().unwrap().push((state.label(), progress.superstep, terminal));
+        }))?;
+        handle_tx.send(handle.clone()).unwrap();
+        Ok(handle)
+    }
+
+    /// A job whose generator panics inside the worker (pld with gamma <= 1).
+    fn panicking(name: &str) -> QueuedJob {
+        let source = GraphSource::Generated {
+            family: "pld".into(),
+            nodes: 0,
+            edges: 100,
+            gamma: 0.5,
+            seed: 1,
+        };
+        let spec = JobSpec::new(name, source, ChainSpec::new("seq-es"));
+        QueuedJob::new(spec, Box::new(NullSink::default()))
+    }
+
+    /// A job that fails: its input file does not exist.
+    fn missing_input(name: &str) -> QueuedJob {
+        let source = GraphSource::File("/nonexistent/missing.txt".into());
+        let spec = JobSpec::new(name, source, ChainSpec::new("seq-es"));
+        QueuedJob::new(spec, Box::new(NullSink::default()))
     }
 
     /// A gate that parks the worker inside the sink of a "blocker" job until
@@ -533,6 +621,11 @@ mod tests {
         /// Submit a job whose first sample emission blocks on this gate;
         /// returns once the worker is parked inside it.
         fn park_worker(&self, pool: &ServicePool) -> JobHandle {
+            self.park_with(|job| pool.submit(job).unwrap())
+        }
+
+        /// [`Gate::park_worker`] with the submission left to `submit`.
+        fn park_with(&self, submit: impl FnOnce(QueuedJob) -> JobHandle) -> JobHandle {
             let entered = Arc::new((Mutex::new(false), Condvar::new()));
             let entered_in_sink = Arc::clone(&entered);
             let gate = self.clone();
@@ -548,7 +641,7 @@ mod tests {
                 },
             );
             let blocker = spec("blocker", 2).thinning(1);
-            let handle = pool.submit(QueuedJob::new(blocker, Box::new(sink))).unwrap();
+            let handle = submit(QueuedJob::new(blocker, Box::new(sink)));
             let (lock, cv) = &*entered;
             let mut seen = lock.lock().unwrap();
             while !*seen {
@@ -601,7 +694,8 @@ mod tests {
         let blocker = gate.park_worker(&pool);
         assert_eq!(pool.running(), 1);
         let filler = pool.submit(queued("fill", 4)).unwrap();
-        match pool.submit(queued("shed", 4)) {
+        let calls = Calls::default();
+        match submit_recorded(&pool, queued("shed", 4), &calls) {
             Err(SubmitError::Saturated { pending }) => assert_eq!(pending, 1),
             other => panic!("expected Saturated, got {other:?}"),
         }
@@ -609,6 +703,26 @@ mod tests {
         assert!(matches!(blocker.wait(), JobState::Done(_)));
         assert!(matches!(filler.wait(), JobState::Done(_)));
         pool.shutdown();
+        assert!(calls.lock().unwrap().is_empty(), "a shed job's completion must never run");
+    }
+
+    #[test]
+    fn readmit_queues_past_the_bound_and_submit_sheds_until_it_drains() {
+        let pool = ServicePool::start(1, 1);
+        let gate = Gate::new();
+        let blocker = gate.park_worker(&pool);
+        let readmitted: Vec<_> =
+            (0..3).map(|i| pool.readmit(queued(&format!("r{i}"), 4)).unwrap()).collect();
+        assert_eq!(pool.queue_depth(), 3);
+        assert!(matches!(pool.submit(queued("shed", 4)), Err(SubmitError::Saturated { .. })));
+        gate.release();
+        assert!(matches!(blocker.wait(), JobState::Done(_)));
+        for handle in &readmitted {
+            assert!(matches!(handle.wait(), JobState::Done(_)), "{handle:?}");
+        }
+        assert!(matches!(pool.submit(queued("fits", 4)).unwrap().wait(), JobState::Done(_)));
+        pool.shutdown();
+        assert!(matches!(pool.readmit(queued("late", 4)), Err(SubmitError::ShuttingDown)));
     }
 
     #[test]
@@ -625,7 +739,10 @@ mod tests {
             );
         }
         assert!(!pool.is_accepting());
-        assert!(matches!(pool.submit(queued("late", 4)), Err(SubmitError::ShuttingDown)));
+        let calls = Calls::default();
+        let late = submit_recorded(&pool, queued("late", 4), &calls);
+        assert!(matches!(late, Err(SubmitError::ShuttingDown)));
+        assert!(calls.lock().unwrap().is_empty(), "a refused job's completion must never run");
         // Idempotent.
         pool.shutdown();
     }
@@ -635,8 +752,10 @@ mod tests {
         let pool = ServicePool::start(1, 0);
         let gate = Gate::new();
         let blocker = gate.park_worker(&pool);
-        let parked: Vec<_> =
-            (0..3).map(|i| pool.submit(queued(&format!("p{i}"), 8)).unwrap()).collect();
+        let calls = Calls::default();
+        let parked: Vec<_> = (0..3)
+            .map(|i| submit_recorded(&pool, queued(&format!("p{i}"), 8), &calls).unwrap())
+            .collect();
         blocker.cancel();
         // shutdown_now drains (cancels) the queued jobs before joining the
         // workers; only then release the parked worker, so it can never claim
@@ -658,6 +777,8 @@ mod tests {
         }
         let (_, _, cancelled) = pool.job_counts();
         assert_eq!(cancelled, 4);
+        // Each drained job ran its completion once, before it read Cancelled.
+        assert_eq!(*calls.lock().unwrap(), vec![("cancelled", 0, false); 3]);
     }
 
     #[test]
@@ -680,40 +801,56 @@ mod tests {
     #[test]
     fn panicking_jobs_fail_without_killing_the_worker() {
         let pool = ServicePool::start(1, 0);
-        // A pld generator with gamma <= 1 panics inside the job (generator
-        // assert); the pool must publish Failed and keep its worker.
-        let panicking = JobSpec::new(
-            "boom",
-            GraphSource::Generated {
-                family: "pld".into(),
-                nodes: 0,
-                edges: 100,
-                gamma: 0.5,
-                seed: 1,
-            },
-            ChainSpec::new("seq-es"),
-        );
-        let handle = pool.submit(QueuedJob::new(panicking, Box::new(NullSink::default()))).unwrap();
+        // The pool must publish Failed for a job that panics, and keep its
+        // worker.
+        let handle = pool.submit(panicking("boom")).unwrap();
         match handle.wait() {
             JobState::Failed(msg) => assert!(msg.contains("panicked"), "{msg}"),
             other => panic!("expected Failed, got {:?}", other.label()),
         }
-        // The single worker survived and still runs jobs.
-        let after = pool.submit(queued("after", 4)).unwrap();
-        assert!(matches!(after.wait(), JobState::Done(_)));
-        assert_eq!(pool.job_counts(), (1, 1, 0));
+        // The single worker survived and still runs jobs, also after a
+        // completion that panics; that job's state is still published.
+        let after = queued("after", 4).on_completion(|_, _| panic!("completion panics"));
+        assert!(matches!(pool.submit(after).unwrap().wait(), JobState::Done(_)));
+        let last = pool.submit(queued("last", 4)).unwrap();
+        assert!(matches!(last.wait(), JobState::Done(_)));
+        assert_eq!(pool.job_counts(), (2, 1, 0));
         pool.shutdown();
+    }
+
+    #[test]
+    fn a_completion_runs_once_before_the_state_turns_terminal_however_the_job_ends() {
+        let pool = ServicePool::start(1, 0);
+        let calls = Calls::default();
+        let gate = Gate::new();
+        let running = gate.park_with(|job| submit_recorded(&pool, job, &calls).unwrap());
+        let unclaimed = submit_recorded(&pool, queued("unclaimed", 8), &calls).unwrap();
+        let done = submit_recorded(&pool, queued("done", 4), &calls).unwrap();
+        let failed = submit_recorded(&pool, missing_input("failed"), &calls).unwrap();
+        let panicked = submit_recorded(&pool, panicking("panicked"), &calls).unwrap();
+        unclaimed.cancel();
+        running.cancel();
+        gate.release();
+        for handle in [&running, &unclaimed, &done, &failed, &panicked] {
+            handle.wait();
+        }
+        pool.shutdown();
+        // One worker runs them in submission order.  The parked job is
+        // cancelled after its first superstep, the unclaimed one before any.
+        let expected = vec![
+            ("cancelled", 1, false),
+            ("cancelled", 0, false),
+            ("done", 4, false),
+            ("failed", 0, false),
+            ("failed", 0, false),
+        ];
+        assert_eq!(*calls.lock().unwrap(), expected);
     }
 
     #[test]
     fn failed_jobs_surface_their_error_text() {
         let pool = ServicePool::start(1, 0);
-        let bad = JobSpec::new(
-            "bad",
-            GraphSource::File("/nonexistent/missing.txt".into()),
-            ChainSpec::new("seq-es"),
-        );
-        let handle = pool.submit(QueuedJob::new(bad, Box::new(NullSink::default()))).unwrap();
+        let handle = pool.submit(missing_input("bad")).unwrap();
         match handle.wait() {
             JobState::Failed(msg) => assert!(msg.contains("missing.txt"), "{msg}"),
             other => panic!("expected Failed, got {:?}", other.label()),

@@ -73,9 +73,13 @@ impl Metrics {
         persist: Option<&PersistMetrics>,
         cluster: Option<&ClusterMetrics>,
     ) -> String {
-        fn gauge(out: &mut String, name: &str, help: &str, value: f64) {
+        // One single-sample family.  A `_total` family is a monotone
+        // counter, by the Prometheus naming rule
+        // `scripts/validate_prometheus.sh` holds; the rest are gauges.
+        fn family(out: &mut String, name: &str, help: &str, value: f64) {
+            let kind = if name.ends_with("_total") { "counter" } else { "gauge" };
             let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
+            let _ = writeln!(out, "# TYPE {name} {kind}");
             if value.fract() == 0.0 {
                 let _ = writeln!(out, "{name} {value:.0}");
             } else {
@@ -88,8 +92,8 @@ impl Metrics {
         let _ = writeln!(out, "# TYPE gesmc_build_info gauge");
         let _ = writeln!(out, "gesmc_build_info{{version=\"{}\"}} 1", env!("CARGO_PKG_VERSION"));
         let uptime = self.start.elapsed().as_secs_f64();
-        gauge(&mut out, "gesmc_uptime_seconds", "Seconds since the server started.", uptime);
-        gauge(
+        family(&mut out, "gesmc_uptime_seconds", "Seconds since the server started.", uptime);
+        family(
             &mut out,
             "gesmc_http_requests_total",
             "Requests parsed off the wire.",
@@ -97,7 +101,7 @@ impl Metrics {
         );
         let _ =
             writeln!(out, "# HELP gesmc_http_responses_total Responses written, by status class.");
-        let _ = writeln!(out, "# TYPE gesmc_http_responses_total gauge");
+        let _ = writeln!(out, "# TYPE gesmc_http_responses_total counter");
         for (class, counter) in [
             ("2xx", &self.responses_2xx),
             ("4xx", &self.responses_4xx),
@@ -111,28 +115,28 @@ impl Metrics {
             );
         }
 
-        gauge(
+        family(
             &mut out,
             "gesmc_queue_depth",
             "Jobs waiting in the engine admission queue.",
             pool.queue_depth() as f64,
         );
-        gauge(
+        family(
             &mut out,
             "gesmc_jobs_running",
             "Jobs executing on engine workers.",
             pool.running() as f64,
         );
         let (completed, failed, cancelled) = pool.job_counts();
-        gauge(
+        family(
             &mut out,
             "gesmc_jobs_completed_total",
             "Jobs finished successfully.",
             completed as f64,
         );
-        gauge(&mut out, "gesmc_jobs_failed_total", "Jobs that failed.", failed as f64);
-        gauge(&mut out, "gesmc_jobs_cancelled_total", "Jobs cancelled.", cancelled as f64);
-        gauge(
+        family(&mut out, "gesmc_jobs_failed_total", "Jobs that failed.", failed as f64);
+        family(&mut out, "gesmc_jobs_cancelled_total", "Jobs cancelled.", cancelled as f64);
+        family(
             &mut out,
             "gesmc_jobs_resident",
             "Job records retained in the store.",
@@ -140,31 +144,31 @@ impl Metrics {
         );
 
         let stats = cache.stats();
-        gauge(
+        family(
             &mut out,
             "gesmc_cache_entries",
             "Samples resident in the warm cache.",
             stats.entries as f64,
         );
-        gauge(
+        family(
             &mut out,
             "gesmc_cache_capacity",
             "Configured warm-cache capacity.",
             cache.capacity() as f64,
         );
-        gauge(
+        family(
             &mut out,
             "gesmc_cache_hits_total",
             "Warm-cache lookups that hit.",
             stats.hits as f64,
         );
-        gauge(
+        family(
             &mut out,
             "gesmc_cache_misses_total",
             "Warm-cache lookups that missed.",
             stats.misses as f64,
         );
-        gauge(
+        family(
             &mut out,
             "gesmc_cache_evictions_total",
             "Warm-cache LRU evictions.",
@@ -172,17 +176,17 @@ impl Metrics {
         );
         let lookups = stats.hits + stats.misses;
         let hit_rate = if lookups == 0 { 0.0 } else { stats.hits as f64 / lookups as f64 };
-        gauge(&mut out, "gesmc_cache_hit_rate", "Lifetime warm-cache hit fraction.", hit_rate);
+        family(&mut out, "gesmc_cache_hit_rate", "Lifetime warm-cache hit fraction.", hit_rate);
 
         let supersteps = pool.supersteps_total();
-        gauge(
+        family(
             &mut out,
             "gesmc_supersteps_total",
             "Chain supersteps completed across all jobs.",
             supersteps as f64,
         );
         let rate = if uptime > 0.0 { supersteps as f64 / uptime } else { 0.0 };
-        gauge(&mut out, "gesmc_supersteps_per_second", "Lifetime average superstep rate.", rate);
+        family(&mut out, "gesmc_supersteps_per_second", "Lifetime average superstep rate.", rate);
 
         if let Some(persist) = persist {
             for (name, help, value) in [
@@ -227,12 +231,12 @@ impl Metrics {
                     persist.jobs_restored(),
                 ),
             ] {
-                gauge(&mut out, name, help, value as f64);
+                family(&mut out, name, help, value as f64);
             }
         }
 
         if let Some(cluster) = cluster {
-            gauge(
+            family(
                 &mut out,
                 "gesmc_cluster_peers",
                 "Cluster size (peers, this node included).",
@@ -250,19 +254,19 @@ impl Metrics {
                     u8::from(*healthy)
                 );
             }
-            gauge(
+            family(
                 &mut out,
                 "gesmc_cluster_forwarded_total",
                 "Sample requests forwarded to their ring owner.",
                 cluster.forwarded as f64,
             );
-            gauge(
+            family(
                 &mut out,
                 "gesmc_cluster_forward_fallbacks_total",
                 "Forwards that fell back to local computation.",
                 cluster.fallbacks as f64,
             );
-            gauge(
+            family(
                 &mut out,
                 "gesmc_cluster_forwards_received_total",
                 "Forwarded sample requests received from peers.",
@@ -296,7 +300,7 @@ impl Metrics {
             ),
         ] {
             if let Some(value) = value {
-                gauge(&mut out, name, help, value as f64);
+                family(&mut out, name, help, value as f64);
             }
         }
 
@@ -371,6 +375,14 @@ mod tests {
         assert!(text.contains("gesmc_supersteps_total 5"));
         assert!(text.contains("gesmc_cache_capacity 4"));
         assert!(text.contains("# TYPE gesmc_uptime_seconds gauge"));
+        for text in [&text, &text_with_persist, &text_with_cluster] {
+            for family in text.lines().filter_map(|line| line.strip_prefix("# TYPE ")) {
+                let (name, kind) = family.split_once(' ').unwrap();
+                if name.ends_with("_total") {
+                    assert_eq!(kind, "counter", "{name} is monotone");
+                }
+            }
+        }
         #[cfg(target_os = "linux")]
         {
             assert!(text.contains("gesmc_process_peak_rss_bytes"));

@@ -19,7 +19,10 @@
 //! a JSON payload (`submitted` or `finished` events).  Appends are fsynced
 //! before the submission is acknowledged, so **an acknowledged job is never
 //! lost** — the converse (a journaled job whose 202 never reached the
-//! client) is possible and documented as at-least-once.  On boot the
+//! client) is possible and documented as at-least-once.  A job's `finished`
+//! event is appended by its engine completion, which the pool worker runs
+//! before it publishes the terminal state: a poll that reads a job `done`
+//! (or `failed`, `cancelled`) finds the event already fsynced.  On boot the
 //! journal is replayed: a torn tail stops replay at the last whole entry, a
 //! corrupt entry (checksum or JSON) is skipped — both are metered
 //! ([`PersistMetrics::journal_skipped`]) and logged, never a panic.  Replay
@@ -28,7 +31,9 @@
 //!
 //! ## Recovery invariants
 //!
-//! * **No acked-lost job**: the journal append is durable before `202`.
+//! * **No acked-lost job**: the journal append is durable before `202`,
+//!   and boot re-admits every journaled unfinished job, past the admission
+//!   bound (`--max-pending`) that sheds new work.
 //! * **Bit-identical resume**: an interrupted job resumes from its latest
 //!   `GESMCKP1` checkpoint — exact PRNG stream state — so its remaining
 //!   samples are byte-identical to an uninterrupted run; with no usable
@@ -42,12 +47,12 @@
 
 use crate::cache::{derive_sample_seed, encode_bodies, Bodies, CacheKey, CachedSample};
 use crate::fsio::PersistIo;
-use crate::jobstore::{JobRecord, SharedSamples, StoredSample};
+use crate::jobstore::{start_job, JobRecord, Resume, SharedSamples, StoredSample};
 use crate::server::ServerState;
 use gesmc_core::ChainSpec;
 use gesmc_engine::{
     CallbackSink, Checkpoint, CheckpointSink, EngineError, GraphSource, JobHandle, JobReport,
-    JobSpec, JobState, QueuedJob, SampleContext, SampleSink,
+    JobState, SampleContext, SampleSink,
 };
 use gesmc_graph::io::{
     read_edge_list_binary_file, write_edge_list_binary, BinaryEdgeListReader, IoError,
@@ -142,7 +147,8 @@ pub(crate) enum PersistedGraph {
     File,
 }
 
-/// The immutable half of a journaled job record (the `submitted` event).
+/// What a job was submitted with: the `submitted` journal event, and the
+/// fields a job record reports.
 #[derive(Debug, Clone)]
 pub(crate) struct JobMeta {
     pub id: u64,
@@ -161,6 +167,18 @@ pub(crate) struct FinishedMeta {
     pub samples: u64,
     pub superstep: u64,
     pub error: Option<String>,
+}
+
+impl FinishedMeta {
+    /// The event of a job that ended in `state` after `superstep`, having
+    /// emitted `samples` samples.
+    pub(crate) fn new(state: &JobState, superstep: u64, samples: u64) -> Self {
+        let error = match state {
+            JobState::Failed(msg) => Some(msg.clone()),
+            _ => None,
+        };
+        Self { status: state.label().to_string(), samples, superstep, error }
+    }
 }
 
 /// One job as reconstructed from the journal.
@@ -718,45 +736,27 @@ impl CheckpointSink for JobCheckpointSink {
     }
 }
 
-/// Spawn the reaper thread of a persistent job: waits for the terminal
-/// state and journals the `finished` event.  The handle is joined during
-/// server teardown (after the pool drained, so every job is terminal).
-pub(crate) fn spawn_reaper(
-    state: &Arc<ServerState>,
-    id: u64,
-    handle: JobHandle,
-    samples: SharedSamples,
-) {
-    let Some(persist) = state.persist.clone() else { return };
-    let reaper = std::thread::spawn(move || {
-        let terminal = handle.wait();
-        let emitted = samples.lock().expect("samples mutex poisoned").len() as u64;
-        let fin = match terminal {
-            JobState::Done(report) => FinishedMeta {
-                status: "done".to_string(),
-                samples: emitted,
-                superstep: report.supersteps,
-                error: None,
-            },
-            JobState::Failed(msg) => FinishedMeta {
-                status: "failed".to_string(),
-                samples: emitted,
-                superstep: handle.progress().superstep,
-                error: Some(msg),
-            },
-            JobState::Cancelled(at) => FinishedMeta {
-                status: "cancelled".to_string(),
-                samples: emitted,
-                superstep: at,
-                error: None,
-            },
-            JobState::Queued | JobState::Running => {
-                unreachable!("wait() only returns terminal states")
+/// The chain and input graph a journaled job runs on again.
+fn resume_input(persist: &Persistence, meta: &JobMeta) -> Result<(ChainSpec, GraphSource), String> {
+    let chain =
+        ChainSpec::parse(&meta.chain).map_err(|e| format!("cannot resume: bad chain spec: {e}"))?;
+    let source = match &meta.graph {
+        PersistedGraph::Generated { family, nodes, edges, gamma, seed } => GraphSource::Generated {
+            family: family.clone(),
+            nodes: *nodes,
+            edges: *edges,
+            gamma: *gamma,
+            seed: *seed,
+        },
+        PersistedGraph::File => match read_edge_list_binary_file(persist.input_path(meta.id)) {
+            Ok(graph) => GraphSource::InMemory(graph),
+            Err(e) => {
+                persist.metrics.count_error();
+                return Err(format!("cannot resume: input graph unreadable: {e}"));
             }
-        };
-        persist.journal_finished(id, &fin);
-    });
-    state.reapers.lock().expect("reaper handles mutex poisoned").push(reaper);
+        },
+    };
+    Ok((chain, source))
 }
 
 /// Boot-time recovery: replay the journal, restore finished job records,
@@ -774,26 +774,32 @@ pub(crate) fn boot_replay(state: &Arc<ServerState>) {
     if let Some(max_id) = jobs.iter().map(|job| job.meta.id).max() {
         state.jobs.ensure_next_id(max_id + 1);
     }
-    // Compact before resuming, so reaper appends land after the rewrite.
+    // Compact before resuming, so the resumed jobs' `finished` appends land
+    // after the rewrite.
     persist.compact(&jobs);
     let live: std::collections::BTreeSet<u64> = jobs.iter().map(|job| job.meta.id).collect();
     persist.remove_orphan_job_dirs(&live);
     for job in jobs {
         match job.finished {
-            Some(fin) => restore_finished(state, &persist, job.meta, fin),
+            Some(fin) => {
+                if restore_finished(state, &persist, job.meta, &fin) {
+                    persist.metrics.jobs_restored.fetch_add(1, Ordering::Relaxed);
+                }
+            }
             None => resume_pending(state, &persist, job.meta),
         }
     }
 }
 
-/// Restore the record of a job that reached a terminal state before the
-/// restart: samples come back from disk, the handle is detached.
+/// Register the record of a job that reached a terminal state before the
+/// restart: samples come back from disk, the handle is detached.  Whether
+/// the store took it.
 fn restore_finished(
-    state: &Arc<ServerState>,
-    persist: &Arc<Persistence>,
+    state: &ServerState,
+    persist: &Persistence,
     meta: JobMeta,
-    fin: FinishedMeta,
-) {
+    fin: &FinishedMeta,
+) -> bool {
     let samples = persist.load_job_samples(meta.id);
     let terminal = match fin.status.as_str() {
         "done" => JobState::Done(JobReport {
@@ -808,72 +814,28 @@ fn restore_finished(
             duration: Duration::ZERO,
         }),
         "cancelled" => JobState::Cancelled(fin.superstep),
-        _ => JobState::Failed(fin.error.unwrap_or_else(|| "failed before restart".to_string())),
+        _ => JobState::Failed(
+            fin.error.clone().unwrap_or_else(|| "failed before restart".to_string()),
+        ),
     };
     let handle = JobHandle::detached(meta.name.clone(), terminal, fin.superstep, meta.supersteps);
-    let record = JobRecord {
-        id: meta.id,
-        name: meta.name,
-        chain: meta.chain,
-        supersteps: meta.supersteps,
-        thinning: meta.thinning,
-        seed: meta.seed,
-        handle,
-        samples: Arc::new(Mutex::new(samples)),
-    };
-    if state.jobs.register(record).is_ok() {
-        persist.metrics.jobs_restored.fetch_add(1, Ordering::Relaxed);
-    }
+    let record = JobRecord { meta, handle, samples: Arc::new(Mutex::new(samples)) };
+    state.jobs.register(record, true).is_ok()
 }
 
 /// Resume a job the previous process never finished: from its latest
 /// usable checkpoint when one exists (bit-identical continuation), from
-/// scratch otherwise (bit-identical by seed determinism).
-fn resume_pending(state: &Arc<ServerState>, persist: &Arc<Persistence>, meta: JobMeta) {
-    let register_failed = |msg: String| {
-        persist.journal_finished(
-            meta.id,
-            &FinishedMeta {
-                status: "failed".to_string(),
-                samples: 0,
-                superstep: 0,
-                error: Some(msg.clone()),
-            },
-        );
-        let handle =
-            JobHandle::detached(meta.name.clone(), JobState::Failed(msg), 0, meta.supersteps);
-        let record = JobRecord {
-            id: meta.id,
-            name: meta.name.clone(),
-            chain: meta.chain.clone(),
-            supersteps: meta.supersteps,
-            thinning: meta.thinning,
-            seed: meta.seed,
-            handle,
-            samples: Arc::new(Mutex::new(Vec::new())),
-        };
-        let _ = state.jobs.register(record);
-    };
-
-    let chain = match ChainSpec::parse(&meta.chain) {
-        Ok(chain) => chain,
-        Err(e) => return register_failed(format!("cannot resume: bad chain spec: {e}")),
-    };
-    let source = match &meta.graph {
-        PersistedGraph::Generated { family, nodes, edges, gamma, seed } => GraphSource::Generated {
-            family: family.clone(),
-            nodes: *nodes,
-            edges: *edges,
-            gamma: *gamma,
-            seed: *seed,
-        },
-        PersistedGraph::File => match read_edge_list_binary_file(persist.input_path(meta.id)) {
-            Ok(graph) => GraphSource::InMemory(graph),
-            Err(e) => {
-                persist.metrics.count_error();
-                return register_failed(format!("cannot resume: input graph unreadable: {e}"));
-            }
-        },
+/// scratch otherwise (bit-identical by seed determinism).  A job that
+/// cannot run again is journaled and restored as failed.
+fn resume_pending(state: &ServerState, persist: &Arc<Persistence>, meta: JobMeta) {
+    let (chain, source) = match resume_input(persist, &meta) {
+        Ok(input) => input,
+        Err(msg) => {
+            let fin = FinishedMeta::new(&JobState::Failed(msg), 0, 0);
+            persist.journal_finished(meta.id, &fin);
+            restore_finished(state, persist, meta, &fin);
+            return;
+        }
     };
 
     let on_disk = persist.load_job_samples(meta.id);
@@ -883,54 +845,25 @@ fn resume_pending(state: &Arc<ServerState>, persist: &Arc<Persistence>, meta: Jo
     let checkpoint = persist
         .load_checkpoint(meta.id)
         .filter(|ckpt| ckpt.samples_emitted <= on_disk.len() as u64);
-    let prefill: Vec<StoredSample> = match &checkpoint {
-        Some(ckpt) => on_disk.into_iter().take(ckpt.samples_emitted as usize).collect(),
-        None => Vec::new(),
-    };
-    let samples: SharedSamples = Arc::new(Mutex::new(prefill));
-
-    let mut spec = JobSpec::new(meta.name.clone(), source, chain)
-        .supersteps(meta.supersteps)
-        .thinning(meta.thinning)
-        .seed(meta.seed);
-    spec.checkpoint_every = Some(state.config.checkpoint_every);
-
-    let sink = make_job_sink(Some(Arc::clone(persist)), meta.id, Arc::clone(&samples));
-    let queued = match checkpoint {
-        Some(ckpt) => QueuedJob::resuming(spec, sink, ckpt),
-        None => QueuedJob::new(spec, sink),
+    let emitted = checkpoint.as_ref().map_or(0, |ckpt| ckpt.samples_emitted as usize);
+    let samples = on_disk.into_iter().take(emitted).collect();
+    let id = meta.id;
+    match start_job(state, meta, source, chain, Some(Resume { checkpoint, samples })) {
+        Ok(_) => {
+            persist.metrics.jobs_resumed.fetch_add(1, Ordering::Relaxed);
+        }
+        // Boot runs before anything can shut the pool down, and a resumed
+        // job goes past both bounds; left unfinished, it resumes next boot.
+        Err(e) => warn(&format!("cannot resume job {id}"), &format!("{e:?}")),
     }
-    .with_checkpoint_sink(Box::new(JobCheckpointSink {
-        persist: Arc::clone(persist),
-        id: meta.id,
-    }));
-
-    let handle = match state.pool.submit(queued) {
-        Ok(handle) => handle,
-        Err(e) => return register_failed(format!("cannot resume: {e}")),
-    };
-    let record = JobRecord {
-        id: meta.id,
-        name: meta.name,
-        chain: meta.chain,
-        supersteps: meta.supersteps,
-        thinning: meta.thinning,
-        seed: meta.seed,
-        handle: handle.clone(),
-        samples: Arc::clone(&samples),
-    };
-    if state.jobs.register(record).is_err() {
-        handle.cancel();
-        return;
-    }
-    spawn_reaper(state, meta.id, handle, samples);
-    persist.metrics.jobs_resumed.fetch_add(1, Ordering::Relaxed);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fsio::StdFs;
+    use crate::{ServeConfig, Server};
+    use gesmc_cluster::wire;
     use gesmc_graph::gen::gnp;
     use gesmc_graph::io::write_edge_list;
     use gesmc_randx::rng_from_seed;
@@ -943,6 +876,71 @@ mod tests {
 
     fn drop_persistence(p: Persistence) {
         let _ = std::fs::remove_dir_all(&p.root);
+    }
+
+    /// A server with a data dir at `p`'s root, writing through `io`, on an
+    /// ephemeral port.
+    fn durable_server(
+        p: &Persistence,
+        io: Arc<dyn PersistIo>,
+        engine_workers: usize,
+        max_pending: usize,
+    ) -> Server {
+        Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            http_workers: 2,
+            engine_workers,
+            max_pending,
+            data_dir: Some(p.root.clone()),
+            persist_io: Some(io),
+            ..ServeConfig::default()
+        })
+        .unwrap()
+    }
+
+    /// [`StdFs`] with a journal append as slow as a busy disk's, so a
+    /// `finished` event journaled after the job's status turned terminal
+    /// would still be on its way when a poll reads that status.
+    #[derive(Debug)]
+    struct SlowJournal;
+
+    impl PersistIo for SlowJournal {
+        fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            StdFs.write(path, bytes)
+        }
+
+        fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            if path.ends_with("jobs.journal") {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            StdFs.append(path, bytes)
+        }
+
+        fn fsync(&self, path: &Path) -> io::Result<()> {
+            StdFs.fsync(path)
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            StdFs.rename(from, to)
+        }
+    }
+
+    /// `GET /v1/jobs/{id}`'s status, polled until it is not queued or
+    /// running.
+    fn poll_until_ended(addr: &str, id: u64) -> String {
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        loop {
+            let response = wire::request(addr, "GET", &format!("/v1/jobs/{id}"), &[], b"").unwrap();
+            assert_eq!(response.status, 200, "job {id} must be tracked");
+            let body: Value =
+                serde_json::from_str(std::str::from_utf8(&response.body).unwrap()).unwrap();
+            let status = body.get("status").and_then(|v| v.as_str()).unwrap().to_string();
+            if status != "queued" && status != "running" {
+                return status;
+            }
+            assert!(std::time::Instant::now() < deadline, "job {id} never ended");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     fn sample_meta(id: u64) -> JobMeta {
@@ -1106,6 +1104,53 @@ mod tests {
         let mut expect = Vec::new();
         write_edge_list_binary(&mut expect, &g1).unwrap();
         assert_eq!(*loaded[1].binary, expect);
+        drop_persistence(p);
+    }
+
+    #[test]
+    fn the_first_poll_that_reads_done_finds_the_finished_event_journaled() {
+        let p = temp_persistence("done-journaled");
+        let server = durable_server(&p, Arc::new(SlowJournal), 2, 64);
+        let addr = server.local_addr().to_string();
+        let job =
+            r#"{"generate":{"family":"gnp","edges":300,"seed":5},"supersteps":6,"thinning":3}"#;
+        for id in 1..=3 {
+            let response = wire::request(&addr, "POST", "/v1/jobs", &[], job.as_bytes()).unwrap();
+            assert_eq!(response.status, 202);
+            assert_eq!(poll_until_ended(&addr, id), "done");
+            let journaled = p.replay_journal();
+            let job = journaled.iter().find(|job| job.meta.id == id).expect("job is journaled");
+            let fin = job.finished.as_ref().expect("`finished` is journaled before `done` shows");
+            assert_eq!((fin.status.as_str(), fin.samples, fin.superstep), ("done", 2, 6));
+        }
+        server.shutdown();
+        drop_persistence(p);
+    }
+
+    #[test]
+    fn boot_readmits_every_unfinished_job_past_the_admission_bound() {
+        let p = temp_persistence("readmit");
+        let (engine_workers, max_pending) = (1, 2);
+        let jobs = (engine_workers + max_pending + 4) as u64;
+        for id in 1..=jobs {
+            let meta = JobMeta {
+                chain: "seq-es".to_string(),
+                supersteps: 4,
+                thinning: 2,
+                ..sample_meta(id)
+            };
+            p.journal_submitted(&meta).unwrap();
+        }
+        let server = durable_server(&p, Arc::new(StdFs), engine_workers, max_pending);
+        let addr = server.local_addr().to_string();
+        for id in 1..=jobs {
+            assert_eq!(poll_until_ended(&addr, id), "done", "job {id}");
+        }
+        let journaled = p.replay_journal();
+        assert!(journaled
+            .iter()
+            .all(|job| job.finished.as_ref().is_some_and(|f| f.status == "done")));
+        server.shutdown();
         drop_persistence(p);
     }
 }

@@ -8,11 +8,8 @@
 use crate::cache::{derive_sample_seed, encode_bodies, CacheKey, CachedSample};
 use crate::cluster::FORWARDED_HEADER;
 use crate::http::{Method, Request, Response};
-use crate::jobstore::JobRecord;
-use crate::persist::{
-    make_job_sink, spawn_reaper, FinishedMeta, JobCheckpointSink, JobMeta, PersistedGraph,
-    Persistence,
-};
+use crate::jobstore::{start_job, StartError};
+use crate::persist::{FinishedMeta, JobMeta, PersistedGraph, Persistence};
 use crate::server::{ColdError, Lease, LeaseGuard, ServerState};
 use gesmc_core::{ChainRegistry, ChainSpec};
 use gesmc_engine::{
@@ -692,43 +689,32 @@ fn submit_job(state: &Arc<ServerState>, request: &Request, request_id: &str) -> 
         .and_then(|v| v.as_str())
         .map(str::to_string)
         .unwrap_or_else(|| format!("job{id}"));
+    let graph = match &source {
+        GraphSource::Generated { family, nodes, edges, gamma, seed } => PersistedGraph::Generated {
+            family: family.clone(),
+            nodes: *nodes,
+            edges: *edges,
+            gamma: *gamma,
+            seed: *seed,
+        },
+        // Inline edges; a data dir keeps them as the job's `input.el`.
+        _ => PersistedGraph::File,
+    };
+    let meta = JobMeta { id, name, chain: chain.to_string(), supersteps, thinning, seed, graph };
 
     // Durability gate: persist the input and journal the submission BEFORE
     // acknowledging anything.  If any durable step fails, refuse with 503 —
     // an acknowledged job is never lost.
     if let Some(persist) = &state.persist {
-        let graph_meta = match &source {
-            GraphSource::Generated { family, nodes, edges, gamma, seed } => {
-                PersistedGraph::Generated {
-                    family: family.clone(),
-                    nodes: *nodes,
-                    edges: *edges,
-                    gamma: *gamma,
-                    seed: *seed,
-                }
+        if let GraphSource::InMemory(graph) = &source {
+            if persist.write_job_input(id, graph).is_err() {
+                return Response::error(
+                    503,
+                    "persistence unavailable: could not store the job input; retry later",
+                )
+                .with_header("Retry-After", "1");
             }
-            GraphSource::InMemory(graph) => {
-                if persist.write_job_input(id, graph).is_err() {
-                    return Response::error(
-                        503,
-                        "persistence unavailable: could not store the job input; retry later",
-                    )
-                    .with_header("Retry-After", "1");
-                }
-                PersistedGraph::File
-            }
-            // Not constructible through this API.
-            GraphSource::File(_) | GraphSource::OutOfCore { .. } => PersistedGraph::File,
-        };
-        let meta = JobMeta {
-            id,
-            name: name.clone(),
-            chain: chain.to_string(),
-            supersteps,
-            thinning,
-            seed,
-            graph: graph_meta,
-        };
+        }
         if persist.journal_submitted(&meta).is_err() {
             return Response::error(
                 503,
@@ -738,73 +724,14 @@ fn submit_job(state: &Arc<ServerState>, request: &Request, request_id: &str) -> 
         }
     }
 
-    let mut spec = JobSpec::new(name.clone(), source, chain.clone())
-        .supersteps(supersteps)
-        .thinning(thinning)
-        .seed(seed);
-    if state.persist.is_some() && state.config.checkpoint_every > 0 {
-        spec.checkpoint_every = Some(state.config.checkpoint_every);
-    }
-    let samples: crate::jobstore::SharedSamples = Arc::new(std::sync::Mutex::new(Vec::new()));
-    let sink = make_job_sink(state.persist.clone(), id, Arc::clone(&samples));
-
-    let mut queued = QueuedJob::new(spec, sink);
-    if let Some(persist) = &state.persist {
-        queued = queued
-            .with_checkpoint_sink(Box::new(JobCheckpointSink { persist: Arc::clone(persist), id }));
-    }
-
-    // The journal already holds a `submitted` entry; if admission fails now,
-    // close it out as cancelled so a restart does not resurrect the job.
-    let journal_cancelled = |superstep: u64| {
-        if let Some(persist) = &state.persist {
-            persist.journal_finished(
-                id,
-                &FinishedMeta {
-                    status: "cancelled".to_string(),
-                    samples: 0,
-                    superstep,
-                    error: None,
-                },
-            );
-        }
-    };
-
-    let handle = match state.pool.submit(queued) {
-        Ok(handle) => handle,
-        Err(SubmitError::Saturated { pending }) => {
-            journal_cancelled(0);
-            return Response::error(
-                429,
-                &format!("admission queue is full ({pending} jobs pending); retry later"),
-            )
-            .with_header("Retry-After", "1");
-        }
-        Err(SubmitError::ShuttingDown) => {
-            journal_cancelled(0);
-            return Response::error(503, "server is shutting down");
-        }
-    };
-
-    let handle_for_rollback = handle.clone();
-    let record = JobRecord {
-        id,
-        name: name.clone(),
-        chain: chain.to_string(),
-        supersteps,
-        thinning,
-        seed,
-        handle: handle.clone(),
-        samples: Arc::clone(&samples),
-    };
-    match state.jobs.register(record) {
+    match start_job(state, meta, source, chain, None) {
         Ok(record) => {
-            spawn_reaper(state, id, handle, samples);
+            let name = record.meta.name.clone();
             gesmc_obs::info!(
                 target: "gesmc_serve::jobs",
                 id: request_id,
                 "job {id} ({name:?}) accepted: chain={}, supersteps={supersteps}, thinning={thinning}",
-                record.chain
+                record.meta.chain
             );
             Response::json(
                 202,
@@ -816,14 +743,26 @@ fn submit_job(state: &Arc<ServerState>, request: &Request, request_id: &str) -> 
                 ]),
             )
         }
-        Err(e) => {
-            // No room to track the job: cancel the untracked submission and
-            // shed.
-            handle_for_rollback.cancel();
-            journal_cancelled(0);
-            Response::error(429, &format!("{e}; retry once jobs finish"))
-                .with_header("Retry-After", "5")
+        Err(StartError::Refused(refused)) => {
+            // The journal already holds a `submitted` entry, and a refused
+            // job has no completion to close it: close it out as cancelled
+            // so a restart does not resurrect the job.
+            if let Some(persist) = &state.persist {
+                persist.journal_finished(id, &FinishedMeta::new(&JobState::Cancelled(0), 0, 0));
+            }
+            match refused {
+                SubmitError::Saturated { pending } => Response::error(
+                    429,
+                    &format!("admission queue is full ({pending} jobs pending); retry later"),
+                )
+                .with_header("Retry-After", "1"),
+                SubmitError::ShuttingDown => Response::error(503, "server is shutting down"),
+            }
         }
+        // No room to track the job: it was cancelled, and its completion
+        // journals that.
+        Err(StartError::Full(e)) => Response::error(429, &format!("{e}; retry once jobs finish"))
+            .with_header("Retry-After", "5"),
     }
 }
 

@@ -194,9 +194,6 @@ pub(crate) struct ServerState {
     pub(crate) persist: Option<Arc<Persistence>>,
     /// Ring, peer health, and forwarding; `Some` only with `--peers`.
     pub(crate) cluster: Option<ClusterState>,
-    /// Reaper threads journaling `finished` events for persistent jobs;
-    /// joined during teardown (after the pool drained, so all terminal).
-    pub(crate) reapers: Mutex<Vec<JoinHandle<()>>>,
     inflight: Mutex<HashMap<CacheKey, Arc<InflightSlot>>>,
     shutdown_requested: Mutex<bool>,
     shutdown_cv: Condvar,
@@ -297,7 +294,6 @@ impl Server {
             registry: default_registry(),
             persist,
             cluster,
-            reapers: Mutex::new(Vec::new()),
             inflight: Mutex::new(HashMap::new()),
             shutdown_requested: Mutex::new(false),
             shutdown_cv: Condvar::new(),
@@ -385,14 +381,9 @@ impl Server {
         for worker in workers {
             let _ = worker.join();
         }
+        // Draining the pool ends every job, and with it every completion
+        // that journals a `finished` event.
         self.state.pool.shutdown();
-        // The pool drained, so every job is terminal and every reaper is
-        // about to (or already did) journal its `finished` event.
-        let reapers =
-            std::mem::take(&mut *self.state.reapers.lock().expect("reaper handles mutex poisoned"));
-        for reaper in reapers {
-            let _ = reaper.join();
-        }
         *done = true;
     }
 }

@@ -6,6 +6,8 @@
 # Checks, line by line and per family:
 #   * every sample line parses as `name[{labels}] value`;
 #   * every sampled family is preceded by a `# TYPE` declaration;
+#   * every family named `*_total` is typed `counter` (the Prometheus naming
+#     rule for monotone counts);
 #   * histogram families are complete and coherent: for each label set,
 #     `_bucket` counts are cumulative (non-decreasing in file order), the
 #     terminal `le="+Inf"` bucket exists and equals the family's `_count`,
@@ -19,6 +21,7 @@ function fail(msg) { printf "validate_prometheus: line %d: %s\n", NR, msg; bad =
 
 /^# TYPE / {
     if (NF != 4) fail("malformed TYPE comment: " $0)
+    if ($3 ~ /_total$/ && $4 != "counter") fail($3 " is typed " $4 ", but a _total family is a counter")
     type[$3] = $4
     next
 }
